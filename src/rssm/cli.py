@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import objectives
-from .simplex import Simplex, make_regular_simplex
+from .simplex import CenterResolutionError, Simplex, make_regular_simplex
 from .interpolation import bound_report, mu_certificate, g_matrix, query_point
 from .solver import SolverConfig, Trace, run, EvaluationError
 from .complexity import constants_for_trace, audit_trace
@@ -81,6 +81,9 @@ def _cmd_solve(args) -> int:
 
     try:
         trace = run(obj, cfg)
+    except CenterResolutionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

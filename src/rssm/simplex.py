@@ -20,7 +20,9 @@ import numpy as np
 __all__ = [
     "Simplex",
     "RegularityReport",
+    "CenterResolutionError",
     "make_regular_simplex",
+    "regular_simplex_gradient",
     "centroid",
     "reflect_worst",
     "shrink_toward_best",
@@ -35,6 +37,15 @@ GEOMETRY_RTOL = 1e-9
 
 class DegenerateSimplexError(ValueError):
     """Raised when vertices are affinely dependent beyond tolerance."""
+
+
+class CenterResolutionError(ValueError):
+    """Raised when a radius is too small for doubles to resolve at its centre.
+
+    Adding the centre rounds every vertex coordinate to a spacing of about
+    eps*||c||_inf; once that is not small against the radius, no simplex
+    built there is regular to GEOMETRY_RTOL.
+    """
 
 
 class Simplex:
@@ -138,6 +149,9 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
     center + radius*sqrt((n+1)/n) * (i-th column of the Helmert row matrix),
     which places all n+1 vertices at distance `radius` from `center` with
     the exact pairwise inner products (x_i-c)^T (x_j-c) = -radius^2/n.
+    Equivalently, the centred vertices Y (one per row) satisfy
+    Y^T Y = ((n+1)/n) radius^2 I, the identity behind
+    :func:`regular_simplex_gradient`.
 
     Args:
         center: centroid, scalar-broadcastable 1-D array of length n.
@@ -145,26 +159,63 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
         n: ambient dimension, n >= 1.
 
     Returns:
-        A certified regular Simplex.
+        A certified regular Simplex.  Regularity to GEOMETRY_RTOL implies
+        affine independence, so no separate rank check is made.
 
     Raises:
         ValueError: nonpositive radius, n < 1, or center of wrong length.
+        CenterResolutionError: the radius is too small for its centre, so
+            the rounded vertices are not regular to GEOMETRY_RTOL.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
     c = np.broadcast_to(np.asarray(center, dtype=float), (n,)).copy()
-    H = _helmert_rows(n)  # n x (n+1)
-    V = c[None, :] + radius * np.sqrt((n + 1.0) / n) * H.T
-    s = Simplex(V, radius=float(radius), check=True)
+    Y = radius * np.sqrt((n + 1.0) / n) * _helmert_rows(n).T
+    s = Simplex(c[None, :] + Y, radius=float(radius), check=False)
     rep = regularity_report(s)
     if rep.max_deviation() > GEOMETRY_RTOL:
+        at_origin = Simplex(Y, radius=float(radius), check=False)
+        if regularity_report(at_origin).max_deviation() <= GEOMETRY_RTOL:
+            raise CenterResolutionError(
+                f"radius {radius:.3g} is too small for centre scale "
+                f"{np.abs(c).max():.3g} (max |c_i|): the rounded vertices "
+                f"drift by {rep}"
+            )
         # Cannot happen for a correct construction; guard against regressions.
         raise AssertionError(
             f"freshly built simplex not regular: {rep}"
         )
     return s
+
+
+def regular_simplex_gradient(s: Simplex, values) -> np.ndarray:
+    """Gradient of the affine interpolant on a regular simplex, in closed form.
+
+    With Y the centred vertices divided by the radius delta, the rows of Y
+    sum to zero and Y^T Y = ((n+1)/n) I, so the interpolant
+    f_i = a + g.(x_i - c) has g = n/((n+1) delta) * Y^T (f - mean(f)):
+    one matrix-vector product, O(n^2) work and memory, no solve.  Centring
+    f is not optional: in floating point Y^T 1 is not exactly zero, and
+    Y^T f would multiply that residue by the mean value.
+
+    The identity holds only on a regular simplex; on one that has drifted
+    by d (see :func:`regularity_report`) the relative error is of order d.
+    ``interpolation.simplex_gradient`` is the general-simplex oracle.
+
+    Args:
+        s: a regular simplex.
+        values: length n+1 vector with values[i] = f(x_i).
+
+    Returns:
+        The gradient of the interpolant.
+    """
+    n = s.dim
+    f = np.asarray(values, dtype=float)
+    if f.shape != (n + 1,):
+        raise ValueError(f"expected {n + 1} values, got shape {f.shape}")
+    return (_unit_frame(s).T @ (f - f.mean())) * (n / (n + 1.0)) / s.radius
 
 
 def centroid(s: Simplex) -> np.ndarray:
@@ -250,19 +301,31 @@ def regularity_report(s: Simplex) -> RegularityReport:
 
     Compares every centroid-to-vertex distance against the stored radius and
     every pairwise edge length against the ideal sqrt(2(1+1/n))*radius.
+    Both come from the Gram matrix G = Y Y^T of the radius-normalised
+    centred vertices Y: radii are sqrt(G_ii) and edges
+    sqrt(G_ii + G_jj - 2 G_ij), so the check needs O(n^2) memory and no
+    (n+1) x (n+1) x n table of pairwise differences.
 
     Returns:
         RegularityReport with the two maximal relative deviations.
     """
     n = s.dim
-    c = s.vertices.mean(axis=0)
-    # measure in radius-normalized coordinates so the report is exactly
-    # scale-free and survives sizes whose squares would underflow
-    Y = (s.vertices - c[None, :]) / s.radius
-    dists = np.linalg.norm(Y, axis=1)
-    rad_dev = float(np.abs(dists - 1.0).max())
+    Y = _unit_frame(s)
+    G = Y @ Y.T
+    sq = G.diagonal()
+    rad_dev = float(np.abs(np.sqrt(sq) - 1.0).max())
     ideal_edge = np.sqrt(2.0 * (1.0 + 1.0 / n))
-    diff = Y[:, None, :] - Y[None, :, :]
-    edges = np.linalg.norm(diff, axis=2)[np.triu_indices(n + 1, k=1)]
-    edge_dev = float(np.abs(edges - ideal_edge).max() / ideal_edge)
+    edge_sq = sq[:, None] + sq[None, :] - 2.0 * G
+    dev = np.abs(np.sqrt(np.maximum(edge_sq, 0.0)) - ideal_edge)
+    np.fill_diagonal(dev, 0.0)
+    edge_dev = float(dev.max() / ideal_edge)
     return RegularityReport(rad_dev, edge_dev)
+
+
+def _unit_frame(s: Simplex) -> np.ndarray:
+    """Vertices centred on their centroid and divided by the stored radius.
+
+    Radius-normalised coordinates keep the geometry exactly scale-free and
+    survive sizes whose squares would underflow.
+    """
+    return (s.vertices - s.vertices.mean(axis=0)[None, :]) / s.radius

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .simplex import Simplex, make_regular_simplex, regularity_report
+from .simplex import (
+    Simplex,
+    make_regular_simplex,
+    reflect_worst,
+    regular_simplex_gradient,
+    regularity_report,
+    shrink_toward_best,
+)
 from .interpolation import simplex_gradient
 
 __all__ = [
@@ -195,9 +202,25 @@ class Trace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
-        return cls(config=d["config"],
-                   records=[IterationRecord(**r) for r in d["records"]],
-                   reason=d["reason"], summary=d.get("summary", {}))
+        """Rebuild a trace from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: `d` is not a trace: `config`, `records` or `reason`
+                missing, `config` not an object, `records` not a list, or a
+                record that is not an object with exactly the record keys.
+        """
+        try:
+            config, records = d["config"], d["records"]
+            if not isinstance(config, dict) or not isinstance(records, list):
+                raise ValueError("malformed trace: 'config' must be an object "
+                                 "and 'records' a list")
+            return cls(config=config,
+                       records=[IterationRecord(**r) for r in records],
+                       reason=d["reason"], summary=d.get("summary", {}))
+        except KeyError as exc:
+            raise ValueError(f"malformed trace: missing key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed trace: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
@@ -258,19 +281,30 @@ def accept_reflection(f_r: float, f_worst: float, cfg: SolverConfig,
 
 
 def stopping_gradient_norm(state: SolverState) -> float:
-    """Norm of the simplex gradient (gradient of the affine interpolant)."""
-    return float(np.linalg.norm(simplex_gradient(state.simplex, state.values)))
+    """Norm of the simplex gradient (gradient of the affine interpolant).
+
+    Uses the closed form :func:`~rssm.simplex.regular_simplex_gradient`:
+    one matrix-vector product, O(n^2) work and memory.  The closed form is
+    exact only on a regular simplex; :func:`run` calls this after the
+    REGULARITY_FAIL_TOL check, so its relative error is of the order of the
+    certified drift.  For a simplex not known to be regular use
+    ``interpolation.simplex_gradient``.
+    """
+    return float(np.linalg.norm(
+        regular_simplex_gradient(state.simplex, state.values)))
 
 
-def step(state: SolverState, objective, cfg: SolverConfig) -> tuple[SolverState, IterationRecord]:
+def step(state: SolverState, objective, cfg: SolverConfig,
+         grad_norm: float | None = None) -> tuple[SolverState, IterationRecord]:
     """Advance one iteration: reflect the worst vertex, accept or shrink.
 
     Returns the (mutated) state and the record of the iteration.  The
     reflection candidate is always evaluated; on rejection the n non-best
-    vertices are shrunk toward the best one and re-evaluated.
+    vertices are shrunk toward the best one and re-evaluated.  `grad_norm`
+    is the current :func:`stopping_gradient_norm`, for the record; it is
+    computed when not given.
     """
     n = cfg.n
-    V = state.simplex.vertices
     f = state.values
     delta_k = state.delta
     S_k = float(f.sum())
@@ -278,9 +312,10 @@ def step(state: SolverState, objective, cfg: SolverConfig) -> tuple[SolverState,
     f_worst_k = float(f[n])
     mean_best = float(f[:n].mean())
     v = f_worst_k - mean_best
-    grad_norm = stopping_gradient_norm(state)
+    if grad_norm is None:
+        grad_norm = stopping_gradient_norm(state)
 
-    x_r = -V[n] + (2.0 / n) * V[:n].sum(axis=0)
+    x_r = reflect_worst(state.simplex, n)
     f_r = _checked_eval(objective, x_r)
     state.objective_calls += 1
     v_r = float(f_r - mean_best)
@@ -291,17 +326,16 @@ def step(state: SolverState, objective, cfg: SolverConfig) -> tuple[SolverState,
         accepted = accept_reflection(f_r, f_worst_k, cfg, delta_k)
 
     if accepted:
-        V[n] = x_r
+        state.simplex.vertices[n] = x_r
         f[n] = f_r
         state.N_r += 1
         kind = "reflection"
     else:
-        best = V[0].copy()
-        V[1:] = cfg.gamma * V[1:] + (1.0 - cfg.gamma) * best[None, :]
+        state.simplex = shrink_toward_best(state.simplex, 0, cfg.gamma)
+        V = state.simplex.vertices
         for i in range(1, n + 1):
             f[i] = _checked_eval(objective, V[i])
         state.objective_calls += n
-        state.simplex.radius = cfg.gamma * state.simplex.radius
         state.N_s += 1
         kind = "shrink"
 
@@ -315,12 +349,16 @@ def step(state: SolverState, objective, cfg: SolverConfig) -> tuple[SolverState,
     return state, record
 
 
-def _stopping_value(state: SolverState, objective, cfg: SolverConfig) -> float | None:
-    """Current value of the stopping criterion, or None when stopping='none'."""
+def _stopping_value(state: SolverState, objective, cfg: SolverConfig,
+                    grad_norm: float) -> float | None:
+    """Current value of the stopping criterion, or None when stopping='none'.
+
+    `grad_norm` is the current :func:`stopping_gradient_norm`.
+    """
     if cfg.stopping == "none":
         return None
     if cfg.stopping == "simplex_gradient":
-        return stopping_gradient_norm(state)
+        return grad_norm
     if cfg.stopping == "true_gradient":
         g = getattr(objective, "gradient", None)
         if g is None:
@@ -342,8 +380,13 @@ def run(objective, cfg: SolverConfig) -> Trace:
     the terminal reason is "epsilon-reached" the number of records equals
     the first iteration index at which the criterion held.
 
+    Each iteration checks regularity first and then computes the simplex
+    gradient once, in closed form; the stopping rule and the record share
+    that value.
+
     Raises:
         EvaluationError: the objective produced NaN/inf (aborts the run).
+        CenterResolutionError: cfg.delta0 is too small for cfg.center.
     """
     state = _init_state(objective, cfg)
     trace = Trace(config=cfg.to_dict())
@@ -353,8 +396,12 @@ def run(objective, cfg: SolverConfig) -> Trace:
         if rep.max_deviation() > REGULARITY_FAIL_TOL:
             trace.reason = "regularity-failure"
             trace.summary["regularity"] = str(rep)
+            # the closed form needs a regular simplex: use the general solve
+            grad_norm = float(np.linalg.norm(
+                simplex_gradient(state.simplex, state.values)))
             break
-        crit = _stopping_value(state, objective, cfg)
+        grad_norm = stopping_gradient_norm(state)
+        crit = _stopping_value(state, objective, cfg, grad_norm)
         if crit is not None and crit <= cfg.epsilon:
             trace.reason = "epsilon-reached"
             break
@@ -364,7 +411,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
         if cfg.mode == "practical" and state.delta < DELTA_FLOOR_FRACTION * cfg.delta0:
             trace.reason = "delta-floor"
             break
-        state, record = step(state, objective, cfg)
+        state, record = step(state, objective, cfg, grad_norm)
         trace.records.append(record)
 
     trace.summary.update({
@@ -379,6 +426,6 @@ def run(objective, cfg: SolverConfig) -> Trace:
         "final_values": state.values.tolist(),
         "best_point": state.simplex.vertices[0].tolist(),
         "best_value": float(state.values[0]),
-        "final_gradient_norm": stopping_gradient_norm(state),
+        "final_gradient_norm": grad_norm,
     })
     return trace

@@ -67,6 +67,15 @@ def test_solve_unknown_objective_is_usage_error(capsys):
     assert "error:" in err and "unknown objective" in err
 
 
+def test_solve_far_start_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "solve", "--objective", "quad-iso",
+                             "--n", "3", "--start", "1e8")
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "radius 1 " in lines[0] and "centre scale 1e+08" in lines[0]
+
+
 def test_solve_objective_params_pass_through(capsys):
     code, out, _ = run_cli(capsys, "solve", "--objective", "quad-iso",
                            "--n", "2", "--param", "L=2", "--param", "x-star=1",
@@ -214,6 +223,20 @@ def test_audit_invalid_json_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "audit", "--trace-in", str(path),
                            "--L", "1.0")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"records": 5},
+    {"config": {"n": 2}, "records": [{"k": 0, "bogus": 1}], "reason": "budget"},
+])
+def test_audit_malformed_trace_is_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--L", "1.0")
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed trace")
 
 
 # ---------------------------------------------------------------------------

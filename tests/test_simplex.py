@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rssm.interpolation import simplex_gradient
 from rssm.simplex import (
+    CenterResolutionError,
     DegenerateSimplexError,
     Simplex,
     centroid,
     make_regular_simplex,
     reflect_worst,
+    regular_simplex_gradient,
     regularity_report,
     shrink_toward_best,
 )
@@ -63,6 +66,19 @@ def test_centered_simplex_identities(n):
     M = Y.T @ Y
     np.testing.assert_allclose(M, (n + 1) / n * delta ** 2 * np.eye(n),
                                atol=1e-12 * delta ** 2 * n)
+
+
+def test_far_centre_is_a_resolution_error():
+    # at |c| = 1e8 the vertex coordinates are rounded to ~1.5e-8, which a
+    # unit radius cannot absorb within GEOMETRY_RTOL
+    with pytest.raises(CenterResolutionError) as ei:
+        make_regular_simplex(1e8, 1.0, 3)
+    assert isinstance(ei.value, ValueError)
+    msg = str(ei.value)
+    assert "radius 1 " in msg and "centre scale 1e+08" in msg
+    assert "\n" not in msg
+    # the same radius resolves at a nearer centre
+    make_regular_simplex(1e4, 1.0, 3)
 
 
 def test_centroid_helper_matches_method():
@@ -205,6 +221,70 @@ def test_radial_perturbation_is_detected():
     rep = regularity_report(s)
     assert rep.max_radius_deviation >= 0.05
     assert "radius dev" in str(rep)
+
+
+def _pairwise_regularity(s):
+    """The direct formula: every pairwise difference, (n+1)^2 x n memory."""
+    n = s.dim
+    Y = (s.vertices - s.vertices.mean(axis=0)) / s.radius
+    rad_dev = np.abs(np.linalg.norm(Y, axis=1) - 1.0).max()
+    ideal_edge = np.sqrt(2.0 * (1.0 + 1.0 / n))
+    edges = np.linalg.norm(Y[:, None, :] - Y[None, :, :], axis=2)
+    edges = edges[np.triu_indices(n + 1, k=1)]
+    return rad_dev, np.abs(edges - ideal_edge).max() / ideal_edge
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+@pytest.mark.parametrize("size", [1e-9, 1e-7, 1e-5, 1e-4])
+def test_gram_regularity_matches_pairwise_formula(n, size, rng):
+    s = random_regular_simplex(n, rng)
+    i = int(rng.integers(0, n + 1))
+    u = rng.standard_normal(n)
+    s.vertices[i] += size * s.radius * u / np.linalg.norm(u)
+    rep = regularity_report(s)
+    rad_dev, edge_dev = _pairwise_regularity(s)
+    assert abs(rep.max_radius_deviation - rad_dev) <= 1e-12
+    assert abs(rep.max_edge_deviation - edge_dev) <= 1e-12
+    assert rep.max_deviation() >= 0.1 * size  # the perturbation shows
+
+
+# ---------------------------------------------------------------------------
+# closed-form gradient
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_closed_form_gradient_matches_affine_solve(n, rng):
+    for _ in range(5):
+        s = random_regular_simplex(n, rng)
+        f = rng.standard_normal(n + 1)
+        g = regular_simplex_gradient(s, f)
+        assert _rel_err(g, simplex_gradient(s, f)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_closed_form_gradient_survives_a_large_offset(n, rng):
+    # values on a 1/64 grid, so f + 1e6 is exact and has the same gradient;
+    # without centring f, the rounding residue of Y^T 1 times 1e6 shows.
+    # The reference solves with the unshifted f: the affine solve itself
+    # loses about 1e-11 relative on values of size 1e6 at n=64.
+    for _ in range(5):
+        s = random_regular_simplex(n, rng)
+        f = rng.integers(-2 ** 10, 2 ** 10, n + 1) / 64.0
+        g = regular_simplex_gradient(s, f + 1e6)
+        assert _rel_err(g, simplex_gradient(s, f)) <= 1e-13
+
+
+def test_closed_form_gradient_of_an_affine_function():
+    s = make_regular_simplex([3.0, -1.0, 0.5], 0.25, 3)
+    a = np.array([1.0, -2.0, 0.5])
+    f = s.vertices @ a + 4.0
+    np.testing.assert_allclose(regular_simplex_gradient(s, f), a, rtol=1e-13)
+    with pytest.raises(ValueError):
+        regular_simplex_gradient(s, f[:-1])
 
 
 # ---------------------------------------------------------------------------

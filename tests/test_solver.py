@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import rssm.solver
+from rssm.interpolation import simplex_gradient
 from rssm.objectives import Objective, builtin
-from rssm.simplex import make_regular_simplex
+from rssm.simplex import CenterResolutionError, make_regular_simplex
 from rssm.solver import (
     EvaluationError,
     SolverConfig,
@@ -171,6 +172,55 @@ def test_affine_above_tolerance_runs_to_budget():
 
 
 # ---------------------------------------------------------------------------
+# simplex gradient: closed form, once per iteration
+
+
+def _count_calls(monkeypatch, name):
+    calls = {"count": 0}
+    fn = getattr(rssm.solver, name)
+
+    def counted(*args, **kwargs):
+        calls["count"] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(rssm.solver, name, counted)
+    return calls
+
+
+def test_gradient_is_computed_once_per_iteration(monkeypatch):
+    closed = _count_calls(monkeypatch, "regular_simplex_gradient")
+    svd = _count_calls(monkeypatch, "simplex_gradient")
+    cfg = SolverConfig(n=4, epsilon=1e-12, stopping="simplex_gradient",
+                       max_iterations=40, center=1.5)
+    trace = run(builtin("quad-spectrum", 4, seed=7), cfg)
+    assert trace.reason == "budget" and len(trace.records) == 40
+    # one per iteration, plus the top-of-loop test that ends the run
+    assert closed["count"] == len(trace.records) + 1
+    assert svd["count"] == 0
+
+
+def test_recorded_gradient_norms_match_the_affine_solve():
+    obj = builtin("damped-sine", 3)
+    cfg = SolverConfig(n=3, stopping="none", max_iterations=60, center=1.3)
+    state = rssm.solver._init_state(obj, cfg)
+    for _ in range(cfg.max_iterations):
+        want = np.linalg.norm(simplex_gradient(state.simplex, state.values))
+        state, record = rssm.solver.step(state, obj, cfg)
+        assert record.simplex_gradient_norm == pytest.approx(want, rel=1e-12)
+
+
+def test_regularity_failure_reports_the_affine_solve_gradient(monkeypatch):
+    monkeypatch.setattr(rssm.solver, "REGULARITY_FAIL_TOL", -1.0)
+    closed = _count_calls(monkeypatch, "regular_simplex_gradient")
+    obj = builtin("quad-iso", 2)
+    trace = run(obj, SolverConfig(n=2, stopping="none", center=0.3))
+    assert closed["count"] == 0
+    s = make_regular_simplex(0.3, 1.0, 2)
+    want = np.linalg.norm(simplex_gradient(s, [obj(v) for v in s.vertices]))
+    assert trace.summary["final_gradient_norm"] == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # sorting
 
 
@@ -228,6 +278,11 @@ def test_regularity_guard_trips(monkeypatch):
     assert trace.reason == "regularity-failure"
     assert trace.records == []
     assert "regularity" in trace.summary
+
+
+def test_far_start_is_a_resolution_error():
+    with pytest.raises(CenterResolutionError, match="centre scale"):
+        run(builtin("quad-iso", 3), SolverConfig(n=3, center=1e8))
 
 
 def test_gap_stopping_requires_known_optimum():
@@ -293,6 +348,24 @@ def test_trace_json_round_trip():
     assert back.to_json() == text
     parsed = json.loads(text)
     assert set(parsed) == {"config", "records", "reason", "summary"}
+
+
+@pytest.mark.parametrize("payload, what", [
+    ({"records": 5}, "missing key 'config'"),
+    ({"config": {"n": 2}, "records": 5, "reason": ""}, "a list"),
+    ({"config": {"n": 2}, "records": {}, "reason": ""}, "a list"),
+    ({"config": [2], "records": [], "reason": ""}, "an object"),
+    ({"config": {"n": 2}, "records": [5], "reason": ""}, "mapping"),
+    ({"config": {"n": 2}, "records": [{"k": 0, "bogus": 1}], "reason": ""},
+     "bogus"),
+    ({"config": {"n": 2}, "records": [{"k": 0}], "reason": ""}, "missing"),
+    ({"config": {"n": 2}, "records": []}, "missing key 'reason'"),
+    ([], "malformed"),
+])
+def test_malformed_trace_is_a_value_error(payload, what):
+    with pytest.raises(ValueError, match="malformed trace") as ei:
+        Trace.from_json(json.dumps(payload))
+    assert what in str(ei.value)
 
 
 def test_identical_runs_produce_identical_json():
