@@ -21,8 +21,8 @@ import numpy as np
 
 from . import objectives
 from .simplex import CenterResolutionError, Simplex, make_regular_simplex
-from .interpolation import bound_report, mu_certificate, g_matrix, query_point
-from .solver import SolverConfig, Trace, run, EvaluationError
+from .interpolation import bound_report
+from .solver import SolverConfig, Trace, run, EvaluationError, check_stopping
 from .complexity import constants_for_trace, audit_trace
 from .experiments import ExperimentPlan, run_scaling, write_csv
 
@@ -75,6 +75,7 @@ def _cmd_solve(args) -> int:
             stopping=args.stopping, max_iterations=args.max_iter,
             max_evaluations=args.max_evals,
             center=_parse_point(args.start, args.n))
+        check_stopping(obj, cfg)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -164,16 +165,14 @@ def _cmd_worst_case(args) -> int:
     gamma = args.gamma if args.kind == "shrink" else None
     rep = bound_report(s, args.kind, args.cls, args.L, gamma=gamma,
                        sign=args.sign)
-    x = query_point(s, args.kind, gamma=gamma)
-    g = g_matrix(s, x)
     payload = rep.to_dict()
-    payload["query"] = x.tolist()
+    payload["query"] = rep.query.tolist()
     payload["quadratic"] = {
         "H": rep.quadratic.H.tolist(),
         "spectral_norm": rep.quadratic.spectral_norm(),
         "convex": rep.quadratic.is_convex(),
     }
-    payload["g_eigenvalues"] = g.eigenvalues.tolist()
+    payload["g_eigenvalues"] = rep.g.eigenvalues.tolist()
     _dump(payload)
     return 0 if rep.attained else 1
 

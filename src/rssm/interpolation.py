@@ -166,17 +166,18 @@ def _deterministic_eigh(Gm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric eigendecomposition, eigenvalues descending, fixed vector signs.
 
     Each eigenvector is flipped so its first entry of significant magnitude
-    is positive, making the basis reproducible across runs.
+    (|P_ij| > 1e-12 max_i |P_ij|) is positive, making the basis reproducible
+    across runs; an all-zero column has no such entry and is left alone.
     """
     w, P = np.linalg.eigh(Gm)
     order = np.argsort(w)[::-1]
     w = w[order]
     P = P[:, order]
-    for j in range(P.shape[1]):
-        col = P[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if idx.size and col[idx[0]] < 0:
-            P[:, j] = -col
+    A = np.abs(P)
+    first = (A > 1e-12 * A.max(axis=0)).argmax(axis=0)
+    # argmax of an all-False column is row 0, whose entry is then 0 (no flip)
+    flip = P[first, np.arange(P.shape[1])] < 0
+    P[:, flip] = -P[:, flip]
     return w, P
 
 
@@ -325,20 +326,25 @@ def mu_certificate(s: Simplex, x) -> MuCertificate:
     empty and mu_i0 = ell_i.
     """
     x = np.asarray(x, dtype=float)
-    g = g_matrix(s, x)
+    return _mu_from_g(s, x, g_matrix(s, x))
+
+
+def _mu_from_g(s: Simplex, x: np.ndarray, g: GMatrix) -> MuCertificate:
+    """The mu certificate of query x, from its already assembled G."""
     q = g.coefficients
     ell = q.ell
-    # Order vertex indices 1..n+1 by descending weight (stable for ties).
-    vert_order = sorted(range(1, len(ell)), key=lambda i: (-ell[i], i))
-    pos = [i for i in vert_order if i in q.positive_index_set]
-    neg_tail = [i for i in vert_order if i in q.negative_index_set]
+    # Vertex indices 1..n+1 by descending weight (stable for ties).
+    vert_order = (np.argsort(-ell[1:], kind="stable") + 1).tolist()
+    pos_set = set(q.positive_index_set)
+    neg_set = set(q.negative_index_set)
+    pos = [i for i in vert_order if i in pos_set]
+    neg_tail = [i for i in vert_order if i in neg_set]
     neg = (0, *neg_tail)
 
     cert = MuCertificate(positive_index_set=tuple(pos), negative_index_set=neg)
     if not neg_tail:
         # Interpolation query: all vertex weights nonnegative, no M block.
-        for i in pos:
-            cert.entries[(i, 0)] = float(ell[i])
+        cert.entries = {(i, 0): float(ell[i]) for i in pos}
         return cert
 
     m = len(neg_tail)
@@ -360,12 +366,12 @@ def mu_certificate(s: Simplex, x) -> MuCertificate:
         cert.message = "Y_- P_- is singular beyond tolerance; certificate unavailable"
         return cert
     M = (ell[pos, None] * (Y_pos @ P_neg)) @ np.linalg.inv(B)
-    for a, i in enumerate(pos):
-        row_sum = 0.0
-        for b, j in enumerate(neg_tail):
-            cert.entries[(i, j)] = float(M[a, b])
-            row_sum += M[a, b]
-        cert.entries[(i, 0)] = float(ell[i] - row_sum)
+    # cumsum adds left to right, so the residual column is rounded exactly
+    # as a running sum over j would round it
+    residual = ell[pos] - np.cumsum(M, axis=1)[:, -1]
+    for i, row, r in zip(pos, M.tolist(), residual.tolist()):
+        cert.entries.update(zip([(i, j) for j in neg_tail], row))
+        cert.entries[(i, 0)] = r
     return cert
 
 
@@ -435,6 +441,8 @@ class BoundReport:
     achieved: float
     mu: MuCertificate
     quadratic: "Quadratic"
+    query: np.ndarray  # the query point x
+    g: GMatrix  # G of the query, with its eigensystem
 
     @property
     def attained(self) -> bool:
@@ -486,6 +494,10 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     f_hat its affine interpolant on the vertices.  For a regular simplex the
     achieved value equals the closed-form bound whenever the mu certificate
     is nonnegative.
+
+    G, its eigensystem and the affine weights are computed once, by one
+    g_matrix call, and shared by the bound, the extremal quadratic, the
+    interpolant value and the mu certificate.
     """
     x = query_point(s, kind, gamma=gamma)
     g = g_matrix(s, x)
@@ -496,10 +508,12 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
         else:
             sign = "positive"
     quad = worst_case_quadratic(g, L, cls, sign=sign)
-    values = [quad(v) for v in s.vertices]
-    achieved = abs(interpolate(s, values, x) - quad(x))
+    # f at every vertex at once: c + V v + (1/2) rowsum((V H) o V)
+    V = s.vertices
+    values = quad.c + V @ quad.v + 0.5 * ((V @ quad.H) * V).sum(axis=1)
+    achieved = abs(float(g.coefficients.ell[1:] @ values) - quad(x))
     return BoundReport(kind=kind, cls=cls, bound=bound, achieved=achieved,
-                       mu=mu_certificate(s, x), quadratic=quad)
+                       mu=_mu_from_g(s, x, g), quadratic=quad, query=x, g=g)
 
 
 def gradient_bound_report(s: Simplex, objective, L: float | None = None) -> dict:

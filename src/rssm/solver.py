@@ -45,6 +45,7 @@ __all__ = [
     "step",
     "run",
     "stopping_gradient_norm",
+    "check_stopping",
 ]
 
 # A solver run fails loudly once accumulated geometric drift exceeds this.
@@ -349,28 +350,34 @@ def step(state: SolverState, objective, cfg: SolverConfig,
     return state, record
 
 
+def check_stopping(objective, cfg: SolverConfig) -> None:
+    """Raise ValueError when the objective lacks what cfg.stopping reads.
+
+    "true_gradient" needs an exact gradient and "gap" a known f*.
+    """
+    if cfg.stopping == "true_gradient" and getattr(objective, "gradient", None) is None:
+        raise ValueError(
+            "true_gradient stopping needs an objective with an exact gradient"
+        )
+    if cfg.stopping == "gap" and getattr(objective, "f_star", None) is None:
+        raise ValueError("gap stopping needs an objective with known f*")
+
+
 def _stopping_value(state: SolverState, objective, cfg: SolverConfig,
                     grad_norm: float) -> float | None:
     """Current value of the stopping criterion, or None when stopping='none'.
 
-    `grad_norm` is the current :func:`stopping_gradient_norm`.
+    `grad_norm` is the current :func:`stopping_gradient_norm`; the objective
+    has passed :func:`check_stopping`.
     """
     if cfg.stopping == "none":
         return None
     if cfg.stopping == "simplex_gradient":
         return grad_norm
     if cfg.stopping == "true_gradient":
-        g = getattr(objective, "gradient", None)
-        if g is None:
-            raise ValueError(
-                "true_gradient stopping needs an objective with an exact gradient"
-            )
-        return float(np.linalg.norm(g(state.simplex.centroid())))
+        return float(np.linalg.norm(objective.gradient(state.simplex.centroid())))
     # gap: mean vertex value minus f*
-    f_star = getattr(objective, "f_star", None)
-    if f_star is None:
-        raise ValueError("gap stopping needs an objective with known f*")
-    return float(state.values.mean() - f_star)
+    return float(state.values.mean() - objective.f_star)
 
 
 def run(objective, cfg: SolverConfig) -> Trace:
@@ -385,9 +392,12 @@ def run(objective, cfg: SolverConfig) -> Trace:
     that value.
 
     Raises:
+        ValueError: the objective cannot serve cfg.stopping
+            (:func:`check_stopping`); raised before any evaluation.
         EvaluationError: the objective produced NaN/inf (aborts the run).
         CenterResolutionError: cfg.delta0 is too small for cfg.center.
     """
+    check_stopping(objective, cfg)
     state = _init_state(objective, cfg)
     trace = Trace(config=cfg.to_dict())
 

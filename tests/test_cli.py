@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rssm.cli import main
+from rssm.interpolation import bound_report, g_matrix, query_point
 from rssm.objectives import builtin_names
 from rssm.simplex import make_regular_simplex
 from rssm.solver import Trace
@@ -74,6 +75,14 @@ def test_solve_far_start_is_usage_error(capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "radius 1 " in lines[0] and "centre scale 1e+08" in lines[0]
+
+
+def test_solve_gap_stopping_without_f_star_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "solve", "--objective", "damped-sine",
+                             "--n", "2", "--stopping", "gap")
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert lines == ["error: gap stopping needs an objective with known f*"]
 
 
 def test_solve_objective_params_pass_through(capsys):
@@ -156,6 +165,30 @@ def test_worst_case_convex_is_convex(capsys):
     assert payload["quadratic"]["convex"] is True
     H = np.array(payload["quadratic"]["H"])
     assert np.linalg.eigvalsh(H).min() >= -1e-9
+
+
+@pytest.mark.parametrize("kind,cls", [("reflection", "convex"),
+                                      ("centroid", "nonconvex"),
+                                      ("shrink", "convex")])
+def test_worst_case_json_matches_separate_g_matrix(capsys, kind, cls):
+    # the payload as built from a second query_point/g_matrix pass
+    s = make_regular_simplex(np.zeros(5), 0.7, 5)
+    gamma = 0.3 if kind == "shrink" else None
+    rep = bound_report(s, kind, cls, 1.3, gamma=gamma)
+    x = query_point(s, kind, gamma=gamma)
+    payload = rep.to_dict()
+    payload["query"] = x.tolist()
+    payload["quadratic"] = {
+        "H": rep.quadratic.H.tolist(),
+        "spectral_norm": rep.quadratic.spectral_norm(),
+        "convex": rep.quadratic.is_convex(),
+    }
+    payload["g_eigenvalues"] = g_matrix(s, x).eigenvalues.tolist()
+    code, out, _ = run_cli(capsys, "worst-case", "--n", "5", "--radius", "0.7",
+                           "--L", "1.3", "--kind", kind, "--cls", cls,
+                           "--gamma", "0.3")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_worst_case_rejects_bad_kind(capsys):

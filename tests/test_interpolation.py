@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rssm.interpolation
 from rssm.simplex import DegenerateSimplexError, Simplex, make_regular_simplex
 from rssm.interpolation import (
     Quadratic,
@@ -319,6 +320,161 @@ def test_report_to_dict_keys():
     s = make_regular_simplex(np.zeros(2), 1.0, 2)
     d = bound_report(s, "centroid", "convex", 1.0).to_dict()
     assert set(d) == {"kind", "class", "bound", "achieved", "attained", "mu"}
+
+
+# ---------------------------------------------------------------------------
+# bound_report in one pass: one G, one eigensystem, one affine solve
+
+
+def _column_loop_eigh(Gm):
+    """Sign rule applied one column at a time, as the oracle."""
+    w, P = np.linalg.eigh(Gm)
+    order = np.argsort(w)[::-1]
+    w = w[order]
+    P = P[:, order]
+    for j in range(P.shape[1]):
+        col = P[:, j]
+        idx = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
+        if idx.size and col[idx[0]] < 0:
+            P[:, j] = -col
+    return w, P
+
+
+def _sign_fix_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 33):
+        A = rng.standard_normal((n, n))
+        yield f"random-{n}", A + A.T
+    # eigenvectors of a diagonal matrix are unit vectors: exact-zero leading
+    # entries, some of them -0.0 after the sort
+    yield "diagonal", np.diag([3.0, -1.0, 2.0, 0.0, -5.0])
+    Q = haar_rotation(6, rng)
+    yield "repeated", (Q * np.array([2.0, 2.0, 2.0, -1.0, 0.5, 0.5])) @ Q.T
+    s = make_regular_simplex(np.zeros(7), 1.3, 7)
+    yield "regular-centroid", g_matrix(s, s.centroid()).matrix
+    # a leading entry of 7e-13 is significant next to its own column's max
+    # (1/sqrt(3)) though not next to the largest entry of the whole matrix
+    v = np.array([-7e-13, 1.0, 1.0, 1.0])
+    v[1:] /= np.sqrt(3.0)
+    Q, _ = np.linalg.qr(np.column_stack([v, np.eye(4)[:, [0, 1, 2]]]))
+    yield "tiny-leading", (Q * np.array([3.0, 1.0, -2.0, 0.5])) @ Q.T
+
+
+@pytest.mark.parametrize("name,Gm", list(_sign_fix_cases()))
+def test_array_sign_fix_matches_column_loop(name, Gm):
+    w, P = rssm.interpolation._deterministic_eigh(Gm.copy())
+    w_ref, P_ref = _column_loop_eigh(Gm.copy())
+    np.testing.assert_array_equal(w, w_ref)
+    np.testing.assert_array_equal(P, P_ref)
+    np.testing.assert_array_equal(np.signbit(P), np.signbit(P_ref))
+
+
+def test_sign_fix_leaves_zero_column_alone(monkeypatch):
+    P0 = np.array([[0.0, -0.6], [0.0, 0.8]])
+    monkeypatch.setattr(np.linalg, "eigh", lambda Gm: (np.array([0.0, 1.0]), P0.copy()))
+    _, P = rssm.interpolation._deterministic_eigh(np.eye(2))
+    np.testing.assert_array_equal(P, [[0.6, 0.0], [-0.8, 0.0]])
+
+
+def test_mu_residual_column_is_a_running_sum():
+    # a general query with 10 negative vertex weights, so the M block has
+    # enough columns for a pairwise sum to round differently
+    n = 12
+    s = make_regular_simplex(np.zeros(n), 1.0, n)
+    rng = np.random.default_rng(3)
+    w = np.concatenate([rng.uniform(0.5, 1.5, 3), -rng.uniform(0.05, 0.3, n - 2)])
+    w[0] += 1.0 - w.sum()
+    x = w @ s.vertices
+    cert = mu_certificate(s, x)
+    ell = lagrange_coefficients(s, x).ell
+    assert cert.available and len(cert.negative_index_set) == n - 1
+    for i in cert.positive_index_set:
+        row_sum = 0.0
+        for j in cert.negative_index_set[1:]:
+            row_sum += cert.entries[(i, j)]
+        assert cert.entries[(i, 0)] == ell[i] - row_sum
+
+
+def _separate_pass_report(s, kind, cls, L, gamma, sign):
+    """The report built stage by stage, as the oracle: per-vertex quad(v),
+    interpolate() and a separate mu_certificate()."""
+    x = query_point(s, kind, gamma=gamma)
+    g = g_matrix(s, x)
+    quad = worst_case_quadratic(g, L, cls, sign=sign)
+    values = [quad(v) for v in s.vertices]
+    achieved = abs(interpolate(s, values, x) - quad(x))
+    return nuclear_bound_from_g(g, L, cls), achieved, mu_certificate(s, x), quad, x
+
+
+def _equivalence_simplices():
+    rng = np.random.default_rng(4711)
+    for n in (1, 2, 8, 64):
+        yield n, "origin", make_regular_simplex(np.zeros(n), 1.0, n)
+        yield n, "rotated", random_regular_simplex(n, rng)
+        far = 1e3 * np.where(rng.standard_normal(n) < 0, -1.0, 1.0)
+        yield n, "far", random_regular_simplex(n, rng, center=far)
+
+
+@pytest.mark.parametrize("n,where,s", list(_equivalence_simplices()))
+def test_one_pass_report_matches_separate_passes(n, where, s):
+    eps = np.finfo(float).eps
+    for kind in ("reflection", "centroid", "shrink"):
+        gamma = 0.3 if kind == "shrink" else None
+        for cls in ("nonconvex", "convex"):
+            for sign in ("positive", "negative"):
+                rep = bound_report(s, kind, cls, 1.3, gamma=gamma, sign=sign)
+                bound, achieved, mu, quad, x = _separate_pass_report(
+                    s, kind, cls, 1.3, gamma, sign)
+                assert rep.bound == bound
+                assert list(rep.mu.entries.items()) == list(mu.entries.items())
+                assert rep.mu.sharp == mu.sharp
+                assert rep.mu.to_dict() == mu.to_dict()
+                np.testing.assert_array_equal(rep.quadratic.H, quad.H)
+                np.testing.assert_array_equal(rep.query, x)
+                if where == "far":
+                    # both measurements subtract vertex values of size
+                    # ~ ||x||^2 >> bound, so each carries its own rounding
+                    # error of order (n+2) u sum_i |ell_i f(x_i)|
+                    ell = rep.g.coefficients.ell
+                    f = np.array([quad(v) for v in s.vertices])
+                    scale = np.abs(ell[1:] * f).sum() + abs(quad(x))
+                    tol = 1e-10 * bound + 4 * (n + 2) * eps * scale
+                else:
+                    tol = 1e-10 * bound
+                assert abs(rep.achieved - achieved) <= tol, (kind, cls, sign)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = {"count": 0}
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls["count"] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["reflection", "centroid", "shrink"])
+def test_bound_report_assembles_g_once(monkeypatch, rng, kind):
+    s = random_regular_simplex(5, rng)
+    g_calls = _count_calls(monkeypatch, rssm.interpolation, "g_matrix")
+    ell_calls = _count_calls(monkeypatch, rssm.interpolation, "lagrange_coefficients")
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    rep = bound_report(s, kind, "nonconvex", 1.0,
+                       gamma=0.4 if kind == "shrink" else None)
+    assert rep.attained and rep.mu.sharp
+    assert (g_calls["count"], ell_calls["count"], eigh_calls["count"]) == (1, 1, 1)
+
+
+def test_report_carries_query_and_g(rng):
+    s = random_regular_simplex(4, rng)
+    rep = bound_report(s, "shrink", "convex", 1.0, gamma=0.25)
+    x = query_point(s, "shrink", gamma=0.25)
+    np.testing.assert_array_equal(rep.query, x)
+    np.testing.assert_array_equal(rep.g.eigenvalues, g_matrix(s, x).eigenvalues)
+    assert "query" not in rep.to_dict() and "g" not in rep.to_dict()
 
 
 # ---------------------------------------------------------------------------

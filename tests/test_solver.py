@@ -220,6 +220,13 @@ def test_regularity_failure_reports_the_affine_solve_gradient(monkeypatch):
     assert trace.summary["final_gradient_norm"] == pytest.approx(want, rel=1e-12)
 
 
+def test_gap_stopping_without_f_star_fails_before_evaluating():
+    obj = builtin("damped-sine", 2)
+    with pytest.raises(ValueError, match="known f"):
+        run(obj, SolverConfig(n=2, stopping="gap"))
+    assert obj.evaluations == 0
+
+
 # ---------------------------------------------------------------------------
 # sorting
 
