@@ -16,92 +16,4 @@ The package splits into five layers:
   objectives and the epsilon-scaling harness.
 """
 
-from .simplex import (
-    Simplex,
-    DegenerateSimplexError,
-    RegularityReport,
-    make_regular_simplex,
-    centroid,
-    reflect_worst,
-    shrink_toward_best,
-    regularity_report,
-)
-from .interpolation import (
-    QueryCoefficients,
-    GMatrix,
-    MuCertificate,
-    Quadratic,
-    BoundReport,
-    lagrange_coefficients,
-    simplex_gradient,
-    interpolate,
-    g_matrix,
-    error_bound,
-    nuclear_bound_from_g,
-    mu_certificate,
-    worst_case_quadratic,
-    query_point,
-    bound_report,
-    gradient_bound_report,
-)
-from .solver import (
-    SolverConfig,
-    SolverState,
-    IterationRecord,
-    Trace,
-    EvaluationError,
-    accept_reflection,
-    step,
-    run,
-    stopping_gradient_norm,
-)
-from .complexity import (
-    ComplexityConstants,
-    AuditCheck,
-    AuditReport,
-    constants,
-    constants_for_trace,
-    tail_radius,
-    predicted_bounds,
-    audit_trace,
-)
-from .objectives import (
-    Objective,
-    UnsupportedObjectiveError,
-    builtin,
-    builtin_names,
-    sublevel_radius,
-)
-from .experiments import (
-    ExperimentPlan,
-    ScalingRow,
-    FitResult,
-    ScalingResult,
-    run_scaling,
-    loglog_fit,
-    semilog_fit,
-    write_csv,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Simplex", "DegenerateSimplexError", "RegularityReport",
-    "make_regular_simplex", "centroid", "reflect_worst",
-    "shrink_toward_best", "regularity_report",
-    "QueryCoefficients", "GMatrix", "MuCertificate", "Quadratic",
-    "BoundReport", "lagrange_coefficients", "simplex_gradient",
-    "interpolate", "g_matrix", "error_bound", "nuclear_bound_from_g",
-    "mu_certificate", "worst_case_quadratic", "query_point", "bound_report",
-    "gradient_bound_report",
-    "SolverConfig", "SolverState", "IterationRecord", "Trace",
-    "EvaluationError", "accept_reflection", "step", "run",
-    "stopping_gradient_norm",
-    "ComplexityConstants", "AuditCheck", "AuditReport", "constants",
-    "constants_for_trace", "tail_radius", "predicted_bounds", "audit_trace",
-    "Objective", "UnsupportedObjectiveError", "builtin", "builtin_names",
-    "sublevel_radius",
-    "ExperimentPlan", "ScalingRow", "FitResult", "ScalingResult",
-    "run_scaling", "loglog_fit", "semilog_fit", "write_csv",
-    "__version__",
-]

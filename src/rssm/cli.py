@@ -26,6 +26,8 @@ from .solver import SolverConfig, Trace, run, EvaluationError, check_stopping
 from .complexity import constants_for_trace, audit_trace
 from .experiments import ExperimentPlan, run_scaling, write_csv
 
+__all__ = ["build_parser", "main"]
+
 QUERY_KINDS = ("reflection", "centroid", "shrink")
 CLASSES = ("nonconvex", "convex")
 
@@ -140,9 +142,7 @@ def _cmd_verify_bounds(args) -> int:
         for cls in CLASSES:
             rep = bound_report(s, kind, cls, args.L, gamma=gamma)
             entry = rep.to_dict()
-            mu_ok = None
-            if rep.mu is not None and rep.mu.available:
-                mu_ok = rep.mu.sharp
+            mu_ok = rep.mu.sharp if rep.mu.available else None
             entry["checks"] = {
                 "attained": rep.attained,
                 "dominated": rep.dominated,

@@ -30,6 +30,7 @@ __all__ = [
     "ScalingRow",
     "FitResult",
     "ScalingResult",
+    "run_cell",
     "run_scaling",
     "loglog_fit",
     "semilog_fit",

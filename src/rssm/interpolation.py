@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import DegenerateSimplexError, Simplex
+from .simplex import (
+    DegenerateSimplexError,
+    Simplex,
+    reflect_worst,
+    shrink_toward_best,
+)
 
 __all__ = [
     "QueryCoefficients",
@@ -40,6 +45,7 @@ __all__ = [
     "mu_certificate",
     "worst_case_quadratic",
     "interpolate",
+    "query_point",
     "bound_report",
     "gradient_bound_report",
 ]
@@ -192,7 +198,7 @@ class GMatrix:
     matrix: np.ndarray
     eigenvalues: np.ndarray  # descending
     eigenvectors: np.ndarray  # columns, aligned with eigenvalues
-    coefficients: QueryCoefficients | None = None
+    coefficients: QueryCoefficients
 
     def _zero_tol(self) -> float:
         scale = float(np.abs(self.eigenvalues).max(initial=0.0))
@@ -463,26 +469,21 @@ class BoundReport:
         }
 
 
-def query_point(s: Simplex, kind: str, gamma: float | None = None,
-                worst_index: int | None = None) -> np.ndarray:
+def query_point(s: Simplex, kind: str, gamma: float | None = None) -> np.ndarray:
     """Canonical query point of each kind on a bare simplex.
 
     Without function values the "worst" vertex is arbitrary; the last vertex
     is used for reflection and for the moved vertex of a shrink (the first
     vertex plays the role of the best/kept one).
     """
-    from .simplex import reflect_worst  # local import to keep namespace tidy
-
     if kind == "reflection":
-        wi = s.dim if worst_index is None else worst_index
-        return reflect_worst(s, wi)
+        return reflect_worst(s, s.dim)
     if kind == "centroid":
         return s.centroid()
     if kind == "shrink":
         if gamma is None or not (0.0 < gamma < 1.0):
             raise ValueError(f"shrink query needs gamma in (0,1), got {gamma}")
-        wi = s.dim if worst_index is None else worst_index
-        return gamma * s.vertices[wi] + (1.0 - gamma) * s.vertices[0]
+        return shrink_toward_best(s, 0, gamma).vertices[s.dim]
     raise ValueError(f"unknown query kind {kind!r}")
 
 
@@ -493,7 +494,11 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     The achieved error is |f_hat(x) - f(x)| with f the extremal quadratic,
     f_hat its affine interpolant on the vertices.  For a regular simplex the
     achieved value equals the closed-form bound whenever the mu certificate
-    is nonnegative.
+    is nonnegative.  It is measured from vertex values in the frame centred
+    at the simplex centroid: f(u) and f(u - centroid) differ by an affine
+    function, which the interpolant reproduces exactly, so the error is the
+    same, and the frame keeps it free of cancellation against ||x||^2 on
+    simplices far from the origin.
 
     G, its eigensystem and the affine weights are computed once, by one
     g_matrix call, and shared by the bound, the extremal quadratic, the
@@ -508,10 +513,11 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
         else:
             sign = "positive"
     quad = worst_case_quadratic(g, L, cls, sign=sign)
-    # f at every vertex at once: c + V v + (1/2) rowsum((V H) o V)
-    V = s.vertices
-    values = quad.c + V @ quad.v + 0.5 * ((V @ quad.H) * V).sum(axis=1)
-    achieved = abs(float(g.coefficients.ell[1:] @ values) - quad(x))
+    # f(u - centre) at every vertex u at once: c + Y v + (1/2) rowsum((Y H) o Y)
+    centre = s.centroid()
+    Y = s.vertices - centre[None, :]
+    values = quad.c + Y @ quad.v + 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
+    achieved = abs(float(g.coefficients.ell[1:] @ values) - quad(x - centre))
     return BoundReport(kind=kind, cls=cls, bound=bound, achieved=achieved,
                        mu=_mu_from_g(s, x, g), quadratic=quad, query=x, g=g)
 

@@ -19,11 +19,11 @@ import numpy as np
 
 __all__ = [
     "Simplex",
+    "DegenerateSimplexError",
     "RegularityReport",
     "CenterResolutionError",
     "make_regular_simplex",
     "regular_simplex_gradient",
-    "centroid",
     "reflect_worst",
     "shrink_toward_best",
     "regularity_report",
@@ -216,11 +216,6 @@ def regular_simplex_gradient(s: Simplex, values) -> np.ndarray:
     if f.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} values, got shape {f.shape}")
     return (_unit_frame(s).T @ (f - f.mean())) * (n / (n + 1.0)) / s.radius
-
-
-def centroid(s: Simplex) -> np.ndarray:
-    """Centroid of a simplex (mean of its vertices)."""
-    return s.centroid()
 
 
 def reflect_worst(s: Simplex, worst_index: int) -> np.ndarray:

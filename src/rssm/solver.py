@@ -44,7 +44,6 @@ __all__ = [
     "accept_reflection",
     "step",
     "run",
-    "stopping_gradient_norm",
     "check_stopping",
 ]
 
@@ -229,24 +228,18 @@ class Trace:
 
 
 class SolverState:
-    """Mutable run state: value-sorted simplex, cached values, counters."""
+    """Mutable run state: value-sorted simplex, cached values, iteration and
+    objective-call counts (N_r, N_s and eval_count are :class:`Trace`'s)."""
 
     def __init__(self, simplex: Simplex, values: np.ndarray):
         self.simplex = simplex
         self.values = values
         self.k = 0
-        self.N_r = 0
-        self.N_s = 0
         self.objective_calls = 0
 
     @property
     def delta(self) -> float:
         return self.simplex.radius
-
-    @property
-    def eval_count(self) -> int:
-        n = self.simplex.dim
-        return (n + 1) + self.N_r + n * self.N_s
 
     def sort(self) -> None:
         """Ascending stable sort of vertices by cached value."""
@@ -281,29 +274,14 @@ def accept_reflection(f_r: float, f_worst: float, cfg: SolverConfig,
     return f_r - f_worst <= threshold
 
 
-def stopping_gradient_norm(state: SolverState) -> float:
-    """Norm of the simplex gradient (gradient of the affine interpolant).
-
-    Uses the closed form :func:`~rssm.simplex.regular_simplex_gradient`:
-    one matrix-vector product, O(n^2) work and memory.  The closed form is
-    exact only on a regular simplex; :func:`run` calls this after the
-    REGULARITY_FAIL_TOL check, so its relative error is of the order of the
-    certified drift.  For a simplex not known to be regular use
-    ``interpolation.simplex_gradient``.
-    """
-    return float(np.linalg.norm(
-        regular_simplex_gradient(state.simplex, state.values)))
-
-
 def step(state: SolverState, objective, cfg: SolverConfig,
-         grad_norm: float | None = None) -> tuple[SolverState, IterationRecord]:
+         grad_norm: float) -> tuple[SolverState, IterationRecord]:
     """Advance one iteration: reflect the worst vertex, accept or shrink.
 
     Returns the (mutated) state and the record of the iteration.  The
     reflection candidate is always evaluated; on rejection the n non-best
     vertices are shrunk toward the best one and re-evaluated.  `grad_norm`
-    is the current :func:`stopping_gradient_norm`, for the record; it is
-    computed when not given.
+    is the norm of the current simplex gradient, for the record.
     """
     n = cfg.n
     f = state.values
@@ -313,8 +291,6 @@ def step(state: SolverState, objective, cfg: SolverConfig,
     f_worst_k = float(f[n])
     mean_best = float(f[:n].mean())
     v = f_worst_k - mean_best
-    if grad_norm is None:
-        grad_norm = stopping_gradient_norm(state)
 
     x_r = reflect_worst(state.simplex, n)
     f_r = _checked_eval(objective, x_r)
@@ -329,7 +305,6 @@ def step(state: SolverState, objective, cfg: SolverConfig,
     if accepted:
         state.simplex.vertices[n] = x_r
         f[n] = f_r
-        state.N_r += 1
         kind = "reflection"
     else:
         state.simplex = shrink_toward_best(state.simplex, 0, cfg.gamma)
@@ -337,7 +312,6 @@ def step(state: SolverState, objective, cfg: SolverConfig,
         for i in range(1, n + 1):
             f[i] = _checked_eval(objective, V[i])
         state.objective_calls += n
-        state.N_s += 1
         kind = "shrink"
 
     record = IterationRecord(
@@ -367,7 +341,7 @@ def _stopping_value(state: SolverState, objective, cfg: SolverConfig,
                     grad_norm: float) -> float | None:
     """Current value of the stopping criterion, or None when stopping='none'.
 
-    `grad_norm` is the current :func:`stopping_gradient_norm`; the objective
+    `grad_norm` is the norm of the current simplex gradient; the objective
     has passed :func:`check_stopping`.
     """
     if cfg.stopping == "none":
@@ -389,7 +363,9 @@ def run(objective, cfg: SolverConfig) -> Trace:
 
     Each iteration checks regularity first and then computes the simplex
     gradient once, in closed form; the stopping rule and the record share
-    that value.
+    that value.  The closed form (``simplex.regular_simplex_gradient``) is
+    exact only on a regular simplex, so its relative error is of the order
+    of the certified drift.
 
     Raises:
         ValueError: the objective cannot serve cfg.stopping
@@ -410,7 +386,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
             grad_norm = float(np.linalg.norm(
                 simplex_gradient(state.simplex, state.values)))
             break
-        grad_norm = stopping_gradient_norm(state)
+        grad_norm = float(np.linalg.norm(
+            regular_simplex_gradient(state.simplex, state.values)))
         crit = _stopping_value(state, objective, cfg, grad_norm)
         if crit is not None and crit <= cfg.epsilon:
             trace.reason = "epsilon-reached"
@@ -425,10 +402,10 @@ def run(objective, cfg: SolverConfig) -> Trace:
         trace.records.append(record)
 
     trace.summary.update({
-        "N_r": state.N_r,
-        "N_s": state.N_s,
+        "N_r": trace.N_r,
+        "N_s": trace.N_s,
         "N_eps": state.k if trace.reason == "epsilon-reached" else None,
-        "eval_count": state.eval_count,
+        "eval_count": trace.eval_count,
         "objective_calls": state.objective_calls,
         "iterations": state.k,
         "final_delta": state.delta,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rssm import Simplex, make_regular_simplex
+from rssm.simplex import Simplex, make_regular_simplex
 
 
 def haar_rotation(n, rng):

@@ -135,6 +135,16 @@ def test_verify_bounds_accepts_simplex_file(tmp_path, capsys):
     assert payload["all_ok"] is True
 
 
+def test_verify_bounds_far_simplex_file(tmp_path, capsys):
+    # vertex values ~ 4e6 against bounds ~ 0.3: the achieved errors must not
+    # be lost to cancellation
+    path = tmp_path / "far.json"
+    path.write_text(make_regular_simplex(1e3, 1.0, 8).to_json())
+    code, out, _ = run_cli(capsys, "verify-bounds", "--simplex-json", str(path))
+    assert code == 0
+    assert json.loads(out)["all_ok"] is True
+
+
 def test_verify_bounds_bad_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "nope.json"
     code, _, err = run_cli(capsys, "verify-bounds", "--simplex-json", str(path))

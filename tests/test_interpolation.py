@@ -444,6 +444,23 @@ def test_one_pass_report_matches_separate_passes(n, where, s):
                 assert abs(rep.achieved - achieved) <= tol, (kind, cls, sign)
 
 
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("centre", [1e3, 1e5])
+def test_far_simplex_reports_attain_their_bounds(n, centre):
+    # the extremal quadratic's values at the vertices are ~ ||x||^2 >> bound
+    # here, so `achieved` holds to 1e-9 only if they do not cancel
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-1.0, 1.0, n)
+    c *= centre / np.abs(c).max()
+    s = random_regular_simplex(n, rng, radius=1.0, center=c)
+    for kind in ("reflection", "centroid", "shrink"):
+        gamma = 0.5 if kind == "shrink" else None
+        for cls in ("nonconvex", "convex"):
+            rep = bound_report(s, kind, cls, 1.0, gamma=gamma)
+            assert rep.attained and rep.dominated, (kind, cls, rep.achieved,
+                                                    rep.bound)
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = {"count": 0}
     fn = getattr(owner, name)

@@ -11,7 +11,6 @@ from rssm.simplex import (
     CenterResolutionError,
     DegenerateSimplexError,
     Simplex,
-    centroid,
     make_regular_simplex,
     reflect_worst,
     regular_simplex_gradient,
@@ -79,11 +78,6 @@ def test_far_centre_is_a_resolution_error():
     assert "\n" not in msg
     # the same radius resolves at a nearer centre
     make_regular_simplex(1e4, 1.0, 3)
-
-
-def test_centroid_helper_matches_method():
-    s = make_regular_simplex([1.0, -2.0], 0.5, 2)
-    np.testing.assert_allclose(centroid(s), s.centroid())
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])

@@ -8,7 +8,11 @@ import pytest
 import rssm.solver
 from rssm.interpolation import simplex_gradient
 from rssm.objectives import Objective, builtin
-from rssm.simplex import CenterResolutionError, make_regular_simplex
+from rssm.simplex import (
+    CenterResolutionError,
+    make_regular_simplex,
+    regular_simplex_gradient,
+)
 from rssm.solver import (
     EvaluationError,
     SolverConfig,
@@ -205,7 +209,9 @@ def test_recorded_gradient_norms_match_the_affine_solve():
     state = rssm.solver._init_state(obj, cfg)
     for _ in range(cfg.max_iterations):
         want = np.linalg.norm(simplex_gradient(state.simplex, state.values))
-        state, record = rssm.solver.step(state, obj, cfg)
+        closed = float(np.linalg.norm(
+            regular_simplex_gradient(state.simplex, state.values)))
+        state, record = rssm.solver.step(state, obj, cfg, closed)
         assert record.simplex_gradient_norm == pytest.approx(want, rel=1e-12)
 
 
