@@ -21,6 +21,7 @@ search method (reflection, centroid, shrink).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -199,26 +200,35 @@ class GMatrix:
     eigenvalues: np.ndarray  # descending
     eigenvectors: np.ndarray  # columns, aligned with eigenvalues
     coefficients: QueryCoefficients
+    offsets: np.ndarray  # rows x_i - x: the vertices centred at the query
 
-    def _zero_tol(self) -> float:
-        scale = float(np.abs(self.eigenvalues).max(initial=0.0))
-        return EIG_ZERO_RTOL * scale + np.finfo(float).tiny
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        """+1, -1 or 0 per eigenvalue: 0 when within EIG_ZERO_RTOL of the
+        largest magnitude.
+
+        The one zero classification: the counts, the traces (and so the
+        bound), the extremal quadratic and the mu certificate all read it.
+        """
+        w = self.eigenvalues
+        tol = EIG_ZERO_RTOL * float(np.abs(w).max(initial=0.0)) + np.finfo(float).tiny
+        return np.where(w > tol, 1.0, np.where(w < -tol, -1.0, 0.0))
 
     def positive_count(self) -> int:
-        return int(np.sum(self.eigenvalues > self._zero_tol()))
+        return int(np.sum(self._signs > 0))
 
     def negative_count(self) -> int:
-        return int(np.sum(self.eigenvalues < -self._zero_tol()))
+        return int(np.sum(self._signs < 0))
 
     def nuclear_norm(self) -> float:
-        return float(np.abs(self.eigenvalues).sum())
+        return float(np.abs(self.eigenvalues[self._signs != 0]).sum())
 
     def trace_positive(self) -> float:
-        return float(np.maximum(self.eigenvalues, 0.0).sum())
+        return float(self.eigenvalues[self._signs > 0].sum())
 
     def trace_negative(self) -> float:
         """Magnitude of the negative part of the trace (a nonnegative number)."""
-        return float(-np.minimum(self.eigenvalues, 0.0).sum())
+        return float(-self.eigenvalues[self._signs < 0].sum())
 
 
 def g_matrix(s: Simplex, x) -> GMatrix:
@@ -234,7 +244,8 @@ def g_matrix(s: Simplex, x) -> GMatrix:
     Gm = (Y.T * q.ell[1:]) @ Y
     Gm = 0.5 * (Gm + Gm.T)
     w, P = _deterministic_eigh(Gm)
-    return GMatrix(matrix=Gm, eigenvalues=w, eigenvectors=P, coefficients=q)
+    return GMatrix(matrix=Gm, eigenvalues=w, eigenvectors=P, coefficients=q,
+                   offsets=Y)
 
 
 def error_bound(kind: str, cls: str, n: int, L: float, delta: float,
@@ -331,12 +342,11 @@ def mu_certificate(s: Simplex, x) -> MuCertificate:
     P_- spans the negative eigenspace of G.  When I_- = {0} the M block is
     empty and mu_i0 = ell_i.
     """
-    x = np.asarray(x, dtype=float)
-    return _mu_from_g(s, x, g_matrix(s, x))
+    return _mu_from_g(g_matrix(s, x))
 
 
-def _mu_from_g(s: Simplex, x: np.ndarray, g: GMatrix) -> MuCertificate:
-    """The mu certificate of query x, from its already assembled G."""
+def _mu_from_g(g: GMatrix) -> MuCertificate:
+    """The mu certificate of a query, from its already assembled G."""
     q = g.coefficients
     ell = q.ell
     # Vertex indices 1..n+1 by descending weight (stable for ties).
@@ -361,8 +371,8 @@ def _mu_from_g(s: Simplex, x: np.ndarray, g: GMatrix) -> MuCertificate:
             f"match |I_-|-1 = {m}; certificate unavailable"
         )
         return cert
-    P_neg = g.eigenvectors[:, g.eigenvalues < -g._zero_tol()]
-    Y = s.vertices - x[None, :]
+    P_neg = g.eigenvectors[:, g._signs < 0]
+    Y = g.offsets
     Y_pos = Y[[i - 1 for i in pos], :]
     Y_neg = Y[[i - 1 for i in neg_tail], :]
     B = Y_neg @ P_neg  # m x m
@@ -419,17 +429,14 @@ def worst_case_quadratic(g: GMatrix, L: float, cls: str,
         raise ValueError(f"unknown function class {cls!r}")
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    w = g.eigenvalues
-    tol = g._zero_tol()
+    d = g._signs
     if cls == "nonconvex":
-        d = np.where(w > tol, 1.0, np.where(w < -tol, -1.0, 0.0))
         if sign == "negative":
             d = -d
+    elif sign == "positive":
+        d = (d > 0).astype(float)
     else:
-        if sign == "positive":
-            d = (w > tol).astype(float)
-        else:
-            d = (w < -tol).astype(float)
+        d = (d < 0).astype(float)
     P = g.eigenvectors
     H = L * (P * d) @ P.T
     H = 0.5 * (H + H.T)
@@ -519,7 +526,7 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     values = quad.c + Y @ quad.v + 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
     achieved = abs(float(g.coefficients.ell[1:] @ values) - quad(x - centre))
     return BoundReport(kind=kind, cls=cls, bound=bound, achieved=achieved,
-                       mu=_mu_from_g(s, x, g), quadratic=quad, query=x, g=g)
+                       mu=_mu_from_g(g), quadratic=quad, query=x, g=g)
 
 
 def gradient_bound_report(s: Simplex, objective, L: float | None = None) -> dict:

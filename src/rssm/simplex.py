@@ -13,6 +13,7 @@ diagnostics.  Points are plain 1-D numpy arrays.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,8 @@ class Simplex:
 
     def centroid(self) -> np.ndarray:
         """Arithmetic mean of the n+1 vertices."""
-        return self.vertices.mean(axis=0)
+        # sum / count is what ndarray.mean computes, without its wrapper
+        return self.vertices.sum(axis=0) / self.vertices.shape[0]
 
     def copy(self) -> "Simplex":
         return Simplex(self.vertices.copy(), radius=self.radius, check=False)
@@ -215,7 +217,7 @@ def regular_simplex_gradient(s: Simplex, values) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if f.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} values, got shape {f.shape}")
-    return (_unit_frame(s).T @ (f - f.mean())) * (n / (n + 1.0)) / s.radius
+    return (_unit_frame(s).T @ (f - f.sum() / (n + 1))) * (n / (n + 1.0)) / s.radius
 
 
 def reflect_worst(s: Simplex, worst_index: int) -> np.ndarray:
@@ -238,8 +240,9 @@ def reflect_worst(s: Simplex, worst_index: int) -> np.ndarray:
     m = s.vertices.shape[0]
     if not (0 <= worst_index < m):
         raise IndexError(f"vertex index {worst_index} out of range 0..{m - 1}")
-    others = np.delete(s.vertices, worst_index, axis=0)
-    return -s.vertices[worst_index] + (2.0 / s.dim) * others.sum(axis=0)
+    V = s.vertices
+    others = np.concatenate((V[:worst_index], V[worst_index + 1:]))
+    return -V[worst_index] + (2.0 / s.dim) * others.sum(axis=0)
 
 
 def shrink_toward_best(s: Simplex, best_index: int, gamma: float) -> Simplex:
@@ -309,11 +312,16 @@ def regularity_report(s: Simplex) -> RegularityReport:
     G = Y @ Y.T
     sq = G.diagonal()
     rad_dev = float(np.abs(np.sqrt(sq) - 1.0).max())
-    ideal_edge = np.sqrt(2.0 * (1.0 + 1.0 / n))
-    edge_sq = sq[:, None] + sq[None, :] - 2.0 * G
-    dev = np.abs(np.sqrt(np.maximum(edge_sq, 0.0)) - ideal_edge)
+    ideal_edge = math.sqrt(2.0 * (1.0 + 1.0 / n))
+    # one (n+1) x (n+1) buffer, updated in place
+    dev = sq[:, None] + sq[None, :]
+    dev -= 2.0 * G
+    np.maximum(dev, 0.0, out=dev)
+    np.sqrt(dev, out=dev)
+    dev -= ideal_edge
+    np.abs(dev, out=dev)
     np.fill_diagonal(dev, 0.0)
-    edge_dev = float(dev.max() / ideal_edge)
+    edge_dev = float(dev.max()) / ideal_edge
     return RegularityReport(rad_dev, edge_dev)
 
 
@@ -323,4 +331,6 @@ def _unit_frame(s: Simplex) -> np.ndarray:
     Radius-normalised coordinates keep the geometry exactly scale-free and
     survive sizes whose squares would underflow.
     """
-    return (s.vertices - s.vertices.mean(axis=0)[None, :]) / s.radius
+    Y = s.vertices - s.centroid()
+    Y /= s.radius
+    return Y

@@ -21,6 +21,7 @@ gap, reflected gap, simplex-gradient norm), and the terminal reason.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -164,7 +165,13 @@ class IterationRecord:
     simplex_gradient_norm: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is an int, str, bool or float, so a shallow dict
+        # equals what dataclasses.asdict builds; reading self.__dict__
+        # instead would attach a dict to every record
+        return {"k": self.k, "step": self.step, "accepted": self.accepted,
+                "delta": self.delta, "S": self.S, "f_best": self.f_best,
+                "f_worst": self.f_worst, "v": self.v, "v_r": self.v_r,
+                "simplex_gradient_norm": self.simplex_gradient_norm}
 
 
 @dataclass
@@ -289,7 +296,7 @@ def step(state: SolverState, objective, cfg: SolverConfig,
     S_k = float(f.sum())
     f_best_k = float(f[0])
     f_worst_k = float(f[n])
-    mean_best = float(f[:n].mean())
+    mean_best = float(f[:n].sum() / n)
     v = f_worst_k - mean_best
 
     x_r = reflect_worst(state.simplex, n)
@@ -349,9 +356,10 @@ def _stopping_value(state: SolverState, objective, cfg: SolverConfig,
     if cfg.stopping == "simplex_gradient":
         return grad_norm
     if cfg.stopping == "true_gradient":
-        return float(np.linalg.norm(objective.gradient(state.simplex.centroid())))
+        g = np.asarray(objective.gradient(state.simplex.centroid()), dtype=float)
+        return math.sqrt(g @ g)
     # gap: mean vertex value minus f*
-    return float(state.values.mean() - objective.f_star)
+    return float(state.values.sum() / (cfg.n + 1) - objective.f_star)
 
 
 def run(objective, cfg: SolverConfig) -> Trace:
@@ -383,11 +391,11 @@ def run(objective, cfg: SolverConfig) -> Trace:
             trace.reason = "regularity-failure"
             trace.summary["regularity"] = str(rep)
             # the closed form needs a regular simplex: use the general solve
-            grad_norm = float(np.linalg.norm(
-                simplex_gradient(state.simplex, state.values)))
+            g = simplex_gradient(state.simplex, state.values)
+            grad_norm = math.sqrt(g @ g)
             break
-        grad_norm = float(np.linalg.norm(
-            regular_simplex_gradient(state.simplex, state.values)))
+        g = regular_simplex_gradient(state.simplex, state.values)
+        grad_norm = math.sqrt(g @ g)
         crit = _stopping_value(state, objective, cfg, grad_norm)
         if crit is not None and crit <= cfg.epsilon:
             trace.reason = "epsilon-reached"

@@ -461,6 +461,33 @@ def test_far_simplex_reports_attain_their_bounds(n, centre):
                                                     rep.bound)
 
 
+def test_g_keeps_the_query_centred_vertices(rng):
+    # the mu certificate reads these rows instead of forming V - x again
+    s = random_regular_simplex(5, rng)
+    for kind in ("reflection", "centroid", "shrink"):
+        x = query_point(s, kind, gamma=0.4 if kind == "shrink" else None)
+        assert np.array_equal(g_matrix(s, x).offsets, s.vertices - x[None, :])
+
+
+def test_bound_and_quadratic_share_the_zero_classification():
+    # at ||c||inf = 1e6 rounding lifts the zero eigenvalues of the shrink G
+    # to ~1e-9 relative; a bound that summed them would exceed what the
+    # extremal quadratic (which gives them weight 0) attains
+    n = 64
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-1.0, 1.0, n)
+    c *= 1e6 / np.abs(c).max()
+    s = random_regular_simplex(n, rng, radius=1.0, center=c)
+    for kind in ("reflection", "centroid", "shrink"):
+        gamma = 0.5 if kind == "shrink" else None
+        for cls in ("nonconvex", "convex"):
+            rep = bound_report(s, kind, cls, 1.0, gamma=gamma)
+            assert rep.attained and rep.dominated, (kind, cls)
+            assert abs(rep.bound - rep.achieved) <= 1e-12 * rep.bound, (kind, cls)
+            closed = error_bound(kind, cls, n, 1.0, 1.0, gamma=gamma)
+            assert abs(rep.bound - closed) <= 1e-9 * closed, (kind, cls)
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = {"count": 0}
     fn = getattr(owner, name)

@@ -16,6 +16,7 @@ from rssm.simplex import (
     regular_simplex_gradient,
     regularity_report,
     shrink_toward_best,
+    _unit_frame,
 )
 
 from conftest import random_regular_simplex
@@ -314,3 +315,61 @@ def test_json_text_is_valid_json():
     s = make_regular_simplex(0.0, 1.0, 1)
     payload = json.loads(s.to_json())
     assert payload["dim"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the loop kernels against the numpy formulas they stand for, bit for bit
+
+
+def _offset_simplices(seed=3):
+    """Rotated regular simplices, some drifted, centred up to ||c||inf = 1e6."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 4, 8, 33):
+        for scale in (0.0, 1.0, 1e3, 1e6):
+            c = rng.uniform(-1.0, 1.0, n)
+            c *= scale / np.abs(c).max()
+            s = random_regular_simplex(n, rng, center=c)
+            yield s
+            drifted = s.vertices + 1e-6 * rng.standard_normal(s.vertices.shape)
+            yield Simplex(drifted, radius=s.radius, check=False)
+
+
+def test_centroid_and_unit_frame_equal_the_mean_formulas():
+    for s in _offset_simplices():
+        V = s.vertices
+        assert np.array_equal(s.centroid(), V.mean(axis=0))
+        assert np.array_equal(_unit_frame(s),
+                              (V - V.mean(axis=0)[None, :]) / s.radius)
+
+
+def test_reflection_equals_the_delete_formula_at_every_index():
+    for s in _offset_simplices():
+        V = s.vertices
+        for w in range(s.dim + 1):
+            want = -V[w] + (2.0 / s.dim) * np.delete(V, w, axis=0).sum(axis=0)
+            assert np.array_equal(reflect_worst(s, w), want)
+
+
+def test_closed_form_gradient_equals_the_mean_formula():
+    rng = np.random.default_rng(5)
+    for s in _offset_simplices():
+        n = s.dim
+        f = 1e3 * rng.standard_normal(n + 1)
+        Y = (s.vertices - s.vertices.mean(axis=0)[None, :]) / s.radius
+        want = (Y.T @ (f - f.mean())) * (n / (n + 1.0)) / s.radius
+        assert np.array_equal(regular_simplex_gradient(s, f), want)
+
+
+def test_regularity_report_equals_the_out_of_place_formula():
+    for s in _offset_simplices():
+        n = s.dim
+        Y = (s.vertices - s.vertices.mean(axis=0)[None, :]) / s.radius
+        G = Y @ Y.T
+        sq = G.diagonal()
+        ideal_edge = np.sqrt(2.0 * (1.0 + 1.0 / n))
+        dev = np.abs(np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * G, 0.0))
+                     - ideal_edge)
+        np.fill_diagonal(dev, 0.0)
+        rep = regularity_report(s)
+        assert rep.max_radius_deviation == float(np.abs(np.sqrt(sq) - 1.0).max())
+        assert rep.max_edge_deviation == float(dev.max() / ideal_edge)

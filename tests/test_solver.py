@@ -1,5 +1,6 @@
 """Solver state machine: acceptance rule, stepping, traces, stopping."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -361,6 +362,45 @@ def test_trace_json_round_trip():
     assert back.to_json() == text
     parsed = json.loads(text)
     assert set(parsed) == {"config", "records", "reason", "summary"}
+
+
+def _three_runs():
+    """A quad-spectrum run, a damped-sine run to budget, and the constant
+    objective whose theoretical run ends in regularity-failure."""
+    yield run(builtin("quad-spectrum", 4, seed=7),
+              SolverConfig(n=4, epsilon=1e-5, center=1.1))
+    yield run(builtin("damped-sine", 4),
+              SolverConfig(n=4, stopping="none", max_iterations=60))
+    const = Objective("const", 2, lambda x: 0.0)
+    yield run(const, _theoretical_cfg(max_iterations=100_000))
+
+
+def test_traces_serialise_as_dataclasses_asdict_does():
+    reasons = []
+    for trace in _three_runs():
+        reasons.append(trace.reason)
+        assert trace.records
+        for r in trace.records:
+            assert r.to_dict() == dataclasses.asdict(r)
+        oracle = {"config": trace.config,
+                  "records": [dataclasses.asdict(r) for r in trace.records],
+                  "reason": trace.reason, "summary": trace.summary}
+        assert trace.to_json() == json.dumps(oracle, sort_keys=True,
+                                             separators=(",", ":"))
+    assert reasons == ["epsilon-reached", "budget", "regularity-failure"]
+
+
+def test_record_dicts_do_not_alias_the_records():
+    trace = run(builtin("quad-iso", 2), SolverConfig(n=2, stopping="none",
+                                                     max_iterations=5))
+    before = [dataclasses.asdict(r) for r in trace.records]
+    d = trace.records[0].to_dict()
+    d["k"], d["step"], d["delta"] = 99, "bogus", -1.0
+    d["extra"] = True
+    for rec in trace.to_dict()["records"]:
+        rec.clear()
+    assert [dataclasses.asdict(r) for r in trace.records] == before
+    assert not hasattr(trace.records[0], "extra")
 
 
 @pytest.mark.parametrize("payload, what", [
