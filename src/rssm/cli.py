@@ -21,15 +21,13 @@ import numpy as np
 
 from . import objectives
 from .simplex import CenterResolutionError, Simplex, make_regular_simplex
-from .interpolation import bound_report
-from .solver import SolverConfig, Trace, run, EvaluationError, check_stopping
-from .complexity import constants_for_trace, audit_trace
+from .interpolation import CLASSES, QUERY_KINDS, SIGNS, bound_report
+from .solver import (ALGORITHMS, MODES, STOPPING_RULES, SolverConfig, Trace,
+                     run, EvaluationError, check_stopping)
+from .complexity import CASES, constants_for_trace, audit_trace
 from .experiments import ExperimentPlan, run_scaling, write_csv
 
 __all__ = ["build_parser", "main"]
-
-QUERY_KINDS = ("reflection", "centroid", "shrink")
-CLASSES = ("nonconvex", "convex")
 
 
 def _parse_params(pairs) -> dict:
@@ -50,6 +48,11 @@ def _parse_point(text: str, n: int) -> np.ndarray:
     if len(vals) != n:
         raise ValueError(f"--start needs 1 or {n} components, got {len(vals)}")
     return np.array(vals)
+
+
+def _csv(values) -> str:
+    """A tuple default in the comma-separated form its option parses."""
+    return ",".join(map(repr, values))
 
 
 def _dump(payload) -> None:
@@ -260,22 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", required=True,
                    help="objective name, or 'list' to print the registry")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--delta0", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=1e-3)
+    p.add_argument("--delta0", type=float, default=SolverConfig.delta0)
+    p.add_argument("--gamma", type=float, default=SolverConfig.gamma)
+    p.add_argument("--beta", type=float, default=SolverConfig.beta)
+    p.add_argument("--eta", type=float, default=SolverConfig.eta)
     p.add_argument("--L", type=float, default=None,
                    help="smoothness constant; defaults to objective metadata")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--mode", choices=("theoretical", "practical"),
-                   default="practical")
-    p.add_argument("--algorithm", choices=("rssm", "reflection_only"),
-                   default="rssm")
-    p.add_argument("--stopping",
-                   choices=("simplex_gradient", "true_gradient", "gap", "none"),
-                   default="simplex_gradient")
-    p.add_argument("--max-iter", type=int, default=100_000)
-    p.add_argument("--max-evals", type=int, default=10_000_000)
+    p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
+    p.add_argument("--mode", choices=MODES, default=SolverConfig.mode)
+    p.add_argument("--algorithm", choices=ALGORITHMS,
+                   default=SolverConfig.algorithm)
+    p.add_argument("--stopping", choices=STOPPING_RULES,
+                   default=SolverConfig.stopping)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
+    p.add_argument("--max-evals", type=int,
+                   default=SolverConfig.max_evaluations)
     p.add_argument("--start", default="0",
                    help="start centroid: scalar or comma-separated vector")
     p.add_argument("--seed", type=int, default=None)
@@ -305,16 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--kind", choices=QUERY_KINDS, default="reflection")
     p.add_argument("--cls", choices=CLASSES, default="nonconvex")
-    p.add_argument("--sign", choices=("positive", "negative"), default=None)
+    p.add_argument("--sign", choices=SIGNS, default=None)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--simplex-json", default=None)
     p.set_defaults(func=_cmd_worst_case)
 
     p = sub.add_parser("audit", help="re-check a saved trace JSON")
     p.add_argument("--trace-in", required=True)
-    p.add_argument("--case",
-                   choices=("nonconvex", "pl", "convex", "strongly_convex"),
-                   default="nonconvex")
+    p.add_argument("--case", choices=CASES, default="nonconvex")
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--R", type=float, default=None)
@@ -324,17 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="run an (n, epsilon) scaling sweep")
     p.add_argument("--objective", required=True)
-    p.add_argument("--dims", default="4", help="comma-separated dimensions")
-    p.add_argument("--epsilons", default="1e-1,1e-2,1e-3,1e-4",
+    p.add_argument("--dims", default=_csv(ExperimentPlan.dims),
+                   help="comma-separated dimensions")
+    p.add_argument("--epsilons", default=_csv(ExperimentPlan.epsilons),
                    help="strictly decreasing comma-separated tolerances")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--center-distance", type=float, default=2.0)
-    p.add_argument("--delta0", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--max-iter", type=int, default=200_000)
-    p.add_argument("--max-evals", type=int, default=10_000_000)
+    p.add_argument("--reps", type=int, default=ExperimentPlan.repetitions)
+    p.add_argument("--seed", type=int, default=ExperimentPlan.base_seed)
+    p.add_argument("--center-distance", type=float,
+                   default=ExperimentPlan.center_distance)
+    p.add_argument("--delta0", type=float, default=ExperimentPlan.delta0)
+    p.add_argument("--gamma", type=float, default=ExperimentPlan.gamma)
+    p.add_argument("--beta", type=float, default=ExperimentPlan.beta)
+    p.add_argument("--max-iter", type=int,
+                   default=ExperimentPlan.max_iterations)
+    p.add_argument("--max-evals", type=int,
+                   default=ExperimentPlan.max_evaluations)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--csv-out", default=None)
     p.set_defaults(func=_cmd_scaling)

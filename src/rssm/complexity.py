@@ -303,6 +303,14 @@ def _ineq_check(name: str, pairs, detail: str = "") -> AuditCheck:
                       worst_k=worst_k, violating_k=violating, detail=detail)
 
 
+def _strict_count_check(name: str, N_s: int, bound: float) -> AuditCheck:
+    """Check the shrink count N_s < bound, strict up to AUDIT_RTOL."""
+    strict = N_s < bound + AUDIT_RTOL * max(1.0, bound)
+    return AuditCheck(name=name, status="pass" if strict else "fail",
+                      worst_slack=N_s - bound,
+                      detail=f"N_s={N_s}, bound={bound:.6g} (strict)")
+
+
 def _skip(name: str, why: str) -> AuditCheck:
     return AuditCheck(name=name, status="skipped", detail=why)
 
@@ -388,25 +396,19 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     def gap(S: float) -> float:
         return S / (n + 1.0) - f_star
 
+    def radius_deviations():
+        """(k, |delta_k - delta0*gamma^shrinks| / that, 0): a deviation up to
+        1 fails above AUDIT_RTOL, one above 1 always fails."""
+        shrinks_seen = 0
+        for i, r in enumerate(recs):
+            expect = consts.delta0 * gamma ** shrinks_seen
+            yield i, abs(r.delta - expect) / expect, 0.0
+            if r.step == "shrink":
+                shrinks_seen += 1
+
     # --- plumbing invariants ----------------------------------------------
-    shrinks_seen = 0
-    worst_dev = None
-    worst_dev_k = None
-    radius_violation = None
-    for i, r in enumerate(recs):
-        expect = consts.delta0 * gamma ** shrinks_seen
-        dev = abs(r.delta - expect) / expect
-        if worst_dev is None or dev > worst_dev:
-            worst_dev, worst_dev_k = dev, i
-        if radius_violation is None and dev > AUDIT_RTOL:
-            radius_violation = i
-        if r.step == "shrink":
-            shrinks_seen += 1
-    report.checks.append(AuditCheck(
-        name="radius_law",
-        status="fail" if radius_violation is not None else "pass",
-        worst_slack=worst_dev, worst_k=worst_dev_k,
-        violating_k=radius_violation,
+    report.checks.append(_ineq_check(
+        "radius_law", radius_deviations(),
         detail="relative deviation from delta0*gamma^shrinks"))
 
     N_r = trace.N_r
@@ -445,12 +447,8 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         report.checks.append(_ineq_check(
             "radius_floor",
             ((i, consts.delta_bar, r.delta) for i, r in enumerate(recs))))
-        bound = _shrink_bound_nonconvex(consts)
-        strict = N_s < bound + AUDIT_RTOL * max(1.0, bound)
-        report.checks.append(AuditCheck(
-            name="shrink_count_bound", status="pass" if strict else "fail",
-            worst_slack=N_s - bound,
-            detail=f"N_s={N_s}, bound={bound:.6g} (strict)"))
+        report.checks.append(_strict_count_check(
+            "shrink_count_bound", N_s, _shrink_bound_nonconvex(consts)))
     else:
         why = ("needs theoretical mode, true-gradient stopping and "
                "delta0 > delta_bar")
@@ -502,12 +500,8 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
 
     if (convex_case and cfg["stopping"] == "gap" and consts.delta_cvx is not None
             and consts.delta0 > consts.delta_cvx):
-        bound = _shrink_bound_convex(consts)
-        strict = N_s < bound + AUDIT_RTOL * max(1.0, bound)
-        report.checks.append(AuditCheck(
-            name="convex_shrink_count_bound",
-            status="pass" if strict else "fail", worst_slack=N_s - bound,
-            detail=f"N_s={N_s}, bound={bound:.6g} (strict)"))
+        report.checks.append(_strict_count_check(
+            "convex_shrink_count_bound", N_s, _shrink_bound_convex(consts)))
     else:
         report.checks.append(_skip(
             "convex_shrink_count_bound",

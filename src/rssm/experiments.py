@@ -55,7 +55,7 @@ class ExperimentPlan:
 
     objective: str
     dims: tuple = (4,)
-    epsilons: tuple = (1e-1, 1e-2, 1e-3)
+    epsilons: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
     repetitions: int = 1
     base_seed: int = 0
     center_distance: float = 2.0

@@ -51,6 +51,12 @@ __all__ = [
     "gradient_bound_report",
 ]
 
+# The query kinds of the search method, the function classes the bounds are
+# sharp over, and the two sides an extremal quadratic can attain.
+QUERY_KINDS = ("reflection", "centroid", "shrink")
+CLASSES = ("nonconvex", "convex")
+SIGNS = ("positive", "negative")
+
 # Absolute tolerance for classifying an affine weight as zero (weights are
 # O(1) for the query kinds of interest, and exact zeros reach us as ~1e-16
 # solver noise).
@@ -87,27 +93,24 @@ class QueryCoefficients:
         return tuple(i for i in range(len(self.ell)) if i not in inhabited)
 
 
-def _frame(s: Simplex) -> tuple[np.ndarray, float]:
-    """Centroid and coordinate scale of the vertex cloud.
+def _affine_system(s: Simplex) -> tuple[np.ndarray, float, np.ndarray]:
+    """Centroid c, coordinate scale and the (n+1)x(n+1) affine system
+    [[1...1], [y_1 ... y_{n+1}]] with y_i = (x_i - c) / scale.
 
     Affine weights and interpolant gradients are computed in the centered,
     unit-scale frame so the singularity guard responds to the shape of the
     simplex, never to its absolute position or size.
     """
-    c = s.vertices.mean(axis=0)
+    c = s.centroid()
+    Y = s.vertices - c
     # max-entry scale avoids squaring, so it survives subnormal-range sizes
-    scale = float(np.abs(s.vertices - c[None, :]).max())
+    scale = float(np.abs(Y).max())
     if scale == 0.0 or not np.isfinite(scale):
         raise DegenerateSimplexError("all vertices coincide")
-    return c, scale
-
-
-def _affine_matrix(s: Simplex, c: np.ndarray, scale: float) -> np.ndarray:
-    """(n+1)x(n+1) system [[1...1], [y_1 ... y_{n+1}]] in the centered frame."""
     A = np.empty((s.dim + 1, s.dim + 1))
     A[0, :] = 1.0
-    A[1:, :] = (s.vertices - c[None, :]).T / scale
-    return A
+    A[1:, :] = Y.T / scale
+    return c, scale, A
 
 
 def _solve_guarded(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,8 +135,7 @@ def lagrange_coefficients(s: Simplex, x) -> QueryCoefficients:
             1e-12 reciprocal-condition guard.
     """
     x = np.asarray(x, dtype=float)
-    c, scale = _frame(s)
-    A = _affine_matrix(s, c, scale)
+    c, scale, A = _affine_system(s)
     b = np.concatenate([[1.0], (x - c) / scale])
     w = _solve_guarded(A, b)
     ell = np.concatenate([[-1.0], w])
@@ -158,8 +160,8 @@ def simplex_gradient(s: Simplex, values) -> np.ndarray:
         raise ValueError(f"expected {s.dim + 1} values, got shape {f.shape}")
     # [alpha; g] solves  alpha + g.y_i = f_i in the centered frame, and the
     # gradient in original coordinates is g / scale
-    c, scale = _frame(s)
-    sol = _solve_guarded(_affine_matrix(s, c, scale).T, f)
+    _, scale, A = _affine_system(s)
+    sol = _solve_guarded(A.T, f)
     return sol[1:] / scale
 
 
@@ -265,9 +267,9 @@ def error_bound(kind: str, cls: str, n: int, L: float, delta: float,
           centroid (either cls):  L * delta^2 / 2
           shrink (either cls):    (n+1)/n * gamma(1-gamma) * L * delta^2
     """
-    if kind not in ("reflection", "centroid", "shrink"):
+    if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
-    if cls not in ("nonconvex", "convex"):
+    if cls not in CLASSES:
         raise ValueError(f"unknown function class {cls!r}")
     if kind == "shrink":
         if gamma is None or not (0.0 < gamma < 1.0):
@@ -320,9 +322,6 @@ class MuCertificate:
         if not self.available:
             return False
         return all(v >= MU_TOL for v in self.entries.values())
-
-    def min_mu(self) -> float:
-        return min(self.entries.values()) if self.entries else float("inf")
 
     def to_dict(self) -> dict:
         return {
@@ -425,9 +424,9 @@ def worst_case_quadratic(g: GMatrix, L: float, cls: str,
     (L/2)tr(G_+) of overestimation) or negative (sign="negative", attaining
     (L/2)tr(G_-) of underestimation) eigenspace of G.
     """
-    if cls not in ("nonconvex", "convex"):
+    if cls not in CLASSES:
         raise ValueError(f"unknown function class {cls!r}")
-    if sign not in ("positive", "negative"):
+    if sign not in SIGNS:
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
     d = g._signs
     if cls == "nonconvex":

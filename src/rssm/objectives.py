@@ -1,11 +1,11 @@
-"""Test objectives with certified smoothness metadata and evaluation counting.
+"""Test objectives with certified smoothness metadata.
 
 Each builtin carries the constants the complexity audits need: a smoothness
 constant L that provably dominates the gradient's Lipschitz ratio, and where
 they exist the gradient-domination constant mu, the optimal value f*, the
 minimizer x*, and a convexity tag.  Every builtin also exposes an exact
 gradient so that true-gradient stopping and the gradient-inequality checks
-can run; the evaluation counter only counts value queries.
+can run.
 
 Builtins:
   quad-iso       (1/2) L ||x - x*||^2                    strongly convex, mu = L
@@ -43,17 +43,17 @@ class UnsupportedObjectiveError(ValueError):
 
 
 class Objective:
-    """A callable objective with metadata and a private evaluation counter.
+    """A callable objective with metadata.
 
     Attributes:
         name: registry name.
         dim: ambient dimension n.
+        gradient: exact gradient callable, or None when unavailable.
         L: certified smoothness (gradient Lipschitz) constant.
         mu: gradient-domination / strong-convexity constant, or None.
         f_star: minimal value, or None when no closed form exists.
         x_star: a minimizer, or None.
         convexity: one of "nonconvex", "pl", "convex", "strongly_convex".
-        evaluations: number of value queries so far (gradients not counted).
     """
 
     def __init__(self, name: str, dim: int, fn, grad=None, L: float | None = None,
@@ -64,41 +64,35 @@ class Objective:
         self.name = name
         self.dim = int(dim)
         self._fn = fn
-        self._grad = grad
+        self.gradient = None if grad is None else _float_gradient(grad)
         self.L = L
         self.mu = mu
         self.f_star = f_star
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
         self.convexity = convexity
-        self.evaluations = 0
 
     def __call__(self, x) -> float:
-        return self.evaluate(x)
-
-    def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"{self.name} expects points of dimension {self.dim}, "
                              f"got shape {x.shape}")
-        self.evaluations += 1
         return float(self._fn(x))
-
-    @property
-    def gradient(self):
-        """Exact gradient callable, or None when unavailable."""
-        if self._grad is None:
-            return None
-
-        def g(x):
-            return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
-
-        return g
-
-    def reset_evaluations(self) -> None:
-        self.evaluations = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Objective({self.name!r}, dim={self.dim}, convexity={self.convexity!r})"
+
+
+def _float_gradient(grad):
+    """grad with float-array input and output.
+
+    The closure holds grad, not the Objective: a bound method stored on the
+    instance would put every Objective in a reference cycle.
+    """
+
+    def g(x):
+        return np.asarray(grad(np.asarray(x, dtype=float)), dtype=float)
+
+    return g
 
 
 def _haar_orthogonal(n: int, seed: int) -> np.ndarray:

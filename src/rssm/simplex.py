@@ -79,8 +79,7 @@ class Simplex:
         self.vertices = V
         self.dim = V.shape[1]
         if radius is None:
-            c = V.mean(axis=0)
-            radius = float(np.mean(np.linalg.norm(V - c, axis=1)))
+            radius = float(np.mean(np.linalg.norm(V - self.centroid(), axis=1)))
         if not (radius > 0.0):
             raise ValueError(f"radius must be positive, got {radius}")
         self.radius = float(radius)

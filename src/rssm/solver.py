@@ -48,6 +48,10 @@ __all__ = [
     "check_stopping",
 ]
 
+MODES = ("theoretical", "practical")
+ALGORITHMS = ("rssm", "reflection_only")
+STOPPING_RULES = ("simplex_gradient", "true_gradient", "gap", "none")
+
 # A solver run fails loudly once accumulated geometric drift exceeds this.
 REGULARITY_FAIL_TOL = 1e-6
 
@@ -117,11 +121,11 @@ class SolverConfig:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.mode not in ("theoretical", "practical"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.algorithm not in ("rssm", "reflection_only"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.stopping not in ("simplex_gradient", "true_gradient", "gap", "none"):
+        if self.stopping not in STOPPING_RULES:
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
         if self.mode == "theoretical":
             if self.beta is None or not (self.beta > 0):
@@ -248,6 +252,18 @@ class SolverState:
     def delta(self) -> float:
         return self.simplex.radius
 
+    def evaluate(self, objective, x) -> float:
+        """f(x), counted in objective_calls: the solver's only objective call.
+
+        Raises:
+            EvaluationError: the value is NaN or infinite.
+        """
+        self.objective_calls += 1
+        val = objective(x)
+        if not np.isfinite(val):
+            raise EvaluationError(x, val)
+        return float(val)
+
     def sort(self) -> None:
         """Ascending stable sort of vertices by cached value."""
         order = np.argsort(self.values, kind="stable")
@@ -255,18 +271,11 @@ class SolverState:
         self.simplex.vertices = self.simplex.vertices[order]
 
 
-def _checked_eval(objective, x) -> float:
-    val = objective(x)
-    if not np.isfinite(val):
-        raise EvaluationError(x, val)
-    return float(val)
-
-
 def _init_state(objective, cfg: SolverConfig) -> SolverState:
     simplex = make_regular_simplex(cfg.start_center(), cfg.delta0, cfg.n)
-    values = np.array([_checked_eval(objective, v) for v in simplex.vertices])
-    state = SolverState(simplex, values)
-    state.objective_calls = cfg.n + 1
+    state = SolverState(simplex, np.empty(cfg.n + 1))
+    for i, v in enumerate(simplex.vertices):
+        state.values[i] = state.evaluate(objective, v)
     state.sort()
     return state
 
@@ -300,8 +309,7 @@ def step(state: SolverState, objective, cfg: SolverConfig,
     v = f_worst_k - mean_best
 
     x_r = reflect_worst(state.simplex, n)
-    f_r = _checked_eval(objective, x_r)
-    state.objective_calls += 1
+    f_r = state.evaluate(objective, x_r)
     v_r = float(f_r - mean_best)
 
     if cfg.algorithm == "reflection_only":
@@ -317,8 +325,7 @@ def step(state: SolverState, objective, cfg: SolverConfig,
         state.simplex = shrink_toward_best(state.simplex, 0, cfg.gamma)
         V = state.simplex.vertices
         for i in range(1, n + 1):
-            f[i] = _checked_eval(objective, V[i])
-        state.objective_calls += n
+            f[i] = state.evaluate(objective, V[i])
         kind = "shrink"
 
     record = IterationRecord(

@@ -1,15 +1,31 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from rssm.cli import main
-from rssm.interpolation import bound_report, g_matrix, query_point
+from rssm.cli import build_parser, main
+from rssm.complexity import CASES
+from rssm.experiments import ExperimentPlan
+from rssm.interpolation import (
+    CLASSES,
+    QUERY_KINDS,
+    SIGNS,
+    bound_report,
+    g_matrix,
+    query_point,
+)
 from rssm.objectives import builtin_names
 from rssm.simplex import make_regular_simplex
-from rssm.solver import Trace
+from rssm.solver import (
+    ALGORITHMS,
+    MODES,
+    STOPPING_RULES,
+    SolverConfig,
+    Trace,
+)
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +334,48 @@ def test_scaling_rejects_increasing_epsilons(capsys):
 
 # ---------------------------------------------------------------------------
 # parser plumbing
+
+
+def _options(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def test_solve_options_are_the_solver_config_defaults_and_choices():
+    opts = _options("solve")
+    for dest, name in (("delta0", "delta0"), ("gamma", "gamma"),
+                       ("beta", "beta"), ("eta", "eta"),
+                       ("epsilon", "epsilon"), ("mode", "mode"),
+                       ("algorithm", "algorithm"), ("stopping", "stopping"),
+                       ("max_iter", "max_iterations"),
+                       ("max_evals", "max_evaluations")):
+        assert opts[dest].default == getattr(SolverConfig, name), dest
+    assert opts["mode"].choices == MODES
+    assert opts["algorithm"].choices == ALGORITHMS
+    assert opts["stopping"].choices == STOPPING_RULES
+
+
+def test_scaling_options_are_the_plan_defaults():
+    args = build_parser().parse_args(["scaling", "--objective", "quad-iso"])
+    plan = ExperimentPlan(objective="quad-iso")
+    assert tuple(int(v) for v in args.dims.split(",")) == plan.dims
+    assert tuple(float(v) for v in args.epsilons.split(",")) == plan.epsilons
+    assert (args.reps, args.seed, args.center_distance, args.delta0,
+            args.gamma, args.beta, args.max_iter, args.max_evals) == (
+        plan.repetitions, plan.base_seed, plan.center_distance, plan.delta0,
+        plan.gamma, plan.beta, plan.max_iterations, plan.max_evaluations)
+
+
+def test_bound_and_audit_options_are_the_library_choices(capsys):
+    assert _options("audit")["case"].choices == CASES
+    worst = _options("worst-case")
+    assert worst["kind"].choices == QUERY_KINDS
+    assert worst["cls"].choices == CLASSES
+    assert worst["sign"].choices == SIGNS
+    _, out, _ = run_cli(capsys, "verify-bounds", "--n", "2")
+    assert [(r["kind"], r["class"]) for r in json.loads(out)["reports"]] == [
+        (kind, cls) for kind in QUERY_KINDS for cls in CLASSES]
 
 
 def test_no_subcommand_is_usage_error():

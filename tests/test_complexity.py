@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 from rssm.complexity import (
+    AUDIT_RTOL,
+    AuditCheck,
+    _shrink_bound_convex,
+    _shrink_bound_nonconvex,
+    _strict_count_check,
     audit_trace,
     constants,
     constants_for_trace,
@@ -335,6 +340,89 @@ def test_audit_rejects_mismatched_constants():
         audit_trace(trace, synth_consts(beta=2.0))
     with pytest.raises(ValueError, match="case"):
         audit_trace(trace, synth_consts(), case="mystery")
+
+
+# ---------------------------------------------------------------------------
+# the shared check kernel against the hand-written checks it replaced
+
+
+def oracle_radius_law(trace, consts):
+    """radius_law as a loop of its own, with its own threshold."""
+    shrinks_seen = 0
+    worst_dev = worst_dev_k = radius_violation = None
+    for i, r in enumerate(trace.records):
+        expect = consts.delta0 * consts.gamma ** shrinks_seen
+        dev = abs(r.delta - expect) / expect
+        if worst_dev is None or dev > worst_dev:
+            worst_dev, worst_dev_k = dev, i
+        if radius_violation is None and dev > AUDIT_RTOL:
+            radius_violation = i
+        if r.step == "shrink":
+            shrinks_seen += 1
+    return AuditCheck(
+        name="radius_law",
+        status="fail" if radius_violation is not None else "pass",
+        worst_slack=worst_dev, worst_k=worst_dev_k,
+        violating_k=radius_violation,
+        detail="relative deviation from delta0*gamma^shrinks")
+
+
+def oracle_count_check(name, N_s, bound):
+    strict = N_s < bound + AUDIT_RTOL * max(1.0, bound)
+    return AuditCheck(name=name, status="pass" if strict else "fail",
+                      worst_slack=N_s - bound,
+                      detail=f"N_s={N_s}, bound={bound:.6g} (strict)")
+
+
+@pytest.mark.parametrize("steps, status", [
+    ([("shrink", 1.0), ("reflection", 0.5), ("shrink", 0.5),
+      ("reflection", 0.25)], "pass"),
+    # first violation at k=2, the worst one at k=3
+    ([("reflection", 1.0), ("shrink", 1.0), ("reflection", 0.5 * (1 + 3e-9)),
+      ("reflection", 0.5 * (1 + 1e-6))], "fail"),
+    # just inside and just outside the tolerance
+    ([("reflection", 1.0 + 0.5e-9)], "pass"),
+    ([("reflection", 1.0 + 2e-9)], "fail"),
+    # deviations of exactly 1 and above 1
+    ([("reflection", 2.0)], "fail"),
+    ([("shrink", 1.0), ("reflection", 2.0), ("reflection", 0.5)], "fail"),
+    ([], "pass"),
+])
+def test_radius_law_matches_its_loop_oracle(steps, status):
+    trace = Trace(config=synth_cfg(),
+                  records=[rec(k, step, d, 4.0) for k, (step, d) in enumerate(steps)],
+                  reason="budget", summary={"final_S": 4.0})
+    consts = synth_consts()
+    got = checks_by_name(audit_trace(trace, consts))["radius_law"]
+    assert got.status == status
+    assert got.to_dict() == oracle_radius_law(trace, consts).to_dict()
+
+
+@pytest.mark.parametrize("N_s", [7, 8, 9, 10])
+def test_shrink_count_checks_match_their_oracle(N_s):
+    # the bounds are 8.97 (delta_bar = 0.002) and 8.64 (delta_cvx = 0.0025)
+    records = [rec(k, "shrink", 0.5 ** k, 4.0) for k in range(N_s)]
+    for name, cfg, consts, case, bound, near in (
+            ("shrink_count_bound", synth_cfg(), synth_consts(), "nonconvex",
+             _shrink_bound_nonconvex(synth_consts()),
+             math.log(0.002) / math.log(0.5)),
+            ("convex_shrink_count_bound", synth_cfg(stopping="gap"),
+             synth_consts(R=2.0), "convex",
+             _shrink_bound_convex(synth_consts(R=2.0)),
+             math.log(400.0) / math.log(2.0))):
+        assert bound == pytest.approx(near)
+        trace = Trace(config=cfg, records=records, reason="budget",
+                      summary={"final_S": 4.0})
+        got = checks_by_name(audit_trace(trace, consts, case=case))[name]
+        assert got.status == ("pass" if N_s < bound else "fail")
+        assert got.to_dict() == oracle_count_check(name, N_s, bound).to_dict()
+
+
+@pytest.mark.parametrize("N_s, bound", [
+    (8, 9.0), (9, 9.0), (9, 9.0 - 2e-9), (10, 9.0), (0, -1.5), (0, 0.0)])
+def test_strict_count_check_matches_its_oracle_at_the_bound(N_s, bound):
+    assert _strict_count_check("c", N_s, bound).to_dict() == \
+        oracle_count_check("c", N_s, bound).to_dict()
 
 
 # ---------------------------------------------------------------------------

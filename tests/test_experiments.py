@@ -53,6 +53,13 @@ def test_plan_validation_rejects(kw):
         ExperimentPlan(**base)
 
 
+def test_default_plan_has_enough_tolerances_to_fit():
+    result = run_scaling(ExperimentPlan(objective="quad-iso"))
+    entry = result.fits[4]
+    assert entry["note"] == ""
+    assert entry["exponent"] is not None and entry["semilog"] is not None
+
+
 # ---------------------------------------------------------------------------
 # start centers
 

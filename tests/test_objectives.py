@@ -1,5 +1,8 @@
 """Built-in objective suite: values, gradients, certified constants."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -152,26 +155,28 @@ def test_L_dominates_gradient_lipschitz_ratio(name, rng):
 
 
 # ---------------------------------------------------------------------------
-# evaluation accounting
-
-
-def test_value_calls_are_counted_but_gradients_are_not():
-    obj = builtin("quad-iso", 2)
-    assert obj.evaluations == 0
-    obj(np.zeros(2))
-    obj.evaluate(np.ones(2))
-    assert obj.evaluations == 2
-    obj.gradient(np.ones(2))
-    assert obj.evaluations == 2
-    obj.reset_evaluations()
-    assert obj.evaluations == 0
+# input checks and lifetime
 
 
 def test_dimension_mismatch_is_rejected_without_counting():
     obj = builtin("logsumexp", 3)
     with pytest.raises(ValueError):
         obj(np.zeros(4))
-    assert obj.evaluations == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin("quad-spectrum", 4),
+    lambda: Objective("mystery", 2, lambda x: float(x @ x)),
+])
+def test_objectives_are_freed_without_the_cycle_collector(make):
+    # a gradient stored as a bound method would make every Objective a
+    # reference cycle, which only gc frees: peak memory grows with it
+    gc.disable()
+    try:
+        ref = weakref.ref(make())
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_plain_objective_without_gradient():

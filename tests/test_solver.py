@@ -227,11 +227,44 @@ def test_regularity_failure_reports_the_affine_solve_gradient(monkeypatch):
     assert trace.summary["final_gradient_norm"] == pytest.approx(want, rel=1e-12)
 
 
+class _Counted:
+    """An objective wrapper that counts the value calls made to it."""
+
+    def __init__(self, obj):
+        self._obj = obj
+        self.calls = 0
+        self.gradient = obj.gradient
+        self.f_star = obj.f_star
+
+    def __call__(self, x):
+        self.calls += 1
+        return self._obj(x)
+
+
 def test_gap_stopping_without_f_star_fails_before_evaluating():
-    obj = builtin("damped-sine", 2)
+    obj = _Counted(builtin("damped-sine", 2))
     with pytest.raises(ValueError, match="known f"):
         run(obj, SolverConfig(n=2, stopping="gap"))
-    assert obj.evaluations == 0
+    assert obj.calls == 0
+
+
+@pytest.mark.parametrize("obj, cfg, reason", [
+    (builtin("quad-iso", 3), SolverConfig(n=3, epsilon=1e-5, center=2.0),
+     "epsilon-reached"),
+    # shrinks only, until the geometry drifts
+    (Objective("const", 2, lambda x: 1.0),
+     _theoretical_cfg(center=1.7, max_iterations=100_000), "regularity-failure"),
+    (builtin("sin-quad", 2),
+     SolverConfig(n=2, algorithm="reflection_only", stopping="none",
+                  max_iterations=50), "budget"),
+    (builtin("quad-iso", 2),
+     SolverConfig(n=2, stopping="none", max_evaluations=20), "budget"),
+])
+def test_objective_calls_are_the_calls_the_objective_saw(obj, cfg, reason):
+    counted = _Counted(obj)
+    trace = run(counted, cfg)
+    assert trace.reason == reason
+    assert trace.summary["objective_calls"] == counted.calls
 
 
 # ---------------------------------------------------------------------------
