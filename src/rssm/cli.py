@@ -8,7 +8,10 @@ Subcommands:
 * ``audit``         — re-check a saved trace against the per-step analysis.
 * ``scaling``       — sweep an (n, epsilon) grid and fit iteration orders.
 
-Exit codes: 0 success, 1 a check/run failed, 2 usage error.
+Exit codes: 0 success, 1 a check or run failed, 2 bad input (argument,
+value or file).  :func:`main` is the one place that decides the exit code;
+any exception but ``OSError``, ``ValueError`` and ``EvaluationError`` is a
+bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import sys
 import numpy as np
 
 from . import objectives
-from .simplex import CenterResolutionError, Simplex, make_regular_simplex
+from .simplex import Simplex, make_regular_simplex
 from .interpolation import CLASSES, QUERY_KINDS, SIGNS, bound_report
 from .solver import (ALGORITHMS, MODES, STOPPING_RULES, SolverConfig, Trace,
-                     run, EvaluationError, check_stopping)
-from .complexity import CASES, constants_for_trace, audit_trace
+                     run, EvaluationError)
+from .complexity import CASES, ETA_SPLIT, constants_for_trace, audit_trace
 from .experiments import ExperimentPlan, run_scaling, write_csv
 
 __all__ = ["build_parser", "main"]
@@ -35,8 +38,7 @@ def _parse_params(pairs) -> dict:
     for pair in pairs or ():
         key, _, value = pair.partition("=")
         if not _:
-            raise argparse.ArgumentTypeError(
-                f"expected KEY=VALUE, got {pair!r}")
+            raise ValueError(f"expected KEY=VALUE, got {pair!r}")
         params[key.replace("-", "_")] = float(value)
     return params
 
@@ -68,32 +70,16 @@ def _cmd_solve(args) -> int:
         for name in objectives.builtin_names():
             print(name)
         return 0
-    try:
-        params = _parse_params(args.param)
-        obj = objectives.builtin(args.objective, args.n, seed=args.seed,
-                                 **params)
-        L = args.L if args.L is not None else obj.L
-        cfg = SolverConfig(
-            n=args.n, delta0=args.delta0, gamma=args.gamma,
-            epsilon=args.epsilon, mode=args.mode, beta=args.beta,
-            eta=args.eta, L=L, algorithm=args.algorithm,
-            stopping=args.stopping, max_iterations=args.max_iter,
-            max_evaluations=args.max_evals,
-            center=_parse_point(args.start, args.n))
-        check_stopping(obj, cfg)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        trace = run(obj, cfg)
-    except CenterResolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    obj = objectives.builtin(args.objective, args.n, seed=args.seed,
+                             **_parse_params(args.param))
+    cfg = SolverConfig(
+        n=args.n, delta0=args.delta0, gamma=args.gamma,
+        epsilon=args.epsilon, mode=args.mode, beta=args.beta, eta=args.eta,
+        L=obj.L if args.L is None else args.L, algorithm=args.algorithm,
+        stopping=args.stopping, max_iterations=args.max_iter,
+        max_evaluations=args.max_evals,
+        center=_parse_point(args.start, args.n))
+    trace = run(obj, cfg)
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write(trace.to_json())
@@ -133,11 +119,7 @@ def _load_or_make_simplex(args) -> Simplex:
 
 
 def _cmd_verify_bounds(args) -> int:
-    try:
-        s = _load_or_make_simplex(args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    s = _load_or_make_simplex(args)
     reports = []
     failed = False
     for kind in QUERY_KINDS:
@@ -160,11 +142,7 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_worst_case(args) -> int:
-    try:
-        s = _load_or_make_simplex(args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    s = _load_or_make_simplex(args)
     gamma = args.gamma if args.kind == "shrink" else None
     rep = bound_report(s, args.kind, args.cls, args.L, gamma=gamma,
                        sign=args.sign)
@@ -185,23 +163,15 @@ def _cmd_worst_case(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    convex_case = args.case in ("convex", "strongly_convex")
-    if convex_case and args.R is None:
-        print("error: --R is required for convex cases", file=sys.stderr)
-        return 2
+    if args.case in ("convex", "strongly_convex") and args.R is None:
+        raise ValueError("--R is required for convex cases")
     if args.case == "strongly_convex" and args.mu is None:
-        print("error: --mu is required for the strongly_convex case",
-              file=sys.stderr)
-        return 2
-    try:
-        with open(args.trace_in) as fh:
-            trace = Trace.from_json(fh.read())
-        consts = constants_for_trace(trace, L=args.L, R=args.R, mu=args.mu,
-                                     eta_split=args.eta_split)
-        report = audit_trace(trace, consts, case=args.case, f_star=args.fstar)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--mu is required for the strongly_convex case")
+    with open(args.trace_in) as fh:
+        trace = Trace.from_json(fh.read())
+    consts = constants_for_trace(trace, L=args.L, R=args.R, mu=args.mu,
+                                 eta_split=args.eta_split)
+    report = audit_trace(trace, consts, case=args.case, f_star=args.fstar)
     print(report.to_json())
     return 0 if report.passed else 1
 
@@ -211,20 +181,15 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    try:
-        plan = ExperimentPlan(
-            objective=args.objective,
-            dims=tuple(int(v) for v in args.dims.split(",")),
-            epsilons=tuple(float(v) for v in args.epsilons.split(",")),
-            repetitions=args.reps, base_seed=args.seed,
-            center_distance=args.center_distance, delta0=args.delta0,
-            gamma=args.gamma, beta=args.beta,
-            max_iterations=args.max_iter, max_evaluations=args.max_evals,
-            objective_params=_parse_params(args.param))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    plan = ExperimentPlan(
+        objective=args.objective,
+        dims=tuple(int(v) for v in args.dims.split(",")),
+        epsilons=tuple(float(v) for v in args.epsilons.split(",")),
+        repetitions=args.reps, base_seed=args.seed,
+        center_distance=args.center_distance, delta0=args.delta0,
+        gamma=args.gamma, beta=args.beta,
+        max_iterations=args.max_iter, max_evaluations=args.max_evals,
+        objective_params=_parse_params(args.param))
     result = run_scaling(plan)
     if args.csv_out:
         with open(args.csv_out, "w", newline="") as fh:
@@ -319,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--R", type=float, default=None)
     p.add_argument("--fstar", type=float, default=None)
-    p.add_argument("--eta-split", type=float, default=0.5)
+    p.add_argument("--eta-split", type=float, default=ETA_SPLIT)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("scaling", help="run an (n, epsilon) scaling sweep")
@@ -348,7 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except EvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -47,6 +47,9 @@ AUDIT_RTOL = 1e-9
 
 CASES = ("nonconvex", "pl", "convex", "strongly_convex")
 
+# Default eta of the (1 - eta) factors in C1, d_thr, A and delta_cvx.
+ETA_SPLIT = 0.5
+
 
 def _tol(lhs: float, rhs: float) -> float:
     return AUDIT_RTOL * max(1.0, abs(lhs), abs(rhs))
@@ -85,7 +88,7 @@ class ComplexityConstants:
 
 def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
               delta0: float, R: float | None = None, mu: float | None = None,
-              eta_split: float = 0.5) -> ComplexityConstants:
+              eta_split: float = ETA_SPLIT) -> ComplexityConstants:
     """Evaluate every complexity constant available from the given inputs.
 
     R (radius of the initial mean-value sublevel set) unlocks the convex
@@ -139,7 +142,7 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
 
 def constants_for_trace(trace: Trace, L: float, R: float | None = None,
                         mu: float | None = None,
-                        eta_split: float = 0.5) -> ComplexityConstants:
+                        eta_split: float = ETA_SPLIT) -> ComplexityConstants:
     """Constants matching a trace's recorded run configuration.
 
     Practical-mode traces carry no beta; beta = 1 is used as a placeholder

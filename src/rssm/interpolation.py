@@ -509,7 +509,12 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     G, its eigensystem and the affine weights are computed once, by one
     g_matrix call, and shared by the bound, the extremal quadratic, the
     interpolant value and the mu certificate.
+
+    Raises:
+        ValueError: L is not positive and finite, or the query is invalid.
     """
+    if not (0.0 < L < np.inf):
+        raise ValueError(f"L must be positive and finite, got {L}")
     x = query_point(s, kind, gamma=gamma)
     g = g_matrix(s, x)
     bound = nuclear_bound_from_g(g, L, cls)

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .complexity import CASES
+
 __all__ = [
     "Objective",
     "builtin",
@@ -53,13 +55,13 @@ class Objective:
         mu: gradient-domination / strong-convexity constant, or None.
         f_star: minimal value, or None when no closed form exists.
         x_star: a minimizer, or None.
-        convexity: one of "nonconvex", "pl", "convex", "strongly_convex".
+        convexity: one of complexity.CASES.
     """
 
     def __init__(self, name: str, dim: int, fn, grad=None, L: float | None = None,
                  mu: float | None = None, f_star: float | None = None,
                  x_star=None, convexity: str = "nonconvex"):
-        if convexity not in ("nonconvex", "pl", "convex", "strongly_convex"):
+        if convexity not in CASES:
             raise ValueError(f"unknown convexity tag {convexity!r}")
         self.name = name
         self.dim = int(dim)
@@ -206,20 +208,23 @@ def builtin(name: str, n: int, seed: int | None = None, **params) -> Objective:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if name == "quad-iso":
-        return _make_quad_iso(n, params.pop("L", 1.0), params.pop("x_star", None))
-    if name == "quad-spectrum":
-        return _make_quad_spectrum(n, params.pop("mu", 0.1), params.pop("L", 10.0),
-                                   0 if seed is None else int(seed),
-                                   params.pop("x_star", None))
-    if name == "logsumexp":
-        return _make_logsumexp(n, params.pop("scale", 1.0))
-    if name == "sin-quad":
-        return _make_sin_quad(n)
-    if name == "damped-sine":
-        return _make_damped_sine(n)
-    raise ValueError(
-        f"unknown objective {name!r}; available: {', '.join(builtin_names())}"
-    )
+        obj = _make_quad_iso(n, params.pop("L", 1.0), params.pop("x_star", None))
+    elif name == "quad-spectrum":
+        obj = _make_quad_spectrum(n, params.pop("mu", 0.1), params.pop("L", 10.0),
+                                  0 if seed is None else int(seed),
+                                  params.pop("x_star", None))
+    elif name == "logsumexp":
+        obj = _make_logsumexp(n, params.pop("scale", 1.0))
+    elif name == "sin-quad":
+        obj = _make_sin_quad(n)
+    elif name == "damped-sine":
+        obj = _make_damped_sine(n)
+    else:
+        raise ValueError(f"unknown objective {name!r}; "
+                         f"available: {', '.join(builtin_names())}")
+    if params:
+        raise ValueError(f"{name} takes no parameter {', '.join(sorted(params))}")
+    return obj
 
 
 def builtin_names() -> tuple[str, ...]:

@@ -111,13 +111,19 @@ class Simplex:
 
     @classmethod
     def from_dict(cls, d: dict, check: bool = True) -> "Simplex":
-        s = cls(np.asarray(d["vertices"], dtype=float),
-                radius=float(d["radius"]), check=check)
-        if int(d["dim"]) != s.dim:
-            raise ValueError(
-                f"dim field {d['dim']} does not match vertex shape {s.vertices.shape}"
-            )
-        return s
+        """Inverse of :meth:`to_dict`; ValueError when `d` is not a simplex
+        (not an object, a key missing or mistyped, or a wrong `dim`)."""
+        try:
+            s = cls(np.asarray(d["vertices"], dtype=float),
+                    radius=float(d["radius"]), check=check)
+            if int(d["dim"]) != s.dim:
+                raise ValueError(f"dim field {d['dim']} does not match "
+                                 f"vertex shape {s.vertices.shape}")
+            return s
+        except KeyError as exc:
+            raise ValueError(f"malformed simplex: missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed simplex: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class SolverConfig:
 
     Attributes:
         n: dimension.
-        delta0: initial simplex radius (> 0).
+        delta0: initial simplex radius (> 0, finite).
         gamma: shrink factor in (0, 1).
         epsilon: stopping tolerance (> 0).
         mode: "theoretical" (sufficient decrease (2n+2)/n*beta*L*delta^2,
@@ -115,8 +115,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (self.delta0 > 0):
-            raise ValueError(f"delta0 must be positive, got {self.delta0}")
+        if not (0.0 < self.delta0 < math.inf):
+            raise ValueError(
+                f"delta0 must be positive and finite, got {self.delta0}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
         if not (self.epsilon > 0):
@@ -217,21 +218,27 @@ class Trace:
 
         Raises:
             ValueError: `d` is not a trace: `config`, `records` or `reason`
-                missing, `config` not an object, `records` not a list, or a
-                record that is not an object with exactly the record keys.
+                missing, `config` not an object, `records` not a list, a
+                record that is not an object with exactly the record keys,
+                or a config that lacks a :class:`SolverConfig` field.
         """
         try:
             config, records = d["config"], d["records"]
             if not isinstance(config, dict) or not isinstance(records, list):
                 raise ValueError("malformed trace: 'config' must be an object "
                                  "and 'records' a list")
-            return cls(config=config,
-                       records=[IterationRecord(**r) for r in records],
-                       reason=d["reason"], summary=d.get("summary", {}))
+            trace = cls(config=config,
+                        records=[IterationRecord(**r) for r in records],
+                        reason=d["reason"], summary=d.get("summary", {}))
         except KeyError as exc:
             raise ValueError(f"malformed trace: missing key {exc}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed trace: {exc}") from None
+        missing = [f.name for f in fields(SolverConfig) if f.name not in config]
+        if missing:
+            raise ValueError(
+                f"malformed trace: config lacks {', '.join(missing)}")
+        return trace
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,7 @@ def test_audit_invalid_json_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("payload", [
     {"records": 5},
     {"config": {"n": 2}, "records": [{"k": 0, "bogus": 1}], "reason": "budget"},
+    {"config": {"n": 2}, "records": [], "reason": "budget"},
 ])
 def test_audit_malformed_trace_is_usage_error(tmp_path, capsys, payload):
     path = tmp_path / "malformed.json"
@@ -388,3 +393,66 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
     assert ei.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code boundary: main maps bad input to 2 and a failed evaluation to 1
+
+
+# TMP in an argument is replaced by the test's temporary directory.
+BAD_INPUTS = [
+    pytest.param(2, ["verify-bounds", "--n", "3", "--gamma", "1.5"],
+                 id="a-verify-bounds-gamma"),
+    pytest.param(2, ["worst-case", "--n", "3", "--kind", "shrink",
+                     "--gamma", "0"], id="a-worst-case-gamma"),
+    pytest.param(2, ["scaling", "--objective", "quad-spectrum", "--dims", "2",
+                     "--param", "mu=20"], id="b-scaling-objective-param"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "2",
+                     "--trace-out", "TMP/missing/t.json"],
+                 id="c-solve-trace-out"),
+    pytest.param(2, ["scaling", "--objective", "quad-iso", "--dims", "2",
+                     "--csv-out", "TMP/missing/s.csv"], id="c-scaling-csv-out"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "2",
+                     "--delta0", "inf"], id="d-solve-delta0-inf"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "2",
+                     "--start", "nan"], id="d-solve-start-nan"),
+    pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/list.json"],
+                 id="e-simplex-list"),
+    pytest.param(2, ["worst-case", "--simplex-json", "TMP/null_radius.json"],
+                 id="e-simplex-null-radius"),
+    pytest.param(1, ["scaling", "--objective", "quad-iso", "--dims", "2",
+                     "--param", "x_star=nan"], id="f-scaling-evaluation"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--param", "foo=3"],
+                 id="g-solve-unknown-param"),
+    pytest.param(2, ["solve", "--objective", "sin-quad", "--param", "L=3"],
+                 id="g-solve-unread-param"),
+    pytest.param(2, ["worst-case", "--n", "2", "--L", "0"], id="h-worst-case-L"),
+    pytest.param(2, ["verify-bounds", "--n", "2", "--L", "-1"],
+                 id="h-verify-bounds-L"),
+]
+
+
+@pytest.mark.parametrize("code, argv", BAD_INPUTS)
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, code, argv):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "null_radius.json").write_text(json.dumps(
+        {"dim": 2, "radius": None, "vertices": [[0, 0], [1, 0], [0, 1]]}))
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code and out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_console_entry_point_exits_2_without_traceback():
+    # the in-process tests above never pass through sys.exit(main())
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rssm.cli", "solve", "--objective", "sin-quad",
+         "--param", "L=3"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: sin-quad takes no parameter L\n"

@@ -512,6 +512,13 @@ def test_bound_report_assembles_g_once(monkeypatch, rng, kind):
     assert (g_calls["count"], ell_calls["count"], eigh_calls["count"]) == (1, 1, 1)
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, float("inf"), float("nan")])
+def test_bound_report_rejects_L_outside_the_positive_reals(rng, L):
+    s = random_regular_simplex(3, rng)
+    with pytest.raises(ValueError, match="L must be positive and finite"):
+        bound_report(s, "reflection", "nonconvex", L)
+
+
 def test_report_carries_query_and_g(rng):
     s = random_regular_simplex(4, rng)
     rep = bound_report(s, "shrink", "convex", 1.0, gamma=0.25)

@@ -217,6 +217,17 @@ def test_quad_spectrum_mu_above_L_raises():
         builtin("quad-spectrum", 3, mu=2.0, L=1.0)
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("quad-iso", {"foo": 3.0}, "quad-iso takes no parameter foo"),
+    ("sin-quad", {"L": 3.0}, "sin-quad takes no parameter L"),
+    ("logsumexp", {"scale": 2.0, "mu": 1.0, "L": 1.0},
+     "logsumexp takes no parameter L, mu"),
+])
+def test_unread_parameters_raise(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        builtin(name, 2, **params)
+
+
 # ---------------------------------------------------------------------------
 # sublevel radii
 

@@ -304,6 +304,18 @@ def test_from_dict_validates_dim_field():
         Simplex.from_dict(d)
 
 
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    "5",
+    '{"dim": 2, "radius": null, "vertices": [[0, 0], [1, 0], [0, 1]]}',
+    '{"dim": 2, "radius": 1.0}',
+    '{"dim": null, "radius": 1.0, "vertices": [[0, 0], [1, 0], [0, 1]]}',
+], ids=["list", "number", "null-radius", "no-vertices", "null-dim"])
+def test_malformed_simplex_json_is_a_value_error(text):
+    with pytest.raises(ValueError, match="malformed simplex"):
+        Simplex.from_json(text)
+
+
 def test_copy_is_independent():
     s = make_regular_simplex(0.0, 1.0, 2)
     s2 = s.copy()

@@ -365,6 +365,7 @@ def test_true_gradient_stopping_requires_gradient():
     dict(n=2, stopping="clairvoyant"),
     dict(n=2, max_iterations=0),
     dict(n=2, max_evaluations=0),
+    dict(n=2, delta0=float("inf")),
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ValueError):
@@ -452,6 +453,15 @@ def test_malformed_trace_is_a_value_error(payload, what):
     with pytest.raises(ValueError, match="malformed trace") as ei:
         Trace.from_json(json.dumps(payload))
     assert what in str(ei.value)
+
+
+@pytest.mark.parametrize("key", ["gamma", "n", "center"])
+def test_trace_config_missing_a_field_is_a_value_error(key):
+    d = run(builtin("quad-iso", 2),
+            SolverConfig(n=2, stopping="none", max_iterations=3)).to_dict()
+    del d["config"][key]
+    with pytest.raises(ValueError, match=f"malformed trace: config lacks {key}"):
+        Trace.from_json(json.dumps(d))
 
 
 def test_identical_runs_produce_identical_json():
