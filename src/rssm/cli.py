@@ -27,7 +27,8 @@ from .simplex import Simplex, make_regular_simplex
 from .interpolation import CLASSES, QUERY_KINDS, SIGNS, bound_report
 from .solver import (ALGORITHMS, MODES, STOPPING_RULES, SolverConfig, Trace,
                      run, EvaluationError)
-from .complexity import CASES, ETA_SPLIT, constants_for_trace, audit_trace
+from .complexity import (CASES, CONVEX_CASES, ETA_SPLIT, constants_for_trace,
+                         audit_trace)
 from .experiments import ExperimentPlan, run_scaling, write_csv
 
 __all__ = ["build_parser", "main"]
@@ -123,9 +124,8 @@ def _cmd_verify_bounds(args) -> int:
     reports = []
     failed = False
     for kind in QUERY_KINDS:
-        gamma = args.gamma if kind == "shrink" else None
         for cls in CLASSES:
-            rep = bound_report(s, kind, cls, args.L, gamma=gamma)
+            rep = bound_report(s, kind, cls, args.L, gamma=args.gamma)
             entry = rep.to_dict()
             mu_ok = rep.mu.sharp if rep.mu.available else None
             entry["checks"] = {
@@ -143,8 +143,7 @@ def _cmd_verify_bounds(args) -> int:
 
 def _cmd_worst_case(args) -> int:
     s = _load_or_make_simplex(args)
-    gamma = args.gamma if args.kind == "shrink" else None
-    rep = bound_report(s, args.kind, args.cls, args.L, gamma=gamma,
+    rep = bound_report(s, args.kind, args.cls, args.L, gamma=args.gamma,
                        sign=args.sign)
     payload = rep.to_dict()
     payload["query"] = rep.query.tolist()
@@ -163,7 +162,7 @@ def _cmd_worst_case(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.case in ("convex", "strongly_convex") and args.R is None:
+    if args.case in CONVEX_CASES and args.R is None:
         raise ValueError("--R is required for convex cases")
     if args.case == "strongly_convex" and args.mu is None:
         raise ValueError("--mu is required for the strongly_convex case")
@@ -314,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite value is reported by the error it causes, not by a
+        # numpy warning ahead of the one error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,6 +46,8 @@ __all__ = [
 AUDIT_RTOL = 1e-9
 
 CASES = ("nonconvex", "pl", "convex", "strongly_convex")
+# The cases whose audits and stopping rule need convexity.
+CONVEX_CASES = ("convex", "strongly_convex")
 
 # Default eta of the (1 - eta) factors in C1, d_thr, A and delta_cvx.
 ETA_SPLIT = 0.5
@@ -146,7 +148,9 @@ def constants_for_trace(trace: Trace, L: float, R: float | None = None,
     """Constants matching a trace's recorded run configuration.
 
     Practical-mode traces carry no beta; beta = 1 is used as a placeholder
-    there (the beta-dependent audits are skipped for such traces anyway).
+    there.  :func:`audit_trace` skips every beta-dependent check and the
+    iteration prediction for such traces, so the placeholder reaches no
+    report.
     """
     cfg = trace.config
     beta = cfg.get("beta")
@@ -273,8 +277,8 @@ class AuditReport:
                 "counts": self.counts, "predicted": self.predicted,
                 "observed": self.observed}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def __str__(self) -> str:
         lines = [f"audit case={self.case} -> {'PASS' if self.passed else 'FAIL'}"]
@@ -381,7 +385,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     L = consts.L
     recs = trace.records
     report = AuditReport(case=case)
-    convex_case = case in ("convex", "strongly_convex")
+    convex_case = case in CONVEX_CASES
 
     # S at the start of iteration k+1 (None when unavailable for the tail).
     final_S = trace.summary.get("final_S")
@@ -534,7 +538,10 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
             d_bar0 = gap(S0)
     if d_bar0 is not None and d_bar0 >= 0:
         try:
-            if case == "pl":
+            if not theoretical:
+                # the bounds read beta, which a practical run does not have
+                report.predicted["unavailable"] = "needs theoretical mode"
+            elif case == "pl":
                 # Only an upper bound on the central gap is available from
                 # vertex values: f(c_0) <= mean + L*delta0^2/2.
                 d0 = d_bar0 + L * consts.delta0 ** 2 / 2.0

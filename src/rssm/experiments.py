@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import objectives
+from .complexity import CONVEX_CASES
 from .solver import SolverConfig, run
 
 __all__ = [
@@ -151,7 +152,6 @@ def semilog_fit(epsilons, counts) -> FitResult:
 
 @dataclass
 class ScalingResult:
-    plan: dict
     rows: list = field(default_factory=list)
     # {(n): {"exponent": FitResult|None, "semilog": FitResult|None, "note": str}}
     fits: dict = field(default_factory=dict)
@@ -174,7 +174,7 @@ def write_csv(rows, fileobj) -> None:
 
 
 def _stopping_for(obj) -> str:
-    if obj.convexity in ("convex", "strongly_convex"):
+    if obj.convexity in CONVEX_CASES:
         return "gap"
     return "true_gradient"
 
@@ -226,7 +226,7 @@ def run_scaling(plan: ExperimentPlan) -> ScalingResult:
                 rows.append(run_cell(plan, n, epsilon, plan.base_seed + rep))
     rows.sort(key=lambda r: (r.objective, r.n, -r.epsilon, r.seed))
 
-    result = ScalingResult(plan=plan.to_dict(), rows=rows)
+    result = ScalingResult(rows=rows)
     for n in plan.dims:
         good = result.rows_for_fit(n)
         eps = [r.epsilon for r in good]

@@ -409,8 +409,8 @@ class Quadratic:
     def spectral_norm(self) -> float:
         return float(np.linalg.norm(self.H, 2))
 
-    def is_convex(self, tol: float = 1e-12) -> bool:
-        return bool(np.linalg.eigvalsh(self.H).min() >= -tol)
+    def is_convex(self) -> bool:
+        return bool(np.linalg.eigvalsh(self.H).min() >= -1e-12)
 
 
 def worst_case_quadratic(g: GMatrix, L: float, cls: str,
@@ -524,10 +524,10 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
         else:
             sign = "positive"
     quad = worst_case_quadratic(g, L, cls, sign=sign)
-    # f(u - centre) at every vertex u at once: c + Y v + (1/2) rowsum((Y H) o Y)
+    # f(u - centre) at every vertex u (c = 0, v = 0): (1/2) rowsum((Y H) o Y)
     centre = s.centroid()
     Y = s.vertices - centre[None, :]
-    values = quad.c + Y @ quad.v + 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
+    values = 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
     achieved = abs(float(g.coefficients.ell[1:] @ values) - quad(x - centre))
     return BoundReport(kind=kind, cls=cls, bound=bound, achieved=achieved,
                        mu=_mu_from_g(g), quadratic=quad, query=x, g=g)

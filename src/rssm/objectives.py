@@ -27,6 +27,8 @@ inequality gives the same constant in every dimension.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .complexity import CASES
@@ -105,9 +107,23 @@ def _haar_orthogonal(n: int, seed: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))[None, :]
 
 
-def _make_quad_iso(n: int, L: float, x_star) -> Objective:
+def _positive(name: str, value: float) -> None:
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _minimizer(n: int, x_star) -> np.ndarray:
+    """x_star broadcast to R^n (the origin when None); ValueError if not finite."""
     xs = np.zeros(n) if x_star is None else np.broadcast_to(
         np.asarray(x_star, dtype=float), (n,)).copy()
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"x_star must be finite, got {x_star}")
+    return xs
+
+
+def _make_quad_iso(n: int, L: float, x_star) -> Objective:
+    _positive("L", L)
+    xs = _minimizer(n, x_star)
 
     def fn(x):
         return 0.5 * L * float(np.sum((x - xs) ** 2))
@@ -120,7 +136,9 @@ def _make_quad_iso(n: int, L: float, x_star) -> Objective:
 
 
 def _make_quad_spectrum(n: int, mu: float, L: float, seed: int, x_star) -> Objective:
-    if not (0.0 < mu <= L):
+    _positive("mu", mu)
+    _positive("L", L)
+    if not (mu <= L):
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     if n == 1:
         eigs = np.array([L])
@@ -129,8 +147,7 @@ def _make_quad_spectrum(n: int, mu: float, L: float, seed: int, x_star) -> Objec
     Q = _haar_orthogonal(n, seed)
     H = (Q * eigs) @ Q.T
     H = 0.5 * (H + H.T)
-    xs = np.zeros(n) if x_star is None else np.broadcast_to(
-        np.asarray(x_star, dtype=float), (n,)).copy()
+    xs = _minimizer(n, x_star)
 
     def fn(x):
         y = x - xs
@@ -147,8 +164,8 @@ def _make_quad_spectrum(n: int, mu: float, L: float, seed: int, x_star) -> Objec
 
 
 def _make_logsumexp(n: int, scale: float) -> Objective:
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    _positive("scale", scale)
+    _positive("L = scale*scale", scale * scale)
 
     def fn(x):
         z = np.concatenate([scale * x, -scale * x])

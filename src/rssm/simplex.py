@@ -45,7 +45,8 @@ class CenterResolutionError(ValueError):
 
     Adding the centre rounds every vertex coordinate to a spacing of about
     eps*||c||_inf; once that is not small against the radius, no simplex
-    built there is regular to GEOMETRY_RTOL.
+    built there is regular to GEOMETRY_RTOL.  A subnormal radius is too
+    coarse to be regular at any centre, the origin included.
     """
 
 
@@ -110,12 +111,12 @@ class Simplex:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, check: bool = True) -> "Simplex":
+    def from_dict(cls, d: dict) -> "Simplex":
         """Inverse of :meth:`to_dict`; ValueError when `d` is not a simplex
         (not an object, a key missing or mistyped, or a wrong `dim`)."""
         try:
             s = cls(np.asarray(d["vertices"], dtype=float),
-                    radius=float(d["radius"]), check=check)
+                    radius=float(d["radius"]))
             if int(d["dim"]) != s.dim:
                 raise ValueError(f"dim field {d['dim']} does not match "
                                  f"vertex shape {s.vertices.shape}")
@@ -129,8 +130,8 @@ class Simplex:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str, check: bool = True) -> "Simplex":
-        return cls.from_dict(json.loads(text), check=check)
+    def from_json(cls, text: str) -> "Simplex":
+        return cls.from_dict(json.loads(text))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simplex(dim={self.dim}, radius={self.radius:.6g})"
@@ -171,8 +172,8 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
 
     Raises:
         ValueError: nonpositive radius, n < 1, or center of wrong length.
-        CenterResolutionError: the radius is too small for its centre, so
-            the rounded vertices are not regular to GEOMETRY_RTOL.
+        CenterResolutionError: the radius is subnormal or too small for its
+            centre, so the rounded vertices are not regular to GEOMETRY_RTOL.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -183,16 +184,10 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
     s = Simplex(c[None, :] + Y, radius=float(radius), check=False)
     rep = regularity_report(s)
     if rep.max_deviation() > GEOMETRY_RTOL:
-        at_origin = Simplex(Y, radius=float(radius), check=False)
-        if regularity_report(at_origin).max_deviation() <= GEOMETRY_RTOL:
-            raise CenterResolutionError(
-                f"radius {radius:.3g} is too small for centre scale "
-                f"{np.abs(c).max():.3g} (max |c_i|): the rounded vertices "
-                f"drift by {rep}"
-            )
-        # Cannot happen for a correct construction; guard against regressions.
-        raise AssertionError(
-            f"freshly built simplex not regular: {rep}"
+        raise CenterResolutionError(
+            f"radius {radius:.3g} is too small for centre scale "
+            f"{np.abs(c).max():.3g} (max |c_i|): the rounded vertices "
+            f"drift by {rep}"
         )
     return s
 
@@ -305,9 +300,10 @@ def regularity_report(s: Simplex) -> RegularityReport:
     Compares every centroid-to-vertex distance against the stored radius and
     every pairwise edge length against the ideal sqrt(2(1+1/n))*radius.
     Both come from the Gram matrix G = Y Y^T of the radius-normalised
-    centred vertices Y: radii are sqrt(G_ii) and edges
-    sqrt(G_ii + G_jj - 2 G_ij), so the check needs O(n^2) memory and no
-    (n+1) x (n+1) x n table of pairwise differences.
+    centred vertices Y: squared radii are G_ii and squared edges
+    G_ii + G_jj - 2 G_ij, so the check needs O(n^2) memory and no
+    (n+1) x (n+1) x n table of pairwise differences.  Only the smallest and
+    largest squared lengths are read (see :func:`_extreme_deviation`).
 
     Returns:
         RegularityReport with the two maximal relative deviations.
@@ -316,18 +312,26 @@ def regularity_report(s: Simplex) -> RegularityReport:
     Y = _unit_frame(s)
     G = Y @ Y.T
     sq = G.diagonal()
-    rad_dev = float(np.abs(np.sqrt(sq) - 1.0).max())
     ideal_edge = math.sqrt(2.0 * (1.0 + 1.0 / n))
-    # one (n+1) x (n+1) buffer, updated in place
-    dev = sq[:, None] + sq[None, :]
-    dev -= 2.0 * G
-    np.maximum(dev, 0.0, out=dev)
-    np.sqrt(dev, out=dev)
-    dev -= ideal_edge
-    np.abs(dev, out=dev)
-    np.fill_diagonal(dev, 0.0)
-    edge_dev = float(dev.max()) / ideal_edge
-    return RegularityReport(rad_dev, edge_dev)
+    # squared edges, the diagonal overwritten by an edge so it sets no extreme
+    q = sq[:, None] + sq[None, :]
+    q -= 2.0 * G
+    q.ravel()[::n + 2] = q[0, 1]
+    return RegularityReport(_extreme_deviation(sq, 1.0),
+                            _extreme_deviation(q, ideal_edge) / ideal_edge)
+
+
+def _extreme_deviation(sq: np.ndarray, ideal: float) -> float:
+    """max |sqrt(max(q, 0)) - ideal| over the squared lengths q in `sq`.
+
+    Correctly rounded sqrt and subtraction are monotone, so the maximum is
+    reached at the smallest or the largest q, bit for bit; NaN if any is NaN.
+    """
+    lo, hi = float(sq.min()), float(sq.max())
+    if hi != hi:
+        return math.nan
+    return max(math.sqrt(max(hi, 0.0)) - ideal,
+               ideal - math.sqrt(max(lo, 0.0)))
 
 
 def _unit_frame(s: Simplex) -> np.ndarray:

@@ -45,12 +45,15 @@ __all__ = [
     "accept_reflection",
     "step",
     "run",
-    "check_stopping",
 ]
 
 MODES = ("theoretical", "practical")
 ALGORITHMS = ("rssm", "reflection_only")
 STOPPING_RULES = ("simplex_gradient", "true_gradient", "gap", "none")
+
+_STEPS = ("reflection", "shrink")
+# the JSON number types of a record's float fields (bool is an int subclass)
+_REAL = (int, float)
 
 # A solver run fails loudly once accumulated geometric drift exceeds this.
 REGULARITY_FAIL_TOL = 1e-6
@@ -220,7 +223,9 @@ class Trace:
             ValueError: `d` is not a trace: `config`, `records` or `reason`
                 missing, `config` not an object, `records` not a list, a
                 record that is not an object with exactly the record keys,
-                or a config that lacks a :class:`SolverConfig` field.
+                a config that lacks a :class:`SolverConfig` field or that
+                :class:`SolverConfig` rejects, or a record with a mistyped
+                field or an unknown step.
         """
         try:
             config, records = d["config"], d["records"]
@@ -238,6 +243,20 @@ class Trace:
         if missing:
             raise ValueError(
                 f"malformed trace: config lacks {', '.join(missing)}")
+        try:
+            SolverConfig(**config)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed trace: {exc}") from None
+        for r in trace.records:
+            # one unrolled test per record: this runs on every loaded record
+            if not (type(r.k) is int and type(r.accepted) is bool
+                    and r.step in _STEPS and type(r.delta) in _REAL
+                    and type(r.S) in _REAL and type(r.f_best) in _REAL
+                    and type(r.f_worst) in _REAL and type(r.v) in _REAL
+                    and type(r.v_r) in _REAL
+                    and type(r.simplex_gradient_norm) in _REAL):
+                raise ValueError(f"malformed trace: mistyped field or unknown "
+                                 f"step in {r}")
         return trace
 
     @classmethod
@@ -345,7 +364,7 @@ def step(state: SolverState, objective, cfg: SolverConfig,
     return state, record
 
 
-def check_stopping(objective, cfg: SolverConfig) -> None:
+def _check_stopping(objective, cfg: SolverConfig) -> None:
     """Raise ValueError when the objective lacks what cfg.stopping reads.
 
     "true_gradient" needs an exact gradient and "gap" a known f*.
@@ -363,7 +382,7 @@ def _stopping_value(state: SolverState, objective, cfg: SolverConfig,
     """Current value of the stopping criterion, or None when stopping='none'.
 
     `grad_norm` is the norm of the current simplex gradient; the objective
-    has passed :func:`check_stopping`.
+    has passed :func:`_check_stopping`.
     """
     if cfg.stopping == "none":
         return None
@@ -391,11 +410,11 @@ def run(objective, cfg: SolverConfig) -> Trace:
 
     Raises:
         ValueError: the objective cannot serve cfg.stopping
-            (:func:`check_stopping`); raised before any evaluation.
+            (:func:`_check_stopping`); raised before any evaluation.
         EvaluationError: the objective produced NaN/inf (aborts the run).
         CenterResolutionError: cfg.delta0 is too small for cfg.center.
     """
-    check_stopping(objective, cfg)
+    _check_stopping(objective, cfg)
     state = _init_state(objective, cfg)
     trace = Trace(config=cfg.to_dict())
 

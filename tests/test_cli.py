@@ -97,6 +97,28 @@ def test_solve_far_start_is_usage_error(capsys):
     assert "radius 1 " in lines[0] and "centre scale 1e+08" in lines[0]
 
 
+def test_solve_start_vector(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--objective", "quad-iso",
+                           "--n", "2", "--start", "1,2", "--summary")
+    assert code == 0
+    assert out.startswith("quad-iso,2,") and out.endswith(",epsilon-reached\n")
+
+
+def test_solve_start_of_wrong_length_names_the_count(capsys):
+    code, out, err = run_cli(capsys, "solve", "--objective", "quad-iso",
+                             "--n", "2", "--start", "1,2,3")
+    assert (code, out) == (2, "")
+    assert err == "error: --start needs 1 or 2 components, got 3\n"
+
+
+def test_subnormal_radius_is_a_resolution_error(capsys):
+    code, out, err = run_cli(capsys, "verify-bounds", "--n", "3",
+                             "--radius", "1e-315")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: radius 1e-315 is too small for centre "
+                          "scale 0 (max |c_i|)")
+
+
 def test_solve_gap_stopping_without_f_star_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "solve", "--objective", "damped-sine",
                              "--n", "2", "--stopping", "gap")
@@ -163,6 +185,23 @@ def test_verify_bounds_far_simplex_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify-bounds", "--simplex-json", str(path))
     assert code == 0
     assert json.loads(out)["all_ok"] is True
+
+
+def test_verify_bounds_fails_on_an_irregular_simplex(tmp_path, capsys):
+    # the reflection point of this simplex has a negative mu certificate
+    path = tmp_path / "irregular.json"
+    path.write_text(json.dumps({"dim": 3, "radius": 1.0, "vertices": [
+        [-1.144, -1.716, -0.279], [0.281, 1.282, 0.282],
+        [0.806, -1.226, -0.023], [0.124, 0.862, 0.116]]}))
+    code, out, err = run_cli(capsys, "verify-bounds", "--simplex-json",
+                             str(path))
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["all_ok"] is False
+    mu_ok = {(r["kind"], r["class"]): r["checks"]["mu_nonnegative"]
+             for r in payload["reports"]}
+    assert mu_ok[("reflection", "nonconvex")] is False
+    assert mu_ok[("reflection", "convex")] is False
 
 
 def test_verify_bounds_bad_file_is_usage_error(tmp_path, capsys):
@@ -265,6 +304,47 @@ def test_audit_detects_corrupted_trace(saved_trace, tmp_path, capsys):
     assert payload["passed"] is False
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert statuses["radius_law"] == "fail"
+
+
+# one field of the README sin-quad trace, set to a value of the wrong type
+TRACE_FAULTS = [
+    pytest.param("records", "delta", "x", id="record-delta-str"),
+    pytest.param("records", "S", None, id="record-S-null"),
+    pytest.param("records", "step", "bogus", id="record-step-unknown"),
+    pytest.param("records", "accepted", 1, id="record-accepted-int"),
+    pytest.param("records", "k", 1.0, id="record-k-float"),
+    pytest.param("records", "v", True, id="record-v-bool"),
+    pytest.param("config", "n", "x", id="config-n-str"),
+    pytest.param("config", "mode", "bogus", id="config-mode-unknown"),
+    pytest.param("config", "extra", 1, id="config-extra-field"),
+]
+
+
+@pytest.fixture()
+def sin_quad_trace(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    code, _, _ = run_cli(capsys, "solve", "--objective", "sin-quad", "--n", "2",
+                         "--mode", "theoretical", "--beta", "1", "--L", "8",
+                         "--stopping", "true_gradient", "--epsilon", "1e-3",
+                         "--start", "1.7", "--trace-out", str(path))
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("part, key, value", TRACE_FAULTS)
+def test_audit_mistyped_trace_field_is_usage_error(sin_quad_trace, tmp_path,
+                                                   capsys, part, key, value):
+    target = sin_quad_trace[part]
+    (target[1] if part == "records" else target)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(sin_quad_trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--case", "pl", "--L", "8", "--fstar", "0")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed trace: ")
+    with pytest.raises(ValueError, match="malformed trace"):
+        Trace.from_dict(sin_quad_trace)
 
 
 def test_audit_requires_R_for_convex(capsys):
@@ -421,7 +501,9 @@ BAD_INPUTS = [
     pytest.param(2, ["worst-case", "--simplex-json", "TMP/null_radius.json"],
                  id="e-simplex-null-radius"),
     pytest.param(1, ["scaling", "--objective", "quad-iso", "--dims", "2",
-                     "--param", "x_star=nan"], id="f-scaling-evaluation"),
+                     "--delta0", "1e300"], id="f-scaling-evaluation"),
+    pytest.param(1, ["solve", "--objective", "quad-iso", "--n", "3",
+                     "--delta0", "1e300"], id="f-solve-overflow"),
     pytest.param(2, ["solve", "--objective", "quad-iso", "--param", "foo=3"],
                  id="g-solve-unknown-param"),
     pytest.param(2, ["solve", "--objective", "sin-quad", "--param", "L=3"],
@@ -429,6 +511,46 @@ BAD_INPUTS = [
     pytest.param(2, ["worst-case", "--n", "2", "--L", "0"], id="h-worst-case-L"),
     pytest.param(2, ["verify-bounds", "--n", "2", "--L", "-1"],
                  id="h-verify-bounds-L"),
+    # a subnormal radius is irregular at every centre
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "3",
+                     "--delta0", "1e-320"], id="i-solve-subnormal-delta0"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "3",
+                     "--delta0", "1e-315"], id="i-solve-subnormal-delta0-b"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "3",
+                     "--delta0", "5e-324"], id="i-solve-least-delta0"),
+    pytest.param(2, ["verify-bounds", "--n", "3", "--radius", "1e-315"],
+                 id="i-verify-bounds-subnormal-radius"),
+    pytest.param(2, ["worst-case", "--n", "2", "--radius", "5e-324"],
+                 id="i-worst-case-least-radius"),
+    pytest.param(2, ["scaling", "--objective", "quad-iso", "--dims", "2",
+                     "--epsilons", "1", "--delta0", "1e-320"],
+                 id="i-scaling-subnormal-delta0"),
+    # builtin parameters are checked where they are read
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--param", "L=-1"],
+                 id="j-quad-iso-L-negative"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--param", "L=0"],
+                 id="j-quad-iso-L-zero"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--param", "L=inf"],
+                 id="j-quad-iso-L-inf"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--param",
+                     "x_star=nan"], id="j-quad-iso-x-star-nan"),
+    pytest.param(2, ["scaling", "--objective", "quad-iso", "--dims", "2",
+                     "--param", "x_star=nan"], id="j-scaling-x-star-nan"),
+    pytest.param(2, ["solve", "--objective", "logsumexp", "--param",
+                     "scale=inf"], id="j-logsumexp-scale-inf"),
+    pytest.param(2, ["solve", "--objective", "logsumexp", "--param",
+                     "scale=nan"], id="j-logsumexp-scale-nan"),
+    pytest.param(2, ["solve", "--objective", "logsumexp", "--param",
+                     "scale=1e300"], id="j-logsumexp-L-overflow"),
+    pytest.param(2, ["solve", "--objective", "quad-spectrum", "--param",
+                     "L=inf"], id="j-quad-spectrum-L-inf"),
+    pytest.param(2, ["solve", "--objective", "quad-spectrum", "--param",
+                     "mu=nan"], id="j-quad-spectrum-mu-nan"),
+    # --start is one number or n of them
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "2",
+                     "--start", "1,2,3"], id="k-solve-start-length"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "2",
+                     "--start", "1,x"], id="k-solve-start-not-a-number"),
 ]
 
 

@@ -208,6 +208,19 @@ def test_constants_for_trace_practical_defaults_beta_to_one():
     assert constants_for_trace(trace, L=1.0).beta == 1.0
 
 
+def test_practical_trace_predicts_no_iteration_count():
+    # the placeholder beta of a practical trace must not reach a prediction
+    obj = builtin("sin-quad", 2)
+    trace = run(obj, SolverConfig(n=2, epsilon=1e-3, stopping="true_gradient",
+                                  center=1.7))
+    report = audit_trace(trace, constants_for_trace(trace, L=obj.L),
+                         case="pl", f_star=0.0)
+    assert report.predicted == {"unavailable": "needs theoretical mode",
+                                "d_bar0": trace.records[0].S / 3.0}
+    assert {c.name: c.status for c in report.checks}["iteration_bound"] == \
+        "skipped"
+
+
 # ---------------------------------------------------------------------------
 # trace audits on synthetic traces
 

@@ -218,6 +218,24 @@ def test_quad_spectrum_mu_above_L_raises():
 
 
 @pytest.mark.parametrize("name, params, message", [
+    ("quad-iso", {"L": -1.0}, "L must be positive and finite"),
+    ("quad-iso", {"L": 0.0}, "L must be positive and finite"),
+    ("quad-iso", {"L": np.inf}, "L must be positive and finite"),
+    ("quad-iso", {"x_star": np.nan}, "x_star must be finite"),
+    ("quad-iso", {"x_star": [0.0, np.inf]}, "x_star must be finite"),
+    ("quad-spectrum", {"L": np.inf}, "L must be positive and finite"),
+    ("quad-spectrum", {"mu": np.nan}, "mu must be positive and finite"),
+    ("quad-spectrum", {"x_star": -np.inf}, "x_star must be finite"),
+    ("logsumexp", {"scale": np.inf}, "scale must be positive and finite"),
+    ("logsumexp", {"scale": np.nan}, "scale must be positive and finite"),
+    ("logsumexp", {"scale": 1e300}, "L = scale\\*scale must be positive"),
+])
+def test_builtin_parameters_are_checked_where_read(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        builtin(name, 2, **params)
+
+
+@pytest.mark.parametrize("name, params, message", [
     ("quad-iso", {"foo": 3.0}, "quad-iso takes no parameter foo"),
     ("sin-quad", {"L": 3.0}, "sin-quad takes no parameter L"),
     ("logsumexp", {"scale": 2.0, "mu": 1.0, "L": 1.0},

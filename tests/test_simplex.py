@@ -81,6 +81,14 @@ def test_far_centre_is_a_resolution_error():
     make_regular_simplex(1e4, 1.0, 3)
 
 
+@pytest.mark.parametrize("radius", [1e-315, 1e-320, 5e-324])
+@pytest.mark.parametrize("n", [2, 3])
+def test_subnormal_radius_is_a_resolution_error_at_the_origin(radius, n):
+    # a subnormal radius has too few bits for a regular simplex anywhere
+    with pytest.raises(CenterResolutionError, match="centre scale 0 "):
+        make_regular_simplex(np.zeros(n), radius, n)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_nonpositive_radius_rejected(bad):
     with pytest.raises(ValueError):
@@ -372,6 +380,15 @@ def test_closed_form_gradient_equals_the_mean_formula():
         assert np.array_equal(regular_simplex_gradient(s, f), want)
 
 
+def _overflowing_simplices():
+    """Simplices whose radius-normalised frame overflows to inf and NaN."""
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 8):
+        V = 1e10 * rng.standard_normal((n + 1, n))
+        for radius in (1e-300, 1e-310, 5e-324):
+            yield Simplex(V, radius=radius, check=False)
+
+
 def test_regularity_report_equals_the_out_of_place_formula():
     for s in _offset_simplices():
         n = s.dim
@@ -385,3 +402,24 @@ def test_regularity_report_equals_the_out_of_place_formula():
         rep = regularity_report(s)
         assert rep.max_radius_deviation == float(np.abs(np.sqrt(sq) - 1.0).max())
         assert rep.max_edge_deviation == float(dev.max() / ideal_edge)
+
+
+def test_regularity_report_propagates_inf_and_nan_as_the_formula_does():
+    seen = set()
+    with np.errstate(all="ignore"):
+        for s in _overflowing_simplices():
+            n = s.dim
+            Y = (s.vertices - s.vertices.mean(axis=0)[None, :]) / s.radius
+            G = Y @ Y.T
+            sq = G.diagonal()
+            ideal_edge = np.sqrt(2.0 * (1.0 + 1.0 / n))
+            dev = np.abs(np.sqrt(np.maximum(
+                sq[:, None] + sq[None, :] - 2.0 * G, 0.0)) - ideal_edge)
+            np.fill_diagonal(dev, 0.0)
+            want = (float(np.abs(np.sqrt(sq) - 1.0).max()),
+                    float(dev.max() / ideal_edge))
+            rep = regularity_report(s)
+            got = (rep.max_radius_deviation, rep.max_edge_deviation)
+            np.testing.assert_array_equal(got, want)
+            seen.update(map(repr, got))
+    assert {"inf", "nan"} <= seen
