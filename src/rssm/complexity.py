@@ -46,7 +46,6 @@ __all__ = [
 AUDIT_RTOL = 1e-9
 
 CASES = ("nonconvex", "pl", "convex", "strongly_convex")
-# The cases whose audits and stopping rule need convexity.
 CONVEX_CASES = ("convex", "strongly_convex")
 
 # Default eta of the (1 - eta) factors in C1, d_thr, A and delta_cvx.

@@ -114,9 +114,10 @@ def _positive(name: str, value: float) -> None:
 
 def _minimizer(n: int, x_star) -> np.ndarray:
     """x_star broadcast to R^n (the origin when None); ValueError if not finite."""
-    xs = np.zeros(n) if x_star is None else np.broadcast_to(
-        np.asarray(x_star, dtype=float), (n,)).copy()
-    if not np.all(np.isfinite(xs)):
+    if x_star is None:
+        return np.zeros(n)
+    xs = np.broadcast_to(np.asarray(x_star, dtype=float), (n,)).copy()
+    if not np.isfinite(xs).all():
         raise ValueError(f"x_star must be finite, got {x_star}")
     return xs
 

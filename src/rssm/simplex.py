@@ -45,8 +45,7 @@ class CenterResolutionError(ValueError):
 
     Adding the centre rounds every vertex coordinate to a spacing of about
     eps*||c||_inf; once that is not small against the radius, no simplex
-    built there is regular to GEOMETRY_RTOL.  A subnormal radius is too
-    coarse to be regular at any centre, the origin included.
+    built there is regular to GEOMETRY_RTOL; at a subnormal radius, none is.
     """
 
 
@@ -300,10 +299,9 @@ def regularity_report(s: Simplex) -> RegularityReport:
     Compares every centroid-to-vertex distance against the stored radius and
     every pairwise edge length against the ideal sqrt(2(1+1/n))*radius.
     Both come from the Gram matrix G = Y Y^T of the radius-normalised
-    centred vertices Y: squared radii are G_ii and squared edges
-    G_ii + G_jj - 2 G_ij, so the check needs O(n^2) memory and no
-    (n+1) x (n+1) x n table of pairwise differences.  Only the smallest and
-    largest squared lengths are read (see :func:`_extreme_deviation`).
+    centred vertices Y: radii are sqrt(G_ii) and edges
+    sqrt(G_ii + G_jj - 2 G_ij), so the check needs O(n^2) memory and no
+    (n+1) x (n+1) x n table of pairwise differences.
 
     Returns:
         RegularityReport with the two maximal relative deviations.
@@ -322,13 +320,10 @@ def regularity_report(s: Simplex) -> RegularityReport:
 
 
 def _extreme_deviation(sq: np.ndarray, ideal: float) -> float:
-    """max |sqrt(max(q, 0)) - ideal| over the squared lengths q in `sq`.
-
-    Correctly rounded sqrt and subtraction are monotone, so the maximum is
-    reached at the smallest or the largest q, bit for bit; NaN if any is NaN.
-    """
+    """max |sqrt(max(q, 0)) - ideal| over the squared lengths q in `sq`, bit
+    for bit from the two extremes: rounded sqrt and subtraction are monotone."""
     lo, hi = float(sq.min()), float(sq.max())
-    if hi != hi:
+    if hi != hi:  # numpy's min and max propagate a NaN
         return math.nan
     return max(math.sqrt(max(hi, 0.0)) - ideal,
                ideal - math.sqrt(max(lo, 0.0)))

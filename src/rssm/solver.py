@@ -52,8 +52,9 @@ ALGORITHMS = ("rssm", "reflection_only")
 STOPPING_RULES = ("simplex_gradient", "true_gradient", "gap", "none")
 
 _STEPS = ("reflection", "shrink")
-# the JSON number types of a record's float fields (bool is an int subclass)
-_REAL = (int, float)
+# the JSON number types of a record's float fields (bool is an int subclass),
+# float first as nearly every value is one
+_REAL = (float, int)
 
 # A solver run fails loudly once accumulated geometric drift exceeds this.
 REGULARITY_FAIL_TOL = 1e-6
@@ -412,7 +413,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
         ValueError: the objective cannot serve cfg.stopping
             (:func:`_check_stopping`); raised before any evaluation.
         EvaluationError: the objective produced NaN/inf (aborts the run).
-        CenterResolutionError: cfg.delta0 is too small for cfg.center.
+        CenterResolutionError: cfg.delta0 cannot be resolved at cfg.center.
     """
     _check_stopping(objective, cfg)
     state = _init_state(objective, cfg)

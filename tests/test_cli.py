@@ -111,14 +111,6 @@ def test_solve_start_of_wrong_length_names_the_count(capsys):
     assert err == "error: --start needs 1 or 2 components, got 3\n"
 
 
-def test_subnormal_radius_is_a_resolution_error(capsys):
-    code, out, err = run_cli(capsys, "verify-bounds", "--n", "3",
-                             "--radius", "1e-315")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: radius 1e-315 is too small for centre "
-                          "scale 0 (max |c_i|)")
-
-
 def test_solve_gap_stopping_without_f_star_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "solve", "--objective", "damped-sine",
                              "--n", "2", "--stopping", "gap")
@@ -546,9 +538,6 @@ BAD_INPUTS = [
                      "L=inf"], id="j-quad-spectrum-L-inf"),
     pytest.param(2, ["solve", "--objective", "quad-spectrum", "--param",
                      "mu=nan"], id="j-quad-spectrum-mu-nan"),
-    # --start is one number or n of them
-    pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "2",
-                     "--start", "1,2,3"], id="k-solve-start-length"),
     pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "2",
                      "--start", "1,x"], id="k-solve-start-not-a-number"),
 ]
