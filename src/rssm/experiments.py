@@ -193,8 +193,6 @@ def run_cell(plan: ExperimentPlan, n: int, epsilon: float, seed: int) -> Scaling
     """Solve one grid cell and package the CSV row."""
     obj = objectives.builtin(plan.objective, n, seed=seed,
                              **plan.objective_params)
-    if obj.L is None:
-        raise ValueError(f"objective {plan.objective!r} lacks L metadata")
     stopping = _stopping_for(obj)
     cfg = SolverConfig(
         n=n, delta0=plan.delta0, gamma=plan.gamma, epsilon=epsilon,

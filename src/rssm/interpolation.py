@@ -25,12 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .simplex import (
-    DegenerateSimplexError,
-    Simplex,
-    reflect_worst,
-    shrink_toward_best,
-)
+from .simplex import (DegenerateSimplexError, Simplex, _affine_system,
+                      _check_nonsingular, reflect_worst, shrink_toward_best)
 
 __all__ = [
     "QueryCoefficients",
@@ -68,10 +64,6 @@ EIG_ZERO_RTOL = 1e-9
 # The sharpness certificate accepts mu down to this (rounding in the solve).
 MU_TOL = -1e-12
 
-# Reciprocal-condition threshold below which the affine system is treated
-# as singular.
-RCOND_MIN = 1e-12
-
 
 @dataclass
 class QueryCoefficients:
@@ -93,34 +85,9 @@ class QueryCoefficients:
         return tuple(i for i in range(len(self.ell)) if i not in inhabited)
 
 
-def _affine_system(s: Simplex) -> tuple[np.ndarray, float, np.ndarray]:
-    """Centroid c, coordinate scale and the (n+1)x(n+1) affine system
-    [[1...1], [y_1 ... y_{n+1}]] with y_i = (x_i - c) / scale.
-
-    Affine weights and interpolant gradients are computed in the centered,
-    unit-scale frame so the singularity guard responds to the shape of the
-    simplex, never to its absolute position or size.
-    """
-    c = s.centroid()
-    Y = s.vertices - c
-    # max-entry scale avoids squaring, so it survives subnormal-range sizes
-    scale = float(np.abs(Y).max())
-    if scale == 0.0 or not np.isfinite(scale):
-        raise DegenerateSimplexError("all vertices coincide")
-    A = np.empty((s.dim + 1, s.dim + 1))
-    A[0, :] = 1.0
-    A[1:, :] = Y.T / scale
-    return c, scale, A
-
-
 def _solve_guarded(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A w = b, raising DegenerateSimplexError when A is near singular."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= RCOND_MIN * sv[0]:
-        raise DegenerateSimplexError(
-            f"affine system is singular beyond tolerance "
-            f"(rcond ~ {sv[-1] / sv[0]:.2e})"
-        )
+    _check_nonsingular(A)
     return np.linalg.solve(A, b)
 
 
@@ -131,8 +98,8 @@ def lagrange_coefficients(s: Simplex, x) -> QueryCoefficients:
     is ell = (-1, w_1, ..., w_{n+1}).
 
     Raises:
-        DegenerateSimplexError: the affine system is singular beyond the
-            1e-12 reciprocal-condition guard.
+        DegenerateSimplexError: the affine system fails the nondegeneracy
+            rule (reciprocal condition at most ``simplex.RCOND_MIN``).
     """
     x = np.asarray(x, dtype=float)
     c, scale, A = _affine_system(s)
@@ -158,8 +125,8 @@ def simplex_gradient(s: Simplex, values) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if f.shape != (s.dim + 1,):
         raise ValueError(f"expected {s.dim + 1} values, got shape {f.shape}")
-    # [alpha; g] solves  alpha + g.y_i = f_i in the centered frame, and the
-    # gradient in original coordinates is g / scale
+    # [alpha; g] solves  alpha + g.y_i = f_i in the centered frame (A^T has
+    # A's singular values), and the gradient in original coordinates is g / scale
     _, scale, A = _affine_system(s)
     sol = _solve_guarded(A.T, f)
     return sol[1:] / scale
@@ -375,8 +342,9 @@ def _mu_from_g(g: GMatrix) -> MuCertificate:
     Y_pos = Y[[i - 1 for i in pos], :]
     Y_neg = Y[[i - 1 for i in neg_tail], :]
     B = Y_neg @ P_neg  # m x m
-    sv = np.linalg.svd(B, compute_uv=False)
-    if sv[-1] <= RCOND_MIN * max(sv[0], 1.0):
+    try:
+        _check_nonsingular(B)
+    except DegenerateSimplexError:
         cert.available = False
         cert.message = "Y_- P_- is singular beyond tolerance; certificate unavailable"
         return cert

@@ -35,9 +35,13 @@ __all__ = [
 # algorithmically meaningful scale.
 GEOMETRY_RTOL = 1e-9
 
+# Reciprocal-condition threshold below which a matrix is treated as
+# singular: the one nondegeneracy rule (see _check_nonsingular).
+RCOND_MIN = 1e-12
+
 
 class DegenerateSimplexError(ValueError):
-    """Raised when vertices are affinely dependent beyond tolerance."""
+    """Raised when a simplex fails the nondegeneracy rule (RCOND_MIN)."""
 
 
 class CenterResolutionError(ValueError):
@@ -45,7 +49,9 @@ class CenterResolutionError(ValueError):
 
     Adding the centre rounds every vertex coordinate to a spacing of about
     eps*||c||_inf; once that is not small against the radius, no simplex
-    built there is regular to GEOMETRY_RTOL; at a subnormal radius, none is.
+    built there is regular to GEOMETRY_RTOL.  A subnormal radius carries few
+    significant bits: near 1e-310 it still builds at the origin, while from
+    about 1e-315 down no simplex is regular even there.
     """
 
 
@@ -53,9 +59,10 @@ class Simplex:
     """n+1 vertices in R^n with a reference radius.
 
     The container itself only guarantees shape, finiteness and (optionally)
-    affine independence; use :func:`make_regular_simplex` to obtain a
-    certified regular simplex and :func:`regularity_report` to measure how
-    far an instance has drifted from regularity.
+    nondegeneracy, by the rule the affine solves apply; use
+    :func:`make_regular_simplex` to obtain a certified regular simplex and
+    :func:`regularity_report` to measure how far an instance has drifted
+    from regularity.
 
     Attributes:
         vertices: array of shape (n+1, n), one vertex per row.
@@ -84,14 +91,7 @@ class Simplex:
             raise ValueError(f"radius must be positive, got {radius}")
         self.radius = float(radius)
         if check:
-            # Affine independence: the edge matrix from the last vertex must
-            # be well conditioned relative to its scale.
-            E = V[:-1] - V[-1]
-            scale = float(np.abs(E).max())
-            if scale == 0.0 or np.linalg.matrix_rank(E, tol=1e-12 * scale) < self.dim:
-                raise DegenerateSimplexError(
-                    "vertices are affinely dependent (rank-deficient edge matrix)"
-                )
+            _check_nonsingular(_affine_system(self)[2])
 
     def centroid(self) -> np.ndarray:
         """Arithmetic mean of the n+1 vertices."""
@@ -136,6 +136,36 @@ class Simplex:
         return f"Simplex(dim={self.dim}, radius={self.radius:.6g})"
 
 
+def _affine_system(s: Simplex) -> tuple[np.ndarray, float, np.ndarray]:
+    """Centroid c, coordinate scale and the (n+1)x(n+1) affine system
+    [[1...1], [y_1 ... y_{n+1}]] with y_i = (x_i - c) / scale.
+
+    The constructor check, affine weights and interpolant gradients all use
+    this centered, unit-scale frame, so the nondegeneracy rule responds to
+    the shape of the simplex, never to its absolute position or size.
+    """
+    c = s.centroid()
+    Y = s.vertices - c
+    # max-entry scale avoids squaring, so it survives subnormal-range sizes
+    scale = float(np.abs(Y).max())
+    if scale == 0.0 or not np.isfinite(scale):
+        raise DegenerateSimplexError("all vertices coincide")
+    A = np.empty((s.dim + 1, s.dim + 1))
+    A[0, :] = 1.0
+    A[1:, :] = Y.T / scale
+    return c, scale, A
+
+
+def _check_nonsingular(M: np.ndarray) -> None:
+    """The one nondegeneracy rule: DegenerateSimplexError when the least
+    singular value of M is at most RCOND_MIN times its largest (scale-free;
+    an all-zero M fails).  Guards the constructor, solves and mu certificate."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] <= RCOND_MIN * sv[0]:
+        raise DegenerateSimplexError("affine system is singular beyond tolerance "
+                                     f"(rcond ~ {sv[-1] / sv[0]:.2e})")
+
+
 def _helmert_rows(n: int) -> np.ndarray:
     """n orthonormal rows in R^(n+1), each orthogonal to the all-ones vector.
 
@@ -166,13 +196,14 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
         n: ambient dimension, n >= 1.
 
     Returns:
-        A certified regular Simplex.  Regularity to GEOMETRY_RTOL implies
-        affine independence, so no separate rank check is made.
+        A certified regular Simplex.  Its affine system's reciprocal condition
+        is of order 1/sqrt(n), far above RCOND_MIN, so no check is rerun.
 
     Raises:
         ValueError: nonpositive radius, n < 1, or center of wrong length.
-        CenterResolutionError: the radius is subnormal or too small for its
-            centre, so the rounded vertices are not regular to GEOMETRY_RTOL.
+        CenterResolutionError: the radius is too small for its centre, or
+            subnormal with too few bits, so the rounded vertices are not
+            regular to GEOMETRY_RTOL.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -181,7 +212,10 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
     c = np.broadcast_to(np.asarray(center, dtype=float), (n,)).copy()
     Y = radius * np.sqrt((n + 1.0) / n) * _helmert_rows(n).T
     s = Simplex(c[None, :] + Y, radius=float(radius), check=False)
-    rep = regularity_report(s)
+    # an unresolved radius can overflow the unit frame; inf or NaN
+    # deviations fail the verdict below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = regularity_report(s)
     if rep.max_deviation() > GEOMETRY_RTOL:
         raise CenterResolutionError(
             f"radius {radius:.3g} is too small for centre scale "

@@ -50,6 +50,8 @@ __all__ = [
 MODES = ("theoretical", "practical")
 ALGORITHMS = ("rssm", "reflection_only")
 STOPPING_RULES = ("simplex_gradient", "true_gradient", "gap", "none")
+# the terminal reasons run writes
+STOP_REASONS = ("epsilon-reached", "budget", "delta-floor", "regularity-failure")
 
 _STEPS = ("reflection", "shrink")
 # the JSON number types of a record's float fields (bool is an int subclass),
@@ -142,6 +144,13 @@ class SolverConfig:
                 raise ValueError("practical mode needs eta > 0")
         if self.max_iterations < 1 or self.max_evaluations < 1:
             raise ValueError("budgets must be positive")
+        try:
+            finite = bool(np.isfinite(self.start_center()).all())
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ValueError(f"center must be a finite scalar or length-{self.n} "
+                             f"vector, got {self.center!r}")
 
     def start_center(self) -> np.ndarray:
         return np.broadcast_to(
@@ -225,8 +234,11 @@ class Trace:
                 missing, `config` not an object, `records` not a list, a
                 record that is not an object with exactly the record keys,
                 a config that lacks a :class:`SolverConfig` field or that
-                :class:`SolverConfig` rejects, or a record with a mistyped
-                field or an unknown step.
+                :class:`SolverConfig` rejects, a record with a mistyped
+                field or an unknown step, a `reason` that :func:`run` does
+                not write, or a `summary` that is not an object or whose
+                `final_S`, `eval_count`, `objective_calls` or `N_eps` is
+                mistyped.
         """
         try:
             config, records = d["config"], d["records"]
@@ -258,6 +270,17 @@ class Trace:
                     and type(r.simplex_gradient_norm) in _REAL):
                 raise ValueError(f"malformed trace: mistyped field or unknown "
                                  f"step in {r}")
+        if trace.reason not in STOP_REASONS:
+            raise ValueError(f"malformed trace: unknown reason {trace.reason!r}")
+        summ = trace.summary
+        if not isinstance(summ, dict):
+            raise ValueError("malformed trace: 'summary' must be an object")
+        for key, types in (("final_S", _REAL), ("eval_count", (int,)),
+                           ("objective_calls", (int,)),
+                           ("N_eps", (int, type(None)))):
+            if key in summ and type(summ[key]) not in types:
+                raise ValueError(f"malformed trace: mistyped summary field "
+                                 f"{key}={summ[key]!r}")
         return trace
 
     @classmethod
