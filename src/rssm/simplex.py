@@ -197,7 +197,7 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
 
     Returns:
         A certified regular Simplex.  Its affine system's reciprocal condition
-        is of order 1/sqrt(n), far above RCOND_MIN, so no check is rerun.
+        is at least 1/sqrt(n), far above RCOND_MIN, so that check is skipped.
 
     Raises:
         ValueError: nonpositive radius, n < 1, or center of wrong length.

@@ -145,10 +145,12 @@ class SolverConfig:
         if self.max_iterations < 1 or self.max_evaluations < 1:
             raise ValueError("budgets must be positive")
         try:
-            finite = bool(np.isfinite(self.start_center()).all())
+            # the shapes np.broadcast_to(center, (n,)) in start_center takes
+            c = np.asarray(self.center, dtype=float)
+            ok = c.shape in ((), (1,), (self.n,)) and np.isfinite(c).all()
         except (TypeError, ValueError):
-            finite = False
-        if not finite:
+            ok = False
+        if not ok:
             raise ValueError(f"center must be a finite scalar or length-{self.n} "
                              f"vector, got {self.center!r}")
 
