@@ -157,6 +157,15 @@ def test_verify_bounds_reports_all_ok(capsys):
         assert rep["checks"]["mu_nonnegative"] is True
 
 
+def test_verify_bounds_certifies_a_tiny_simplex(capsys):
+    # the certificate tests the shape of Y_- P_-, not its size
+    code, out, _ = run_cli(capsys, "verify-bounds", "--n", "2", "--radius",
+                           "1e-20")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["checks"]["mu_nonnegative"] for r in reports] == [True] * 6
+
+
 def test_verify_bounds_accepts_simplex_file(tmp_path, capsys):
     s = make_regular_simplex(np.array([1.0, -2.0, 0.5]), 0.7, 3)
     path = tmp_path / "simplex.json"
@@ -298,7 +307,8 @@ def test_audit_detects_corrupted_trace(saved_trace, tmp_path, capsys):
     assert statuses["radius_law"] == "fail"
 
 
-# one field of the README sin-quad trace, set to a value of the wrong type
+# one field of the README sin-quad trace (part None: a top-level field), set
+# to a value of the wrong type
 TRACE_FAULTS = [
     pytest.param("records", "delta", "x", id="record-delta-str"),
     pytest.param("records", "S", None, id="record-S-null"),
@@ -309,6 +319,13 @@ TRACE_FAULTS = [
     pytest.param("config", "n", "x", id="config-n-str"),
     pytest.param("config", "mode", "bogus", id="config-mode-unknown"),
     pytest.param("config", "extra", 1, id="config-extra-field"),
+    pytest.param("config", "center", [1, 2, 3], id="config-center-length"),
+    pytest.param("config", "center", "abc", id="config-center-str"),
+    pytest.param(None, "reason", 5, id="reason-int"),
+    pytest.param(None, "summary", [1], id="summary-list"),
+    pytest.param("summary", "final_S", "x", id="summary-final-S-str"),
+    pytest.param("summary", "eval_count", "7", id="summary-eval-count-str"),
+    pytest.param("summary", "N_eps", "x", id="summary-N-eps-str"),
 ]
 
 
@@ -326,7 +343,7 @@ def sin_quad_trace(tmp_path, capsys):
 @pytest.mark.parametrize("part, key, value", TRACE_FAULTS)
 def test_audit_mistyped_trace_field_is_usage_error(sin_quad_trace, tmp_path,
                                                    capsys, part, key, value):
-    target = sin_quad_trace[part]
+    target = sin_quad_trace[part] if part else sin_quad_trace
     (target[1] if part == "records" else target)[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(sin_quad_trace))
@@ -503,7 +520,7 @@ BAD_INPUTS = [
     pytest.param(2, ["worst-case", "--n", "2", "--L", "0"], id="h-worst-case-L"),
     pytest.param(2, ["verify-bounds", "--n", "2", "--L", "-1"],
                  id="h-verify-bounds-L"),
-    # a subnormal radius is irregular at every centre
+    # a deeply subnormal radius is irregular at every centre
     pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "3",
                      "--delta0", "1e-320"], id="i-solve-subnormal-delta0"),
     pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "3",
@@ -540,6 +557,12 @@ BAD_INPUTS = [
                      "mu=nan"], id="j-quad-spectrum-mu-nan"),
     pytest.param(2, ["solve", "--objective", "quad-iso", "--n", "2",
                      "--start", "1,x"], id="k-solve-start-not-a-number"),
+    pytest.param(2, ["solve", "--objective", "quad-iso", "--param", "L"],
+                 id="l-solve-param-without-value"),
+    pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/zero_radius.json"],
+                 id="l-simplex-zero-radius"),
+    pytest.param(2, ["worst-case", "--simplex-json", "TMP/collinear.json"],
+                 id="l-simplex-collinear"),
 ]
 
 
@@ -548,6 +571,10 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, code, argv):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "null_radius.json").write_text(json.dumps(
         {"dim": 2, "radius": None, "vertices": [[0, 0], [1, 0], [0, 1]]}))
+    (tmp_path / "zero_radius.json").write_text(json.dumps(
+        {"dim": 2, "radius": 0, "vertices": [[0, 0], [1, 0], [0, 1]]}))
+    (tmp_path / "collinear.json").write_text(json.dumps(
+        {"dim": 2, "radius": 1, "vertices": [[0, 0], [1, 0], [2, 0]]}))
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""

@@ -153,6 +153,16 @@ def test_convex_bound_scales_inverse_in_epsilon():
     assert 1.9 <= ratio <= 2.1
 
 
+def test_convex_bound_adds_the_linear_phase_above_d_thr():
+    # each factor 1/(1 - C1) of initial gap above d_thr costs one more
+    # iteration; below d_thr the phase is absent
+    c = make_consts(R=2.0)
+    at = predicted_bounds(c, c.d_thr, "convex")
+    assert predicted_bounds(c, 0.5 * c.d_thr, "convex") == at
+    above = c.d_thr / (1.0 - c.C1) ** 3
+    assert predicted_bounds(c, above, "convex") - at == pytest.approx(3.0)
+
+
 def test_strongly_convex_bound_exact_count():
     # rho tuned to 0.01 and d_bar0/epsilon = e makes the success count
     # ceil(1 / -log(0.99)) = 100, and delta0 < delta_cvx kills the shrink term

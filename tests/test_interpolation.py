@@ -6,6 +6,8 @@ import pytest
 import rssm.interpolation
 from rssm.simplex import DegenerateSimplexError, Simplex, make_regular_simplex
 from rssm.interpolation import (
+    GMatrix,
+    QueryCoefficients,
     Quadratic,
     bound_report,
     error_bound,
@@ -262,6 +264,58 @@ def test_mu_to_dict_shape():
     d = mu_certificate(s, query_point(s, "reflection")).to_dict()
     assert d["available"] and d["sharp"]
     assert "1,3" in d["entries"]
+
+
+def _hand_built_g(eigenvalues, offsets):
+    """A GMatrix at n = 3 with vertex weights (2, -0.5, -0.5, 0): I_+ = {1},
+    I_- = {0, 2, 3}, so the M block needs two negative eigenvalues."""
+    ell = np.array([-1.0, 2.0, -0.5, -0.5, 0.0])
+    q = QueryCoefficients(ell=ell, positive_index_set=(1,),
+                          negative_index_set=(0, 2, 3))
+    w = np.asarray(eigenvalues, dtype=float)
+    return GMatrix(matrix=np.diag(w), eigenvalues=w, eigenvectors=np.eye(3),
+                   coefficients=q, offsets=np.asarray(offsets, dtype=float))
+
+
+def test_mu_unavailable_on_eigenspace_count_mismatch():
+    g = _hand_built_g([1.0, 0.5, -1.0], np.eye(4, 3))
+    cert = rssm.interpolation._mu_from_g(g)
+    assert not cert.available and not cert.sharp
+    assert "negative eigenspace dimension 1" in cert.message
+
+
+@pytest.mark.parametrize("size", [1e-20, 1.0, 1e20])
+def test_mu_unavailable_on_singular_block_at_every_size(size):
+    # rows 2 and 3 of the offsets are parallel, so Y_- P_- has rank 1
+    Y = size * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 2.0, 2.0],
+                         [1.0, 1.0, 1.0]])
+    cert = rssm.interpolation._mu_from_g(_hand_built_g([1.0, -1.0, -2.0], Y))
+    assert not cert.available
+    assert cert.message == ("Y_- P_- is singular beyond tolerance; "
+                            "certificate unavailable")
+    # the same block with independent rows is available at every size
+    Y[2] = size * np.array([0.0, 2.0, -2.0])
+    assert rssm.interpolation._mu_from_g(_hand_built_g([1.0, -1.0, -2.0],
+                                                       Y)).available
+
+
+@pytest.mark.parametrize("k", [-13, -20, -60, -100, -140])
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_tiny_regular_simplices_keep_sharp_certificates(k, n):
+    # the certificate is a shape test: the solver's own simplices reach
+    # delta ~ 1e-30 and must certify as a unit simplex does
+    radius = 10.0 ** k
+    rng = np.random.default_rng(n - k)
+    for centre in (np.zeros(n), 3.0 * radius * rng.standard_normal(n)):
+        s0 = make_regular_simplex(centre, radius, n)
+        s = Simplex(centre + (s0.vertices - centre) @ haar_rotation(n, rng),
+                    radius=radius)
+        for kind in ("reflection", "centroid", "shrink"):
+            gamma = 0.3 if kind == "shrink" else None
+            for cls in ("nonconvex", "convex"):
+                rep = bound_report(s, kind, cls, 1.0, gamma=gamma)
+                assert rep.mu.available and rep.mu.sharp, (kind, cls)
+                assert rep.attained, (kind, cls)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssm.interpolation import simplex_gradient
+from rssm.interpolation import lagrange_coefficients, simplex_gradient
 from rssm.simplex import (
     CenterResolutionError,
     DegenerateSimplexError,
@@ -84,9 +84,20 @@ def test_far_centre_is_a_resolution_error():
 @pytest.mark.parametrize("radius", [1e-315, 1e-320, 5e-324])
 @pytest.mark.parametrize("n", [2, 3])
 def test_subnormal_radius_is_a_resolution_error_at_the_origin(radius, n):
-    # a subnormal radius has too few bits for a regular simplex anywhere
+    # a deeply subnormal radius has too few bits for a regular simplex
+    # anywhere
     with pytest.raises(CenterResolutionError, match="centre scale 0 "):
         make_regular_simplex(np.zeros(n), radius, n)
+    # at a nonzero centre its unit frame overflows; the build still ends in
+    # the one error, with no numpy warning ahead of it
+    with pytest.raises(CenterResolutionError, match="centre scale 1.2 "):
+        make_regular_simplex(np.linspace(1.2, -0.8, n), radius, n)
+
+
+@pytest.mark.parametrize("radius", [2e-308, 1e-310, 1e-313])
+def test_shallow_subnormal_radius_builds_at_the_origin(radius):
+    s = make_regular_simplex(np.zeros(3), radius, 3)
+    assert regularity_report(s).max_deviation() <= 1e-10
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])
@@ -109,8 +120,29 @@ def test_vertex_array_shape_checked():
 
 def test_degenerate_vertices_rejected():
     V = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # collinear
-    with pytest.raises(DegenerateSimplexError):
+    with pytest.raises(DegenerateSimplexError, match="singular beyond tolerance"):
         Simplex(V)
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11, 3e-12, 1e-12, 5e-13, 2e-13,
+                               1e-13, 1e-14])
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_constructor_rejects_what_the_affine_solve_rejects(t, n):
+    # a unit regular simplex flattened by t along its last coordinate; near
+    # t = 1e-12 the constructor and the solve once applied different rules
+    V = make_regular_simplex(np.zeros(n), 1.0, n).vertices.copy()
+    V[:, -1] *= t
+
+    def rejected(build):
+        try:
+            build()
+        except DegenerateSimplexError:
+            return True
+        return False
+
+    assert rejected(lambda: Simplex(V)) == rejected(
+        lambda: lagrange_coefficients(Simplex(V, check=False), V.mean(axis=0)))
+
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,9 @@ def test_true_gradient_stopping_requires_gradient():
     dict(n=2, max_iterations=0),
     dict(n=2, max_evaluations=0),
     dict(n=2, delta0=float("inf")),
+    dict(n=2, center=[1.0, 2.0, 3.0]),
+    dict(n=2, center="abc"),
+    dict(n=2, center=[0.0, float("nan")]),
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ValueError):

@@ -1,0 +1,203 @@
+"""Dump the outputs a behaviour-preserving change must leave byte-identical.
+
+Usage::
+
+    python3 tools/artifacts.py SRC OUT
+
+imports ``rssm`` from the directory SRC (a checkout's ``src/``) and writes
+into OUT, one file per artifact:
+
+* ``trace/`` and ``audit/`` -- trace JSON and audit JSON of the 45
+  sweep-audit cells and the 4 solve-highdim instances (built by
+  ``perfbench/workloads.py``), of the constant-objective theoretical run
+  (it ends in ``regularity-failure``), and of 40 ``stopping=none`` runs:
+  every builtin at n in {1, 2, 4, 8}, in both modes, 3000 iterations from
+  1.7;
+* ``certify/`` -- for every certify report at seeds 4242, 1 and 2:
+  ``to_dict``, ``repr(achieved)`` and SHA-256 digests of H and of G;
+* ``cli/`` -- stdout, stderr and exit code of the README commands, of
+  ``verify-bounds`` and ``worst-case`` variants, of bad-input runs and of
+  ``--help`` for the program and every subcommand (the ``wall_ms`` column
+  of the scaling CSV cut).
+
+Compare two checkouts with::
+
+    python3 tools/artifacts.py PARENT/src /tmp/a
+    python3 tools/artifacts.py CHANGE/src /tmp/b
+    diff -r /tmp/a /tmp/b
+
+The perfbench workloads are read from this script's own checkout.  The run
+takes about a minute and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CERTIFY_SEEDS = (4242, 1, 2)
+
+# (name, argv); files named in an argv are written in OUT/cli/work
+CLI_RUNS = [
+    ("solve-summary", ["solve", "--objective", "quad-iso", "--n", "3",
+                       "--mode", "practical", "--epsilon", "1e-5",
+                       "--start", "2", "--summary"]),
+    ("solve-human", ["solve", "--objective", "quad-iso", "--n", "3",
+                     "--mode", "practical", "--epsilon", "1e-5",
+                     "--start", "2"]),
+    ("solve-trace-out", ["solve", "--objective", "sin-quad", "--n", "2",
+                         "--mode", "theoretical", "--beta", "1", "--L", "8",
+                         "--stopping", "true_gradient", "--epsilon", "1e-3",
+                         "--start", "1.7", "--trace-out", "t.json"]),
+    ("audit-pl", ["audit", "--trace-in", "t.json", "--case", "pl", "--L", "8",
+                  "--fstar", "0"]),
+    ("audit-convex-without-R", ["audit", "--trace-in", "t.json", "--case",
+                                "convex", "--L", "8"]),
+    ("verify-bounds-n5", ["verify-bounds", "--n", "5"]),
+    ("verify-bounds-n4", ["verify-bounds", "--n", "4", "--radius", "0.7",
+                          "--L", "2"]),
+    ("verify-bounds-gamma-0.3", ["verify-bounds", "--n", "3", "--gamma", "0.3"]),
+    ("verify-bounds-gamma-0", ["verify-bounds", "--n", "3", "--gamma", "0"]),
+    ("worst-case-readme", ["worst-case", "--n", "2", "--kind", "reflection",
+                           "--cls", "nonconvex"]),
+    ("worst-case-shrink-convex", ["worst-case", "--n", "5", "--kind", "shrink",
+                                  "--cls", "convex"]),
+    ("worst-case-reflection", ["worst-case", "--n", "2"]),
+    ("worst-case-centroid-negative", ["worst-case", "--n", "3", "--kind",
+                                      "centroid", "--sign", "negative"]),
+    ("worst-case-reflection-gamma", ["worst-case", "--n", "3", "--gamma",
+                                     "0.9"]),
+    ("worst-case-centroid-gamma", ["worst-case", "--n", "3", "--kind",
+                                   "centroid", "--gamma", "1.5"]),
+    ("solve-damped-sine", ["solve", "--objective", "damped-sine", "--n", "4",
+                           "--stopping", "none", "--max-iter", "400",
+                           "--trace-out", "d.json"]),
+    ("solve-far-start", ["solve", "--objective", "quad-iso", "--n", "3",
+                         "--start", "1e8"]),
+    ("scaling", ["scaling", "--objective", "quad-iso", "--dims", "2,4",
+                 "--epsilons", "1e-1,1e-2,1e-3,1e-4", "--csv-out",
+                 "sweep.csv"]),
+    ("help", ["--help"]),
+] + [(f"help-{cmd}", [cmd, "--help"]) for cmd in
+     ("solve", "verify-bounds", "worst-case", "audit", "scaling")]
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _solver_runs():
+    """(name, objective, config) of every solve whose trace is dumped."""
+    import workloads
+    from rssm import objectives, solver
+
+    sweep = workloads.SweepAudit()
+    for cell in sweep.instances():
+        name, obj, cfg = sweep.build(cell)
+        yield "sweep-" + name.replace("/", "-"), obj, cfg
+    highdim = workloads.SolveHighdim()
+    for inst in highdim.instances():
+        name, obj, cfg = highdim.build(inst)
+        yield "highdim-" + name.replace("/", "-"), obj, cfg
+    const = objectives.Objective("const", 2, lambda x: 0.0)
+    yield "const-theoretical", const, solver.SolverConfig(
+        n=2, mode="theoretical", beta=1.0, L=1.0, stopping="none")
+    for name in objectives.builtin_names():
+        for n in (1, 2, 4, 8):
+            obj = objectives.builtin(name, n, seed=0)
+            for mode in solver.MODES:
+                extra = (dict(beta=1.0, L=obj.L) if mode == "theoretical"
+                         else {})
+                yield f"none-{name}-n{n}-{mode}", obj, solver.SolverConfig(
+                    n=n, mode=mode, stopping="none", max_iterations=3000,
+                    center=1.7, **extra)
+
+
+def dump_traces(out: Path) -> None:
+    from rssm import complexity, objectives, solver
+
+    for name, obj, cfg in _solver_runs():
+        trace = solver.run(obj, cfg)
+        text = trace.to_json()
+        _write(out / "trace" / f"{name}.json", text)
+        back = solver.Trace.from_json(text)
+        case = obj.convexity
+        R = mu = None
+        if case in complexity.CONVEX_CASES:
+            R = objectives.sublevel_radius(obj,
+                                           back.records[0].S / (cfg.n + 1.0))
+        if case == "strongly_convex":
+            mu = obj.mu
+        # the constant objective has no L of its own; its config carries one
+        consts = complexity.constants_for_trace(back, L=cfg.L or obj.L, R=R,
+                                                mu=mu)
+        report = complexity.audit_trace(back, consts, case=case,
+                                        f_star=obj.f_star)
+        _write(out / "audit" / f"{name}.json", report.to_json())
+
+
+def dump_certify(out: Path) -> None:
+    import workloads
+
+    cert = workloads.Certify()
+    for seed in CERTIFY_SEEDS:
+        inp = cert.setup(seed)
+        lines = []
+        for j in range(len(inp["tasks"])):
+            for rep in cert.task(inp, j, None):
+                lines.append(json.dumps(rep.to_dict(), sort_keys=True))
+                lines.append(f"{rep.achieved!r} H {_digest(rep.quadratic.H)} "
+                             f"G {_digest(rep.g.matrix)}")
+        _write(out / "certify" / f"seed{seed}.txt", "\n".join(lines) + "\n")
+
+
+def _cut_wall_ms(csv: str) -> str:
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in csv.splitlines())
+
+
+def dump_cli(src: Path, out: Path) -> None:
+    work = out / "cli" / "work"
+    work.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    for name, argv in CLI_RUNS:
+        proc = subprocess.run([sys.executable, "-m", "rssm.cli", *argv],
+                              cwd=work, env=env, capture_output=True, text=True)
+        _write(out / "cli" / f"{name}.stdout", proc.stdout)
+        _write(out / "cli" / f"{name}.stderr", proc.stderr)
+        _write(out / "cli" / f"{name}.code", f"{proc.returncode}\n")
+    sweep = work / "sweep.csv"
+    sweep.write_text(_cut_wall_ms(sweep.read_text()))
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/artifacts.py SRC OUT", file=sys.stderr)
+        return 2
+    src, out = Path(args[0]).resolve(), Path(args[1]).resolve()
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import rssm
+
+    if Path(rssm.__file__).resolve().parents[1] != src:
+        print(f"error: rssm imported from {rssm.__file__}, not {src}",
+              file=sys.stderr)
+        return 2
+    dump_traces(out)
+    dump_certify(out)
+    dump_cli(src, out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
