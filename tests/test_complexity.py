@@ -198,6 +198,14 @@ def test_convex_bound_needs_contractive_C1():
         predicted_bounds(c, 1.0, "convex")
 
 
+def test_strongly_convex_bound_needs_contractive_rho():
+    c = constants(n=1, beta=1.0, gamma=0.9, L=1.0, epsilon=1e-2, delta0=1.0,
+                  R=1.0, mu=1.0)
+    assert c.rho > 1.0
+    with pytest.raises(ValueError, match="rho"):
+        predicted_bounds(c, 1.0, "strongly_convex")
+
+
 # ---------------------------------------------------------------------------
 # constants_for_trace
 
@@ -270,6 +278,8 @@ def test_audit_flags_radius_law_violation():
     assert ck.status == "fail" and ck.violating_k == 1
     assert not report.passed
     assert ck in report.violations
+    assert "  [   fail] radius_law worst_slack=8.000e-01 at k=1 " \
+        "FIRST VIOLATION k=1" in str(report).splitlines()
 
 
 def test_audit_flags_weak_reflection_decrease():
@@ -300,6 +310,14 @@ def test_audit_reads_last_step_from_final_S():
                  reason="budget", summary={"final_S": 4.5})
     report = audit_trace(edge, synth_consts())
     assert checks_by_name(report)["shrink_ascent_per_step"].status == "pass"
+
+    # without final_S the last step has no known change and is left out
+    unknown = Trace(config=synth_cfg(),
+                    records=[rec(0, "shrink", 1.0, 4.0)],
+                    reason="budget", summary={})
+    ck = checks_by_name(audit_trace(unknown, synth_consts()))[
+        "shrink_ascent_per_step"]
+    assert ck.status == "pass" and ck.worst_slack is None
 
 
 def test_audit_eval_identity():
