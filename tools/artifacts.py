@@ -12,7 +12,9 @@ into OUT, one file per artifact:
   ``perfbench/workloads.py``), of the constant-objective theoretical run
   (it ends in ``regularity-failure``), and of 40 ``stopping=none`` runs:
   every builtin at n in {1, 2, 4, 8}, in both modes, 3000 iterations from
-  1.7;
+  1.7; and of 6 practical-mode ``stopping=gap`` runs (quad-iso,
+  quad-spectrum and logsumexp at n in {2, 4}, epsilon 1e-4, from 1.7),
+  whose audits reach the convex checks that gap stopping unlocks;
 * ``certify/`` -- for every certify report at seeds 4242, 1 and 2:
   ``to_dict``, ``repr(achieved)`` and SHA-256 digests of H and of G;
 * ``cli/`` -- stdout, stderr and exit code of the README commands, of
@@ -122,6 +124,12 @@ def _solver_runs():
                 yield f"none-{name}-n{n}-{mode}", obj, solver.SolverConfig(
                     n=n, mode=mode, stopping="none", max_iterations=3000,
                     center=1.7, **extra)
+    for name in ("quad-iso", "quad-spectrum", "logsumexp"):
+        for n in (2, 4):
+            yield f"gap-{name}-n{n}-practical", objectives.builtin(
+                name, n, seed=0), solver.SolverConfig(
+                n=n, mode="practical", stopping="gap", epsilon=1e-4,
+                center=1.7)
 
 
 def dump_traces(out: Path) -> None:
