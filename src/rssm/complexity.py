@@ -383,21 +383,21 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     gamma = consts.gamma
     L = consts.L
     recs = trace.records
+    summ = trace.summary
+    N_r = trace.N_r
+    N_s = trace.N_s
     report = AuditReport(case=case)
     convex_case = case in CONVEX_CASES
 
-    # S at the start of iteration k+1 (None when unavailable for the tail).
-    final_S = trace.summary.get("final_S")
-    S_next: list[float | None] = [
-        recs[i + 1].S if i + 1 < len(recs) else final_S
-        for i in range(len(recs))
-    ]
-
-    def sum_steps(kind: str):
-        """(k, S_step_change, record) for steps of the given kind with known S_next."""
-        for i, r in enumerate(recs):
-            if r.step == kind and S_next[i] is not None:
-                yield i, S_next[i] - r.S, r
+    # One pass pairs each step with dS = S_{k+1} - S_k.  The last record reads
+    # final_S and is left out when the summary lacks it.
+    reflections, shrinks = [], []
+    steps = {"reflection": reflections, "shrink": shrinks}
+    final_S = summ.get("final_S")
+    for k, r in enumerate(recs):
+        next_S = recs[k + 1].S if k + 1 < len(recs) else final_S
+        if next_S is not None and r.step in steps:
+            steps[r.step].append((k, next_S - r.S, r))
 
     def gap(S: float) -> float:
         return S / (n + 1.0) - f_star
@@ -412,106 +412,80 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
             if r.step == "shrink":
                 shrinks_seen += 1
 
-    # --- plumbing invariants ----------------------------------------------
-    report.checks.append(_ineq_check(
-        "radius_law", radius_deviations(),
-        detail="relative deviation from delta0*gamma^shrinks"))
+    def add(name: str, why: str | None, terms=(), detail: str = "",
+            check=None) -> None:
+        """Declare one check: skipped when `why` names an unmet precondition,
+        else check(name) or lhs <= rhs over the (k, lhs, rhs) of `terms`.
+        Terms are generators and check a function, so a skipped check
+        evaluates neither."""
+        report.checks.append(
+            _skip(name, why) if why is not None
+            else check(name) if check is not None
+            else _ineq_check(name, terms, detail))
 
-    N_r = trace.N_r
-    N_s = trace.N_s
-    summ = trace.summary
-    if "eval_count" in summ and "objective_calls" in summ:
-        declared = summ["eval_count"]
-        expected = (n + 1) + N_r + n * N_s
-        ok = declared == expected and summ["objective_calls"] == expected + N_s
-        report.checks.append(AuditCheck(
-            name="eval_identity", status="pass" if ok else "fail",
-            detail=f"eval_count={declared}, expected={expected}, "
+    # --- plumbing invariants ----------------------------------------------
+    add("radius_law", None, radius_deviations(),
+        "relative deviation from delta0*gamma^shrinks")
+    expected = (n + 1) + N_r + n * N_s
+    add("eval_identity",
+        None if "eval_count" in summ and "objective_calls" in summ
+        else "summary lacks counters",
+        check=lambda name: AuditCheck(
+            name=name,
+            status="pass" if summ["eval_count"] == expected
+            and summ["objective_calls"] == expected + N_s else "fail",
+            detail=f"eval_count={summ['eval_count']}, expected={expected}, "
                    f"objective_calls={summ['objective_calls']}"))
-    else:
-        report.checks.append(_skip("eval_identity", "summary lacks counters"))
 
     # --- reflection decrease (sum form) -----------------------------------
-    if theoretical:
-        beta = consts.beta
-        margin = (2.0 * n + 2.0) / n * beta * L
-        report.checks.append(_ineq_check(
-            "reflection_decrease",
-            ((k, dS, -margin * r.delta ** 2) for k, dS, r in sum_steps("reflection"))))
-    else:
-        report.checks.append(_skip("reflection_decrease", "needs theoretical mode"))
+    margin = (2.0 * n + 2.0) / n * consts.beta * L
+    add("reflection_decrease", None if theoretical else "needs theoretical mode",
+        ((k, dS, -margin * r.delta ** 2) for k, dS, r in reflections))
 
     # --- the gradient-stopping radius-floor family -------------------------
     floor_ok = (theoretical and cfg["stopping"] == "true_gradient"
                 and consts.delta0 > consts.delta_bar)
-    if floor_ok:
-        floor = (n + 1.0) * 2.0 * consts.beta * gamma ** 2 * consts.epsilon ** 2 \
-            / (L * n * consts.kappa1 ** 2)
-        report.checks.append(_ineq_check(
-            "reflection_decrease_floor",
-            ((k, dS, -floor) for k, dS, r in sum_steps("reflection"))))
-        report.checks.append(_ineq_check(
-            "radius_floor",
-            ((i, consts.delta_bar, r.delta) for i, r in enumerate(recs))))
-        report.checks.append(_strict_count_check(
-            "shrink_count_bound", N_s, _shrink_bound_nonconvex(consts)))
-    else:
-        why = ("needs theoretical mode, true-gradient stopping and "
-               "delta0 > delta_bar")
-        report.checks.append(_skip("reflection_decrease_floor", why))
-        report.checks.append(_skip("radius_floor", why))
-        report.checks.append(_skip("shrink_count_bound", why))
+    floor_why = None if floor_ok else ("needs theoretical mode, true-gradient "
+                                       "stopping and delta0 > delta_bar")
+    floor = (n + 1.0) * 2.0 * consts.beta * gamma ** 2 * consts.epsilon ** 2 \
+        / (L * n * consts.kappa1 ** 2)
+    add("reflection_decrease_floor", floor_why,
+        ((k, dS, -floor) for k, dS, r in reflections))
+    add("radius_floor", floor_why,
+        ((k, consts.delta_bar, r.delta) for k, r in enumerate(recs)))
+    add("shrink_count_bound", floor_why, check=lambda name: _strict_count_check(
+        name, N_s, _shrink_bound_nonconvex(consts)))
 
     # --- shrink ascent caps (any mode; only L-smoothness is used) ----------
     per_shrink = L * gamma * (1.0 - gamma) * (n + 1.0)
-    report.checks.append(_ineq_check(
-        "shrink_ascent_per_step",
-        ((k, dS, per_shrink * r.delta ** 2) for k, dS, r in sum_steps("shrink"))))
-    total_ascent = sum(max(dS, 0.0) for _, dS, _ in sum_steps("shrink"))
-    report.checks.append(_ineq_check(
-        "total_shrink_ascent",
-        [(None, total_ascent, (n + 1.0) * consts.psi0)]))
+    add("shrink_ascent_per_step", None,
+        ((k, dS, per_shrink * r.delta ** 2) for k, dS, r in shrinks))
+    add("total_shrink_ascent", None,
+        [(None, sum(max(dS, 0.0) for _, dS, _ in shrinks),
+          (n + 1.0) * consts.psi0)])
 
     # --- convexity-only checks ---------------------------------------------
-    if convex_case:
-        report.checks.append(_ineq_check(
-            "convex_shrink_monotone",
-            ((k, dS, 0.0) for k, dS, r in sum_steps("shrink"))))
-    else:
-        report.checks.append(_skip("convex_shrink_monotone", "needs a convex case"))
-
-    if convex_case and theoretical and f_star is not None:
-        report.checks.append(_ineq_check(
-            "convex_reflection_gap_decrease",
-            ((k, gap(r.S + dS) - gap(r.S),
-              -(2.0 * consts.beta / n) * L * r.delta ** 2)
-             for k, dS, r in sum_steps("reflection"))))
-    else:
-        report.checks.append(_skip(
-            "convex_reflection_gap_decrease",
-            "needs a convex case, theoretical mode and f*"))
-
+    add("convex_shrink_monotone", None if convex_case else "needs a convex case",
+        ((k, dS, 0.0) for k, dS, r in shrinks))
+    add("convex_reflection_gap_decrease",
+        None if convex_case and theoretical and f_star is not None
+        else "needs a convex case, theoretical mode and f*",
+        ((k, gap(r.S + dS) - gap(r.S),
+          -(2.0 * consts.beta / n) * L * r.delta ** 2) for k, dS, r in reflections))
     tail_ok = (convex_case and f_star is not None and consts.R is not None
                and len(recs) > 0
                and consts.delta0 > tail_radius(max(gap(recs[0].S), 0.0), consts))
-    if tail_ok:
-        report.checks.append(_ineq_check(
-            "radius_tail_lower_bound",
-            ((i, gamma * tail_radius(max(gap(r.S), 0.0), consts), r.delta)
-             for i, r in enumerate(recs))))
-    else:
-        report.checks.append(_skip(
-            "radius_tail_lower_bound",
-            "needs a convex case, f*, R and delta0 > tail_radius(gap_0)"))
-
-    if (convex_case and cfg["stopping"] == "gap" and consts.delta_cvx is not None
-            and consts.delta0 > consts.delta_cvx):
-        report.checks.append(_strict_count_check(
-            "convex_shrink_count_bound", N_s, _shrink_bound_convex(consts)))
-    else:
-        report.checks.append(_skip(
-            "convex_shrink_count_bound",
-            "needs a convex case, gap stopping, R and delta0 > delta_cvx"))
+    add("radius_tail_lower_bound",
+        None if tail_ok
+        else "needs a convex case, f*, R and delta0 > tail_radius(gap_0)",
+        ((k, gamma * tail_radius(max(gap(r.S), 0.0), consts), r.delta)
+         for k, r in enumerate(recs)))
+    add("convex_shrink_count_bound",
+        None if convex_case and cfg["stopping"] == "gap"
+        and consts.delta_cvx is not None and consts.delta0 > consts.delta_cvx
+        else "needs a convex case, gap stopping, R and delta0 > delta_cvx",
+        check=lambda name: _strict_count_check(
+            name, N_s, _shrink_bound_convex(consts)))
 
     # --- counts and predicted-vs-observed ----------------------------------
     report.counts = {"N_r": N_r, "N_s": N_s,
@@ -525,7 +499,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         ratios = []
         if first_shrink is not None:
             ratios = [gap(r.S + dS) / gap(r.S)
-                      for k, dS, r in sum_steps("reflection")
+                      for k, dS, r in reflections
                       if k > first_shrink and gap(r.S) > 0]
         if ratios:
             report.observed["worst_reflection_gap_ratio"] = max(ratios)
@@ -552,20 +526,14 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         except ValueError as exc:
             report.predicted["unavailable"] = str(exc)
 
-    bound_ok = False
-    if trace.reason == "epsilon-reached" and "iterations" in report.predicted:
-        if case == "nonconvex":
-            bound_ok = floor_ok
-        elif case == "convex":
-            bound_ok = (theoretical and cfg["stopping"] == "gap" and tail_ok)
-    if bound_ok:
-        report.checks.append(_ineq_check(
-            "iteration_bound",
-            [(None, float(len(recs)), report.predicted["iterations"])]))
-    else:
-        report.checks.append(_skip(
-            "iteration_bound",
-            "guaranteed only for nonconvex (gradient stopping) and convex "
-            "(gap stopping) runs that hit epsilon with preconditions met"))
-
+    bound_ok = (floor_ok if case == "nonconvex" else
+                case == "convex" and theoretical and cfg["stopping"] == "gap"
+                and tail_ok)
+    add("iteration_bound",
+        None if bound_ok and trace.reason == "epsilon-reached"
+        and "iterations" in report.predicted
+        else "guaranteed only for nonconvex (gradient stopping) and convex "
+        "(gap stopping) runs that hit epsilon with preconditions met",
+        check=lambda name: _ineq_check(
+            name, [(None, float(len(recs)), report.predicted["iterations"])]))
     return report
