@@ -148,8 +148,8 @@ def constants_for_trace(trace: Trace, L: float, R: float | None = None,
 
     Practical-mode traces carry no beta; beta = 1 is used as a placeholder
     there.  :func:`audit_trace` skips every beta-dependent check and the
-    iteration prediction for such traces, so the placeholder reaches no
-    report.
+    iteration prediction for such traces, so a practical run's beta, this
+    placeholder or one the caller sets, reaches no check.
     """
     cfg = trace.config
     beta = cfg.get("beta")
@@ -357,6 +357,12 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     * iteration_bound     — observed iteration count against the predicted
                             closed-form bound for the case.
 
+    Every check whose constant reads beta needs theoretical mode, because a
+    practical run has no beta: reflection_decrease, the radius-floor family
+    (reflection_decrease_floor, radius_floor, shrink_count_bound),
+    convex_reflection_gap_decrease, radius_tail_lower_bound and
+    convex_shrink_count_bound (both through kappa2) and iteration_bound.
+
     For strongly convex runs the report additionally records (in
     ``observed``) the worst per-step gap contraction ratio over accepted
     reflections after the first shrink.  This is informational only: the
@@ -438,8 +444,10 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
                    f"objective_calls={summ['objective_calls']}"))
 
     # --- reflection decrease (sum form) -----------------------------------
+    # a practical run has no beta, so every check that reads it is skipped
+    theory = None if theoretical else "needs theoretical mode"
     margin = (2.0 * n + 2.0) / n * consts.beta * L
-    add("reflection_decrease", None if theoretical else "needs theoretical mode",
+    add("reflection_decrease", theory,
         ((k, dS, -margin * r.delta ** 2) for k, dS, r in reflections))
 
     # --- the gradient-stopping radius-floor family -------------------------
@@ -472,18 +480,19 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         else "needs a convex case, theoretical mode and f*",
         ((k, gap(r.S + dS) - gap(r.S),
           -(2.0 * consts.beta / n) * L * r.delta ** 2) for k, dS, r in reflections))
-    tail_ok = (convex_case and f_star is not None and consts.R is not None
+    tail_ok = (theoretical and convex_case and f_star is not None
+               and consts.R is not None
                and len(recs) > 0
                and consts.delta0 > tail_radius(max(gap(recs[0].S), 0.0), consts))
-    add("radius_tail_lower_bound",
+    add("radius_tail_lower_bound", theory or (
         None if tail_ok
-        else "needs a convex case, f*, R and delta0 > tail_radius(gap_0)",
+        else "needs a convex case, f*, R and delta0 > tail_radius(gap_0)"),
         ((k, gamma * tail_radius(max(gap(r.S), 0.0), consts), r.delta)
          for k, r in enumerate(recs)))
-    add("convex_shrink_count_bound",
+    add("convex_shrink_count_bound", theory or (
         None if convex_case and cfg["stopping"] == "gap"
         and consts.delta_cvx is not None and consts.delta0 > consts.delta_cvx
-        else "needs a convex case, gap stopping, R and delta0 > delta_cvx",
+        else "needs a convex case, gap stopping, R and delta0 > delta_cvx"),
         check=lambda name: _strict_count_check(
             name, N_s, _shrink_bound_convex(consts)))
 
@@ -527,8 +536,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
             report.predicted["unavailable"] = str(exc)
 
     bound_ok = (floor_ok if case == "nonconvex" else
-                case == "convex" and theoretical and cfg["stopping"] == "gap"
-                and tail_ok)
+                case == "convex" and cfg["stopping"] == "gap" and tail_ok)
     add("iteration_bound",
         None if bound_ok and trace.reason == "epsilon-reached"
         and "iterations" in report.predicted

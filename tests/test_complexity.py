@@ -239,6 +239,27 @@ def test_practical_trace_predicts_no_iteration_count():
         "skipped"
 
 
+@pytest.mark.parametrize("name, n", [
+    ("quad-iso", 2), ("quad-spectrum", 4), ("logsumexp", 2)])
+def test_practical_audit_reads_no_beta(name, n):
+    # a practical run has no beta, so the constants' beta must reach no check
+    obj = builtin(name, n)
+    trace = run(obj, SolverConfig(n=n, stopping="gap", epsilon=1e-4,
+                                  center=1.7))
+    assert trace.reason == "epsilon-reached"
+    cfg = trace.config
+    R = sublevel_radius(obj, trace.records[0].S / (n + 1.0))
+    reports = [audit_trace(trace, constants(
+        n=n, beta=beta, gamma=cfg["gamma"], L=obj.L, epsilon=cfg["epsilon"],
+        delta0=cfg["delta0"], R=R, mu=obj.mu), case=obj.convexity,
+        f_star=obj.f_star) for beta in (0.5, 1.0, 3.0)]
+    assert len({r.to_json() for r in reports}) == 1
+    names = checks_by_name(reports[0])
+    for check in ("radius_tail_lower_bound", "convex_shrink_count_bound"):
+        assert names[check].status == "skipped"
+        assert names[check].detail == "needs theoretical mode"
+
+
 # ---------------------------------------------------------------------------
 # trace audits on synthetic traces
 
