@@ -86,7 +86,10 @@ class Simplex:
         self.vertices = V
         self.dim = V.shape[1]
         if radius is None:
-            radius = float(np.mean(np.linalg.norm(V - self.centroid(), axis=1)))
+            # an overflowing centroid is named by the check's _affine_system
+            with np.errstate(over="ignore"):
+                radius = float(np.mean(np.linalg.norm(V - self.centroid(),
+                                                      axis=1)))
         if not (radius > 0.0):
             raise ValueError(f"radius must be positive, got {radius}")
         self.radius = float(radius)
@@ -144,11 +147,16 @@ def _affine_system(s: Simplex) -> tuple[np.ndarray, float, np.ndarray]:
     this centered, unit-scale frame, so the nondegeneracy rule responds to
     the shape of the simplex, never to its absolute position or size.
     """
-    c = s.centroid()
-    Y = s.vertices - c
+    # an overflow shows as a non-finite c or scale, raised on below
+    with np.errstate(over="ignore"):
+        c = s.centroid()
+        Y = s.vertices - c
     # max-entry scale avoids squaring, so it survives subnormal-range sizes
     scale = float(np.abs(Y).max())
-    if scale == 0.0 or not np.isfinite(scale):
+    if not (np.isfinite(scale) and np.isfinite(c).all()):
+        raise ValueError("vertex coordinates overflow the double range "
+                         "about their centroid")
+    if scale == 0.0:
         raise DegenerateSimplexError("all vertices coincide")
     A = np.empty((s.dim + 1, s.dim + 1))
     A[0, :] = 1.0

@@ -563,7 +563,18 @@ BAD_INPUTS = [
                  id="l-simplex-zero-radius"),
     pytest.param(2, ["worst-case", "--simplex-json", "TMP/collinear.json"],
                  id="l-simplex-collinear"),
+    pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/overflow.json"],
+                 id="m-simplex-centroid-overflow"),
+    pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/coincident.json"],
+                 id="m-simplex-coincident"),
 ]
+
+# the one error line of a BAD_INPUTS row that names its fault
+BAD_INPUT_MESSAGES = {
+    "overflow.json": "error: vertex coordinates overflow the double range "
+                     "about their centroid",
+    "coincident.json": "error: all vertices coincide",
+}
 
 
 @pytest.mark.parametrize("code, argv", BAD_INPUTS)
@@ -575,12 +586,19 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, code, argv):
         {"dim": 2, "radius": 0, "vertices": [[0, 0], [1, 0], [0, 1]]}))
     (tmp_path / "collinear.json").write_text(json.dumps(
         {"dim": 2, "radius": 1, "vertices": [[0, 0], [1, 0], [2, 0]]}))
+    (tmp_path / "overflow.json").write_text(json.dumps(
+        {"dim": 2, "radius": 1e308,
+         "vertices": [[1e308, 0], [1e308, 1e308], [0, 1e308]]}))
+    (tmp_path / "coincident.json").write_text(json.dumps(
+        {"dim": 2, "radius": 1, "vertices": [[1, 1], [1, 1], [1, 1]]}))
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if Path(argv[-1]).name in BAD_INPUT_MESSAGES:
+        assert lines[0] == BAD_INPUT_MESSAGES[Path(argv[-1]).name]
 
 
 def test_console_entry_point_exits_2_without_traceback():
