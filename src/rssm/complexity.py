@@ -481,8 +481,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         ((k, gap(r.S + dS) - gap(r.S),
           -(2.0 * consts.beta / n) * L * r.delta ** 2) for k, dS, r in reflections))
     tail_ok = (theoretical and convex_case and f_star is not None
-               and consts.R is not None
-               and len(recs) > 0
+               and consts.R is not None and len(recs) > 0
                and consts.delta0 > tail_radius(max(gap(recs[0].S), 0.0), consts))
     add("radius_tail_lower_bound", theory or (
         None if tail_ok

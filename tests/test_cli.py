@@ -597,8 +597,9 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, code, argv):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    if Path(argv[-1]).name in BAD_INPUT_MESSAGES:
-        assert lines[0] == BAD_INPUT_MESSAGES[Path(argv[-1]).name]
+    file = Path(argv[-1]).name
+    if file in BAD_INPUT_MESSAGES:
+        assert lines[0] == BAD_INPUT_MESSAGES[file]
 
 
 def test_console_entry_point_exits_2_without_traceback():

@@ -133,11 +133,6 @@ def test_overflowing_centroid_is_named_and_warns_nothing(radius):
     assert not isinstance(exc.value, DegenerateSimplexError)
 
 
-def test_coincident_vertices_rejected():
-    with pytest.raises(DegenerateSimplexError, match="all vertices coincide"):
-        Simplex(np.ones((3, 2)), radius=1.0)
-
-
 @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11, 3e-12, 1e-12, 5e-13, 2e-13,
                                1e-13, 1e-14])
 @pytest.mark.parametrize("n", [2, 8, 32])
