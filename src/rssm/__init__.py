@@ -9,7 +9,8 @@ The package splits into five layers:
   second-moment G matrix, sharp error bounds, worst-case quadratics and
   the mu sharpness certificates.
 * :mod:`rssm.solver`        — the reflect/shrink search itself, with full
-  per-iteration traces.
+  per-iteration traces.  It needs only :mod:`rssm.simplex` and solves no
+  linear system.
 * :mod:`rssm.complexity`    — closed-form complexity constants, predicted
   iteration bounds, and post-hoc trace audits.
 * :mod:`rssm.objectives` / :mod:`rssm.experiments` — certified test

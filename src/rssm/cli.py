@@ -102,7 +102,10 @@ def _cmd_solve(args) -> int:
               f"(objective calls {summ['objective_calls']})")
         print(f"best value: {summ['best_value']!r}")
         print(f"best point: {summ['best_point']}")
-        print(f"simplex gradient norm: {summ['final_gradient_norm']:.6e}")
+        # on regularity-failure the norm is read with the drift beside it
+        drift = f" ({summ['regularity']})" if "regularity" in summ else ""
+        print(f"simplex gradient norm: {summ['final_gradient_norm']:.6e}"
+              f"{drift}")
         if final_gap:
             print(f"value gap: {final_gap}")
     return 0

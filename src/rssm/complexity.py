@@ -294,16 +294,30 @@ class AuditReport:
 
 
 def _ineq_check(name: str, pairs, detail: str = "") -> AuditCheck:
-    """Check lhs <= rhs over (k, lhs, rhs) triples at AUDIT_RTOL."""
+    """Check lhs <= rhs over (k, lhs, rhs) triples at AUDIT_RTOL.
+
+    A NaN or infinite slack fails: the detail names its first k, and the
+    worst slack is taken over the finite ones.
+    """
     worst_slack = None
     worst_k = None
     violating = None
+    non_finite = None
     for k, lhs, rhs in pairs:
         slack = lhs - rhs
+        if not math.isfinite(slack):
+            if non_finite is None:
+                non_finite = (k, slack)
+            if violating is None:
+                violating = k
+            continue
         if worst_slack is None or slack > worst_slack:
             worst_slack, worst_k = slack, k
         if violating is None and slack > _tol(lhs, rhs):
             violating = k
+    if non_finite is not None:
+        detail += (f"{'; ' if detail else ''}non-finite slack "
+                   f"{non_finite[1]} at k={non_finite[0]}")
     status = "fail" if violating is not None else "pass"
     return AuditCheck(name=name, status=status, worst_slack=worst_slack,
                       worst_k=worst_k, violating_k=violating, detail=detail)

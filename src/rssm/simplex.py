@@ -67,8 +67,9 @@ class Simplex:
     Attributes:
         vertices: array of shape (n+1, n), one vertex per row.
         dim: the ambient dimension n.
-        radius: reference centroid-to-vertex distance delta.  Defaults to
-            the mean of the actual centroid distances.
+        radius: reference centroid-to-vertex distance delta, positive
+            and finite.  Defaults to the mean of the actual centroid
+            distances.
     """
 
     __slots__ = ("vertices", "dim", "radius")
@@ -85,24 +86,22 @@ class Simplex:
             raise ValueError("vertices contain non-finite entries")
         self.vertices = V
         self.dim = V.shape[1]
+        if check:
+            # first, so that _affine_system names an overflowing centroid
+            _check_nonsingular(_affine_system(self)[2])
         if radius is None:
-            # an overflowing centroid is named by the check's _affine_system
             with np.errstate(over="ignore"):
                 radius = float(np.mean(np.linalg.norm(V - self.centroid(),
                                                       axis=1)))
-        if not (radius > 0.0):
-            raise ValueError(f"radius must be positive, got {radius}")
+        if not (0.0 < radius < math.inf):
+            raise ValueError(
+                f"radius must be positive and finite, got {radius}")
         self.radius = float(radius)
-        if check:
-            _check_nonsingular(_affine_system(self)[2])
 
     def centroid(self) -> np.ndarray:
         """Arithmetic mean of the n+1 vertices."""
         # sum / count is what ndarray.mean computes, without its wrapper
         return self.vertices.sum(axis=0) / self.vertices.shape[0]
-
-    def copy(self) -> "Simplex":
-        return Simplex(self.vertices.copy(), radius=self.radius, check=False)
 
     def to_dict(self) -> dict:
         """JSON-ready form: {"dim": n, "radius": delta, "vertices": [[...], ...]}."""
@@ -258,7 +257,14 @@ def regular_simplex_gradient(s: Simplex, values) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if f.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} values, got shape {f.shape}")
-    return (_unit_frame(s).T @ (f - f.sum() / (n + 1))) * (n / (n + 1.0)) / s.radius
+    return _frame_gradient(_unit_frame(s), f, s.radius)
+
+
+def _frame_gradient(Y: np.ndarray, f: np.ndarray, radius: float) -> np.ndarray:
+    """The closed-form gradient from the unit frame Y of a simplex with
+    stored radius `radius` and its n+1 values f."""
+    n = Y.shape[1]
+    return (Y.T @ (f - f.sum() / (n + 1))) * (n / (n + 1.0)) / radius
 
 
 def reflect_worst(s: Simplex, worst_index: int) -> np.ndarray:
@@ -348,8 +354,12 @@ def regularity_report(s: Simplex) -> RegularityReport:
     Returns:
         RegularityReport with the two maximal relative deviations.
     """
-    n = s.dim
-    Y = _unit_frame(s)
+    return _frame_regularity(_unit_frame(s))
+
+
+def _frame_regularity(Y: np.ndarray) -> RegularityReport:
+    """The regularity report from the unit frame Y of a simplex."""
+    n = Y.shape[1]
     G = Y @ Y.T
     sq = G.diagonal()
     ideal_edge = math.sqrt(2.0 * (1.0 + 1.0 / n))
@@ -375,7 +385,9 @@ def _unit_frame(s: Simplex) -> np.ndarray:
     """Vertices centred on their centroid and divided by the stored radius.
 
     Radius-normalised coordinates keep the geometry exactly scale-free and
-    survive sizes whose squares would underflow.
+    survive sizes whose squares would underflow.  The regularity report and
+    the closed-form gradient both read this frame, so a caller that needs
+    both builds it once and passes it to the two frame kernels.
     """
     Y = s.vertices - s.centroid()
     Y /= s.radius

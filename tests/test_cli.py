@@ -82,6 +82,22 @@ def test_solve_writes_trace_json(tmp_path, capsys):
     assert len(trace.records) == trace.summary["iterations"]
 
 
+# one shrink by gamma 1e-17 rounds every vertex onto the best one
+COLLAPSE = ["solve", "--objective", "quad-iso", "--n", "2", "--start", "1",
+            "--param", "x_star=1", "--gamma", "1e-17", "--stopping", "none",
+            "--max-iter", "50"]
+
+
+def test_solve_collapse_ends_in_regularity_failure(capsys):
+    code, out, err = run_cli(capsys, *COLLAPSE)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "reason: regularity-failure"
+    # the norm is read with the drift that ended the run beside it
+    assert ("simplex gradient norm: 0.000000e+00 "
+            "(radius dev 1.000e+00, edge dev 1.000e+00)") in lines
+
+
 def test_solve_unknown_objective_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "solve", "--objective", "powell")
     assert code == 2
@@ -567,6 +583,8 @@ BAD_INPUTS = [
                  id="m-simplex-centroid-overflow"),
     pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/coincident.json"],
                  id="m-simplex-coincident"),
+    pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/inf_radius.json"],
+                 id="n-simplex-infinite-radius"),
 ]
 
 # the one error line of a BAD_INPUTS row that names its fault
@@ -574,6 +592,7 @@ BAD_INPUT_MESSAGES = {
     "overflow.json": "error: vertex coordinates overflow the double range "
                      "about their centroid",
     "coincident.json": "error: all vertices coincide",
+    "inf_radius.json": "error: radius must be positive and finite, got inf",
 }
 
 
@@ -591,6 +610,9 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, code, argv):
          "vertices": [[1e308, 0], [1e308, 1e308], [0, 1e308]]}))
     (tmp_path / "coincident.json").write_text(json.dumps(
         {"dim": 2, "radius": 1, "vertices": [[1, 1], [1, 1], [1, 1]]}))
+    # json reads 1e400 as inf
+    (tmp_path / "inf_radius.json").write_text(
+        '{"dim": 2, "radius": 1e400, "vertices": [[0, 0], [1, 0], [0, 1]]}')
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""

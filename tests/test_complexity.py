@@ -11,6 +11,7 @@ from rssm.complexity import (
     AuditCheck,
     _shrink_bound_convex,
     _shrink_bound_nonconvex,
+    _ineq_check,
     _strict_count_check,
     audit_trace,
     constants,
@@ -524,6 +525,38 @@ def test_audit_iteration_bound_on_nonconvex_run_with_known_optimum():
     assert report.passed
     assert names["iteration_bound"].status == "pass"
     assert len(trace.records) <= report.predicted["iterations"]
+
+
+@pytest.mark.parametrize("terms, k", [
+    ([(0, math.nan, 0.0), (1, 0.0, 1.0)], 0),
+    ([(0, 0.0, 1.0), (1, math.nan, 0.0)], 1),
+    ([(0, 0.0, 1.0), (1, math.inf, 0.0)], 1),
+    ([(0, 0.0, 1.0), (1, 0.0, math.inf)], 1),
+])
+def test_non_finite_slack_fails_and_is_named(terms, k):
+    ck = _ineq_check("x", terms)
+    assert ck.status == "fail" and ck.violating_k == k
+    assert f"at k={k}" in ck.detail and "non-finite slack" in ck.detail
+    # the worst slack stays finite, so the report is strict JSON
+    assert ck.worst_slack == -1.0
+    json.dumps(ck.to_dict(), allow_nan=False)
+
+
+def test_audit_fails_on_a_nan_value_sum():
+    obj, trace = run_theoretical("sin-quad", 2, "true_gradient", 1e-3)
+    consts = constants_for_trace(trace, L=obj.L)
+    assert audit_trace(trace, consts, f_star=obj.f_star).passed
+    # the first record after a reflection: that step's dS is the first NaN
+    j = next(k for k in range(1, len(trace.records))
+             if trace.records[k - 1].step == "reflection")
+    trace.records[j].S = math.nan
+    report = audit_trace(trace, consts, f_star=obj.f_star)
+    assert not report.passed
+    ck = checks_by_name(report)["reflection_decrease"]
+    assert ck.status == "fail" and ck.violating_k == j - 1
+    assert f"non-finite slack nan at k={j - 1}" in ck.detail
+    for c in report.violations:
+        assert "non-finite slack nan" in c.detail, c.name
 
 
 def test_audit_strongly_convex_run_records_gap_ratio():

@@ -1,6 +1,7 @@
 """Geometry kernels: construction, reflection, shrinking, regularity."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ def test_overflowing_centroid_is_named_and_warns_nothing(radius):
     with pytest.raises(ValueError, match="overflow") as exc:
         Simplex(V, radius=radius)
     assert not isinstance(exc.value, DegenerateSimplexError)
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+@pytest.mark.parametrize("check", [True, False])
+def test_radius_must_be_positive_and_finite(radius, check):
+    V = make_regular_simplex(0.0, 1.0, 2).vertices
+    with pytest.raises(ValueError, match="positive and finite"):
+        Simplex(V, radius=radius, check=check)
+
+
+def test_unchecked_overflowing_centroid_takes_no_infinite_radius():
+    V = np.array([[1e308, 0.0], [1e308, 1e308], [0.0, 1e308]])
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        Simplex(V, check=False)
 
 
 @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11, 3e-12, 1e-12, 5e-13, 2e-13,
@@ -363,13 +378,6 @@ def test_from_dict_validates_dim_field():
 def test_malformed_simplex_json_is_a_value_error(text):
     with pytest.raises(ValueError, match="malformed simplex"):
         Simplex.from_json(text)
-
-
-def test_copy_is_independent():
-    s = make_regular_simplex(0.0, 1.0, 2)
-    s2 = s.copy()
-    s2.vertices[0, 0] += 1.0
-    assert s.vertices[0, 0] != s2.vertices[0, 0]
 
 
 def test_json_text_is_valid_json():

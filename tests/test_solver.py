@@ -1,7 +1,10 @@
 """Solver state machine: acceptance rule, stepping, traces, stopping."""
 
+import ast
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,15 +196,19 @@ def _count_calls(monkeypatch, name):
 
 
 def test_gradient_is_computed_once_per_iteration(monkeypatch):
-    closed = _count_calls(monkeypatch, "regular_simplex_gradient")
-    svd = _count_calls(monkeypatch, "simplex_gradient")
+    frames = _count_calls(monkeypatch, "_unit_frame")
     cfg = SolverConfig(n=4, epsilon=1e-12, stopping="simplex_gradient",
                        max_iterations=40, center=1.5)
     trace = run(builtin("quad-spectrum", 4, seed=7), cfg)
     assert trace.reason == "budget" and len(trace.records) == 40
-    # one per iteration, plus the top-of-loop test that ends the run
-    assert closed["count"] == len(trace.records) + 1
-    assert svd["count"] == 0
+    # one frame per iteration, plus the top-of-loop test that ends the run
+    assert frames["count"] == len(trace.records) + 1
+    # the loop solves no linear system: the affine solve is not reachable
+    assert getattr(rssm.solver, "simplex_gradient", None) is not simplex_gradient
+    tree = ast.parse(Path(rssm.solver.__file__).read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("interpolation", "rssm.interpolation")]
 
 
 def test_recorded_gradient_norms_match_the_affine_solve():
@@ -216,15 +223,28 @@ def test_recorded_gradient_norms_match_the_affine_solve():
         assert record.simplex_gradient_norm == pytest.approx(want, rel=1e-12)
 
 
-def test_regularity_failure_reports_the_affine_solve_gradient(monkeypatch):
+def test_regularity_failure_reports_the_closed_form_gradient(monkeypatch):
     monkeypatch.setattr(rssm.solver, "REGULARITY_FAIL_TOL", -1.0)
-    closed = _count_calls(monkeypatch, "regular_simplex_gradient")
     obj = builtin("quad-iso", 2)
-    trace = run(obj, SolverConfig(n=2, stopping="none", center=0.3))
-    assert closed["count"] == 0
-    s = make_regular_simplex(0.3, 1.0, 2)
-    want = np.linalg.norm(simplex_gradient(s, [obj(v) for v in s.vertices]))
-    assert trace.summary["final_gradient_norm"] == pytest.approx(want, rel=1e-12)
+    cfg = SolverConfig(n=2, stopping="none", center=0.3)
+    trace = run(obj, cfg)
+    assert trace.reason == "regularity-failure" and trace.records == []
+    # the closed form on the rejected simplex: here the value-sorted start
+    state = rssm.solver._init_state(obj, cfg)
+    g = regular_simplex_gradient(state.simplex, state.values)
+    assert trace.summary["final_gradient_norm"] == math.sqrt(g @ g)
+
+
+def test_collapsed_simplex_keeps_its_trace():
+    # one shrink by gamma 1e-17 rounds every vertex onto the best one
+    cfg = SolverConfig(n=2, gamma=1e-17, stopping="none", max_iterations=50,
+                       center=1.0)
+    trace = run(builtin("quad-iso", 2, x_star=1.0), cfg)
+    assert trace.reason == "regularity-failure"
+    assert [r.step for r in trace.records] == ["shrink"]
+    assert trace.summary["final_gradient_norm"] == 0.0
+    assert trace.summary["regularity"] == \
+        "radius dev 1.000e+00, edge dev 1.000e+00"
 
 
 class _Counted:

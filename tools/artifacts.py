@@ -82,6 +82,10 @@ CLI_RUNS = [
                            "--trace-out", "d.json"]),
     ("solve-far-start", ["solve", "--objective", "quad-iso", "--n", "3",
                          "--start", "1e8"]),
+    # one shrink by gamma 1e-17 collapses the simplex: regularity-failure
+    ("solve-collapse", ["solve", "--objective", "quad-iso", "--n", "2",
+                        "--start", "1", "--param", "x_star=1", "--gamma",
+                        "1e-17", "--stopping", "none", "--max-iter", "50"]),
     ("scaling", ["scaling", "--objective", "quad-iso", "--dims", "2,4",
                  "--epsilons", "1e-1,1e-2,1e-3,1e-4", "--csv-out",
                  "sweep.csv"]),
