@@ -297,30 +297,26 @@ def _ineq_check(name: str, pairs, detail: str = "") -> AuditCheck:
     """Check lhs <= rhs over (k, lhs, rhs) triples at AUDIT_RTOL.
 
     A NaN or infinite slack fails: the detail names its first k, and the
-    worst slack is taken over the finite ones.
+    worst slack is taken over the finite ones.  k may be None (a single
+    aggregate term), so failure is its own flag, not violating_k.
     """
-    worst_slack = None
-    worst_k = None
-    violating = None
-    non_finite = None
+    worst_slack = worst_k = violating = non_finite = None
+    failed = False
     for k, lhs, rhs in pairs:
         slack = lhs - rhs
-        if not math.isfinite(slack):
-            if non_finite is None:
-                non_finite = (k, slack)
-            if violating is None:
-                violating = k
-            continue
-        if worst_slack is None or slack > worst_slack:
+        finite = math.isfinite(slack)
+        if not finite and non_finite is None:
+            non_finite = (k, slack)
+        if finite and (worst_slack is None or slack > worst_slack):
             worst_slack, worst_k = slack, k
-        if violating is None and slack > _tol(lhs, rhs):
-            violating = k
+        if not failed and (not finite or slack > _tol(lhs, rhs)):
+            failed, violating = True, k
     if non_finite is not None:
         detail += (f"{'; ' if detail else ''}non-finite slack "
                    f"{non_finite[1]} at k={non_finite[0]}")
-    status = "fail" if violating is not None else "pass"
-    return AuditCheck(name=name, status=status, worst_slack=worst_slack,
-                      worst_k=worst_k, violating_k=violating, detail=detail)
+    return AuditCheck(name=name, status="fail" if failed else "pass",
+                      worst_slack=worst_slack, worst_k=worst_k,
+                      violating_k=violating, detail=detail)
 
 
 def _strict_count_check(name: str, N_s: int, bound: float) -> AuditCheck:

@@ -207,15 +207,16 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
         is at least 1/sqrt(n), far above RCOND_MIN, so that check is skipped.
 
     Raises:
-        ValueError: nonpositive radius, n < 1, or center of wrong length.
+        ValueError: radius not positive and finite, n < 1, or center of
+            wrong length.
         CenterResolutionError: the radius is too small for its centre, or
             subnormal with too few bits, so the rounded vertices are not
             regular to GEOMETRY_RTOL.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if not (radius > 0.0):
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (0.0 < radius < math.inf):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     c = np.broadcast_to(np.asarray(center, dtype=float), (n,)).copy()
     Y = radius * np.sqrt((n + 1.0) / n) * _helmert_rows(n).T
     s = Simplex(c[None, :] + Y, radius=float(radius), check=False)

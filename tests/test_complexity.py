@@ -542,6 +542,13 @@ def test_non_finite_slack_fails_and_is_named(terms, k):
     json.dumps(ck.to_dict(), allow_nan=False)
 
 
+@pytest.mark.parametrize("lhs", [2.0, math.nan])
+def test_aggregate_term_without_k_can_fail(lhs):
+    # total_shrink_ascent and iteration_bound pass one term with k None
+    ck = _ineq_check("x", [(None, lhs, 1.0)])
+    assert ck.status == "fail" and ck.violating_k is None
+
+
 def test_audit_fails_on_a_nan_value_sum():
     obj, trace = run_theoretical("sin-quad", 2, "true_gradient", 1e-3)
     consts = constants_for_trace(trace, L=obj.L)

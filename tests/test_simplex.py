@@ -101,9 +101,9 @@ def test_shallow_subnormal_radius_builds_at_the_origin(radius):
     assert regularity_report(s).max_deviation() <= 1e-10
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
 def test_nonpositive_radius_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive and finite"):
         make_regular_simplex(0.0, bad, 3)
 
 
