@@ -1,6 +1,6 @@
-"""The regular simplicial search state machine.
+"""The regular simplicial search loop.
 
-Each iteration sorts the vertices by value, reflects the worst vertex
+:func:`run` is the one driver.  Each iteration reflects the worst vertex
 through the centroid of the other n, and accepts the reflection only when
 it decreases the worst value by a sufficient-decrease margin proportional
 to delta_k^2; otherwise every non-best vertex is shrunk toward the best
@@ -46,8 +46,6 @@ __all__ = [
     "IterationRecord",
     "Trace",
     "EvaluationError",
-    "accept_reflection",
-    "step",
     "run",
 ]
 
@@ -304,10 +302,6 @@ class SolverState:
         self.k = 0
         self.objective_calls = 0
 
-    @property
-    def delta(self) -> float:
-        return self.simplex.radius
-
     def evaluate(self, objective, x) -> float:
         """f(x), counted in objective_calls: the solver's only objective call.
 
@@ -327,73 +321,6 @@ class SolverState:
         self.simplex.vertices = self.simplex.vertices[order]
 
 
-def _init_state(objective, cfg: SolverConfig) -> SolverState:
-    simplex = make_regular_simplex(cfg.start_center(), cfg.delta0, cfg.n)
-    state = SolverState(simplex, np.empty(cfg.n + 1))
-    for i, v in enumerate(simplex.vertices):
-        state.values[i] = state.evaluate(objective, v)
-    state.sort()
-    return state
-
-
-def accept_reflection(f_r: float, f_worst: float, cfg: SolverConfig,
-                      delta: float) -> bool:
-    """Sufficient-decrease test for a reflection candidate (inclusive <=)."""
-    if cfg.mode == "theoretical":
-        threshold = -(2.0 * cfg.n + 2.0) / cfg.n * cfg.beta * cfg.L * delta ** 2
-    else:
-        threshold = -cfg.eta * delta ** 2
-    return f_r - f_worst <= threshold
-
-
-def step(state: SolverState, objective, cfg: SolverConfig,
-         grad_norm: float) -> tuple[SolverState, IterationRecord]:
-    """Advance one iteration: reflect the worst vertex, accept or shrink.
-
-    Returns the (mutated) state and the record of the iteration.  The
-    reflection candidate is always evaluated; on rejection the n non-best
-    vertices are shrunk toward the best one and re-evaluated.  `grad_norm`
-    is the norm of the current simplex gradient, for the record.
-    """
-    n = cfg.n
-    f = state.values
-    delta_k = state.delta
-    S_k = float(f.sum())
-    f_best_k = float(f[0])
-    f_worst_k = float(f[n])
-    mean_best = float(f[:n].sum() / n)
-    v = f_worst_k - mean_best
-
-    x_r = reflect_worst(state.simplex, n)
-    f_r = state.evaluate(objective, x_r)
-    v_r = float(f_r - mean_best)
-
-    if cfg.algorithm == "reflection_only":
-        accepted = True
-    else:
-        accepted = accept_reflection(f_r, f_worst_k, cfg, delta_k)
-
-    if accepted:
-        state.simplex.vertices[n] = x_r
-        f[n] = f_r
-        kind = "reflection"
-    else:
-        state.simplex = shrink_toward_best(state.simplex, 0, cfg.gamma)
-        V = state.simplex.vertices
-        for i in range(1, n + 1):
-            f[i] = state.evaluate(objective, V[i])
-        kind = "shrink"
-
-    record = IterationRecord(
-        k=state.k, step=kind, accepted=accepted, delta=delta_k, S=S_k,
-        f_best=f_best_k, f_worst=f_worst_k,
-        v=v, v_r=v_r, simplex_gradient_norm=grad_norm,
-    )
-    state.sort()
-    state.k += 1
-    return state, record
-
-
 def _check_stopping(objective, cfg: SolverConfig) -> None:
     """Raise ValueError when the objective lacks what cfg.stopping reads.
 
@@ -407,41 +334,29 @@ def _check_stopping(objective, cfg: SolverConfig) -> None:
         raise ValueError("gap stopping needs an objective with known f*")
 
 
-def _stopping_value(state: SolverState, objective, cfg: SolverConfig,
-                    grad_norm: float) -> float | None:
-    """Current value of the stopping criterion, or None when stopping='none'.
-
-    `grad_norm` is the norm of the current simplex gradient; the objective
-    has passed :func:`_check_stopping`.
-    """
-    if cfg.stopping == "none":
-        return None
-    if cfg.stopping == "simplex_gradient":
-        return grad_norm
-    if cfg.stopping == "true_gradient":
-        g = np.asarray(objective.gradient(state.simplex.centroid()), dtype=float)
-        return math.sqrt(g @ g)
-    # gap: mean vertex value minus f*
-    return float(state.values.sum() / (cfg.n + 1) - objective.f_star)
-
-
 def run(objective, cfg: SolverConfig) -> Trace:
     """Iterate until the stopping criterion, a budget, or a failure.
 
+    This is the search loop.  Each iteration, in order: build the
+    radius-normalised centred frame of the value-sorted simplex once
+    (``simplex._unit_frame``); read the closed-form simplex gradient and the
+    regularity verdict from it; test the stopping criterion, the budgets and
+    the practical-mode radius floor; reflect the worst vertex and evaluate
+    the candidate; accept it when f_r - f_worst <= margin * delta_k^2,
+    otherwise shrink the n non-best vertices toward the best one and
+    re-evaluate them; record the iteration; stable-sort by value.  The
+    margin, -(2n+2)/n * beta * L or -eta, is computed once per run; the
+    "reflection_only" variant accepts every candidate without reading it.
+
     The stopping criterion is tested at the top of every iteration, so when
     the terminal reason is "epsilon-reached" the number of records equals
-    the first iteration index at which the criterion held.
-
-    Each iteration builds the radius-normalised centred frame of the
-    simplex once (``simplex._unit_frame``) and reads both per-iteration
-    quantities from it: the closed-form simplex gradient, which the
-    stopping rule and the record share, and the regularity verdict.  The
-    closed form (``simplex.regular_simplex_gradient``) is exact only on a
-    regular simplex, so its relative error is of the order of the
-    certified drift.  The loop depends on :mod:`rssm.simplex` alone and
-    solves no linear system.  On "regularity-failure" the summary's
-    ``final_gradient_norm`` is the closed form on the rejected simplex,
-    to be read with the drift in ``summary["regularity"]`` beside it.
+    the first iteration index at which the criterion held.  The gradient
+    that the stopping rule and the record share is exact only on a regular
+    simplex, so its relative error is of the order of the certified drift.
+    The loop depends on :mod:`rssm.simplex` alone and solves no linear
+    system.  On "regularity-failure" the summary's ``final_gradient_norm``
+    is the closed form on the rejected simplex, to be read with the drift
+    in ``summary["regularity"]`` beside it.
 
     Raises:
         ValueError: the objective cannot serve cfg.stopping
@@ -450,30 +365,74 @@ def run(objective, cfg: SolverConfig) -> Trace:
         CenterResolutionError: cfg.delta0 cannot be resolved at cfg.center.
     """
     _check_stopping(objective, cfg)
-    state = _init_state(objective, cfg)
+    n = cfg.n
+    state = SolverState(make_regular_simplex(cfg.start_center(), cfg.delta0, n),
+                        np.empty(n + 1))
+    for i, v in enumerate(state.simplex.vertices):
+        state.values[i] = state.evaluate(objective, v)
+    state.sort()
     trace = Trace(config=cfg.to_dict())
+    reflection_only = cfg.algorithm == "reflection_only"
+    if cfg.mode == "theoretical":
+        margin = -(2.0 * n + 2.0) / n * cfg.beta * cfg.L
+    else:
+        margin = -cfg.eta
 
     while True:
+        f = state.values
+        delta = state.simplex.radius
         Y = _unit_frame(state.simplex)
-        g = _frame_gradient(Y, state.values, state.delta)
+        g = _frame_gradient(Y, f, delta)
         grad_norm = math.sqrt(g @ g)
         rep = _frame_regularity(Y)
         if rep.max_deviation() > REGULARITY_FAIL_TOL:
             trace.reason = "regularity-failure"
             trace.summary["regularity"] = str(rep)
             break
-        crit = _stopping_value(state, objective, cfg, grad_norm)
-        if crit is not None and crit <= cfg.epsilon:
+        if cfg.stopping == "true_gradient":
+            g_true = np.asarray(objective.gradient(state.simplex.centroid()),
+                                dtype=float)
+            crit = math.sqrt(g_true @ g_true)
+        elif cfg.stopping == "gap":
+            # mean vertex value minus f*
+            crit = float(f.sum() / (n + 1) - objective.f_star)
+        else:
+            crit = grad_norm
+        if cfg.stopping != "none" and crit <= cfg.epsilon:
             trace.reason = "epsilon-reached"
             break
         if state.k >= cfg.max_iterations or state.objective_calls >= cfg.max_evaluations:
             trace.reason = "budget"
             break
-        if cfg.mode == "practical" and state.delta < DELTA_FLOOR_FRACTION * cfg.delta0:
+        if cfg.mode == "practical" and delta < DELTA_FLOOR_FRACTION * cfg.delta0:
             trace.reason = "delta-floor"
             break
-        state, record = step(state, objective, cfg, grad_norm)
-        trace.records.append(record)
+
+        S_k = float(f.sum())
+        f_best_k = float(f[0])
+        f_worst_k = float(f[n])
+        mean_best = float(f[:n].sum() / n)
+        # the candidate is evaluated even when the step ends in a shrink
+        x_r = reflect_worst(state.simplex, n)
+        f_r = state.evaluate(objective, x_r)
+        # a boolean, not a margin of -inf: -inf * 0.0 is NaN once delta^2
+        # underflows
+        accepted = reflection_only or f_r - f_worst_k <= margin * delta ** 2
+        if accepted:
+            state.simplex.vertices[n] = x_r
+            f[n] = f_r
+        else:
+            state.simplex = shrink_toward_best(state.simplex, 0, cfg.gamma)
+            V = state.simplex.vertices
+            for i in range(1, n + 1):
+                f[i] = state.evaluate(objective, V[i])
+        trace.records.append(IterationRecord(
+            k=state.k, step="reflection" if accepted else "shrink",
+            accepted=accepted, delta=delta, S=S_k, f_best=f_best_k,
+            f_worst=f_worst_k, v=f_worst_k - mean_best,
+            v_r=float(f_r - mean_best), simplex_gradient_norm=grad_norm))
+        state.sort()
+        state.k += 1
 
     trace.summary.update({
         "N_r": trace.N_r,
@@ -482,7 +441,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
         "eval_count": trace.eval_count,
         "objective_calls": state.objective_calls,
         "iterations": state.k,
-        "final_delta": state.delta,
+        "final_delta": state.simplex.radius,
         "final_S": float(state.values.sum()),
         "final_values": state.values.tolist(),
         "best_point": state.simplex.vertices[0].tolist(),

@@ -14,6 +14,7 @@ from rssm.interpolation import simplex_gradient
 from rssm.objectives import Objective, builtin
 from rssm.simplex import (
     CenterResolutionError,
+    Simplex,
     make_regular_simplex,
     regular_simplex_gradient,
 )
@@ -22,7 +23,6 @@ from rssm.solver import (
     SolverConfig,
     SolverState,
     Trace,
-    accept_reflection,
     run,
 )
 
@@ -38,24 +38,26 @@ def _theoretical_cfg(**kw):
 # acceptance rule
 
 
-def test_theoretical_acceptance_threshold():
-    cfg = _theoretical_cfg()  # threshold -(2n+2)/n * beta * L * delta^2 = -3
-    assert accept_reflection(-2.5, 1.0, cfg, delta=1.0)       # decrease -3.5
-    assert accept_reflection(-2.0, 1.0, cfg, delta=1.0)       # exactly -3
-    assert not accept_reflection(-1.99, 1.0, cfg, delta=1.0)  # -2.99
-
-
-def test_theoretical_threshold_scales_with_delta_squared():
-    cfg = _theoretical_cfg()
-    assert accept_reflection(0.0, 0.76, cfg, delta=0.5)       # -0.76 <= -0.75
-    assert not accept_reflection(0.0, 0.74, cfg, delta=0.5)
-
-
-def test_practical_acceptance_threshold():
-    cfg = SolverConfig(n=3, eta=0.1, mode="practical")
-    assert not accept_reflection(-0.02, 0.0, cfg, delta=0.5)  # -0.02 > -0.025
-    assert accept_reflection(-0.03, 0.0, cfg, delta=0.5)
-    assert accept_reflection(-0.025, 0.0, cfg, delta=0.5)     # inclusive
+# 1-d, f(x) = x from centre 0: the worst vertex +delta reflects to -3*delta,
+# so f_r - f_worst = -4*delta exactly
+@pytest.mark.parametrize("delta0, mode, scale, step", [
+    (1.0, "theoretical", 0.9, "reflection"),
+    (1.0, "theoretical", 1.0, "reflection"),  # margin -4*L*delta^2 = -4, inclusive
+    (1.0, "theoretical", 1.1, "shrink"),
+    # the margin scales with delta^2: -4*L/4 against -2
+    (0.5, "theoretical", 2.0, "reflection"),  # inclusive
+    (0.5, "theoretical", 2.1, "shrink"),
+    (0.5, "practical", 8.0, "reflection"),  # -eta/4 against -2, inclusive
+    (0.5, "practical", 8.5, "shrink"),
+])
+def test_acceptance_threshold(delta0, mode, scale, step):
+    line = Objective("line", 1, lambda x: float(x[0]))
+    scales = {"L": scale, "beta": 1.0} if mode == "theoretical" else {"eta": scale}
+    cfg = SolverConfig(n=1, delta0=delta0, mode=mode, stopping="none",
+                       max_iterations=1, **scales)
+    r = run(line, cfg).records[0]
+    assert r.v_r - r.v == -4.0 * delta0
+    assert r.step == step and r.accepted == (step == "reflection")
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +213,24 @@ def test_gradient_is_computed_once_per_iteration(monkeypatch):
                 and node.module in ("interpolation", "rssm.interpolation")]
 
 
-def test_recorded_gradient_norms_match_the_affine_solve():
+def test_recorded_gradient_norms_match_the_affine_solve(monkeypatch):
+    # each frame is built from the value-sorted simplex at a loop top
+    simplices = []
+    frame = rssm.solver._unit_frame
+
+    def kept(s):
+        simplices.append(s.vertices.copy())
+        return frame(s)
+
+    monkeypatch.setattr(rssm.solver, "_unit_frame", kept)
     obj = builtin("damped-sine", 3)
     cfg = SolverConfig(n=3, stopping="none", max_iterations=60, center=1.3)
-    state = rssm.solver._init_state(obj, cfg)
-    for _ in range(cfg.max_iterations):
-        want = np.linalg.norm(simplex_gradient(state.simplex, state.values))
-        closed = float(np.linalg.norm(
-            regular_simplex_gradient(state.simplex, state.values)))
-        state, record = rssm.solver.step(state, obj, cfg, closed)
+    trace = run(obj, cfg)
+    assert len(trace.records) == cfg.max_iterations
+    for record, V in zip(trace.records, simplices):
+        s = Simplex(V, radius=record.delta, check=False)
+        values = np.array([obj(v) for v in V])
+        want = np.linalg.norm(simplex_gradient(s, values))
         assert record.simplex_gradient_norm == pytest.approx(want, rel=1e-12)
 
 
@@ -230,8 +241,11 @@ def test_regularity_failure_reports_the_closed_form_gradient(monkeypatch):
     trace = run(obj, cfg)
     assert trace.reason == "regularity-failure" and trace.records == []
     # the closed form on the rejected simplex: here the value-sorted start
-    state = rssm.solver._init_state(obj, cfg)
-    g = regular_simplex_gradient(state.simplex, state.values)
+    s = make_regular_simplex(cfg.start_center(), cfg.delta0, cfg.n)
+    values = np.array([obj(v) for v in s.vertices])
+    order = np.argsort(values, kind="stable")
+    s.vertices = s.vertices[order]
+    g = regular_simplex_gradient(s, values[order])
     assert trace.summary["final_gradient_norm"] == math.sqrt(g @ g)
 
 
