@@ -56,6 +56,14 @@ def _tol(lhs: float, rhs: float) -> float:
     return AUDIT_RTOL * max(1.0, abs(lhs), abs(rhs))
 
 
+def _sq(x: float) -> float:
+    """x ** 2, or inf where Python's float power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ComplexityConstants:
     """Closed-form constants of the complexity analysis.
@@ -114,7 +122,7 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
     kappa1 = (beta + 1.0) * n + rn / 2.0
     kappa2 = (beta - 0.5) * n + rn / 2.0 - 0.5
     delta_bar = gamma * epsilon / (L * kappa1)
-    psi0 = L * gamma / (1.0 + gamma) * delta0 ** 2
+    psi0 = L * gamma / (1.0 + gamma) * _sq(delta0)
     C1 = (2.0 * beta / n) * gamma ** 2 * (1.0 - eta_split)
 
     d_thr = A = delta_cvx = None
@@ -124,15 +132,15 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
                 f"convex constants need kappa2 > 0, got kappa2 = {kappa2} "
                 f"(n={n}, beta={beta})"
             )
-        d_thr = 4.0 * kappa2 ** 2 * L * R ** 2 / (1.0 - eta_split)
+        d_thr = 4.0 * _sq(kappa2) * L * _sq(R) / (1.0 - eta_split)
         A = beta * gamma ** 2 * (1.0 - eta_split) ** 2 / (
-            2.0 * L * R ** 2 * n * kappa2 ** 2)
+            2.0 * L * _sq(R) * n * _sq(kappa2))
         delta_cvx = min((1.0 - eta_split) * epsilon / (2.0 * kappa2 * L * R),
                         math.sqrt((1.0 - eta_split) * epsilon / L))
 
     rho = None
     if mu is not None:
-        rho = 4.0 * beta * mu * gamma ** 2 / (n * (L * kappa2 ** 2 + mu))
+        rho = 4.0 * beta * mu * gamma ** 2 / (n * (L * _sq(kappa2) + mu))
 
     return ComplexityConstants(
         n=n, beta=beta, gamma=gamma, L=L, epsilon=epsilon, delta0=delta0,
@@ -198,13 +206,13 @@ def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
     if d_bar0 < 0:
         raise ValueError(f"d_bar0 must be nonnegative, got {d_bar0}")
     c = consts
-    e2 = 2.0 * c.beta * c.gamma ** 2 * c.epsilon ** 2
+    e2 = 2.0 * c.beta * c.gamma ** 2 * _sq(c.epsilon)
 
     if case == "nonconvex":
-        reflect = c.L * (d_bar0 + c.psi0) * c.n * c.kappa1 ** 2 / e2
+        reflect = c.L * (d_bar0 + c.psi0) * c.n * _sq(c.kappa1) / e2
         return reflect + max(0.0, _shrink_bound_nonconvex(c))
     if case == "pl":
-        reflect = c.L * (d_bar0 + c.psi0) * c.kappa1 ** 2 / e2
+        reflect = c.L * (d_bar0 + c.psi0) * _sq(c.kappa1) / e2
         return reflect + max(0.0, _shrink_bound_nonconvex(c))
     if case == "convex":
         if c.d_thr is None:
@@ -374,9 +382,9 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     convex_shrink_count_bound (both through kappa2) and iteration_bound.
 
     For strongly convex runs the report additionally records (in
-    ``observed``) the worst per-step gap contraction ratio over accepted
-    reflections after the first shrink.  This is informational only: the
-    closed-form factor (1 - rho) is not audited per step, because rho is
+    ``observed``) the worst finite per-step gap contraction ratio over
+    accepted reflections after the first shrink.  This is informational
+    only: the closed-form factor (1 - rho) is not audited per step, as rho is
     built on the rejection certificate kappa2 and a certificate of
     (beta+1/2)n + sqrt(n)/2 + 1/2 is what the rejection inequalities
     actually support, so the per-step form with the stated rho can fail on
@@ -420,11 +428,11 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
 
     def radius_deviations():
         """(k, |delta_k - delta0*gamma^shrinks| / that, 0): a deviation up to
-        1 fails above AUDIT_RTOL, one above 1 always fails."""
+        1 fails above AUDIT_RTOL, one above 1 (inf if that underflows) fails."""
         shrinks_seen = 0
         for i, r in enumerate(recs):
             expect = consts.delta0 * gamma ** shrinks_seen
-            yield i, abs(r.delta - expect) / expect, 0.0
+            yield i, abs(r.delta - expect) / expect if expect else math.inf, 0.0
             if r.step == "shrink":
                 shrinks_seen += 1
 
@@ -442,7 +450,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     # --- plumbing invariants ----------------------------------------------
     add("radius_law", None, radius_deviations(),
         "relative deviation from delta0*gamma^shrinks")
-    expected = (n + 1) + N_r + n * N_s
+    expected = trace.eval_count
     add("eval_identity",
         None if "eval_count" in summ and "objective_calls" in summ
         else "summary lacks counters",
@@ -458,15 +466,15 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     theory = None if theoretical else "needs theoretical mode"
     margin = (2.0 * n + 2.0) / n * consts.beta * L
     add("reflection_decrease", theory,
-        ((k, dS, -margin * r.delta ** 2) for k, dS, r in reflections))
+        ((k, dS, -margin * _sq(r.delta)) for k, dS, r in reflections))
 
     # --- the gradient-stopping radius-floor family -------------------------
     floor_ok = (theoretical and cfg["stopping"] == "true_gradient"
                 and consts.delta0 > consts.delta_bar)
     floor_why = None if floor_ok else ("needs theoretical mode, true-gradient "
                                        "stopping and delta0 > delta_bar")
-    floor = (n + 1.0) * 2.0 * consts.beta * gamma ** 2 * consts.epsilon ** 2 \
-        / (L * n * consts.kappa1 ** 2)
+    floor = (n + 1.0) * 2.0 * consts.beta * gamma ** 2 * _sq(consts.epsilon) \
+        / (L * n * _sq(consts.kappa1))
     add("reflection_decrease_floor", floor_why,
         ((k, dS, -floor) for k, dS, r in reflections))
     add("radius_floor", floor_why,
@@ -477,7 +485,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     # --- shrink ascent caps (any mode; only L-smoothness is used) ----------
     per_shrink = L * gamma * (1.0 - gamma) * (n + 1.0)
     add("shrink_ascent_per_step", None,
-        ((k, dS, per_shrink * r.delta ** 2) for k, dS, r in shrinks))
+        ((k, dS, per_shrink * _sq(r.delta)) for k, dS, r in shrinks))
     add("total_shrink_ascent", None,
         [(None, sum(max(dS, 0.0) for _, dS, _ in shrinks),
           (n + 1.0) * consts.psi0)])
@@ -489,7 +497,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         None if convex_case and theoretical and f_star is not None
         else "needs a convex case, theoretical mode and f*",
         ((k, gap(r.S + dS) - gap(r.S),
-          -(2.0 * consts.beta / n) * L * r.delta ** 2) for k, dS, r in reflections))
+          -(2.0 * consts.beta / n) * L * _sq(r.delta)) for k, dS, r in reflections))
     tail_ok = (theoretical and convex_case and f_star is not None
                and consts.R is not None and len(recs) > 0
                and consts.delta0 > tail_radius(max(gap(recs[0].S), 0.0), consts))
@@ -516,9 +524,11 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
                             None)
         ratios = []
         if first_shrink is not None:
-            ratios = [gap(r.S + dS) / gap(r.S)
-                      for k, dS, r in reflections
-                      if k > first_shrink and gap(r.S) > 0]
+            # a gap near the least subnormal can make a ratio overflow
+            ratios = [q for q in (gap(r.S + dS) / gap(r.S)
+                                  for k, dS, r in reflections
+                                  if k > first_shrink and gap(r.S) > 0)
+                      if math.isfinite(q)]
         if ratios:
             report.observed["worst_reflection_gap_ratio"] = max(ratios)
 
@@ -532,17 +542,21 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
             if not theoretical:
                 # the bounds read beta, which a practical run does not have
                 report.predicted["unavailable"] = "needs theoretical mode"
-            elif case == "pl":
-                # Only an upper bound on the central gap is available from
-                # vertex values: f(c_0) <= mean + L*delta0^2/2.
-                d0 = d_bar0 + L * consts.delta0 ** 2 / 2.0
-                report.predicted["iterations"] = predicted_bounds(consts, d0, case)
             else:
-                report.predicted["iterations"] = predicted_bounds(
-                    consts, d_bar0, case)
+                # For "pl" only an upper bound on the central gap is
+                # available from vertex values: f(c_0) <= mean + L*delta0^2/2.
+                d0 = (d_bar0 + L * _sq(consts.delta0) / 2.0 if case == "pl"
+                      else d_bar0)
+                bound = predicted_bounds(consts, d0, case)
+                if not math.isfinite(bound):
+                    raise OverflowError(f"got {bound}")
+                report.predicted["iterations"] = bound
             report.predicted["d_bar0"] = d_bar0
         except ValueError as exc:
             report.predicted["unavailable"] = str(exc)
+        except ArithmeticError as exc:
+            report.predicted["unavailable"] = (
+                f"the predicted bound leaves the double range ({exc})")
 
     bound_ok = (floor_ok if case == "nonconvex" else
                 case == "convex" and cfg["stopping"] == "gap" and tail_ok)

@@ -205,13 +205,16 @@ def g_matrix(s: Simplex, x) -> GMatrix:
 
     The query-centered form equals sum_{i=0..n+1} ell_i x_i x_i' because the
     weights satisfy sum ell_i = 0 and sum ell_i x_i = 0; centering just
-    removes cancellation error for far-away simplices.
+    removes cancellation error for far-away simplices.  A G that is not
+    finite raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     q = lagrange_coefficients(s, x)
     Y = s.vertices - x[None, :]
     Gm = (Y.T * q.ell[1:]) @ Y
     Gm = 0.5 * (Gm + Gm.T)
+    if not np.isfinite(Gm).all():
+        raise ValueError("G overflows the double range")
     w, P = _deterministic_eigh(Gm)
     return GMatrix(matrix=Gm, eigenvalues=w, eigenvectors=P, coefficients=q,
                    offsets=Y)
@@ -479,7 +482,8 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     interpolant value and the mu certificate.
 
     Raises:
-        ValueError: L is not positive and finite, or the query is invalid.
+        ValueError: L is not positive and finite, the query is invalid, or
+            G, the bound or the achieved error overflows the double range.
     """
     if not (0.0 < L < np.inf):
         raise ValueError(f"L must be positive and finite, got {L}")
@@ -497,6 +501,9 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     Y = s.vertices - centre[None, :]
     values = 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
     achieved = abs(float(g.coefficients.ell[1:] @ values) - quad(x - centre))
+    if not (np.isfinite(bound) and np.isfinite(achieved)):
+        raise ValueError(f"the {kind} bound overflows the double range: "
+                         f"bound {bound!r}, achieved {achieved!r}")
     return BoundReport(kind=kind, cls=cls, bound=bound, achieved=achieved,
                        mu=_mu_from_g(g), quadratic=quad, query=x, g=g)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -59,6 +60,8 @@ _STEPS = ("reflection", "shrink")
 # the JSON number types of a record's float fields (bool is an int subclass),
 # float first as nearly every value is one
 _REAL = (float, int)
+# NaN, +-inf and an int beyond the double range fall outside [-_MAX, _MAX]
+_MAX = sys.float_info.max
 
 # A solver run fails loudly once accumulated geometric drift exceeds this.
 REGULARITY_FAIL_TOL = 1e-6
@@ -89,12 +92,13 @@ class SolverConfig:
         n: dimension.
         delta0: initial simplex radius (> 0, finite).
         gamma: shrink factor in (0, 1).
-        epsilon: stopping tolerance (> 0).
+        epsilon: stopping tolerance (> 0, finite).
         mode: "theoretical" (sufficient decrease (2n+2)/n*beta*L*delta^2,
             requires beta and L) or "practical" (eta*delta^2, requires eta).
         beta: acceptance scale for theoretical mode.
         eta: acceptance scale for practical mode.
         L: smoothness constant, theoretical mode only.
+            beta, eta and L are positive and finite when given.
         algorithm: "rssm" or "reflection_only" (accept every reflection,
             never shrink).
         stopping: "simplex_gradient" (||grad of interpolant at centroid||
@@ -121,15 +125,12 @@ class SolverConfig:
     center: object = 0.0
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (0.0 < self.delta0 < math.inf):
-            raise ValueError(
-                f"delta0 must be positive and finite, got {self.delta0}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.algorithm not in ALGORITHMS:
@@ -141,16 +142,22 @@ class SolverConfig:
                 raise ValueError("theoretical mode needs beta > 0")
             if self.L is None or not (self.L > 0):
                 raise ValueError("theoretical mode needs the smoothness constant L")
-        else:
-            if self.eta is None or not (self.eta > 0):
-                raise ValueError("practical mode needs eta > 0")
+        elif self.eta is None or not (self.eta > 0):
+            raise ValueError("practical mode needs eta > 0")
+        # beta, eta and L may be None; the audit reads beta in either mode
+        for name in ("delta0", "epsilon", "beta", "eta", "L"):
+            value = getattr(self, name)
+            if name in ("delta0", "epsilon") or value is not None:
+                if not (0.0 < value <= _MAX):
+                    raise ValueError(
+                        f"{name} must be positive and finite, got {value}")
         if self.max_iterations < 1 or self.max_evaluations < 1:
             raise ValueError("budgets must be positive")
         try:
             # the shapes np.broadcast_to(center, (n,)) in start_center takes
             c = np.asarray(self.center, dtype=float)
             ok = c.shape in ((), (1,), (self.n,)) and np.isfinite(c).all()
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise ValueError(f"center must be a finite scalar or length-{self.n} "
@@ -234,15 +241,17 @@ class Trace:
         """Rebuild a trace from :meth:`to_dict` output.
 
         Raises:
-            ValueError: `d` is not a trace: `config`, `records` or `reason`
-                missing, `config` not an object, `records` not a list, a
-                record that is not an object with exactly the record keys,
-                a config that lacks a :class:`SolverConfig` field or that
-                :class:`SolverConfig` rejects, a record with a mistyped
-                field or an unknown step, a `reason` that :func:`run` does
-                not write, or a `summary` that is not an object or whose
-                `final_S`, `eval_count`, `objective_calls` or `N_eps` is
-                mistyped.
+            ValueError: `d` holds what :func:`run` never writes: a missing
+                `config`, `records` or `reason`; a `config` that is not an
+                object, lacks a :class:`SolverConfig` field, is rejected by
+                it or has a `center` other than a length-`n` list; `records`
+                not a list of objects with exactly the record keys; a record
+                with a mistyped or non-finite field, an unknown step, a `k`
+                other than its index, `accepted` other than
+                `step == "reflection"` or `delta` <= 0; an unknown `reason`;
+                a `summary` that is not an object, whose `final_S`,
+                `eval_count`, `objective_calls` or `N_eps` is mistyped, or
+                whose `final_S` is not finite.
         """
         try:
             config, records = d["config"], d["records"]
@@ -264,16 +273,26 @@ class Trace:
             SolverConfig(**config)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed trace: {exc}") from None
-        for r in trace.records:
-            # one unrolled test per record: this runs on every loaded record
+        # to_dict writes the centre broadcast to n, which bounds n by the file
+        if not (type(config["center"]) is list
+                and len(config["center"]) == config["n"]):
+            raise ValueError(f"malformed trace: center must be the length-"
+                             f"{config['n']} list run writes")
+        for i, r in enumerate(trace.records):
+            # one unrolled test per record: this runs on every loaded record;
+            # the types are tested first, so the comparisons see numbers
             if not (type(r.k) is int and type(r.accepted) is bool
                     and r.step in _STEPS and type(r.delta) in _REAL
                     and type(r.S) in _REAL and type(r.f_best) in _REAL
                     and type(r.f_worst) in _REAL and type(r.v) in _REAL
-                    and type(r.v_r) in _REAL
-                    and type(r.simplex_gradient_norm) in _REAL):
-                raise ValueError(f"malformed trace: mistyped field or unknown "
-                                 f"step in {r}")
+                    and type(r.v_r) in _REAL and type(r.simplex_gradient_norm) in _REAL
+                    and r.k == i and r.accepted == (r.step == "reflection")
+                    and 0.0 < r.delta <= _MAX and -_MAX <= r.S <= _MAX
+                    and -_MAX <= r.f_best <= _MAX and -_MAX <= r.f_worst <= _MAX
+                    and -_MAX <= r.v <= _MAX and -_MAX <= r.v_r <= _MAX
+                    and -_MAX <= r.simplex_gradient_norm <= _MAX):
+                raise ValueError(
+                    f"malformed trace: record {i} is not one run writes: {r}")
         if trace.reason not in STOP_REASONS:
             raise ValueError(f"malformed trace: unknown reason {trace.reason!r}")
         summ = trace.summary
@@ -285,6 +304,9 @@ class Trace:
             if key in summ and type(summ[key]) not in types:
                 raise ValueError(f"malformed trace: mistyped summary field "
                                  f"{key}={summ[key]!r}")
+        if "final_S" in summ and not -_MAX <= summ["final_S"] <= _MAX:
+            raise ValueError(f"malformed trace: non-finite summary field "
+                             f"final_S={summ['final_S']!r}")
         return trace
 
     @classmethod
@@ -335,28 +357,24 @@ def _check_stopping(objective, cfg: SolverConfig) -> None:
 
 
 def run(objective, cfg: SolverConfig) -> Trace:
-    """Iterate until the stopping criterion, a budget, or a failure.
+    """Run the search loop until the stopping criterion, a budget or a failure.
 
-    This is the search loop.  Each iteration, in order: build the
-    radius-normalised centred frame of the value-sorted simplex once
-    (``simplex._unit_frame``); read the closed-form simplex gradient and the
-    regularity verdict from it; test the stopping criterion, the budgets and
-    the practical-mode radius floor; reflect the worst vertex and evaluate
-    the candidate; accept it when f_r - f_worst <= margin * delta_k^2,
-    otherwise shrink the n non-best vertices toward the best one and
-    re-evaluate them; record the iteration; stable-sort by value.  The
-    margin, -(2n+2)/n * beta * L or -eta, is computed once per run; the
-    "reflection_only" variant accepts every candidate without reading it.
+    Each iteration, in order: build the radius-normalised centred frame of
+    the value-sorted simplex once (``simplex._unit_frame``) and read the
+    closed-form simplex gradient and the regularity verdict from it; test
+    the stopping criterion, the budgets and the practical-mode radius floor;
+    reflect the worst vertex and evaluate the candidate; accept it when
+    f_r - f_worst <= margin * delta_k^2, the margin -(2n+2)/n*beta*L or -eta
+    computed once per run, or else shrink the n non-best vertices toward
+    the best one and re-evaluate them; record; stable-sort by value.
 
-    The stopping criterion is tested at the top of every iteration, so when
-    the terminal reason is "epsilon-reached" the number of records equals
-    the first iteration index at which the criterion held.  The gradient
-    that the stopping rule and the record share is exact only on a regular
-    simplex, so its relative error is of the order of the certified drift.
-    The loop depends on :mod:`rssm.simplex` alone and solves no linear
-    system.  On "regularity-failure" the summary's ``final_gradient_norm``
-    is the closed form on the rejected simplex, to be read with the drift
-    in ``summary["regularity"]`` beside it.
+    The criterion is tested at the top of every iteration, so on
+    "epsilon-reached" the number of records is the first iteration index at
+    which it held.  The closed-form gradient is exact only on a regular
+    simplex, so its relative error is of the order of the certified drift;
+    the loop solves no linear system.  On "regularity-failure" the summary's
+    ``final_gradient_norm`` is the closed form on the rejected simplex, to be
+    read with the drift in ``summary["regularity"]`` beside it.
 
     Raises:
         ValueError: the objective cannot serve cfg.stopping

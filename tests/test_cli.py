@@ -372,6 +372,105 @@ def test_audit_mistyped_trace_field_is_usage_error(sin_quad_trace, tmp_path,
         Trace.from_dict(sin_quad_trace)
 
 
+# one field of the README sin-quad trace set to a well-typed value that run
+# never writes (records[1] is an accepted reflection at k=1), with the part of
+# the one error line that names the fault
+TRACE_VALUE_FAULTS = [
+    pytest.param("config", "n", 2.0, "n must be an integer, got 2.0",
+                 id="config-n-float"),
+    pytest.param("config", "n", True, "n must be an integer, got True",
+                 id="config-n-bool"),
+    pytest.param("records", "v", float("nan"), "record 1 is not one run writes",
+                 id="record-v-nan"),
+    pytest.param("records", "S", float("nan"), "record 1 is not one run writes",
+                 id="record-S-nan"),
+    pytest.param("records", "delta", float("inf"),
+                 "record 1 is not one run writes", id="record-delta-inf"),
+    pytest.param("records", "delta", 0.0, "record 1 is not one run writes",
+                 id="record-delta-zero"),
+    pytest.param("records", "f_best", 10 ** 400,
+                 "record 1 is not one run writes", id="record-f-best-huge-int"),
+    pytest.param("records", "k", 99, "record 1 is not one run writes",
+                 id="record-k-not-index"),
+    pytest.param("records", "accepted", False, "record 1 is not one run writes",
+                 id="record-accepted-flipped"),
+    pytest.param("summary", "final_S", float("inf"),
+                 "non-finite summary field final_S=inf",
+                 id="summary-final-S-inf"),
+    # the audit reads beta in either mode, and sqrt(n) and eps^2 in float
+    pytest.param("config", "beta", 10 ** 400, "beta must be positive and finite",
+                 id="config-beta-huge-int"),
+    pytest.param("config", "epsilon", float("inf"),
+                 "epsilon must be positive and finite", id="config-epsilon-inf"),
+    pytest.param("config", "center", 1.7,
+                 "center must be the length-2 list run writes",
+                 id="config-center-scalar"),
+]
+
+
+@pytest.mark.parametrize("part, key, value, message", TRACE_VALUE_FAULTS)
+def test_audit_rejects_a_value_run_never_writes(sin_quad_trace, tmp_path, capsys,
+                                                part, key, value, message):
+    (sin_quad_trace[part][1] if part == "records"
+     else sin_quad_trace[part])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(sin_quad_trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--case", "pl", "--L", "8", "--fstar", "0")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed trace: ")
+    assert message in lines[0]
+
+
+def _audit_edited(trace, tmp_path, capsys, part, key, value):
+    (trace[part][1] if part == "records" else trace[part])[key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--case", "pl", "--L", "8", "--fstar", "0")
+    assert err == ""
+    return code, json.loads(out, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_audit_fails_radius_law_when_the_expected_radius_underflows(
+        sin_quad_trace, tmp_path, capsys):
+    # delta0 * gamma^shrinks underflows to 0 after the first shrink
+    code, report = _audit_edited(sin_quad_trace, tmp_path, capsys,
+                                 "config", "delta0", 5e-324)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert code == 1
+    assert checks["radius_law"]["status"] == "fail"
+    assert checks["radius_law"]["detail"].endswith(
+        "non-finite slack inf at k=0")
+
+
+def test_audit_fails_a_radius_whose_square_overflows(sin_quad_trace, tmp_path,
+                                                     capsys):
+    # Python's float power raises where the square leaves the double range
+    code, report = _audit_edited(sin_quad_trace, tmp_path, capsys,
+                                 "records", "delta", 1e200)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert code == 1
+    assert checks["reflection_decrease"]["status"] == "fail"
+    assert checks["reflection_decrease"]["detail"] == \
+        "non-finite slack inf at k=1"
+
+
+def test_audit_reports_a_predicted_bound_that_underflows(sin_quad_trace,
+                                                         tmp_path, capsys):
+    # epsilon^2 underflows to 0 in the denominator of the bound
+    code, report = _audit_edited(sin_quad_trace, tmp_path, capsys,
+                                 "config", "epsilon", 1e-200)
+    assert code == 0
+    assert report["predicted"] == {"unavailable": "the predicted bound leaves "
+                                   "the double range (float division by zero)"}
+
+
 def test_audit_requires_R_for_convex(capsys):
     code, _, err = run_cli(capsys, "audit", "--trace-in", "whatever.json",
                            "--L", "1.0", "--case", "convex")
@@ -585,19 +684,38 @@ BAD_INPUTS = [
                  id="m-simplex-coincident"),
     pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/inf_radius.json"],
                  id="n-simplex-infinite-radius"),
+    # G, the bound or the achieved error overflows the double range
+    pytest.param(2, ["verify-bounds", "--n", "2", "--radius", "1e154"],
+                 id="o-verify-bounds-G-overflow"),
+    pytest.param(2, ["verify-bounds", "--n", "2", "--radius", "1e160"],
+                 id="o-verify-bounds-G-overflow-b"),
+    pytest.param(2, ["worst-case", "--n", "2", "--radius", "1e300"],
+                 id="o-worst-case-G-overflow"),
+    pytest.param(2, ["verify-bounds", "--n", "2", "--L", "1e308",
+                     "--radius", "10"], id="o-verify-bounds-bound-overflow"),
 ]
 
-# the one error line of a BAD_INPUTS row that names its fault
+_G_OVERFLOW = "error: G overflows the double range"
+
+# the one error line of a BAD_INPUTS row that names its fault, by row id
 BAD_INPUT_MESSAGES = {
-    "overflow.json": "error: vertex coordinates overflow the double range "
-                     "about their centroid",
-    "coincident.json": "error: all vertices coincide",
-    "inf_radius.json": "error: radius must be positive and finite, got inf",
+    "m-simplex-centroid-overflow": "error: vertex coordinates overflow the "
+                                   "double range about their centroid",
+    "m-simplex-coincident": "error: all vertices coincide",
+    "n-simplex-infinite-radius": "error: radius must be positive and finite, "
+                                 "got inf",
+    "o-verify-bounds-G-overflow": _G_OVERFLOW,
+    "o-verify-bounds-G-overflow-b": _G_OVERFLOW,
+    "o-worst-case-G-overflow": _G_OVERFLOW,
+    "o-verify-bounds-bound-overflow": "error: the reflection bound overflows "
+                                      "the double range: bound inf, "
+                                      "achieved nan",
 }
 
 
 @pytest.mark.parametrize("code, argv", BAD_INPUTS)
-def test_bad_input_ends_in_one_error_line(tmp_path, capsys, code, argv):
+def test_bad_input_ends_in_one_error_line(request, tmp_path, capsys, code,
+                                          argv):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "null_radius.json").write_text(json.dumps(
         {"dim": 2, "radius": None, "vertices": [[0, 0], [1, 0], [0, 1]]}))
@@ -619,9 +737,9 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, code, argv):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    file = Path(argv[-1]).name
-    if file in BAD_INPUT_MESSAGES:
-        assert lines[0] == BAD_INPUT_MESSAGES[file]
+    message = BAD_INPUT_MESSAGES.get(request.node.callspec.id)
+    if message is not None:
+        assert lines[0] == message
 
 
 def test_console_entry_point_exits_2_without_traceback():

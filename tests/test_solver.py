@@ -403,10 +403,21 @@ def test_true_gradient_stopping_requires_gradient():
     dict(n=2, center=[1.0, 2.0, 3.0]),
     dict(n=2, center="abc"),
     dict(n=2, center=[0.0, float("nan")]),
+    dict(n=2.0),
+    dict(n=True),
+    dict(n=2, epsilon=float("inf")),
+    dict(n=2, beta=float("inf")),  # the audit reads beta in practical mode
+    dict(n=2, eta=10 ** 400),  # an int beyond the double range
+    dict(n=2, delta0=10 ** 400),
+    dict(n=2, center=10 ** 400),
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ValueError):
         SolverConfig(**kw)
+
+
+def test_config_takes_a_numpy_integer_n():
+    assert SolverConfig(n=np.int64(3)).start_center().shape == (3,)
 
 
 def test_config_center_broadcast():
