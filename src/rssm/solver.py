@@ -448,7 +448,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
             k=state.k, step="reflection" if accepted else "shrink",
             accepted=accepted, delta=delta, S=S_k, f_best=f_best_k,
             f_worst=f_worst_k, v=f_worst_k - mean_best,
-            v_r=float(f_r - mean_best), simplex_gradient_norm=grad_norm))
+            v_r=f_r - mean_best, simplex_gradient_norm=grad_norm))
         state.sort()
         state.k += 1
 

@@ -372,6 +372,23 @@ def test_audit_mistyped_trace_field_is_usage_error(sin_quad_trace, tmp_path,
         Trace.from_dict(sin_quad_trace)
 
 
+def _audit_edited(trace, tmp_path, capsys, part, key, value):
+    """run_cli's (code, out, err) for `rssm audit` of the trace with one
+    field set to value (part "records": a field of records[1])."""
+    (trace[part][1] if part == "records" else trace[part])[key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(trace))
+    return run_cli(capsys, "audit", "--trace-in", str(path),
+                   "--case", "pl", "--L", "8", "--fstar", "0")
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 # one field of the README sin-quad trace set to a well-typed value that run
 # never writes (records[1] is an accepted reflection at k=1), with the part of
 # the one error line that names the fault
@@ -397,7 +414,7 @@ TRACE_VALUE_FAULTS = [
     pytest.param("summary", "final_S", float("inf"),
                  "non-finite summary field final_S=inf",
                  id="summary-final-S-inf"),
-    # the audit reads beta in either mode, and sqrt(n) and eps^2 in float
+    # a config the audit would read beyond the double range, and a bare centre
     pytest.param("config", "beta", 10 ** 400, "beta must be positive and finite",
                  id="config-beta-huge-int"),
     pytest.param("config", "epsilon", float("inf"),
@@ -411,39 +428,21 @@ TRACE_VALUE_FAULTS = [
 @pytest.mark.parametrize("part, key, value, message", TRACE_VALUE_FAULTS)
 def test_audit_rejects_a_value_run_never_writes(sin_quad_trace, tmp_path, capsys,
                                                 part, key, value, message):
-    (sin_quad_trace[part][1] if part == "records"
-     else sin_quad_trace[part])[key] = value
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(sin_quad_trace))
-    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
-                             "--case", "pl", "--L", "8", "--fstar", "0")
+    code, out, err = _audit_edited(sin_quad_trace, tmp_path, capsys,
+                                   part, key, value)
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed trace: ")
     assert message in lines[0]
 
 
-def _audit_edited(trace, tmp_path, capsys, part, key, value):
-    (trace[part][1] if part == "records" else trace[part])[key] = value
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(trace))
-    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
-                             "--case", "pl", "--L", "8", "--fstar", "0")
-    assert err == ""
-    return code, json.loads(out, parse_constant=_reject_constant)
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
 def test_audit_fails_radius_law_when_the_expected_radius_underflows(
         sin_quad_trace, tmp_path, capsys):
     # delta0 * gamma^shrinks underflows to 0 after the first shrink
-    code, report = _audit_edited(sin_quad_trace, tmp_path, capsys,
-                                 "config", "delta0", 5e-324)
-    checks = {c["name"]: c for c in report["checks"]}
-    assert code == 1
+    code, out, err = _audit_edited(sin_quad_trace, tmp_path, capsys,
+                                   "config", "delta0", 5e-324)
+    checks = {c["name"]: c for c in _strict_json(out)["checks"]}
+    assert (code, err) == (1, "")
     assert checks["radius_law"]["status"] == "fail"
     assert checks["radius_law"]["detail"].endswith(
         "non-finite slack inf at k=0")
@@ -452,10 +451,10 @@ def test_audit_fails_radius_law_when_the_expected_radius_underflows(
 def test_audit_fails_a_radius_whose_square_overflows(sin_quad_trace, tmp_path,
                                                      capsys):
     # Python's float power raises where the square leaves the double range
-    code, report = _audit_edited(sin_quad_trace, tmp_path, capsys,
-                                 "records", "delta", 1e200)
-    checks = {c["name"]: c for c in report["checks"]}
-    assert code == 1
+    code, out, err = _audit_edited(sin_quad_trace, tmp_path, capsys,
+                                   "records", "delta", 1e200)
+    checks = {c["name"]: c for c in _strict_json(out)["checks"]}
+    assert (code, err) == (1, "")
     assert checks["reflection_decrease"]["status"] == "fail"
     assert checks["reflection_decrease"]["detail"] == \
         "non-finite slack inf at k=1"
@@ -464,11 +463,12 @@ def test_audit_fails_a_radius_whose_square_overflows(sin_quad_trace, tmp_path,
 def test_audit_reports_a_predicted_bound_that_underflows(sin_quad_trace,
                                                          tmp_path, capsys):
     # epsilon^2 underflows to 0 in the denominator of the bound
-    code, report = _audit_edited(sin_quad_trace, tmp_path, capsys,
-                                 "config", "epsilon", 1e-200)
-    assert code == 0
-    assert report["predicted"] == {"unavailable": "the predicted bound leaves "
-                                   "the double range (float division by zero)"}
+    code, out, err = _audit_edited(sin_quad_trace, tmp_path, capsys,
+                                   "config", "epsilon", 1e-200)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["predicted"] == {
+        "unavailable": "the predicted bound leaves the double range "
+                       "(float division by zero)"}
 
 
 def test_audit_requires_R_for_convex(capsys):
