@@ -92,13 +92,13 @@ def _cmd_solve(args) -> int:
     if args.summary:
         print(",".join([
             args.objective, str(args.n), repr(args.epsilon),
-            str(summ["N_r"]), str(summ["N_s"]), str(summ["eval_count"]),
+            str(trace.N_r), str(trace.N_s), str(trace.eval_count),
             final_gap, trace.reason]))
     else:
         print(f"reason: {trace.reason}")
-        print(f"iterations: {summ['iterations']} "
-              f"(reflections {summ['N_r']}, shrinks {summ['N_s']})")
-        print(f"evaluations: {summ['eval_count']} "
+        print(f"iterations: {len(trace.records)} "
+              f"(reflections {trace.N_r}, shrinks {trace.N_s})")
+        print(f"evaluations: {trace.eval_count} "
               f"(objective calls {summ['objective_calls']})")
         print(f"best value: {summ['best_value']!r}")
         print(f"best point: {summ['best_point']}")

@@ -210,8 +210,8 @@ def run_cell(plan: ExperimentPlan, n: int, epsilon: float, seed: int) -> Scaling
         final_gap = trace.summary["final_S"] / (n + 1.0) - obj.f_star
     return ScalingRow(
         objective=plan.objective, n=n, epsilon=epsilon, seed=seed,
-        N_r=trace.summary["N_r"], N_s=trace.summary["N_s"],
-        N_eps=trace.summary["N_eps"], evals=trace.summary["eval_count"],
+        N_r=trace.N_r, N_s=trace.N_s, N_eps=trace.N_eps,
+        evals=trace.eval_count,
         final_gap=final_gap, reason=trace.reason, wall_ms=wall_ms)
 
 

@@ -184,7 +184,6 @@ class IterationRecord:
 
     k: int
     step: str  # "reflection" | "shrink"
-    accepted: bool
     delta: float
     S: float
     f_best: float
@@ -194,18 +193,24 @@ class IterationRecord:
     simplex_gradient_norm: float
 
     def to_dict(self) -> dict:
-        # every field is an int, str, bool or float, so a shallow dict
-        # equals what dataclasses.asdict builds; reading self.__dict__
-        # instead would attach a dict to every record
-        return {"k": self.k, "step": self.step, "accepted": self.accepted,
-                "delta": self.delta, "S": self.S, "f_best": self.f_best,
-                "f_worst": self.f_worst, "v": self.v, "v_r": self.v_r,
+        # every field is an int, str or float, so a shallow dict equals what
+        # dataclasses.asdict builds; reading self.__dict__ instead would
+        # attach a dict to every record
+        return {"k": self.k, "step": self.step, "delta": self.delta,
+                "S": self.S, "f_best": self.f_best, "f_worst": self.f_worst,
+                "v": self.v, "v_r": self.v_r,
                 "simplex_gradient_norm": self.simplex_gradient_norm}
 
 
 @dataclass
 class Trace:
-    """Outcome of a run: config snapshot, per-iteration records, terminal reason."""
+    """Outcome of a run: config snapshot, per-iteration records, terminal reason.
+
+    The records are the one home of every count (N_r, N_s, N_eps,
+    eval_count); the summary holds only what they cannot give: the final
+    state, the measured objective_calls and, on a regularity failure, the
+    drift.
+    """
 
     config: dict
     records: list[IterationRecord] = field(default_factory=list)
@@ -219,6 +224,11 @@ class Trace:
     @property
     def N_s(self) -> int:
         return sum(1 for r in self.records if r.step == "shrink")
+
+    @property
+    def N_eps(self) -> int | None:
+        """Iterations to epsilon, or None when the run stopped otherwise."""
+        return len(self.records) if self.reason == "epsilon-reached" else None
 
     @property
     def eval_count(self) -> int:
@@ -247,11 +257,10 @@ class Trace:
                 it or has a `center` other than a length-`n` list; `records`
                 not a list of objects with exactly the record keys; a record
                 with a mistyped or non-finite field, an unknown step, a `k`
-                other than its index, `accepted` other than
-                `step == "reflection"` or `delta` <= 0; an unknown `reason`;
-                a `summary` that is not an object, whose `final_S`,
-                `eval_count`, `objective_calls` or `N_eps` is mistyped, or
-                whose `final_S` is not finite.
+                other than its index or `delta` <= 0; an unknown `reason`;
+                a `summary` that is not an object, whose `final_S` or
+                `objective_calls` is mistyped, or whose `final_S` is not
+                finite.
         """
         try:
             config, records = d["config"], d["records"]
@@ -281,13 +290,11 @@ class Trace:
         for i, r in enumerate(trace.records):
             # one unrolled test per record: this runs on every loaded record;
             # the types are tested first, so the comparisons see numbers
-            if not (type(r.k) is int and type(r.accepted) is bool
-                    and r.step in _STEPS and type(r.delta) in _REAL
+            if not (type(r.k) is int and r.step in _STEPS and type(r.delta) in _REAL
                     and type(r.S) in _REAL and type(r.f_best) in _REAL
                     and type(r.f_worst) in _REAL and type(r.v) in _REAL
                     and type(r.v_r) in _REAL and type(r.simplex_gradient_norm) in _REAL
-                    and r.k == i and r.accepted == (r.step == "reflection")
-                    and 0.0 < r.delta <= _MAX and -_MAX <= r.S <= _MAX
+                    and r.k == i and 0.0 < r.delta <= _MAX and -_MAX <= r.S <= _MAX
                     and -_MAX <= r.f_best <= _MAX and -_MAX <= r.f_worst <= _MAX
                     and -_MAX <= r.v <= _MAX and -_MAX <= r.v_r <= _MAX
                     and -_MAX <= r.simplex_gradient_norm <= _MAX):
@@ -298,9 +305,7 @@ class Trace:
         summ = trace.summary
         if not isinstance(summ, dict):
             raise ValueError("malformed trace: 'summary' must be an object")
-        for key, types in (("final_S", _REAL), ("eval_count", (int,)),
-                           ("objective_calls", (int,)),
-                           ("N_eps", (int, type(None)))):
+        for key, types in (("final_S", _REAL), ("objective_calls", (int,))):
             if key in summ and type(summ[key]) not in types:
                 raise ValueError(f"malformed trace: mistyped summary field "
                                  f"{key}={summ[key]!r}")
@@ -315,13 +320,12 @@ class Trace:
 
 
 class SolverState:
-    """Mutable run state: value-sorted simplex, cached values, iteration and
-    objective-call counts (N_r, N_s and eval_count are :class:`Trace`'s)."""
+    """Mutable run state: value-sorted simplex, cached values and the
+    objective-call count (every other count is :class:`Trace`'s)."""
 
     def __init__(self, simplex: Simplex, values: np.ndarray):
         self.simplex = simplex
         self.values = values
-        self.k = 0
         self.objective_calls = 0
 
     def evaluate(self, objective, x) -> float:
@@ -419,7 +423,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
         if cfg.stopping != "none" and crit <= cfg.epsilon:
             trace.reason = "epsilon-reached"
             break
-        if state.k >= cfg.max_iterations or state.objective_calls >= cfg.max_evaluations:
+        k = len(trace.records)
+        if k >= cfg.max_iterations or state.objective_calls >= cfg.max_evaluations:
             trace.reason = "budget"
             break
         if cfg.mode == "practical" and delta < DELTA_FLOOR_FRACTION * cfg.delta0:
@@ -445,25 +450,18 @@ def run(objective, cfg: SolverConfig) -> Trace:
             for i in range(1, n + 1):
                 f[i] = state.evaluate(objective, V[i])
         trace.records.append(IterationRecord(
-            k=state.k, step="reflection" if accepted else "shrink",
-            accepted=accepted, delta=delta, S=S_k, f_best=f_best_k,
-            f_worst=f_worst_k, v=f_worst_k - mean_best,
+            k=k, step="reflection" if accepted else "shrink", delta=delta,
+            S=S_k, f_best=f_best_k, f_worst=f_worst_k, v=f_worst_k - mean_best,
             v_r=f_r - mean_best, simplex_gradient_norm=grad_norm))
         state.sort()
-        state.k += 1
 
     trace.summary.update({
-        "N_r": trace.N_r,
-        "N_s": trace.N_s,
-        "N_eps": state.k if trace.reason == "epsilon-reached" else None,
-        "eval_count": trace.eval_count,
-        "objective_calls": state.objective_calls,
-        "iterations": state.k,
         "final_delta": state.simplex.radius,
         "final_S": float(state.values.sum()),
         "final_values": state.values.tolist(),
         "best_point": state.simplex.vertices[0].tolist(),
         "best_value": float(state.values[0]),
         "final_gradient_norm": grad_norm,
+        "objective_calls": state.objective_calls,
     })
     return trace

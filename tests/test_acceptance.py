@@ -412,10 +412,10 @@ def test_criterion_09(criterion, audited_cells, scaling_results):
     with criterion(9, "evaluation identity") as res:
         checked = 0
         for cell in audited_cells:
-            s = cell.trace.summary
+            t = cell.trace
             n = cell.n
-            assert s["eval_count"] == (n + 1) + s["N_r"] + n * s["N_s"]
-            assert s["objective_calls"] == s["eval_count"] + s["N_s"]
+            assert t.eval_count == (n + 1) + t.N_r + n * t.N_s
+            assert t.summary["objective_calls"] == t.eval_count + t.N_s
             checked += 1
         for result, _ in scaling_results.values():
             for row in result.rows:

@@ -79,7 +79,7 @@ def test_solve_writes_trace_json(tmp_path, capsys):
     trace = Trace.from_json(path.read_text())
     assert trace.reason == "epsilon-reached"
     assert trace.config["n"] == 2
-    assert len(trace.records) == trace.summary["iterations"]
+    assert trace.N_eps == len(trace.records) > 0
 
 
 # one shrink by gamma 1e-17 rounds every vertex onto the best one
@@ -329,7 +329,8 @@ TRACE_FAULTS = [
     pytest.param("records", "delta", "x", id="record-delta-str"),
     pytest.param("records", "S", None, id="record-S-null"),
     pytest.param("records", "step", "bogus", id="record-step-unknown"),
-    pytest.param("records", "accepted", 1, id="record-accepted-int"),
+    # the field records carried before the step was stored once
+    pytest.param("records", "accepted", True, id="record-accepted-pre-change"),
     pytest.param("records", "k", 1.0, id="record-k-float"),
     pytest.param("records", "v", True, id="record-v-bool"),
     pytest.param("config", "n", "x", id="config-n-str"),
@@ -340,8 +341,6 @@ TRACE_FAULTS = [
     pytest.param(None, "reason", 5, id="reason-int"),
     pytest.param(None, "summary", [1], id="summary-list"),
     pytest.param("summary", "final_S", "x", id="summary-final-S-str"),
-    pytest.param("summary", "eval_count", "7", id="summary-eval-count-str"),
-    pytest.param("summary", "N_eps", "x", id="summary-N-eps-str"),
 ]
 
 
@@ -409,8 +408,9 @@ TRACE_VALUE_FAULTS = [
                  "record 1 is not one run writes", id="record-f-best-huge-int"),
     pytest.param("records", "k", 99, "record 1 is not one run writes",
                  id="record-k-not-index"),
-    pytest.param("records", "accepted", False, "record 1 is not one run writes",
-                 id="record-accepted-flipped"),
+    pytest.param("records", "accepted", True,
+                 "unexpected keyword argument 'accepted'",
+                 id="record-accepted-pre-change"),
     pytest.param("summary", "final_S", float("inf"),
                  "non-finite summary field final_S=inf",
                  id="summary-final-S-inf"),
@@ -434,6 +434,22 @@ def test_audit_rejects_a_value_run_never_writes(sin_quad_trace, tmp_path, capsys
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed trace: ")
     assert message in lines[0]
+
+
+def test_audit_rejects_a_trace_written_before_the_step_was_stored_once(
+        sin_quad_trace, tmp_path, capsys):
+    # such a trace also wrote each record's step as `accepted` and the
+    # summary's N_r, N_s, N_eps, eval_count and iterations
+    for r in sin_quad_trace["records"]:
+        r["accepted"] = r["step"] == "reflection"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(sin_quad_trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--case", "pl", "--L", "8", "--fstar", "0")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed trace: ")
+    assert "'accepted'" in lines[0]
 
 
 def test_audit_fails_radius_law_when_the_expected_radius_underflows(

@@ -275,9 +275,8 @@ def synth_cfg(**kw):
 
 
 def rec(k, step, delta, S):
-    return IterationRecord(k=k, step=step, accepted=(step == "reflection"),
-                           delta=delta, S=S, f_best=0.0, f_worst=1.0, v=1.0,
-                           v_r=0.0, simplex_gradient_norm=1.0)
+    return IterationRecord(k=k, step=step, delta=delta, S=S, f_best=0.0,
+                           f_worst=1.0, v=1.0, v_r=0.0, simplex_gradient_norm=1.0)
 
 
 def checks_by_name(report):
@@ -346,13 +345,12 @@ def test_audit_eval_identity():
     base = dict(config=synth_cfg(),
                 records=[rec(0, "reflection", 1.0, 4.0)],
                 reason="budget")
-    good = Trace(summary={"final_S": 0.0, "eval_count": 3, "objective_calls": 3},
-                 **base)
+    # n=1: two initial calls and one accepted reflection
+    good = Trace(summary={"final_S": 0.0, "objective_calls": 3}, **base)
     assert checks_by_name(audit_trace(good, synth_consts()))[
         "eval_identity"].status == "pass"
 
-    bad = Trace(summary={"final_S": 0.0, "eval_count": 4, "objective_calls": 4},
-                **base)
+    bad = Trace(summary={"final_S": 0.0, "objective_calls": 4}, **base)
     assert checks_by_name(audit_trace(bad, synth_consts()))[
         "eval_identity"].status == "fail"
 
@@ -577,7 +575,7 @@ def test_audit_strongly_convex_run_records_gap_ratio():
     ratio = report.observed["worst_reflection_gap_ratio"]
     assert 0.0 < ratio < 1.0
     assert report.counts["N_s"] == trace.N_s
-    assert report.counts["N_eps"] == trace.summary["N_eps"]
+    assert report.counts["N_eps"] == trace.N_eps
 
 
 def test_audit_report_renders_and_serializes():
