@@ -59,7 +59,7 @@ def _csv(values) -> str:
 
 
 def _dump(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +82,10 @@ def _cmd_solve(args) -> int:
         center=_parse_point(args.start, args.n))
     trace = run(obj, cfg)
     if args.trace_out:
+        # serialised first: a trace that is not JSON leaves no empty file
+        text = trace.to_json()
         with open(args.trace_out, "w") as fh:
-            fh.write(trace.to_json())
+            fh.write(text)
 
     summ = trace.summary
     final_gap = ""

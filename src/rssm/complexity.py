@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, asdict, field
 
-from .solver import Trace
+from .solver import Trace, _sq
 
 __all__ = [
     "ComplexityConstants",
@@ -54,14 +54,6 @@ ETA_SPLIT = 0.5
 
 def _tol(lhs: float, rhs: float) -> float:
     return AUDIT_RTOL * max(1.0, abs(lhs), abs(rhs))
-
-
-def _sq(x: float) -> float:
-    """x ** 2, or inf where Python's float power raises OverflowError."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -285,7 +277,8 @@ class AuditReport:
                 "observed": self.observed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
 
     def __str__(self) -> str:
         lines = [f"audit case={self.case} -> {'PASS' if self.passed else 'FAIL'}"]

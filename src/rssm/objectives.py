@@ -252,19 +252,26 @@ def builtin_names() -> tuple[str, ...]:
 def sublevel_radius(obj: Objective, level: float) -> float:
     """Radius R with {f <= level} contained in the ball of radius R around x*.
 
-    Exact for the quadratics (R = sqrt(2 (level - f*) / lambda_min)); a
-    certified over-estimate for logsumexp (f(x) >= scale * ||x||_inf implies
-    R <= sqrt(n) * level / scale).
+    For every mu-strongly convex objective R = sqrt(2 (level - f*) / mu),
+    since f(x) - f* >= mu/2 ||x - x*||^2 (exact for the isotropic
+    quadratic); a certified over-estimate for logsumexp (f(x) >= scale *
+    ||x||_inf implies R <= sqrt(n) * level / scale).
 
     Raises:
         UnsupportedObjectiveError: the objective has no known sublevel
-            structure.
+            structure, or lacks the mu and f* (strongly convex) or L
+            (logsumexp) its formula reads.
     """
-    if obj.name in ("quad-iso", "quad-spectrum"):
-        lam_min = obj.mu
+    if obj.convexity == "strongly_convex":
+        if obj.mu is None or obj.f_star is None:
+            raise UnsupportedObjectiveError(
+                f"the sublevel radius of {obj.name!r} needs mu and f*")
         gap = max(level - obj.f_star, 0.0)
-        return float(np.sqrt(2.0 * gap / lam_min))
+        return float(np.sqrt(2.0 * gap / obj.mu))
     if obj.name == "logsumexp":
+        if obj.L is None:
+            raise UnsupportedObjectiveError(
+                "the sublevel radius of 'logsumexp' needs L")
         # f >= scale*||x||_inf >= scale*||x||/sqrt(n); invert at the level.
         scale = np.sqrt(obj.L)
         return float(np.sqrt(obj.dim) * max(level, 0.0) / scale)

@@ -128,7 +128,7 @@ class Simplex:
             raise ValueError(f"malformed simplex: {exc}") from None
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Simplex":

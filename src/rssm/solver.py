@@ -63,6 +63,14 @@ _REAL = (float, int)
 # NaN, +-inf and an int beyond the double range fall outside [-_MAX, _MAX]
 _MAX = sys.float_info.max
 
+
+def _sq(x: float) -> float:
+    """x ** 2, or inf where Python's float power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
 # A solver run fails loudly once accumulated geometric drift exceeds this.
 REGULARITY_FAIL_TOL = 1e-6
 
@@ -105,8 +113,8 @@ class SolverConfig:
             <= epsilon), "true_gradient" (test objectives only), "gap"
             (mean vertex value - f* <= epsilon; needs f* metadata), or
             "none" (run to budget).
-        max_iterations / max_evaluations: budgets; max_evaluations counts
-            actual objective calls.
+        max_iterations / max_evaluations: budgets, integers as n is;
+            max_evaluations counts actual objective calls.
         center: starting centroid (scalar is broadcast).
     """
 
@@ -125,8 +133,10 @@ class SolverConfig:
     center: object = 0.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        for name in ("n", "max_iterations", "max_evaluations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0.0 < self.gamma < 1.0):
@@ -244,7 +254,8 @@ class Trace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
@@ -439,8 +450,9 @@ def run(objective, cfg: SolverConfig) -> Trace:
         x_r = reflect_worst(state.simplex, n)
         f_r = state.evaluate(objective, x_r)
         # a boolean, not a margin of -inf: -inf * 0.0 is NaN once delta^2
-        # underflows
-        accepted = reflection_only or f_r - f_worst_k <= margin * delta ** 2
+        # underflows; once delta^2 overflows the margin is -inf and the
+        # step shrinks
+        accepted = reflection_only or f_r - f_worst_k <= margin * _sq(delta)
         if accepted:
             state.simplex.vertices[n] = x_r
             f[n] = f_r

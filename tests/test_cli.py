@@ -88,6 +88,28 @@ COLLAPSE = ["solve", "--objective", "quad-iso", "--n", "2", "--start", "1",
             "--max-iter", "50"]
 
 
+def test_solve_with_a_radius_whose_square_overflows(capsys):
+    # delta0^2 overflows: the required decrease is -inf, so every step shrinks
+    code, out, err = run_cli(capsys, "solve", "--objective", "logsumexp",
+                             "--n", "2", "--delta0", "1e200")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "reason: regularity-failure"
+    assert lines[1] == "iterations: 35 (reflections 0, shrinks 35)"
+
+
+def test_solve_trace_out_of_a_non_finite_run_writes_no_file(tmp_path, capsys):
+    # each vertex value is near 0.7e308, so their sum S overflows to inf
+    path = tmp_path / "t.json"
+    code, out, err = run_cli(capsys, "solve", "--objective", "quad-iso",
+                             "--n", "2", "--start", "8.3e153", "--delta0",
+                             "1e151", "--stopping", "none", "--max-iter", "3",
+                             "--trace-out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Out of range float values")
+    assert not path.exists()
+
+
 def test_solve_collapse_ends_in_regularity_failure(capsys):
     code, out, err = run_cli(capsys, *COLLAPSE)
     assert code == 0 and err == ""
@@ -422,6 +444,12 @@ TRACE_VALUE_FAULTS = [
     pytest.param("config", "center", 1.7,
                  "center must be the length-2 list run writes",
                  id="config-center-scalar"),
+    pytest.param("config", "max_iterations", True,
+                 "max_iterations must be an integer, got True",
+                 id="config-max-iterations-bool"),
+    pytest.param("config", "max_evaluations", 2.5,
+                 "max_evaluations must be an integer, got 2.5",
+                 id="config-max-evaluations-float"),
 ]
 
 

@@ -287,3 +287,23 @@ def test_sublevel_radius_unsupported():
         sublevel_radius(builtin("damped-sine", 2), 1.0)
     with pytest.raises(UnsupportedObjectiveError):
         sublevel_radius(builtin("sin-quad", 2), 1.0)
+
+
+def test_sublevel_radius_reads_the_convexity_tag():
+    # any mu-strongly convex objective with f*, whatever its name
+    obj = Objective("bowl", 2, lambda x: 1.5 * float(x @ x), mu=3.0,
+                    f_star=0.0, convexity="strongly_convex")
+    assert sublevel_radius(obj, 6.0) == 2.0
+
+
+@pytest.mark.parametrize("obj", [
+    Objective("quad-iso", 2, lambda x: float(x @ x)),  # no tag, mu or f*
+    Objective("bowl", 2, lambda x: float(x @ x), f_star=0.0,
+              convexity="strongly_convex"),  # no mu
+    Objective("bowl", 2, lambda x: float(x @ x), mu=2.0,
+              convexity="strongly_convex"),  # no f*
+    Objective("logsumexp", 2, lambda x: float(x @ x)),  # no L
+], ids=["untagged-builtin-name", "no-mu", "no-fstar", "logsumexp-no-L"])
+def test_sublevel_radius_without_its_metadata_is_unsupported(obj):
+    with pytest.raises(UnsupportedObjectiveError):
+        sublevel_radius(obj, 1.0)

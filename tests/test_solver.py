@@ -409,6 +409,9 @@ def test_true_gradient_stopping_requires_gradient():
     dict(n=2, eta=10 ** 400),  # an int beyond the double range
     dict(n=2, delta0=10 ** 400),
     dict(n=2, center=10 ** 400),
+    dict(n=2, max_iterations=True),  # budgets are integers as n is
+    dict(n=2, max_evaluations=2.5),
+    dict(n=2, max_iterations=10.0),
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ValueError):
@@ -509,6 +512,14 @@ def test_trace_config_missing_a_field_is_a_value_error(key):
     del d["config"][key]
     with pytest.raises(ValueError, match=f"malformed trace: config lacks {key}"):
         Trace.from_json(json.dumps(d))
+
+
+def test_trace_json_rejects_a_non_finite_record():
+    trace = run(builtin("quad-iso", 2),
+                SolverConfig(n=2, stopping="none", max_iterations=2))
+    trace.records[1].S = math.inf
+    with pytest.raises(ValueError):
+        trace.to_json()
 
 
 def test_identical_runs_produce_identical_json():
