@@ -63,14 +63,6 @@ _REAL = (float, int)
 # NaN, +-inf and an int beyond the double range fall outside [-_MAX, _MAX]
 _MAX = sys.float_info.max
 
-
-def _sq(x: float) -> float:
-    """x ** 2, or inf where Python's float power raises OverflowError."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
 # A solver run fails loudly once accumulated geometric drift exceeds this.
 REGULARITY_FAIL_TOL = 1e-6
 
@@ -79,6 +71,14 @@ REGULARITY_FAIL_TOL = 1e-6
 # eta*delta^2 against value differences) but large enough that the floor is
 # reached before eta*delta^2 underflows and ties start to be accepted.
 DELTA_FLOOR_FRACTION = 1e-30
+
+
+def _sq(x: float) -> float:
+    """x ** 2, or inf where Python's float power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 class EvaluationError(RuntimeError):
@@ -301,11 +301,12 @@ class Trace:
         for i, r in enumerate(trace.records):
             # one unrolled test per record: this runs on every loaded record;
             # the types are tested first, so the comparisons see numbers
-            if not (type(r.k) is int and r.step in _STEPS and type(r.delta) in _REAL
-                    and type(r.S) in _REAL and type(r.f_best) in _REAL
-                    and type(r.f_worst) in _REAL and type(r.v) in _REAL
-                    and type(r.v_r) in _REAL and type(r.simplex_gradient_norm) in _REAL
-                    and r.k == i and 0.0 < r.delta <= _MAX and -_MAX <= r.S <= _MAX
+            if not (type(r.k) is int and r.step in _STEPS
+                    and type(r.delta) in _REAL and type(r.S) in _REAL
+                    and type(r.f_best) in _REAL and type(r.f_worst) in _REAL
+                    and type(r.v) in _REAL and type(r.v_r) in _REAL
+                    and type(r.simplex_gradient_norm) in _REAL and r.k == i
+                    and 0.0 < r.delta <= _MAX and -_MAX <= r.S <= _MAX
                     and -_MAX <= r.f_best <= _MAX and -_MAX <= r.f_worst <= _MAX
                     and -_MAX <= r.v <= _MAX and -_MAX <= r.v_r <= _MAX
                     and -_MAX <= r.simplex_gradient_norm <= _MAX):
