@@ -258,14 +258,15 @@ def regular_simplex_gradient(s: Simplex, values) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if f.shape != (n + 1,):
         raise ValueError(f"expected {n + 1} values, got shape {f.shape}")
-    return _frame_gradient(_unit_frame(s), f, s.radius)
+    return _frame_gradient(_unit_frame(s, s.centroid()), f, f.mean(), s.radius)
 
 
-def _frame_gradient(Y: np.ndarray, f: np.ndarray, radius: float) -> np.ndarray:
+def _frame_gradient(Y: np.ndarray, f: np.ndarray, mean: float,
+                    radius: float) -> np.ndarray:
     """The closed-form gradient from the unit frame Y of a simplex with
-    stored radius `radius` and its n+1 values f."""
+    stored radius `radius`, its n+1 values f and their mean."""
     n = Y.shape[1]
-    return (Y.T @ (f - f.sum() / (n + 1))) * (n / (n + 1.0)) / radius
+    return (Y.T @ (f - mean)) * (n / (n + 1.0)) / radius
 
 
 def reflect_worst(s: Simplex, worst_index: int) -> np.ndarray:
@@ -355,7 +356,7 @@ def regularity_report(s: Simplex) -> RegularityReport:
     Returns:
         RegularityReport with the two maximal relative deviations.
     """
-    return _frame_regularity(_unit_frame(s))
+    return _frame_regularity(_unit_frame(s, s.centroid()))
 
 
 def _frame_regularity(Y: np.ndarray) -> RegularityReport:
@@ -382,14 +383,14 @@ def _extreme_deviation(sq: np.ndarray, ideal: float) -> float:
                ideal - math.sqrt(max(lo, 0.0)))
 
 
-def _unit_frame(s: Simplex) -> np.ndarray:
-    """Vertices centred on their centroid and divided by the stored radius.
+def _unit_frame(s: Simplex, c: np.ndarray) -> np.ndarray:
+    """Vertices centred on their centroid c and divided by the stored radius.
 
     Radius-normalised coordinates keep the geometry exactly scale-free and
     survive sizes whose squares would underflow.  The regularity report and
     the closed-form gradient both read this frame, so a caller that needs
     both builds it once and passes it to the two frame kernels.
     """
-    Y = s.vertices - s.centroid()
+    Y = s.vertices - c
     Y /= s.radius
     return Y

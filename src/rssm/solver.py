@@ -185,14 +185,13 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """Per-iteration quantities, all taken at the start of iteration k.
+    """Quantities taken at the start of iteration k, the record's list index.
 
     S is the sum of the n+1 vertex values; v the worst-mean gap
     f(worst) - mean of the n best values; v_r the same gap for the
     reflection candidate (always evaluated, even before a shrink).
     """
 
-    k: int
     step: str  # "reflection" | "shrink"
     delta: float
     S: float
@@ -203,10 +202,10 @@ class IterationRecord:
     simplex_gradient_norm: float
 
     def to_dict(self) -> dict:
-        # every field is an int, str or float, so a shallow dict equals what
+        # every field is a str or float, so a shallow dict equals what
         # dataclasses.asdict builds; reading self.__dict__ instead would
         # attach a dict to every record
-        return {"k": self.k, "step": self.step, "delta": self.delta,
+        return {"step": self.step, "delta": self.delta,
                 "S": self.S, "f_best": self.f_best, "f_worst": self.f_worst,
                 "v": self.v, "v_r": self.v_r,
                 "simplex_gradient_norm": self.simplex_gradient_norm}
@@ -267,8 +266,8 @@ class Trace:
                 object, lacks a :class:`SolverConfig` field, is rejected by
                 it or has a `center` other than a length-`n` list; `records`
                 not a list of objects with exactly the record keys; a record
-                with a mistyped or non-finite field, an unknown step, a `k`
-                other than its index or `delta` <= 0; an unknown `reason`;
+                with a mistyped or non-finite field, an unknown step or
+                `delta` <= 0; an unknown `reason`;
                 a `summary` that is not an object, whose `final_S` or
                 `objective_calls` is mistyped, or whose `final_S` is not
                 finite.
@@ -301,11 +300,11 @@ class Trace:
         for i, r in enumerate(trace.records):
             # one unrolled test per record: this runs on every loaded record;
             # the types are tested first, so the comparisons see numbers
-            if not (type(r.k) is int and r.step in _STEPS
-                    and type(r.delta) in _REAL and type(r.S) in _REAL
-                    and type(r.f_best) in _REAL and type(r.f_worst) in _REAL
-                    and type(r.v) in _REAL and type(r.v_r) in _REAL
-                    and type(r.simplex_gradient_norm) in _REAL and r.k == i
+            if not (r.step in _STEPS and type(r.delta) in _REAL
+                    and type(r.S) in _REAL and type(r.f_best) in _REAL
+                    and type(r.f_worst) in _REAL and type(r.v) in _REAL
+                    and type(r.v_r) in _REAL
+                    and type(r.simplex_gradient_norm) in _REAL
                     and 0.0 < r.delta <= _MAX and -_MAX <= r.S <= _MAX
                     and -_MAX <= r.f_best <= _MAX and -_MAX <= r.f_worst <= _MAX
                     and -_MAX <= r.v <= _MAX and -_MAX <= r.v_r <= _MAX
@@ -375,14 +374,14 @@ def _check_stopping(objective, cfg: SolverConfig) -> None:
 def run(objective, cfg: SolverConfig) -> Trace:
     """Run the search loop until the stopping criterion, a budget or a failure.
 
-    Each iteration, in order: build the radius-normalised centred frame of
-    the value-sorted simplex once (``simplex._unit_frame``) and read the
-    closed-form simplex gradient and the regularity verdict from it; test
-    the stopping criterion, the budgets and the practical-mode radius floor;
-    reflect the worst vertex and evaluate the candidate; accept it when
-    f_r - f_worst <= margin * delta_k^2, the margin -(2n+2)/n*beta*L or -eta
-    computed once per run, or else shrink the n non-best vertices toward
-    the best one and re-evaluate them; record; stable-sort by value.
+    Each iteration, in order: take the value sum S, its mean and the
+    centroid once, and from that centroid the radius-normalised centred
+    frame, which gives the closed-form gradient and the regularity verdict;
+    test the stopping criterion, the budgets and the practical-mode radius
+    floor; reflect the worst vertex and evaluate the candidate; accept it
+    when f_r - f_worst <= margin * delta_k^2, the margin -(2n+2)/n*beta*L or
+    -eta computed once per run, or else shrink the n non-best vertices
+    toward the best one and re-evaluate them; record; stable-sort by value.
 
     The criterion is tested at the top of every iteration, so on
     "epsilon-reached" the number of records is the first iteration index at
@@ -415,8 +414,11 @@ def run(objective, cfg: SolverConfig) -> Trace:
     while True:
         f = state.values
         delta = state.simplex.radius
-        Y = _unit_frame(state.simplex)
-        g = _frame_gradient(Y, f, delta)
+        S = float(f.sum())
+        mean = S / (n + 1)
+        c = state.simplex.centroid()
+        Y = _unit_frame(state.simplex, c)
+        g = _frame_gradient(Y, f, mean, delta)
         grad_norm = math.sqrt(g @ g)
         rep = _frame_regularity(Y)
         if rep.max_deviation() > REGULARITY_FAIL_TOL:
@@ -424,26 +426,23 @@ def run(objective, cfg: SolverConfig) -> Trace:
             trace.summary["regularity"] = str(rep)
             break
         if cfg.stopping == "true_gradient":
-            g_true = np.asarray(objective.gradient(state.simplex.centroid()),
-                                dtype=float)
+            g_true = np.asarray(objective.gradient(c), dtype=float)
             crit = math.sqrt(g_true @ g_true)
         elif cfg.stopping == "gap":
-            # mean vertex value minus f*
-            crit = float(f.sum() / (n + 1) - objective.f_star)
+            crit = mean - objective.f_star
         else:
             crit = grad_norm
         if cfg.stopping != "none" and crit <= cfg.epsilon:
             trace.reason = "epsilon-reached"
             break
-        k = len(trace.records)
-        if k >= cfg.max_iterations or state.objective_calls >= cfg.max_evaluations:
+        if (len(trace.records) >= cfg.max_iterations
+                or state.objective_calls >= cfg.max_evaluations):
             trace.reason = "budget"
             break
         if cfg.mode == "practical" and delta < DELTA_FLOOR_FRACTION * cfg.delta0:
             trace.reason = "delta-floor"
             break
 
-        S_k = float(f.sum())
         f_best_k = float(f[0])
         f_worst_k = float(f[n])
         mean_best = float(f[:n].sum() / n)
@@ -463,14 +462,14 @@ def run(objective, cfg: SolverConfig) -> Trace:
             for i in range(1, n + 1):
                 f[i] = state.evaluate(objective, V[i])
         trace.records.append(IterationRecord(
-            k=k, step="reflection" if accepted else "shrink", delta=delta,
-            S=S_k, f_best=f_best_k, f_worst=f_worst_k, v=f_worst_k - mean_best,
+            step="reflection" if accepted else "shrink", delta=delta,
+            S=S, f_best=f_best_k, f_worst=f_worst_k, v=f_worst_k - mean_best,
             v_r=f_r - mean_best, simplex_gradient_norm=grad_norm))
         state.sort()
 
     trace.summary.update({
         "final_delta": state.simplex.radius,
-        "final_S": float(state.values.sum()),
+        "final_S": S,
         "final_values": state.values.tolist(),
         "best_point": state.simplex.vertices[0].tolist(),
         "best_value": float(state.values[0]),

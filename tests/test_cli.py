@@ -351,9 +351,9 @@ TRACE_FAULTS = [
     pytest.param("records", "delta", "x", id="record-delta-str"),
     pytest.param("records", "S", None, id="record-S-null"),
     pytest.param("records", "step", "bogus", id="record-step-unknown"),
-    # the field records carried before the step was stored once
+    # the fields records carried before the step and the index were stored once
     pytest.param("records", "accepted", True, id="record-accepted-pre-change"),
-    pytest.param("records", "k", 1.0, id="record-k-float"),
+    pytest.param("records", "k", 1, id="record-k-pre-change"),
     pytest.param("records", "v", True, id="record-v-bool"),
     pytest.param("config", "n", "x", id="config-n-str"),
     pytest.param("config", "mode", "bogus", id="config-mode-unknown"),
@@ -411,7 +411,7 @@ def _strict_json(text):
 
 
 # one field of the README sin-quad trace set to a well-typed value that run
-# never writes (records[1] is an accepted reflection at k=1), with the part of
+# never writes (records[1] is an accepted reflection), with the part of
 # the one error line that names the fault
 TRACE_VALUE_FAULTS = [
     pytest.param("config", "n", 2.0, "n must be an integer, got 2.0",
@@ -428,8 +428,8 @@ TRACE_VALUE_FAULTS = [
                  id="record-delta-zero"),
     pytest.param("records", "f_best", 10 ** 400,
                  "record 1 is not one run writes", id="record-f-best-huge-int"),
-    pytest.param("records", "k", 99, "record 1 is not one run writes",
-                 id="record-k-not-index"),
+    pytest.param("records", "k", 1, "unexpected keyword argument 'k'",
+                 id="record-k-pre-change"),
     pytest.param("records", "accepted", True,
                  "unexpected keyword argument 'accepted'",
                  id="record-accepted-pre-change"),
@@ -538,7 +538,8 @@ def test_audit_invalid_json_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload", [
     {"records": 5},
-    {"config": {"n": 2}, "records": [{"k": 0, "bogus": 1}], "reason": "budget"},
+    {"config": {"n": 2}, "records": [{"step": "shrink", "bogus": 1}],
+     "reason": "budget"},
     {"config": {"n": 2}, "records": [], "reason": "budget"},
 ])
 def test_audit_malformed_trace_is_usage_error(tmp_path, capsys, payload):

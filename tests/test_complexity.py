@@ -274,8 +274,8 @@ def synth_cfg(**kw):
     return base
 
 
-def rec(k, step, delta, S):
-    return IterationRecord(k=k, step=step, delta=delta, S=S, f_best=0.0,
+def rec(step, delta, S):
+    return IterationRecord(step=step, delta=delta, S=S, f_best=0.0,
                            f_worst=1.0, v=1.0, v_r=0.0, simplex_gradient_norm=1.0)
 
 
@@ -291,8 +291,8 @@ def synth_consts(**kw):
 
 def test_audit_flags_radius_law_violation():
     trace = Trace(config=synth_cfg(),
-                  records=[rec(0, "shrink", 1.0, 4.0),
-                           rec(1, "reflection", 0.9, 4.0)],  # should be 0.5
+                  records=[rec("shrink", 1.0, 4.0),
+                           rec("reflection", 0.9, 4.0)],  # should be 0.5
                   reason="budget", summary={"final_S": 0.0})
     report = audit_trace(trace, synth_consts())
     ck = checks_by_name(report)["radius_law"]
@@ -306,13 +306,13 @@ def test_audit_flags_radius_law_violation():
 def test_audit_flags_weak_reflection_decrease():
     # margin at n=1 is 4*beta*L*delta^2 = 4; a drop of 2 is not enough
     trace = Trace(config=synth_cfg(),
-                  records=[rec(0, "reflection", 1.0, 10.0)],
+                  records=[rec("reflection", 1.0, 10.0)],
                   reason="budget", summary={"final_S": 8.0})
     report = audit_trace(trace, synth_consts())
     assert checks_by_name(report)["reflection_decrease"].status == "fail"
 
     ok = Trace(config=synth_cfg(),
-               records=[rec(0, "reflection", 1.0, 10.0)],
+               records=[rec("reflection", 1.0, 10.0)],
                reason="budget", summary={"final_S": 5.9})
     report = audit_trace(ok, synth_consts())
     assert checks_by_name(report)["reflection_decrease"].status == "pass"
@@ -321,20 +321,20 @@ def test_audit_flags_weak_reflection_decrease():
 def test_audit_reads_last_step_from_final_S():
     # shrink ascent cap at n=1, delta=1: L*gamma*(1-gamma)*(n+1) = 0.5
     bad = Trace(config=synth_cfg(),
-                records=[rec(0, "shrink", 1.0, 4.0)],
+                records=[rec("shrink", 1.0, 4.0)],
                 reason="budget", summary={"final_S": 4.6})
     report = audit_trace(bad, synth_consts())
     assert checks_by_name(report)["shrink_ascent_per_step"].status == "fail"
 
     edge = Trace(config=synth_cfg(),
-                 records=[rec(0, "shrink", 1.0, 4.0)],
+                 records=[rec("shrink", 1.0, 4.0)],
                  reason="budget", summary={"final_S": 4.5})
     report = audit_trace(edge, synth_consts())
     assert checks_by_name(report)["shrink_ascent_per_step"].status == "pass"
 
     # without final_S the last step has no known change and is left out
     unknown = Trace(config=synth_cfg(),
-                    records=[rec(0, "shrink", 1.0, 4.0)],
+                    records=[rec("shrink", 1.0, 4.0)],
                     reason="budget", summary={})
     ck = checks_by_name(audit_trace(unknown, synth_consts()))[
         "shrink_ascent_per_step"]
@@ -343,7 +343,7 @@ def test_audit_reads_last_step_from_final_S():
 
 def test_audit_eval_identity():
     base = dict(config=synth_cfg(),
-                records=[rec(0, "reflection", 1.0, 4.0)],
+                records=[rec("reflection", 1.0, 4.0)],
                 reason="budget")
     # n=1: two initial calls and one accepted reflection
     good = Trace(summary={"final_S": 0.0, "objective_calls": 3}, **base)
@@ -361,7 +361,7 @@ def test_audit_eval_identity():
 
 def test_audit_skips_need_preconditions():
     trace = Trace(config=synth_cfg(mode="practical", beta=None, eta=1e-3),
-                  records=[rec(0, "reflection", 1.0, 4.0)],
+                  records=[rec("reflection", 1.0, 4.0)],
                   reason="budget", summary={"final_S": 0.0})
     names = checks_by_name(audit_trace(trace, synth_consts(), case="nonconvex"))
     assert names["reflection_decrease"].status == "skipped"
@@ -375,7 +375,7 @@ def test_audit_skips_need_preconditions():
 def test_audit_convex_checks_on_synthetic_trace():
     cfg = synth_cfg(stopping="gap")
     consts = synth_consts(R=2.0)  # kappa2 = 0.5 at n=1
-    up = Trace(config=cfg, records=[rec(0, "shrink", 1.0, 4.0)],
+    up = Trace(config=cfg, records=[rec("shrink", 1.0, 4.0)],
                reason="epsilon-reached", summary={"final_S": 4.4})
     report = audit_trace(up, consts, case="convex", f_star=0.0)
     names = checks_by_name(report)
@@ -383,7 +383,7 @@ def test_audit_convex_checks_on_synthetic_trace():
     assert names["radius_tail_lower_bound"].status == "pass"
     assert names["convex_shrink_count_bound"].status == "pass"
 
-    down = Trace(config=cfg, records=[rec(0, "shrink", 1.0, 4.0)],
+    down = Trace(config=cfg, records=[rec("shrink", 1.0, 4.0)],
                  reason="epsilon-reached", summary={"final_S": 3.9})
     report = audit_trace(down, consts, case="convex", f_star=0.0)
     names = checks_by_name(report)
@@ -451,7 +451,7 @@ def oracle_count_check(name, N_s, bound):
 ])
 def test_radius_law_matches_its_loop_oracle(steps, status):
     trace = Trace(config=synth_cfg(),
-                  records=[rec(k, step, d, 4.0) for k, (step, d) in enumerate(steps)],
+                  records=[rec(step, d, 4.0) for step, d in steps],
                   reason="budget", summary={"final_S": 4.0})
     consts = synth_consts()
     got = checks_by_name(audit_trace(trace, consts))["radius_law"]
@@ -462,7 +462,7 @@ def test_radius_law_matches_its_loop_oracle(steps, status):
 @pytest.mark.parametrize("N_s", [7, 8, 9, 10])
 def test_shrink_count_checks_match_their_oracle(N_s):
     # the bounds are 8.97 (delta_bar = 0.002) and 8.64 (delta_cvx = 0.0025)
-    records = [rec(k, "shrink", 0.5 ** k, 4.0) for k in range(N_s)]
+    records = [rec("shrink", 0.5 ** k, 4.0) for k in range(N_s)]
     for name, cfg, consts, case, bound, near in (
             ("shrink_count_bound", synth_cfg(), synth_consts(), "nonconvex",
              _shrink_bound_nonconvex(synth_consts()),

@@ -407,7 +407,7 @@ def test_centroid_and_unit_frame_equal_the_mean_formulas():
     for s in _offset_simplices():
         V = s.vertices
         assert np.array_equal(s.centroid(), V.mean(axis=0))
-        assert np.array_equal(_unit_frame(s),
+        assert np.array_equal(_unit_frame(s, s.centroid()),
                               (V - V.mean(axis=0)[None, :]) / s.radius)
 
 

@@ -106,7 +106,7 @@ def test_constant_objective_only_shrinks():
     assert trace.reason == "budget"
     assert trace.N_r == 0 and trace.N_s == 25
     for i, r in enumerate(trace.records):
-        assert r.step == "shrink" and r.k == i
+        assert r.step == "shrink"
         assert r.delta == pytest.approx(0.5 ** i, rel=1e-12)
     assert trace.summary["final_delta"] == pytest.approx(0.5 ** 25, rel=1e-12)
     # eval accounting: n+1 initial, then 1 + n per rejected iteration
@@ -212,14 +212,32 @@ def test_gradient_is_computed_once_per_iteration(monkeypatch):
                 and node.module in ("interpolation", "rssm.interpolation")]
 
 
+def test_centroid_is_computed_once_per_loop_top(monkeypatch):
+    # the frame and the true-gradient rule read one centroid per loop top
+    calls = {"count": 0}
+    centroid = Simplex.centroid
+
+    def counted(s):
+        calls["count"] += 1
+        return centroid(s)
+
+    monkeypatch.setattr(Simplex, "centroid", counted)
+    cfg = SolverConfig(n=4, epsilon=1e-3, stopping="true_gradient", center=1.7)
+    trace = run(builtin("sin-quad", 4), cfg)
+    assert trace.reason == "epsilon-reached" and len(trace.records) > 0
+    # the loop tops are the records plus the one that stops the run, and
+    # make_regular_simplex reads one centroid to certify the start
+    assert calls["count"] == (len(trace.records) + 1) + 1
+
+
 def test_recorded_gradient_norms_match_the_affine_solve(monkeypatch):
     # each frame is built from the value-sorted simplex at a loop top
     simplices = []
     frame = rssm.solver._unit_frame
 
-    def kept(s):
+    def kept(s, c):
         simplices.append(s.vertices.copy())
-        return frame(s)
+        return frame(s, c)
 
     monkeypatch.setattr(rssm.solver, "_unit_frame", kept)
     obj = builtin("damped-sine", 3)
@@ -479,7 +497,7 @@ def test_record_dicts_do_not_alias_the_records():
                                                      max_iterations=5))
     before = [dataclasses.asdict(r) for r in trace.records]
     d = trace.records[0].to_dict()
-    d["k"], d["step"], d["delta"] = 99, "bogus", -1.0
+    d["step"], d["delta"] = "bogus", -1.0
     d["extra"] = True
     for rec in trace.to_dict()["records"]:
         rec.clear()
@@ -493,9 +511,10 @@ def test_record_dicts_do_not_alias_the_records():
     ({"config": {"n": 2}, "records": {}, "reason": ""}, "a list"),
     ({"config": [2], "records": [], "reason": ""}, "an object"),
     ({"config": {"n": 2}, "records": [5], "reason": ""}, "mapping"),
-    ({"config": {"n": 2}, "records": [{"k": 0, "bogus": 1}], "reason": ""},
-     "bogus"),
-    ({"config": {"n": 2}, "records": [{"k": 0}], "reason": ""}, "missing"),
+    ({"config": {"n": 2}, "records": [{"step": "shrink", "bogus": 1}],
+      "reason": ""}, "bogus"),
+    ({"config": {"n": 2}, "records": [{"step": "shrink"}], "reason": ""},
+     "missing"),
     ({"config": {"n": 2}, "records": []}, "missing key 'reason'"),
     ([], "malformed"),
 ])
