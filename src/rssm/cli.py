@@ -8,16 +8,17 @@ Subcommands:
 * ``audit``         — re-check a saved trace against the per-step analysis.
 * ``scaling``       — sweep an (n, epsilon) grid and fit iteration orders.
 
-Exit codes: 0 success, 1 a check or run failed, 2 bad input (argument,
-value or file).  :func:`main` is the one place that decides the exit code;
-any exception but ``OSError``, ``ValueError`` and ``EvaluationError`` is a
-bug and keeps its traceback.
+Exit codes: 0 success, 1 a check or run failed or stdout was closed, 2 bad
+input (argument, value or file).  :func:`main` is the one place that decides
+the exit code; any exception but ``OSError``, ``ValueError`` and
+``EvaluationError`` is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -27,8 +28,7 @@ from .simplex import Simplex, make_regular_simplex
 from .interpolation import CLASSES, QUERY_KINDS, SIGNS, bound_report
 from .solver import (ALGORITHMS, MODES, STOPPING_RULES, SolverConfig, Trace,
                      run, EvaluationError)
-from .complexity import (CASES, CONVEX_CASES, ETA_SPLIT, constants_for_trace,
-                         audit_trace)
+from .complexity import ETA_SPLIT, constants_for_trace, audit_trace
 from .experiments import ExperimentPlan, run_scaling, write_csv
 
 __all__ = ["build_parser", "main"]
@@ -167,7 +167,7 @@ def _cmd_worst_case(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.case in CONVEX_CASES and args.R is None:
+    if args.case in objectives.CONVEX_CASES and args.R is None:
         raise ValueError("--R is required for convex cases")
     if args.case == "strongly_convex" and args.mu is None:
         raise ValueError("--mu is required for the strongly_convex case")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="re-check a saved trace JSON")
     p.add_argument("--trace-in", required=True)
-    p.add_argument("--case", choices=CASES, default="nonconvex")
+    p.add_argument("--case", choices=objectives.CASES, default="nonconvex")
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--R", type=float, default=None)
@@ -321,7 +321,14 @@ def main(argv=None) -> int:
         # a non-finite value is reported by the error it causes, not by a
         # numpy warning ahead of the one error line
         with np.errstate(all="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout is caught here, not at exit
+        return code
+    except BrokenPipeError:
+        # not bad input: as Python's signal docs advise, stdout goes to
+        # devnull so that the flush at exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

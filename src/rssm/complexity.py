@@ -29,6 +29,9 @@ import json
 import math
 from dataclasses import dataclass, asdict, field
 
+# the convexity tags are the objectives'; tools/artifacts.py reads
+# complexity.CONVEX_CASES
+from .objectives import CASES, CONVEX_CASES
 from .solver import Trace, _sq
 
 __all__ = [
@@ -44,9 +47,6 @@ __all__ = [
 
 # Relative tolerance for every audited inequality.
 AUDIT_RTOL = 1e-9
-
-CASES = ("nonconvex", "pl", "convex", "strongly_convex")
-CONVEX_CASES = ("convex", "strongly_convex")
 
 # Default eta of the (1 - eta) factors in C1, d_thr, A and delta_cvx.
 ETA_SPLIT = 0.5
@@ -127,8 +127,7 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
         d_thr = 4.0 * _sq(kappa2) * L * _sq(R) / (1.0 - eta_split)
         A = beta * gamma ** 2 * (1.0 - eta_split) ** 2 / (
             2.0 * L * _sq(R) * n * _sq(kappa2))
-        delta_cvx = min((1.0 - eta_split) * epsilon / (2.0 * kappa2 * L * R),
-                        math.sqrt((1.0 - eta_split) * epsilon / L))
+        delta_cvx = _tail_radius(epsilon, kappa2, L, R, eta_split)
 
     rho = None
     if mu is not None:
@@ -170,17 +169,42 @@ def tail_radius(d_bar: float, consts: ComplexityConstants) -> float:
         raise ValueError("tail_radius needs the sublevel radius R")
     if d_bar < 0:
         raise ValueError(f"d_bar must be nonnegative, got {d_bar}")
-    one = 1.0 - consts.eta_split
-    return min(one * d_bar / (2.0 * consts.kappa2 * consts.L * consts.R),
-               math.sqrt(one * d_bar / consts.L))
+    return _tail_radius(d_bar, consts.kappa2, consts.L, consts.R,
+                        consts.eta_split)
+
+
+def _tail_radius(d_bar: float, kappa2: float, L: float, R: float,
+                 eta_split: float) -> float:
+    one = 1.0 - eta_split
+    return min(one * d_bar / (2.0 * kappa2 * L * R), math.sqrt(one * d_bar / L))
+
+
+def _unbounded(c: ComplexityConstants, radius: str) -> str | None:
+    """Why the shrink count bound down to the radius named `radius` is +inf,
+    which strict JSON cannot hold, or None: the radius, or its ratio to
+    delta0, underflows."""
+    if radius == "delta_bar":
+        unbounded = c.delta_bar / c.delta0 == 0.0
+    else:
+        unbounded = c.delta_cvx == 0.0 or c.delta0 / c.delta_cvx == math.inf
+    if not unbounded:
+        return None
+    return (f"{radius}={getattr(c, radius):.3g} underflows against "
+            f"delta0={c.delta0:.3g}, so the shrink count bound is +inf")
 
 
 def _shrink_bound_nonconvex(c: ComplexityConstants) -> float:
     # log(delta_bar/delta0)/log(gamma); negative when delta0 < delta_bar.
+    why = _unbounded(c, "delta_bar")
+    if why is not None:
+        raise ValueError(why)
     return math.log(c.delta_bar / c.delta0) / math.log(c.gamma)
 
 
 def _shrink_bound_convex(c: ComplexityConstants) -> float:
+    why = _unbounded(c, "delta_cvx")
+    if why is not None:
+        raise ValueError(why)
     return math.log(c.delta0 / c.delta_cvx) / math.log(1.0 / c.gamma)
 
 
@@ -191,7 +215,8 @@ def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
     d_bar0 is the initial mean value gap (for "pl", pass the central gap
     f(c_0) - f* or an upper bound on it).  Additive terms that come out
     negative (preconditions such as delta0 > delta_bar not binding) are
-    clamped to zero.
+    clamped to zero.  The shrink term is taken first, so a radius that
+    underflows is named (ValueError) before other terms overflow.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
@@ -200,22 +225,22 @@ def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
     c = consts
     e2 = 2.0 * c.beta * c.gamma ** 2 * _sq(c.epsilon)
 
-    if case == "nonconvex":
-        reflect = c.L * (d_bar0 + c.psi0) * c.n * _sq(c.kappa1) / e2
-        return reflect + max(0.0, _shrink_bound_nonconvex(c))
-    if case == "pl":
-        reflect = c.L * (d_bar0 + c.psi0) * _sq(c.kappa1) / e2
-        return reflect + max(0.0, _shrink_bound_nonconvex(c))
+    if case in ("nonconvex", "pl"):
+        shrinks = max(0.0, _shrink_bound_nonconvex(c))
+        # the reflection term; the PL case drops the factor n
+        return (c.L * (d_bar0 + c.psi0) * (c.n if case == "nonconvex" else 1)
+                * _sq(c.kappa1) / e2 + shrinks)
     if case == "convex":
         if c.d_thr is None:
             raise ValueError("convex bound needs R (pass it to constants())")
         if not (0.0 < c.C1 < 1.0):
             raise ValueError(f"convex bound needs C1 in (0,1), got {c.C1}")
+        shrinks = max(0.0, _shrink_bound_convex(c))
         phase1 = 0.0
         if d_bar0 > c.d_thr:
             phase1 = math.log(d_bar0 / c.d_thr) / math.log(1.0 / (1.0 - c.C1))
         phase2 = max(0.0, (1.0 / c.epsilon - 1.0 / c.d_thr) / c.A)
-        return phase1 + phase2 + max(0.0, _shrink_bound_convex(c))
+        return phase1 + phase2 + shrinks
     # strongly_convex
     if c.rho is None:
         raise ValueError("strongly convex bound needs mu")
@@ -223,11 +248,12 @@ def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
         raise ValueError("strongly convex bound needs R for the shrink count")
     if not (0.0 < c.rho < 1.0):
         raise ValueError(f"strongly convex bound needs rho in (0,1), got {c.rho}")
+    shrinks = max(0.0, _shrink_bound_convex(c))
     successes = 0.0
     if d_bar0 > c.epsilon:
         successes = math.ceil(math.log(d_bar0 / c.epsilon)
                               / (-math.log(1.0 - c.rho)))
-    return successes + max(0.0, _shrink_bound_convex(c))
+    return successes + shrinks
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +496,9 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         ((k, dS, -floor) for k, dS, r in reflections))
     add("radius_floor", floor_why,
         ((k, consts.delta_bar, r.delta) for k, r in enumerate(recs)))
-    add("shrink_count_bound", floor_why, check=lambda name: _strict_count_check(
-        name, N_s, _shrink_bound_nonconvex(consts)))
+    add("shrink_count_bound", floor_why or _unbounded(consts, "delta_bar"),
+        check=lambda name: _strict_count_check(
+            name, N_s, _shrink_bound_nonconvex(consts)))
 
     # --- shrink ascent caps (any mode; only L-smoothness is used) ----------
     per_shrink = L * gamma * (1.0 - gamma) * (n + 1.0)
@@ -500,7 +527,8 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     add("convex_shrink_count_bound", theory or (
         None if convex_case and cfg["stopping"] == "gap"
         and consts.delta_cvx is not None and consts.delta0 > consts.delta_cvx
-        else "needs a convex case, gap stopping, R and delta0 > delta_cvx"),
+        else "needs a convex case, gap stopping, R and delta0 > delta_cvx")
+        or _unbounded(consts, "delta_cvx"),
         check=lambda name: _strict_count_check(
             name, N_s, _shrink_bound_convex(consts)))
 

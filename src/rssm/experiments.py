@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import objectives
-from .complexity import CONVEX_CASES
 from .solver import SolverConfig, run
 
 __all__ = [
@@ -174,7 +173,7 @@ def write_csv(rows, fileobj) -> None:
 
 
 def _stopping_for(obj) -> str:
-    if obj.convexity in CONVEX_CASES:
+    if obj.convexity in objectives.CONVEX_CASES:
         return "gap"
     return "true_gradient"
 

@@ -31,8 +31,6 @@ import math
 
 import numpy as np
 
-from .complexity import CASES
-
 __all__ = [
     "Objective",
     "builtin",
@@ -40,6 +38,11 @@ __all__ = [
     "sublevel_radius",
     "UnsupportedObjectiveError",
 ]
+
+
+# the convexity tags, one per case of the complexity analysis
+CASES = ("nonconvex", "pl", "convex", "strongly_convex")
+CONVEX_CASES = ("convex", "strongly_convex")
 
 
 class UnsupportedObjectiveError(ValueError):
@@ -57,7 +60,7 @@ class Objective:
         mu: gradient-domination / strong-convexity constant, or None.
         f_star: minimal value, or None when no closed form exists.
         x_star: a minimizer, or None.
-        convexity: one of complexity.CASES.
+        convexity: one of CASES.
     """
 
     def __init__(self, name: str, dim: int, fn, grad=None, L: float | None = None,

@@ -114,7 +114,8 @@ class Simplex:
     @classmethod
     def from_dict(cls, d: dict) -> "Simplex":
         """Inverse of :meth:`to_dict`; ValueError when `d` is not a simplex
-        (not an object, a key missing or mistyped, or a wrong `dim`)."""
+        (not an object, a key missing or mistyped, a number beyond the
+        double range, or a wrong `dim`)."""
         try:
             s = cls(np.asarray(d["vertices"], dtype=float),
                     radius=float(d["radius"]))
@@ -124,7 +125,7 @@ class Simplex:
             return s
         except KeyError as exc:
             raise ValueError(f"malformed simplex: missing key {exc}") from None
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed simplex: {exc}") from None
 
     def to_json(self) -> str:

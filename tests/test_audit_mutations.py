@@ -1,7 +1,9 @@
-"""`rssm audit` on mutated trace files: an exit code, never a traceback.
+"""`rssm audit` on mutated trace files and `rssm verify-bounds` on mutated
+simplex files: an exit code, never a traceback.
 
-The README sin-quad trace is mutated with type swaps, missing keys, +-inf,
-NaN, 1e+-400, the least subnormal and bools, and audited in-process.
+The README sin-quad trace and a regular simplex are mutated with type swaps,
+missing keys, +-inf, NaN, 1e+-400, the least subnormal and bools, and read
+in-process.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from rssm.cli import main
 from rssm.objectives import builtin
+from rssm.simplex import make_regular_simplex
 from rssm.solver import SolverConfig, run
 
 
@@ -80,18 +83,17 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(mutations=MUTATIONS, audit=AUDITS)
-def test_audit_of_a_mutated_trace_ends_in_an_exit_code(tmp_path_factory,
-                                                       mutations, audit):
-    text = json.dumps(_mutate(_readme_trace(), mutations))
+def _run_mutated(tmp_path_factory, d: dict, argv) -> None:
+    """Write d as JSON (with the _RAW sentinels as raw numbers) to the file
+    that argv names as FILE, run the CLI in-process and check its ending."""
+    text = json.dumps(d)
     for sentinel, raw in _RAW.items():
         text = text.replace(json.dumps(sentinel), raw)
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["audit", "--trace-in", str(path), *audit])
+        code = main([str(path) if a == "FILE" else a for a in argv])
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
@@ -99,3 +101,31 @@ def test_audit_of_a_mutated_trace_ends_in_an_exit_code(tmp_path_factory,
         assert out.getvalue() == ""
     else:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mutations=MUTATIONS, audit=AUDITS)
+def test_audit_of_a_mutated_trace_ends_in_an_exit_code(tmp_path_factory,
+                                                       mutations, audit):
+    _run_mutated(tmp_path_factory, _mutate(_readme_trace(), mutations),
+                 ["audit", "--trace-in", "FILE", *audit])
+
+
+_SIMPLEX = make_regular_simplex([0.3, -0.2], 0.7, 2).to_dict()
+# the top level, and each vertex with each of its coordinates
+SIMPLEX_PATHS = [(key,) for key in _SIMPLEX] + [
+    path for i in range(3) for path in [("vertices", i)] + [
+        ("vertices", i, j) for j in range(2)]]
+SIMPLEX_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(SIMPLEX_PATHS),
+              st.one_of(st.just("delete"), VALUES)),
+    min_size=1, max_size=3)
+VERIFY = st.sampled_from([[], ["--L", "2", "--gamma", "0.3"]])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mutations=SIMPLEX_MUTATIONS, options=VERIFY)
+def test_verify_bounds_of_a_mutated_simplex_ends_in_an_exit_code(
+        tmp_path_factory, mutations, options):
+    _run_mutated(tmp_path_factory, _mutate(_SIMPLEX, mutations),
+                 ["verify-bounds", "--simplex-json", "FILE", *options])

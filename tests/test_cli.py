@@ -480,6 +480,75 @@ def test_audit_rejects_a_trace_written_before_the_step_was_stored_once(
     assert "'accepted'" in lines[0]
 
 
+def test_audit_rejects_a_trace_written_with_record_indices(
+        sin_quad_trace, tmp_path, capsys):
+    # such a trace also wrote each record's list position as `k`
+    for k, r in enumerate(sin_quad_trace["records"]):
+        r["k"] = k
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(sin_quad_trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--case", "pl", "--L", "8", "--fstar", "0")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed trace: ")
+    assert "'k'" in lines[0]
+
+
+@pytest.fixture()
+def quad_iso_gap_trace(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    code, _, _ = run_cli(capsys, "solve", "--objective", "quad-iso", "--n", "2",
+                         "--mode", "theoretical", "--beta", "1", "--L", "1",
+                         "--stopping", "gap", "--epsilon", "1e-3",
+                         "--start", "1.7", "--trace-out", str(path))
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+# the least subnormal epsilon, which the loader accepts, underflows delta_bar
+# (gradient stopping) or delta_cvx (gap stopping) to 0: (trace, audit options,
+# the shrink-count check that reads the radius, the radius)
+UNDERFLOW_AUDITS = [
+    pytest.param("sin_quad_trace", ["--case", "pl", "--L", "8", "--fstar", "0"],
+                 "shrink_count_bound", "delta_bar", id="pl-delta-bar"),
+    pytest.param("quad_iso_gap_trace", ["--case", "convex", "--L", "1", "--R",
+                                        "3", "--fstar", "0"],
+                 "convex_shrink_count_bound", "delta_cvx", id="convex-delta-cvx"),
+    pytest.param("quad_iso_gap_trace", ["--case", "strongly_convex", "--L", "1",
+                                        "--R", "3", "--mu", "1", "--fstar", "0"],
+                 "convex_shrink_count_bound", "delta_cvx",
+                 id="strongly-convex-delta-cvx"),
+]
+
+
+@pytest.mark.parametrize("fixture, options, check, radius", UNDERFLOW_AUDITS)
+def test_audit_skips_a_shrink_count_bound_whose_radius_underflows(
+        request, tmp_path, capsys, fixture, options, check, radius):
+    trace = request.getfixturevalue(fixture)
+    trace["config"]["epsilon"] = 5e-324
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path), *options)
+    assert code in (0, 1) and err == ""
+    payload = _strict_json(out)
+    got = {c["name"]: c for c in payload["checks"]}[check]
+    named = f"{radius}=0 underflows against delta0=1"
+    assert got["status"] == "skipped" and named in got["detail"]
+    assert named in payload["predicted"]["unavailable"]
+
+
+def test_audit_names_a_predicted_bound_beyond_the_double_range(
+        sin_quad_trace, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(sin_quad_trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--case", "pl", "--L", "1e300", "--fstar", "0")
+    assert code == 1 and err == ""
+    assert _strict_json(out)["predicted"]["unavailable"] == (
+        "the predicted bound leaves the double range (got inf)")
+
+
 def test_audit_fails_radius_law_when_the_expected_radius_underflows(
         sin_quad_trace, tmp_path, capsys):
     # delta0 * gamma^shrinks underflows to 0 after the first shrink
@@ -578,6 +647,13 @@ def test_scaling_csv_to_file_fits_to_stdout(tmp_path, capsys):
     assert text.splitlines()[0] == ("objective,n,epsilon,seed,N_r,N_s,N_eps,"
                                     "evals,final_gap,reason,wall_ms")
     assert len(text.splitlines()) == 5
+
+
+def test_scaling_notes_a_fit_with_too_few_points(capsys):
+    code, out, err = run_cli(capsys, "scaling", "--objective", "quad-iso",
+                             "--dims", "2", "--epsilons", "1e-1,1e-2")
+    assert code == 0 and len(out.splitlines()) == 3  # the header and 2 rows
+    assert err == "fit: n=2  fits need at least 4 points, got 2\n"
 
 
 def test_scaling_rejects_increasing_epsilons(capsys):
@@ -729,6 +805,11 @@ BAD_INPUTS = [
                  id="m-simplex-coincident"),
     pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/inf_radius.json"],
                  id="n-simplex-infinite-radius"),
+    # an integer beyond the double range, which float() cannot convert
+    pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/int_radius.json"],
+                 id="n-simplex-huge-int-radius"),
+    pytest.param(2, ["worst-case", "--simplex-json", "TMP/int_vertex.json"],
+                 id="n-simplex-huge-int-vertex"),
     # G, the bound or the achieved error overflows the double range
     pytest.param(2, ["verify-bounds", "--n", "2", "--radius", "1e154"],
                  id="o-verify-bounds-G-overflow"),
@@ -749,6 +830,10 @@ BAD_INPUT_MESSAGES = {
     "m-simplex-coincident": "error: all vertices coincide",
     "n-simplex-infinite-radius": "error: radius must be positive and finite, "
                                  "got inf",
+    "n-simplex-huge-int-radius": "error: malformed simplex: int too large to "
+                                 "convert to float",
+    "n-simplex-huge-int-vertex": "error: malformed simplex: int too large to "
+                                 "convert to float",
     "o-verify-bounds-G-overflow": _G_OVERFLOW,
     "o-verify-bounds-G-overflow-b": _G_OVERFLOW,
     "o-worst-case-G-overflow": _G_OVERFLOW,
@@ -776,6 +861,10 @@ def test_bad_input_ends_in_one_error_line(request, tmp_path, capsys, code,
     # json reads 1e400 as inf
     (tmp_path / "inf_radius.json").write_text(
         '{"dim": 2, "radius": 1e400, "vertices": [[0, 0], [1, 0], [0, 1]]}')
+    (tmp_path / "int_radius.json").write_text(json.dumps(
+        {"dim": 2, "radius": 10 ** 400, "vertices": [[0, 0], [1, 0], [0, 1]]}))
+    (tmp_path / "int_vertex.json").write_text(json.dumps(
+        {"dim": 2, "radius": 1, "vertices": [[0, 0], [10 ** 400, 0], [0, 1]]}))
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""
@@ -785,6 +874,21 @@ def test_bad_input_ends_in_one_error_line(request, tmp_path, capsys, code,
     message = BAD_INPUT_MESSAGES.get(request.node.callspec.id)
     if message is not None:
         assert lines[0] == message
+
+
+def test_closed_stdout_exits_1_in_silence():
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rssm.cli", "verify-bounds", "--n", "4",
+         "--radius", "0.7", "--L", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # closed before the interpreter has imported numpy, so before any write
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_console_entry_point_exits_2_without_traceback():

@@ -1,7 +1,11 @@
 """Built-in objective suite: values, gradients, certified constants."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,16 @@ ALL_NAMES = ("quad-iso", "quad-spectrum", "logsumexp", "sin-quad", "damped-sine"
 
 def test_registry_lists_five_names():
     assert builtin_names() == ALL_NAMES
+
+
+def test_importing_the_objectives_loads_neither_solver_nor_auditor():
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rssm.objectives; "
+         "print(sorted(m for m in sys.modules if m.startswith('rssm')))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "['rssm', 'rssm.objectives']\n"
 
 
 # ---------------------------------------------------------------------------
