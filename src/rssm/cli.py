@@ -88,14 +88,12 @@ def _cmd_solve(args) -> int:
             fh.write(text)
 
     summ = trace.summary
-    final_gap = ""
-    if obj.f_star is not None:
-        final_gap = repr(summ["final_S"] / (args.n + 1.0) - obj.f_star)
+    gap = trace.final_gap(obj.f_star)
     if args.summary:
         print(",".join([
             args.objective, str(args.n), repr(args.epsilon),
             str(trace.N_r), str(trace.N_s), str(trace.eval_count),
-            final_gap, trace.reason]))
+            "" if gap is None else repr(gap), trace.reason]))
     else:
         print(f"reason: {trace.reason}")
         print(f"iterations: {len(trace.records)} "
@@ -108,8 +106,8 @@ def _cmd_solve(args) -> int:
         drift = f" ({summ['regularity']})" if "regularity" in summ else ""
         print(f"simplex gradient norm: {summ['final_gradient_norm']:.6e}"
               f"{drift}")
-        if final_gap:
-            print(f"value gap: {final_gap}")
+        if gap is not None:
+            print(f"value gap: {gap!r}")
     return 0
 
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 
 # the convexity tags are the objectives'; tools/artifacts.py reads
 # complexity.CONVEX_CASES
 from .objectives import CASES, CONVEX_CASES
-from .solver import Trace, _sq
+from .solver import Trace, _sq, mean_value_gap
 
 __all__ = [
     "ComplexityConstants",
@@ -117,7 +117,7 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
     psi0 = L * gamma / (1.0 + gamma) * _sq(delta0)
     C1 = (2.0 * beta / n) * gamma ** 2 * (1.0 - eta_split)
 
-    d_thr = A = delta_cvx = None
+    d_thr = A = None
     if R is not None:
         if not (kappa2 > 0):
             raise ValueError(
@@ -127,17 +127,19 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
         d_thr = 4.0 * _sq(kappa2) * L * _sq(R) / (1.0 - eta_split)
         A = beta * gamma ** 2 * (1.0 - eta_split) ** 2 / (
             2.0 * L * _sq(R) * n * _sq(kappa2))
-        delta_cvx = _tail_radius(epsilon, kappa2, L, R, eta_split)
 
     rho = None
     if mu is not None:
         rho = 4.0 * beta * mu * gamma ** 2 / (n * (L * _sq(kappa2) + mu))
 
-    return ComplexityConstants(
+    consts = ComplexityConstants(
         n=n, beta=beta, gamma=gamma, L=L, epsilon=epsilon, delta0=delta0,
         eta_split=eta_split, R=R, mu=mu, kappa1=kappa1, kappa2=kappa2,
         delta_bar=delta_bar, psi0=psi0, C1=C1, d_thr=d_thr, A=A,
-        delta_cvx=delta_cvx, rho=rho)
+        delta_cvx=None, rho=rho)
+    # delta_cvx is the tail radius at the target gap epsilon
+    return consts if R is None else replace(
+        consts, delta_cvx=tail_radius(epsilon, consts))
 
 
 def constants_for_trace(trace: Trace, L: float, R: float | None = None,
@@ -169,14 +171,9 @@ def tail_radius(d_bar: float, consts: ComplexityConstants) -> float:
         raise ValueError("tail_radius needs the sublevel radius R")
     if d_bar < 0:
         raise ValueError(f"d_bar must be nonnegative, got {d_bar}")
-    return _tail_radius(d_bar, consts.kappa2, consts.L, consts.R,
-                        consts.eta_split)
-
-
-def _tail_radius(d_bar: float, kappa2: float, L: float, R: float,
-                 eta_split: float) -> float:
-    one = 1.0 - eta_split
-    return min(one * d_bar / (2.0 * kappa2 * L * R), math.sqrt(one * d_bar / L))
+    one = 1.0 - consts.eta_split
+    return min(one * d_bar / (2.0 * consts.kappa2 * consts.L * consts.R),
+               math.sqrt(one * d_bar / consts.L))
 
 
 def _unbounded(c: ComplexityConstants, radius: str) -> str | None:
@@ -427,7 +424,6 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     L = consts.L
     recs = trace.records
     summ = trace.summary
-    N_r = trace.N_r
     N_s = trace.N_s
     report = AuditReport(case=case)
     convex_case = case in CONVEX_CASES
@@ -443,7 +439,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
             steps[r.step].append((k, next_S - r.S, r))
 
     def gap(S: float) -> float:
-        return S / (n + 1.0) - f_star
+        return mean_value_gap(S, n, f_star)
 
     def radius_deviations():
         """(k, |delta_k - delta0*gamma^shrinks| / that, 0): a deviation up to
@@ -533,13 +529,13 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
             name, N_s, _shrink_bound_convex(consts)))
 
     # --- counts and predicted-vs-observed ----------------------------------
-    report.counts = {"N_r": N_r, "N_s": N_s, "N_eps": trace.N_eps,
+    report.counts = {"N_r": trace.N_r, "N_s": N_s, "N_eps": trace.N_eps,
                      "iterations": len(recs)}
     report.observed = {"iterations": len(recs), "reason": trace.reason}
 
     if case == "strongly_convex" and f_star is not None:
-        first_shrink = next((i for i, r in enumerate(recs) if r.step == "shrink"),
-                            None)
+        # a last record left out of the partition has no reflection after it
+        first_shrink = shrinks[0][0] if shrinks else None
         ratios = []
         if first_shrink is not None:
             # a gap near the least subnormal can make a ratio overflow

@@ -204,14 +204,11 @@ def run_cell(plan: ExperimentPlan, n: int, epsilon: float, seed: int) -> Scaling
     trace = run(obj, cfg)
     wall_ms = (time.perf_counter() - start) * 1e3
 
-    final_gap = None
-    if obj.f_star is not None:
-        final_gap = trace.summary["final_S"] / (n + 1.0) - obj.f_star
     return ScalingRow(
         objective=plan.objective, n=n, epsilon=epsilon, seed=seed,
         N_r=trace.N_r, N_s=trace.N_s, N_eps=trace.N_eps,
-        evals=trace.eval_count,
-        final_gap=final_gap, reason=trace.reason, wall_ms=wall_ms)
+        evals=trace.eval_count, final_gap=trace.final_gap(obj.f_star),
+        reason=trace.reason, wall_ms=wall_ms)
 
 
 def run_scaling(plan: ExperimentPlan) -> ScalingResult:

@@ -302,8 +302,8 @@ class MuCertificate:
         }
 
 
-def mu_certificate(s: Simplex, x) -> MuCertificate:
-    """Compute the mu coefficients of a query point on a simplex.
+def mu_certificate(g: GMatrix) -> MuCertificate:
+    """The mu coefficients of a query, from its assembled G (:func:`g_matrix`).
 
     Follows the construction M = diag(ell_+) Y_+ P_- (Y_- P_-)^{-1} with the
     vertices ordered by descending weight, where Y rows are (x_i - x)',
@@ -311,11 +311,6 @@ def mu_certificate(s: Simplex, x) -> MuCertificate:
     P_- spans the negative eigenspace of G.  When I_- = {0} the M block is
     empty and mu_i0 = ell_i.
     """
-    return _mu_from_g(g_matrix(s, x))
-
-
-def _mu_from_g(g: GMatrix) -> MuCertificate:
-    """The mu certificate of a query, from its already assembled G."""
     q = g.coefficients
     ell = q.ell
     # Vertex indices 1..n+1 by descending weight (stable for ties).
@@ -505,7 +500,7 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
         raise ValueError(f"the {kind} bound overflows the double range: "
                          f"bound {bound!r}, achieved {achieved!r}")
     return BoundReport(kind=kind, cls=cls, bound=bound, achieved=achieved,
-                       mu=_mu_from_g(g), quadratic=quad, query=x, g=g)
+                       mu=mu_certificate(g), quadratic=quad, query=x, g=g)
 
 
 def gradient_bound_report(s: Simplex, objective, L: float | None = None) -> dict:

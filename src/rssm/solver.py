@@ -47,6 +47,7 @@ __all__ = [
     "IterationRecord",
     "Trace",
     "EvaluationError",
+    "mean_value_gap",
     "run",
 ]
 
@@ -79,6 +80,11 @@ def _sq(x: float) -> float:
         return x ** 2
     except OverflowError:
         return math.inf
+
+
+def mean_value_gap(S: float, n: int, f_star: float) -> float:
+    """S/(n+1) - f*, the mean value gap of n+1 vertex values that sum to S."""
+    return S / (n + 1) - f_star
 
 
 class EvaluationError(RuntimeError):
@@ -227,12 +233,12 @@ class Trace:
     summary: dict = field(default_factory=dict)
 
     @property
-    def N_r(self) -> int:
-        return sum(1 for r in self.records if r.step == "reflection")
-
-    @property
     def N_s(self) -> int:
         return sum(1 for r in self.records if r.step == "shrink")
+
+    @property
+    def N_r(self) -> int:
+        return len(self.records) - self.N_s
 
     @property
     def N_eps(self) -> int | None:
@@ -241,8 +247,15 @@ class Trace:
 
     @property
     def eval_count(self) -> int:
-        """Evaluation count under the one-per-reflection, n-per-shrink convention."""
-        return (self.config["n"] + 1) + self.N_r + self.config["n"] * self.N_s
+        """(n+1) + N_r + n*N_s: one evaluation per reflection, n per shrink."""
+        n = self.config["n"]
+        return (n + 1) + len(self.records) + (n - 1) * self.N_s
+
+    def final_gap(self, f_star: float | None) -> float | None:
+        """The mean value gap at the last loop top; None without f* or final_S."""
+        S = self.summary.get("final_S")
+        return None if f_star is None or S is None else mean_value_gap(
+            S, self.config["n"], f_star)
 
     def to_dict(self) -> dict:
         return {
@@ -429,7 +442,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
             g_true = np.asarray(objective.gradient(c), dtype=float)
             crit = math.sqrt(g_true @ g_true)
         elif cfg.stopping == "gap":
-            crit = mean - objective.f_star
+            crit = mean_value_gap(S, n, objective.f_star)
         else:
             crit = grad_norm
         if cfg.stopping != "none" and crit <= cfg.epsilon:

@@ -230,7 +230,7 @@ def test_criterion_03(criterion):
         for n in range(1, 13):
             s = make_regular_simplex(np.zeros(n), 1.0, n)
 
-            cert = mu_certificate(s, query_point(s, "reflection"))
+            cert = mu_certificate(g_matrix(s, query_point(s, "reflection")))
             assert cert.available and cert.sharp
             assert len(cert.entries) == 2 * n
             for i in range(1, n + 1):
@@ -239,14 +239,15 @@ def test_criterion_03(criterion):
                     abs(cert.entries[(i, n + 1)] - 1.0 / n),
                     abs(cert.entries[(i, 0)] - 1.0 / n))
 
-            cert = mu_certificate(s, s.centroid())
+            cert = mu_certificate(g_matrix(s, s.centroid()))
             assert cert.available and cert.sharp
             assert set(cert.entries) == {(i, 0) for i in range(1, n + 2)}
             worst_exact = max(worst_exact, max(
                 abs(m - 1.0 / (n + 1)) for m in cert.entries.values()))
 
             for g in (0.3, 0.5, 0.9):
-                cert = mu_certificate(s, query_point(s, "shrink", gamma=g))
+                cert = mu_certificate(
+                    g_matrix(s, query_point(s, "shrink", gamma=g)))
                 assert cert.available and cert.sharp
                 worst_exact = max(worst_exact,
                                   abs(cert.entries[(1, 0)] - (1.0 - g)),

@@ -230,7 +230,7 @@ def test_nuclear_bound_matches_closed_forms():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_reflection_mu_entries_are_one_over_n(n):
     s = make_regular_simplex(np.zeros(n), 1.0, n)
-    cert = mu_certificate(s, query_point(s, "reflection"))
+    cert = mu_certificate(g_matrix(s, query_point(s, "reflection")))
     assert cert.available and cert.sharp
     # each positive vertex carries 1/n toward the reflected vertex and 1/n
     # toward the query
@@ -243,7 +243,7 @@ def test_reflection_mu_entries_are_one_over_n(n):
 def test_centroid_mu_certificate():
     n = 5
     s = make_regular_simplex(np.zeros(n), 1.0, n)
-    cert = mu_certificate(s, s.centroid())
+    cert = mu_certificate(g_matrix(s, s.centroid()))
     assert cert.available and cert.sharp
     assert set(cert.entries) == {(i, 0) for i in range(1, n + 2)}
     for v in cert.entries.values():
@@ -252,7 +252,7 @@ def test_centroid_mu_certificate():
 
 def test_shrink_mu_certificate():
     s = make_regular_simplex(np.zeros(4), 1.0, 4)
-    cert = mu_certificate(s, query_point(s, "shrink", gamma=0.3))
+    cert = mu_certificate(g_matrix(s, query_point(s, "shrink", gamma=0.3)))
     assert cert.available and cert.sharp
     assert cert.entries[(1, 0)] == pytest.approx(0.7, abs=1e-12)
     assert cert.entries[(5, 0)] == pytest.approx(0.3, abs=1e-12)
@@ -261,7 +261,7 @@ def test_shrink_mu_certificate():
 
 def test_mu_to_dict_shape():
     s = make_regular_simplex(np.zeros(2), 1.0, 2)
-    d = mu_certificate(s, query_point(s, "reflection")).to_dict()
+    d = mu_certificate(g_matrix(s, query_point(s, "reflection"))).to_dict()
     assert d["available"] and d["sharp"]
     assert "1,3" in d["entries"]
 
@@ -279,7 +279,7 @@ def _hand_built_g(eigenvalues, offsets):
 
 def test_mu_unavailable_on_eigenspace_count_mismatch():
     g = _hand_built_g([1.0, 0.5, -1.0], np.eye(4, 3))
-    cert = rssm.interpolation._mu_from_g(g)
+    cert = mu_certificate(g)
     assert not cert.available and not cert.sharp
     assert "negative eigenspace dimension 1" in cert.message
 
@@ -289,14 +289,13 @@ def test_mu_unavailable_on_singular_block_at_every_size(size):
     # rows 2 and 3 of the offsets are parallel, so Y_- P_- has rank 1
     Y = size * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 2.0, 2.0],
                          [1.0, 1.0, 1.0]])
-    cert = rssm.interpolation._mu_from_g(_hand_built_g([1.0, -1.0, -2.0], Y))
+    cert = mu_certificate(_hand_built_g([1.0, -1.0, -2.0], Y))
     assert not cert.available
     assert cert.message == ("Y_- P_- is singular beyond tolerance; "
                             "certificate unavailable")
     # the same block with independent rows is available at every size
     Y[2] = size * np.array([0.0, 2.0, -2.0])
-    assert rssm.interpolation._mu_from_g(_hand_built_g([1.0, -1.0, -2.0],
-                                                       Y)).available
+    assert mu_certificate(_hand_built_g([1.0, -1.0, -2.0], Y)).available
 
 
 @pytest.mark.parametrize("k", [-13, -20, -60, -100, -140])
@@ -439,7 +438,7 @@ def test_mu_residual_column_is_a_running_sum():
     w = np.concatenate([rng.uniform(0.5, 1.5, 3), -rng.uniform(0.05, 0.3, n - 2)])
     w[0] += 1.0 - w.sum()
     x = w @ s.vertices
-    cert = mu_certificate(s, x)
+    cert = mu_certificate(g_matrix(s, x))
     ell = lagrange_coefficients(s, x).ell
     assert cert.available and len(cert.negative_index_set) == n - 1
     for i in cert.positive_index_set:
@@ -457,7 +456,9 @@ def _separate_pass_report(s, kind, cls, L, gamma, sign):
     quad = worst_case_quadratic(g, L, cls, sign=sign)
     values = [quad(v) for v in s.vertices]
     achieved = abs(interpolate(s, values, x) - quad(x))
-    return nuclear_bound_from_g(g, L, cls), achieved, mu_certificate(s, x), quad, x
+    # the certificate of a G assembled again, apart from the one above
+    mu = mu_certificate(g_matrix(s, x))
+    return nuclear_bound_from_g(g, L, cls), achieved, mu, quad, x
 
 
 def _equivalence_simplices():
@@ -564,6 +565,19 @@ def test_bound_report_assembles_g_once(monkeypatch, rng, kind):
                        gamma=0.4 if kind == "shrink" else None)
     assert rep.attained and rep.mu.sharp
     assert (g_calls["count"], ell_calls["count"], eigh_calls["count"]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("kind", ["reflection", "centroid", "shrink"])
+def test_bound_report_calls_the_public_mu_certificate_once(monkeypatch, rng,
+                                                           kind):
+    # the module attribute, so a wrapper placed on it (as a tracer does) sees
+    # the report's one certificate
+    s = random_regular_simplex(4, rng)
+    mu_calls = _count_calls(monkeypatch, rssm.interpolation, "mu_certificate")
+    rep = bound_report(s, kind, "convex", 1.0,
+                       gamma=0.4 if kind == "shrink" else None)
+    assert mu_calls["count"] == 1
+    assert rep.mu.to_dict() == mu_certificate(rep.g).to_dict()
 
 
 @pytest.mark.parametrize("L", [0.0, -1.0, float("inf"), float("nan")])

@@ -23,6 +23,7 @@ from rssm.solver import (
     SolverConfig,
     SolverState,
     Trace,
+    mean_value_gap,
     run,
 )
 
@@ -547,6 +548,29 @@ def test_identical_runs_produce_identical_json():
     t1 = run(builtin("quad-spectrum", 4, seed=7), SolverConfig(**cfg))
     t2 = run(builtin("quad-spectrum", 4, seed=7), SolverConfig(**cfg))
     assert t1.to_json() == t2.to_json()
+
+
+def test_final_gap_needs_f_star_and_final_S():
+    trace = run(builtin("quad-iso", 3), SolverConfig(n=3, stopping="none",
+                                                     max_iterations=7))
+    assert trace.final_gap(None) is None
+    for f_star in (0.0, -2.5, 1e-3):
+        # the formula the solve summary and the scaling rows wrote
+        old = trace.summary["final_S"] / (3 + 1.0) - f_star
+        assert trace.final_gap(f_star).hex() == old.hex()
+    del trace.summary["final_S"]
+    assert trace.final_gap(0.0) is None
+
+
+def test_mean_value_gap_is_the_gap_stopping_rule():
+    obj = builtin("quad-iso", 2)
+    trace = run(obj, SolverConfig(n=2, stopping="gap", epsilon=1e-4,
+                                  center=1.3))
+    assert trace.reason == "epsilon-reached"
+    gaps = [mean_value_gap(r.S, 2, obj.f_star) for r in trace.records]
+    assert all(g > 1e-4 for g in gaps)
+    assert trace.final_gap(obj.f_star) == mean_value_gap(
+        trace.summary["final_S"], 2, obj.f_star) <= 1e-4
 
 
 def test_eval_identity_across_modes():
