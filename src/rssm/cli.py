@@ -102,10 +102,14 @@ def _cmd_solve(args) -> int:
               f"(objective calls {summ['objective_calls']})")
         print(f"best value: {summ['best_value']!r}")
         print(f"best point: {summ['best_point']}")
-        # on regularity-failure the norm is read with the drift beside it
-        drift = f" ({summ['regularity']})" if "regularity" in summ else ""
-        print(f"simplex gradient norm: {summ['final_gradient_norm']:.6e}"
-              f"{drift}")
+        if "overflow" in summ:
+            # the summary keeps no final norm after an overflow
+            print(f"overflow: {summ['overflow']}")
+        else:
+            # on regularity-failure the norm is read with the drift beside it
+            drift = f" ({summ['regularity']})" if "regularity" in summ else ""
+            print(f"simplex gradient norm: {summ['final_gradient_norm']:.6e}"
+                  f"{drift}")
         if gap is not None:
             print(f"value gap: {gap!r}")
     return 0

@@ -32,7 +32,7 @@ from dataclasses import dataclass, asdict, field, replace
 # the convexity tags are the objectives'; tools/artifacts.py reads
 # complexity.CONVEX_CASES
 from .objectives import CASES, CONVEX_CASES
-from .solver import Trace, _sq, mean_value_gap
+from .solver import _MAX, Trace, _sq, mean_value_gap
 
 __all__ = [
     "ComplexityConstants",
@@ -93,7 +93,8 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
     """Evaluate every complexity constant available from the given inputs.
 
     R (radius of the initial mean-value sublevel set) unlocks the convex
-    tail constants; mu (strong-convexity/PL modulus) unlocks rho.
+    tail constants; mu (strong-convexity/PL modulus) unlocks rho.  L, and R
+    and mu when given, must be positive and finite.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -101,14 +102,15 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
         raise ValueError(f"beta must be positive, got {beta}")
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    if not (L > 0 and epsilon > 0 and delta0 > 0):
-        raise ValueError("L, epsilon, delta0 must be positive")
+    if not (epsilon > 0 and delta0 > 0):
+        raise ValueError("epsilon, delta0 must be positive")
     if not (0.0 < eta_split < 1.0):
         raise ValueError(f"eta_split must lie in (0,1), got {eta_split}")
-    if R is not None and not (R > 0):
-        raise ValueError(f"R must be positive, got {R}")
-    if mu is not None and not (mu > 0):
-        raise ValueError(f"mu must be positive, got {mu}")
+    # the rule SolverConfig applies to L
+    for name, value in (("L", L), ("R", R), ("mu", mu)):
+        if value is not None and not (0.0 < value <= _MAX):
+            raise ValueError(
+                f"{name} must be positive and finite, got {value}")
 
     rn = math.sqrt(n)
     kappa1 = (beta + 1.0) * n + rn / 2.0
@@ -362,7 +364,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
 
     The trace must come from a run whose n/gamma/delta0/epsilon match the
     constants; case selects the convexity regime of the objective and
-    f_star (when known) unlocks the value-gap audits.
+    f_star (when known, and then finite) unlocks the value-gap audits.
 
     Checks (skipped, never passed, when preconditions or metadata are
     missing):
@@ -408,6 +410,8 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+    if f_star is not None and not math.isfinite(f_star):
+        raise ValueError(f"f_star must be finite, got {f_star}")
     cfg = trace.config
     for key, val in (("n", consts.n), ("gamma", consts.gamma),
                      ("delta0", consts.delta0), ("epsilon", consts.epsilon)):

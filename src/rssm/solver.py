@@ -55,7 +55,8 @@ MODES = ("theoretical", "practical")
 ALGORITHMS = ("rssm", "reflection_only")
 STOPPING_RULES = ("simplex_gradient", "true_gradient", "gap", "none")
 # the terminal reasons run writes
-STOP_REASONS = ("epsilon-reached", "budget", "delta-floor", "regularity-failure")
+STOP_REASONS = ("epsilon-reached", "budget", "delta-floor",
+                "regularity-failure", "overflow")
 
 _STEPS = ("reflection", "shrink")
 # the JSON number types of a record's float fields (bool is an int subclass),
@@ -223,8 +224,8 @@ class Trace:
 
     The records are the one home of every count (N_r, N_s, N_eps,
     eval_count); the summary holds only what they cannot give: the final
-    state, the measured objective_calls and, on a regularity failure, the
-    drift.
+    state, the measured objective_calls and, on a regularity failure or an
+    overflow, the drift or the quantity that overflowed.
     """
 
     config: dict
@@ -402,7 +403,10 @@ def run(objective, cfg: SolverConfig) -> Trace:
     simplex, so its relative error is of the order of the certified drift;
     the loop solves no linear system.  On "regularity-failure" the summary's
     ``final_gradient_norm`` is the closed form on the rejected simplex, to be
-    read with the drift in ``summary["regularity"]`` beside it.
+    read with the drift in ``summary["regularity"]`` beside it.  A value sum
+    S or a gradient norm that is not finite ends the run with "overflow":
+    ``summary["overflow"]`` names the quantity and its value, and the
+    summary keeps ``final_S`` and ``final_gradient_norm`` only when finite.
 
     Raises:
         ValueError: the objective cannot serve cfg.stopping
@@ -428,11 +432,21 @@ def run(objective, cfg: SolverConfig) -> Trace:
         f = state.values
         delta = state.simplex.radius
         S = float(f.sum())
+        if not -_MAX <= S <= _MAX:
+            trace.reason = "overflow"
+            trace.summary["overflow"] = f"the vertex-value sum S is {S!r}"
+            grad_norm = math.nan  # this loop top takes no gradient
+            break
         mean = S / (n + 1)
         c = state.simplex.centroid()
         Y = _unit_frame(state.simplex, c)
         g = _frame_gradient(Y, f, mean, delta)
         grad_norm = math.sqrt(g @ g)
+        if not grad_norm <= _MAX:  # NaN or inf
+            trace.reason = "overflow"
+            trace.summary["overflow"] = (
+                f"the simplex gradient norm is {grad_norm!r}")
+            break
         rep = _frame_regularity(Y)
         if rep.max_deviation() > REGULARITY_FAIL_TOL:
             trace.reason = "regularity-failure"
@@ -482,11 +496,13 @@ def run(objective, cfg: SolverConfig) -> Trace:
 
     trace.summary.update({
         "final_delta": state.simplex.radius,
-        "final_S": S,
         "final_values": state.values.tolist(),
         "best_point": state.simplex.vertices[0].tolist(),
         "best_value": float(state.values[0]),
-        "final_gradient_norm": grad_norm,
         "objective_calls": state.objective_calls,
     })
+    # strict JSON holds neither after an overflow
+    for key, value in (("final_S", S), ("final_gradient_norm", grad_norm)):
+        if -_MAX <= value <= _MAX:
+            trace.summary[key] = value
     return trace

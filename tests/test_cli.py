@@ -38,6 +38,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the solve whose --trace-out the README audits
+README_TRACE_SOLVE = ("solve", "--objective", "sin-quad", "--n", "2", "--mode",
+                      "theoretical", "--beta", "1", "--L", "8", "--stopping",
+                      "true_gradient", "--epsilon", "1e-3", "--start", "1.7")
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -98,16 +104,28 @@ def test_solve_with_a_radius_whose_square_overflows(capsys):
     assert lines[1] == "iterations: 35 (reflections 0, shrinks 35)"
 
 
-def test_solve_trace_out_of_a_non_finite_run_writes_no_file(tmp_path, capsys):
+def test_solve_trace_out_of_an_overflowing_run_keeps_the_trace(tmp_path,
+                                                              capsys):
     # each vertex value is near 0.7e308, so their sum S overflows to inf
     path = tmp_path / "t.json"
-    code, out, err = run_cli(capsys, "solve", "--objective", "quad-iso",
-                             "--n", "2", "--start", "8.3e153", "--delta0",
-                             "1e151", "--stopping", "none", "--max-iter", "3",
-                             "--trace-out", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: Out of range float values")
-    assert not path.exists()
+    argv = ["solve", "--objective", "quad-iso", "--n", "2", "--start",
+            "8.3e153", "--delta0", "1e151", "--stopping", "none",
+            "--max-iter", "3"]
+    code, out, err = run_cli(capsys, *argv, "--trace-out", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "reason: overflow"
+    # the detail stands in place of the gradient norm, and there is no gap
+    assert lines[5:] == ["overflow: the vertex-value sum S is inf"]
+    trace = Trace.from_json(path.read_text())
+    assert trace.reason == "overflow" and trace.records == []
+    assert "final_S" not in trace.summary
+    assert "final_gradient_norm" not in trace.summary
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--L", "2")
+    assert (code, err) == (0, "") and json.loads(out)["passed"]
+    code, out, err = run_cli(capsys, *argv, "--summary")
+    assert (code, out, err) == (0, "quad-iso,2,1e-06,0,0,3,,overflow\n", "")
 
 
 def test_solve_collapse_ends_in_regularity_failure(capsys):
@@ -369,10 +387,7 @@ TRACE_FAULTS = [
 @pytest.fixture()
 def sin_quad_trace(tmp_path, capsys):
     path = tmp_path / "t.json"
-    code, _, _ = run_cli(capsys, "solve", "--objective", "sin-quad", "--n", "2",
-                         "--mode", "theoretical", "--beta", "1", "--L", "8",
-                         "--stopping", "true_gradient", "--epsilon", "1e-3",
-                         "--start", "1.7", "--trace-out", str(path))
+    code, _, _ = run_cli(capsys, *README_TRACE_SOLVE, "--trace-out", str(path))
     assert code == 0
     return json.loads(path.read_text())
 
@@ -819,6 +834,17 @@ BAD_INPUTS = [
                  id="o-worst-case-G-overflow"),
     pytest.param(2, ["verify-bounds", "--n", "2", "--L", "1e308",
                      "--radius", "10"], id="o-verify-bounds-bound-overflow"),
+    # audit constants outside the positive doubles, on the README trace
+    pytest.param(2, ["audit", "--trace-in", "TMP/t.json", "--case", "pl",
+                     "--L", "inf"], id="p-audit-L-inf"),
+    pytest.param(2, ["audit", "--trace-in", "TMP/t.json", "--case", "pl",
+                     "--L", "8", "--fstar", "nan"], id="p-audit-fstar-nan"),
+    pytest.param(2, ["audit", "--trace-in", "TMP/t.json", "--case", "convex",
+                     "--L", "8", "--R", "inf", "--fstar", "0"],
+                 id="p-audit-R-inf"),
+    pytest.param(2, ["audit", "--trace-in", "TMP/t.json", "--case",
+                     "strongly_convex", "--L", "8", "--R", "1", "--mu", "inf",
+                     "--fstar", "0"], id="p-audit-mu-inf"),
 ]
 
 _G_OVERFLOW = "error: G overflows the double range"
@@ -840,6 +866,10 @@ BAD_INPUT_MESSAGES = {
     "o-verify-bounds-bound-overflow": "error: the reflection bound overflows "
                                       "the double range: bound inf, "
                                       "achieved nan",
+    "p-audit-L-inf": "error: L must be positive and finite, got inf",
+    "p-audit-fstar-nan": "error: f_star must be finite, got nan",
+    "p-audit-R-inf": "error: R must be positive and finite, got inf",
+    "p-audit-mu-inf": "error: mu must be positive and finite, got inf",
 }
 
 
@@ -865,6 +895,10 @@ def test_bad_input_ends_in_one_error_line(request, tmp_path, capsys, code,
         {"dim": 2, "radius": 10 ** 400, "vertices": [[0, 0], [1, 0], [0, 1]]}))
     (tmp_path / "int_vertex.json").write_text(json.dumps(
         {"dim": 2, "radius": 1, "vertices": [[0, 0], [10 ** 400, 0], [0, 1]]}))
+    if "TMP/t.json" in argv:
+        # the README's sin-quad trace
+        assert run_cli(capsys, *README_TRACE_SOLVE, "--trace-out",
+                       str(tmp_path / "t.json"))[0] == 0
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""

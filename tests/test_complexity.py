@@ -94,6 +94,21 @@ def test_constants_validation(kw):
         make_consts(**kw)
 
 
+@pytest.mark.parametrize("name", ["L", "R", "mu"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 1e400, 10 ** 400])
+def test_constants_name_a_constant_outside_the_positive_doubles(name, value):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be positive and finite"):
+        make_consts(**{name: value})
+
+
+@pytest.mark.parametrize("f_star", [math.inf, -math.inf, math.nan])
+def test_audit_names_a_non_finite_f_star(f_star):
+    trace = run(builtin("quad-iso", 2), SolverConfig(n=2, max_iterations=5))
+    with pytest.raises(ValueError, match="f_star must be finite"):
+        audit_trace(trace, constants_for_trace(trace, L=2.0), f_star=f_star)
+
+
 # ---------------------------------------------------------------------------
 # tail radius
 
@@ -121,6 +136,12 @@ def test_tail_radius_monotone():
     vals = [tail_radius(float(d), c) for d in grid]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
     assert tail_radius(0.0, c) == 0.0
+
+
+def test_delta_cvx_is_the_tail_radius_at_epsilon():
+    for R, eta_split in ((1.0, 0.5), (0.3, 0.9), (40.0, 0.01)):
+        c = make_consts(R=R, eta_split=eta_split)
+        assert c.delta_cvx == tail_radius(c.epsilon, c)
 
 
 def test_tail_radius_errors():

@@ -84,6 +84,17 @@ def test_run_cell_quad_iso_uses_gap_stopping():
     assert row.evals == 3 + row.N_r + 2 * row.N_s
 
 
+def test_run_cell_of_an_overflowing_run_has_no_gap_column():
+    # vertex values near 1.4e308: their sum overflows at the first loop top
+    plan = ExperimentPlan(objective="quad-iso", dims=(2,), epsilons=EPS4,
+                          center_distance=1.2e154, delta0=1e151)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        row = run_cell(plan, n=2, epsilon=1e-3, seed=0)
+    assert (row.reason, row.N_r, row.N_s, row.final_gap) == (
+        "overflow", 0, 0, None)
+    assert row.csv_values()[CSV_HEADER.index("final_gap")] == ""
+
+
 def test_run_cell_damped_sine_has_no_gap_column():
     plan = ExperimentPlan(objective="damped-sine", dims=(2,), epsilons=(1e-1, 1e-2))
     row = run_cell(plan, n=2, epsilon=1e-2, seed=1)

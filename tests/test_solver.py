@@ -279,6 +279,53 @@ def test_collapsed_simplex_keeps_its_trace():
         "radius dev 1.000e+00, edge dev 1.000e+00"
 
 
+def test_an_overflowing_value_sum_ends_the_run_and_keeps_the_records():
+    calls = [0]
+
+    def late(x):
+        # finite throughout, but past call 12 the values sum beyond the doubles
+        calls[0] += 1
+        return 1e308 if calls[0] > 12 else float(x @ x)
+
+    cfg = SolverConfig(n=2, stopping="none", max_iterations=50, center=3.0)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+        trace = run(Objective("late", 2, late), cfg)
+    assert trace.reason == "overflow"
+    steps = [r.step for r in trace.records]
+    assert steps == ["reflection"] * 6 + ["shrink"] * 2
+    assert trace.summary["overflow"] == "the vertex-value sum S is inf"
+    assert "final_S" not in trace.summary
+    assert "final_gradient_norm" not in trace.summary
+    assert trace.final_gap(0.0) is None
+    assert Trace.from_json(trace.to_json()).records == trace.records
+
+
+def test_the_overflowing_objective_of_the_roadmap_stops_without_nan():
+    big = Objective("big", 2, lambda x: 1e308 + 1e292 * float(x @ x), L=2e292)
+    cfg = _theoretical_cfg(L=2e292, max_iterations=5)
+    # the sum's own overflow is the one warning: no frame kernel runs
+    with pytest.warns(RuntimeWarning) as caught:
+        trace = run(big, cfg)
+    assert [str(w.message) for w in caught] == [
+        "overflow encountered in reduce"]
+    assert (trace.reason, trace.records) == ("overflow", [])
+    assert trace.summary["objective_calls"] == 3
+    Trace.from_json(trace.to_json())
+
+
+def test_an_overflowing_gradient_norm_ends_the_run_and_keeps_final_S():
+    # vertex values -+1.7e308 sum to 0, but the gradient leaves the doubles
+    steep = Objective("steep", 1, lambda x: 1.7e308 * float(x[0]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        trace = run(steep, SolverConfig(n=1, stopping="none"))
+    assert (trace.reason, trace.records) == ("overflow", [])
+    assert trace.summary["overflow"] == "the simplex gradient norm is inf"
+    assert trace.summary["final_S"] == 0.0
+    assert "final_gradient_norm" not in trace.summary
+    assert trace.final_gap(0.0) == 0.0
+    Trace.from_json(trace.to_json())
+
+
 class _Counted:
     """An objective wrapper that counts the value calls made to it."""
 

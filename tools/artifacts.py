@@ -18,9 +18,11 @@ into OUT, one file per artifact:
 * ``certify/`` -- for every certify report at seeds 4242, 1 and 2:
   ``to_dict``, ``repr(achieved)`` and SHA-256 digests of H and of G;
 * ``cli/`` -- stdout, stderr and exit code of the README commands, of
-  ``verify-bounds`` and ``worst-case`` variants, of bad-input runs and of
-  ``--help`` for the program and every subcommand (the ``wall_ms`` column
-  of the scaling CSV cut).
+  ``verify-bounds`` and ``worst-case`` variants, of bad-input runs (audit
+  constants outside the positive doubles among them), of a solve whose
+  value sum overflows and the audit of its trace, and of ``--help`` for
+  the program and every subcommand (the ``wall_ms`` column of the scaling
+  CSV cut).
 
 Compare two checkouts with::
 
@@ -61,6 +63,22 @@ CLI_RUNS = [
                   "--fstar", "0"]),
     ("audit-convex-without-R", ["audit", "--trace-in", "t.json", "--case",
                                 "convex", "--L", "8"]),
+    # audit constants outside the positive doubles
+    ("audit-L-inf", ["audit", "--trace-in", "t.json", "--case", "pl",
+                     "--L", "inf"]),
+    ("audit-fstar-nan", ["audit", "--trace-in", "t.json", "--case", "pl",
+                         "--L", "8", "--fstar", "nan"]),
+    ("audit-R-inf", ["audit", "--trace-in", "t.json", "--case", "convex",
+                     "--L", "8", "--R", "inf", "--fstar", "0"]),
+    ("audit-mu-inf", ["audit", "--trace-in", "t.json", "--case",
+                      "strongly_convex", "--L", "8", "--R", "1", "--mu", "inf",
+                      "--fstar", "0"]),
+    # each vertex value is near 0.7e308, so their sum S overflows
+    ("solve-overflow", ["solve", "--objective", "quad-iso", "--n", "2",
+                        "--start", "8.3e153", "--delta0", "1e151",
+                        "--stopping", "none", "--max-iter", "3",
+                        "--trace-out", "o.json"]),
+    ("audit-overflow", ["audit", "--trace-in", "o.json", "--L", "2"]),
     ("verify-bounds-n5", ["verify-bounds", "--n", "5"]),
     ("verify-bounds-n4", ["verify-bounds", "--n", "4", "--radius", "0.7",
                           "--L", "2"]),
