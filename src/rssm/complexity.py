@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field
 
 # the convexity tags are the objectives'; tools/artifacts.py reads
 # complexity.CONVEX_CASES
 from .objectives import CASES, CONVEX_CASES
-from .solver import _MAX, Trace, _sq, mean_value_gap
+from .solver import _MAX, Trace, _sq, evaluation_count, mean_value_gap
 
 __all__ = [
     "ComplexityConstants",
@@ -119,7 +119,7 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
     psi0 = L * gamma / (1.0 + gamma) * _sq(delta0)
     C1 = (2.0 * beta / n) * gamma ** 2 * (1.0 - eta_split)
 
-    d_thr = A = None
+    d_thr = A = delta_cvx = None
     if R is not None:
         if not (kappa2 > 0):
             raise ValueError(
@@ -129,19 +129,18 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
         d_thr = 4.0 * _sq(kappa2) * L * _sq(R) / (1.0 - eta_split)
         A = beta * gamma ** 2 * (1.0 - eta_split) ** 2 / (
             2.0 * L * _sq(R) * n * _sq(kappa2))
+        # the tail radius at the target gap epsilon
+        delta_cvx = _tail_radius(epsilon, eta_split, kappa2, L, R)
 
     rho = None
     if mu is not None:
         rho = 4.0 * beta * mu * gamma ** 2 / (n * (L * _sq(kappa2) + mu))
 
-    consts = ComplexityConstants(
+    return ComplexityConstants(
         n=n, beta=beta, gamma=gamma, L=L, epsilon=epsilon, delta0=delta0,
         eta_split=eta_split, R=R, mu=mu, kappa1=kappa1, kappa2=kappa2,
         delta_bar=delta_bar, psi0=psi0, C1=C1, d_thr=d_thr, A=A,
-        delta_cvx=None, rho=rho)
-    # delta_cvx is the tail radius at the target gap epsilon
-    return consts if R is None else replace(
-        consts, delta_cvx=tail_radius(epsilon, consts))
+        delta_cvx=delta_cvx, rho=rho)
 
 
 def constants_for_trace(trace: Trace, L: float, R: float | None = None,
@@ -173,9 +172,15 @@ def tail_radius(d_bar: float, consts: ComplexityConstants) -> float:
         raise ValueError("tail_radius needs the sublevel radius R")
     if d_bar < 0:
         raise ValueError(f"d_bar must be nonnegative, got {d_bar}")
-    one = 1.0 - consts.eta_split
-    return min(one * d_bar / (2.0 * consts.kappa2 * consts.L * consts.R),
-               math.sqrt(one * d_bar / consts.L))
+    return _tail_radius(d_bar, consts.eta_split, consts.kappa2, consts.L,
+                        consts.R)
+
+
+def _tail_radius(d_bar: float, eta_split: float, kappa2: float, L: float,
+                 R: float) -> float:
+    """The formula of :func:`tail_radius`, from the constants it reads."""
+    one = 1.0 - eta_split
+    return min(one * d_bar / (2.0 * kappa2 * L * R), math.sqrt(one * d_bar / L))
 
 
 def _unbounded(c: ComplexityConstants, radius: str) -> str | None:
@@ -428,7 +433,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     L = consts.L
     recs = trace.records
     summ = trace.summary
-    N_s = trace.N_s
+    N_s = trace.N_s  # the one walk of the records for the counts
     report = AuditReport(case=case)
     convex_case = case in CONVEX_CASES
 
@@ -469,7 +474,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     # --- plumbing invariants ----------------------------------------------
     add("radius_law", None, radius_deviations(),
         "relative deviation from delta0*gamma^shrinks")
-    expected = trace.eval_count + N_s
+    expected = evaluation_count(cfg["n"], len(recs), N_s) + N_s
     add("eval_identity",
         None if "objective_calls" in summ else "summary lacks objective_calls",
         check=lambda name: AuditCheck(
@@ -533,7 +538,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
             name, N_s, _shrink_bound_convex(consts)))
 
     # --- counts and predicted-vs-observed ----------------------------------
-    report.counts = {"N_r": trace.N_r, "N_s": N_s, "N_eps": trace.N_eps,
+    report.counts = {"N_r": len(recs) - N_s, "N_s": N_s, "N_eps": trace.N_eps,
                      "iterations": len(recs)}
     report.observed = {"iterations": len(recs), "reason": trace.reason}
 

@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, asdict
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "Trace",
     "EvaluationError",
     "mean_value_gap",
+    "evaluation_count",
     "run",
 ]
 
@@ -58,9 +60,7 @@ STOPPING_RULES = ("simplex_gradient", "true_gradient", "gap", "none")
 STOP_REASONS = ("epsilon-reached", "budget", "delta-floor",
                 "regularity-failure", "overflow")
 
-_STEPS = ("reflection", "shrink")
-# the JSON number types of a record's float fields (bool is an int subclass),
-# float first as nearly every value is one
+# the JSON number types of the float fields, float first; bool is not one
 _REAL = (float, int)
 # NaN, +-inf and an int beyond the double range fall outside [-_MAX, _MAX]
 _MAX = sys.float_info.max
@@ -86,6 +86,11 @@ def _sq(x: float) -> float:
 def mean_value_gap(S: float, n: int, f_star: float) -> float:
     """S/(n+1) - f*, the mean value gap of n+1 vertex values that sum to S."""
     return S / (n + 1) - f_star
+
+
+def evaluation_count(n: int, iterations: int, N_s: int) -> int:
+    """(n+1) + N_r + n*N_s, N_r = iterations - N_s: the objective values."""
+    return (n + 1) + iterations + (n - 1) * N_s
 
 
 class EvaluationError(RuntimeError):
@@ -208,14 +213,9 @@ class IterationRecord:
     v_r: float
     simplex_gradient_norm: float
 
-    def to_dict(self) -> dict:
-        # every field is a str or float, so a shallow dict equals what
-        # dataclasses.asdict builds; reading self.__dict__ instead would
-        # attach a dict to every record
-        return {"step": self.step, "delta": self.delta,
-                "S": self.S, "f_best": self.f_best, "f_worst": self.f_worst,
-                "v": self.v, "v_r": self.v_r,
-                "simplex_gradient_norm": self.simplex_gradient_norm}
+
+# the record fields in order, the columns of a trace's records; delta is 2nd
+_STEP, *_FLOATS = _FIELDS = tuple(f.name for f in fields(IterationRecord))
 
 
 @dataclass
@@ -248,9 +248,7 @@ class Trace:
 
     @property
     def eval_count(self) -> int:
-        """(n+1) + N_r + n*N_s: one evaluation per reflection, n per shrink."""
-        n = self.config["n"]
-        return (n + 1) + len(self.records) + (n - 1) * self.N_s
+        return evaluation_count(self.config["n"], len(self.records), self.N_s)
 
     def final_gap(self, f_star: float | None) -> float | None:
         """The mean value gap at the last loop top; None without f* or final_S."""
@@ -259,12 +257,11 @@ class Trace:
             S, self.config["n"], f_star)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "records": [r.to_dict() for r in self.records],
-            "reason": self.reason,
-            "summary": self.summary,
-        }
+        columns = {name: list(map(attrgetter(name), self.records))
+                   for name in _FIELDS}
+        columns[_STEP] = "".join(step[0] for step in columns[_STEP])
+        return {"config": self.config, "records": columns,
+                "reason": self.reason, "summary": self.summary}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
@@ -275,29 +272,46 @@ class Trace:
         """Rebuild a trace from :meth:`to_dict` output.
 
         Raises:
-            ValueError: `d` holds what :func:`run` never writes: a missing
-                `config`, `records` or `reason`; a `config` that is not an
-                object, lacks a :class:`SolverConfig` field, is rejected by
-                it or has a `center` other than a length-`n` list; `records`
-                not a list of objects with exactly the record keys; a record
-                with a mistyped or non-finite field, an unknown step or
-                `delta` <= 0; an unknown `reason`;
-                a `summary` that is not an object, whose `final_S` or
-                `objective_calls` is mistyped, or whose `final_S` is not
-                finite.
+            ValueError: `d` holds what :func:`run` never writes: no `config`,
+                `records` or `reason`; a `config` not an object, lacking a
+                :class:`SolverConfig` field, rejected by it or with a `center`
+                not a length-`n` list; `records` not in the column layout, or
+                with a step not r or s, a mistyped or non-finite value or a
+                `delta` <= 0; an unknown `reason`; a non-object `summary`, a
+                mistyped `objective_calls` or a `final_S` not a finite number.
         """
         try:
-            config, records = d["config"], d["records"]
-            if not isinstance(config, dict) or not isinstance(records, list):
-                raise ValueError("malformed trace: 'config' must be an object "
-                                 "and 'records' a list")
-            trace = cls(config=config,
-                        records=[IterationRecord(**r) for r in records],
-                        reason=d["reason"], summary=d.get("summary", {}))
+            config, columns, reason = d["config"], d["records"], d["reason"]
+            summ = d.get("summary", {})
         except KeyError as exc:
             raise ValueError(f"malformed trace: missing key {exc}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed trace: {exc}") from None
+        if not isinstance(config, dict):
+            raise ValueError("malformed trace: 'config' must be an object")
+        if (type(columns) is not dict or columns.keys() != set(_FIELDS)
+                or type(columns[_STEP]) is not str
+                or any(type(columns[name]) is not list for name in _FLOATS)):
+            got = ({key: type(v).__name__ for key, v in columns.items()}
+                   if type(columns) is dict else type(columns).__name__)
+            raise ValueError(f"malformed trace: 'records' must be the column "
+                             f"layout: {_STEP} a string of r and s, and "
+                             f"{', '.join(_FLOATS)} each a list; not {got}")
+        steps = columns[_STEP]
+        bad = len(steps) - len(steps.lstrip("rs"))  # the first other letter
+        if bad < len(steps):
+            raise ValueError(f"malformed trace: record {bad} is not one run "
+                             f"writes: {_STEP} {steps[bad]!r}")
+        for name in _FLOATS:
+            column = columns[name]
+            if len(column) != len(steps):
+                raise ValueError(f"malformed trace: column {name} has "
+                                 f"{len(column)} entries for {len(steps)} steps")
+            low = math.ulp(0.0) if name == _FLOATS[0] else -_MAX  # delta > 0
+            for i, x in enumerate(column):
+                if not (type(x) in _REAL and low <= x <= _MAX):  # type first
+                    raise ValueError(f"malformed trace: record {i} is not one "
+                                     f"run writes: {name} {x!r}")
         missing = [f.name for f in fields(SolverConfig) if f.name not in config]
         if missing:
             raise ValueError(
@@ -311,23 +325,8 @@ class Trace:
                 and len(config["center"]) == config["n"]):
             raise ValueError(f"malformed trace: center must be the length-"
                              f"{config['n']} list run writes")
-        for i, r in enumerate(trace.records):
-            # one unrolled test per record: this runs on every loaded record;
-            # the types are tested first, so the comparisons see numbers
-            if not (r.step in _STEPS and type(r.delta) in _REAL
-                    and type(r.S) in _REAL and type(r.f_best) in _REAL
-                    and type(r.f_worst) in _REAL and type(r.v) in _REAL
-                    and type(r.v_r) in _REAL
-                    and type(r.simplex_gradient_norm) in _REAL
-                    and 0.0 < r.delta <= _MAX and -_MAX <= r.S <= _MAX
-                    and -_MAX <= r.f_best <= _MAX and -_MAX <= r.f_worst <= _MAX
-                    and -_MAX <= r.v <= _MAX and -_MAX <= r.v_r <= _MAX
-                    and -_MAX <= r.simplex_gradient_norm <= _MAX):
-                raise ValueError(
-                    f"malformed trace: record {i} is not one run writes: {r}")
-        if trace.reason not in STOP_REASONS:
-            raise ValueError(f"malformed trace: unknown reason {trace.reason!r}")
-        summ = trace.summary
+        if reason not in STOP_REASONS:
+            raise ValueError(f"malformed trace: unknown reason {reason!r}")
         if not isinstance(summ, dict):
             raise ValueError("malformed trace: 'summary' must be an object")
         for key, types in (("final_S", _REAL), ("objective_calls", (int,))):
@@ -337,7 +336,9 @@ class Trace:
         if "final_S" in summ and not -_MAX <= summ["final_S"] <= _MAX:
             raise ValueError(f"malformed trace: non-finite summary field "
                              f"final_S={summ['final_S']!r}")
-        return trace
+        steps = ["reflection" if c == "r" else "shrink" for c in steps]
+        records = list(map(IterationRecord, steps, *map(columns.get, _FLOATS)))
+        return cls(config=config, records=records, reason=reason, summary=summ)
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
@@ -404,9 +405,9 @@ def run(objective, cfg: SolverConfig) -> Trace:
     the loop solves no linear system.  On "regularity-failure" the summary's
     ``final_gradient_norm`` is the closed form on the rejected simplex, to be
     read with the drift in ``summary["regularity"]`` beside it.  A value sum
-    S or a gradient norm that is not finite ends the run with "overflow":
-    ``summary["overflow"]`` names the quantity and its value, and the
-    summary keeps ``final_S`` and ``final_gradient_norm`` only when finite.
+    S or a gradient norm that is not finite ends the run as "overflow", with
+    no numpy warning; ``summary["overflow"]`` names it and its value, and
+    ``final_S`` and ``final_gradient_norm`` are kept when finite.
 
     Raises:
         ValueError: the objective cannot serve cfg.stopping
@@ -427,72 +428,71 @@ def run(objective, cfg: SolverConfig) -> Trace:
         margin = -(2.0 * n + 2.0) / n * cfg.beta * cfg.L
     else:
         margin = -cfg.eta
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            f = state.values
+            delta = state.simplex.radius
+            S = float(f.sum())
+            if not -_MAX <= S <= _MAX:
+                trace.reason = "overflow"
+                trace.summary["overflow"] = f"the vertex-value sum S is {S!r}"
+                grad_norm = math.nan  # this loop top takes no gradient
+                break
+            mean = S / (n + 1)
+            c = state.simplex.centroid()
+            Y = _unit_frame(state.simplex, c)
+            g = _frame_gradient(Y, f, mean, delta)
+            grad_norm = math.sqrt(g @ g)
+            if not grad_norm <= _MAX:  # NaN or inf
+                trace.reason = "overflow"
+                trace.summary["overflow"] = (
+                    f"the simplex gradient norm is {grad_norm!r}")
+                break
+            rep = _frame_regularity(Y)
+            if rep.max_deviation() > REGULARITY_FAIL_TOL:
+                trace.reason = "regularity-failure"
+                trace.summary["regularity"] = str(rep)
+                break
+            if cfg.stopping == "true_gradient":
+                g_true = np.asarray(objective.gradient(c), dtype=float)
+                crit = math.sqrt(g_true @ g_true)
+            elif cfg.stopping == "gap":
+                crit = mean_value_gap(S, n, objective.f_star)
+            else:
+                crit = grad_norm
+            if cfg.stopping != "none" and crit <= cfg.epsilon:
+                trace.reason = "epsilon-reached"
+                break
+            if (len(trace.records) >= cfg.max_iterations
+                    or state.objective_calls >= cfg.max_evaluations):
+                trace.reason = "budget"
+                break
+            if cfg.mode == "practical" and delta < DELTA_FLOOR_FRACTION * cfg.delta0:
+                trace.reason = "delta-floor"
+                break
 
-    while True:
-        f = state.values
-        delta = state.simplex.radius
-        S = float(f.sum())
-        if not -_MAX <= S <= _MAX:
-            trace.reason = "overflow"
-            trace.summary["overflow"] = f"the vertex-value sum S is {S!r}"
-            grad_norm = math.nan  # this loop top takes no gradient
-            break
-        mean = S / (n + 1)
-        c = state.simplex.centroid()
-        Y = _unit_frame(state.simplex, c)
-        g = _frame_gradient(Y, f, mean, delta)
-        grad_norm = math.sqrt(g @ g)
-        if not grad_norm <= _MAX:  # NaN or inf
-            trace.reason = "overflow"
-            trace.summary["overflow"] = (
-                f"the simplex gradient norm is {grad_norm!r}")
-            break
-        rep = _frame_regularity(Y)
-        if rep.max_deviation() > REGULARITY_FAIL_TOL:
-            trace.reason = "regularity-failure"
-            trace.summary["regularity"] = str(rep)
-            break
-        if cfg.stopping == "true_gradient":
-            g_true = np.asarray(objective.gradient(c), dtype=float)
-            crit = math.sqrt(g_true @ g_true)
-        elif cfg.stopping == "gap":
-            crit = mean_value_gap(S, n, objective.f_star)
-        else:
-            crit = grad_norm
-        if cfg.stopping != "none" and crit <= cfg.epsilon:
-            trace.reason = "epsilon-reached"
-            break
-        if (len(trace.records) >= cfg.max_iterations
-                or state.objective_calls >= cfg.max_evaluations):
-            trace.reason = "budget"
-            break
-        if cfg.mode == "practical" and delta < DELTA_FLOOR_FRACTION * cfg.delta0:
-            trace.reason = "delta-floor"
-            break
-
-        f_best_k = float(f[0])
-        f_worst_k = float(f[n])
-        mean_best = float(f[:n].sum() / n)
-        # the candidate is evaluated even when the step ends in a shrink
-        x_r = reflect_worst(state.simplex, n)
-        f_r = state.evaluate(objective, x_r)
-        # a boolean, not a margin of -inf: -inf * 0.0 is NaN once delta^2
-        # underflows; once delta^2 overflows the margin is -inf and the
-        # step shrinks
-        accepted = reflection_only or f_r - f_worst_k <= margin * _sq(delta)
-        if accepted:
-            state.simplex.vertices[n] = x_r
-            f[n] = f_r
-        else:
-            state.simplex = shrink_toward_best(state.simplex, 0, cfg.gamma)
-            V = state.simplex.vertices
-            for i in range(1, n + 1):
-                f[i] = state.evaluate(objective, V[i])
-        trace.records.append(IterationRecord(
-            step="reflection" if accepted else "shrink", delta=delta,
-            S=S, f_best=f_best_k, f_worst=f_worst_k, v=f_worst_k - mean_best,
-            v_r=f_r - mean_best, simplex_gradient_norm=grad_norm))
-        state.sort()
+            f_best_k = float(f[0])
+            f_worst_k = float(f[n])
+            mean_best = float(f[:n].sum() / n)
+            # the candidate is evaluated even when the step ends in a shrink
+            x_r = reflect_worst(state.simplex, n)
+            f_r = state.evaluate(objective, x_r)
+            # a boolean, not a margin of -inf: -inf * 0.0 is NaN once delta^2
+            # underflows; once delta^2 overflows the margin is -inf and the
+            # step shrinks
+            accepted = reflection_only or f_r - f_worst_k <= margin * _sq(delta)
+            if accepted:
+                state.simplex.vertices[n] = x_r
+                f[n] = f_r
+            else:
+                state.simplex = shrink_toward_best(state.simplex, 0, cfg.gamma)
+                V = state.simplex.vertices
+                for i in range(1, n + 1):
+                    f[i] = state.evaluate(objective, V[i])
+            trace.records.append(IterationRecord(  # the fields in their order
+                "reflection" if accepted else "shrink", delta, S, f_best_k,
+                f_worst_k, f_worst_k - mean_best, f_r - mean_best, grad_norm))
+            state.sort()
 
     trace.summary.update({
         "final_delta": state.simplex.radius,

@@ -29,12 +29,14 @@ def _readme_trace() -> dict:
 
 def _paths(d: dict) -> list[list[tuple]]:
     """Key paths of the trace by section: the top level, the config fields,
-    the summary fields, and the first, second and last records with each
-    of their fields."""
+    the summary fields, and the records columns, each whole and at the
+    first, second and last records."""
+    columns = d["records"]
+    last = len(columns["step"]) - 1
     records = [("records",)]
-    for i in (0, 1, len(d["records"]) - 1):
-        records.append(("records", i))
-        records += [("records", i, key) for key in d["records"][i]]
+    for key in columns:
+        records.append(("records", key))
+        records += [("records", key, i) for i in (0, 1, last)]
     return [[(key,) for key in d],
             [("config", key) for key in d["config"]],
             [("summary", key) for key in d["summary"]],
@@ -63,13 +65,22 @@ AUDITS = st.sampled_from([
 
 
 def _mutate(d: dict, mutations) -> dict:
+    """A copy of d with each (path, value) applied: the value set at the
+    path, or the path deleted for "delete".  At a letter of a string (the
+    step column) the letter is replaced by the value, as JSON text when the
+    value is not a string, or deleted."""
     d = copy.deepcopy(d)
     for path, value in mutations:
         try:
-            parent = d
+            grandparent, parent = None, d
             for key in path[:-1]:
-                parent = parent[key]
-            if value == "delete":
+                grandparent, parent = parent, parent[key]
+            if isinstance(parent, str):
+                i = path[-1]
+                text = ("" if value == "delete" else value
+                        if isinstance(value, str) else json.dumps(value))
+                grandparent[path[-2]] = parent[:i] + text + parent[i + 1:]
+            elif value == "delete":
                 del parent[path[-1]]
             else:
                 # a copy: a later mutation may reach into a list or dict

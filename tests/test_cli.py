@@ -351,7 +351,7 @@ def test_audit_passes_on_genuine_trace(saved_trace, capsys):
 
 def test_audit_detects_corrupted_trace(saved_trace, tmp_path, capsys):
     data = json.loads(saved_trace.read_text())
-    data["records"][1]["delta"] = data["records"][1]["delta"] * 1.5
+    data["records"]["delta"][1] = data["records"]["delta"][1] * 1.5
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "audit", "--trace-in", str(bad),
@@ -364,11 +364,11 @@ def test_audit_detects_corrupted_trace(saved_trace, tmp_path, capsys):
 
 
 # one field of the README sin-quad trace (part None: a top-level field), set
-# to a value of the wrong type
+# to a value of the wrong type (part "records": see _edit)
 TRACE_FAULTS = [
     pytest.param("records", "delta", "x", id="record-delta-str"),
     pytest.param("records", "S", None, id="record-S-null"),
-    pytest.param("records", "step", "bogus", id="record-step-unknown"),
+    pytest.param("records", "step", "x", id="record-step-unknown"),
     # the fields records carried before the step and the index were stored once
     pytest.param("records", "accepted", True, id="record-accepted-pre-change"),
     pytest.param("records", "k", 1, id="record-k-pre-change"),
@@ -392,11 +392,26 @@ def sin_quad_trace(tmp_path, capsys):
     return json.loads(path.read_text())
 
 
+def _edit(trace, part, key, value):
+    """Set one field of the trace dict: in `part`, or at the top level for
+    part None.  For part "records" the field is record 1's: its letter of
+    the step string, its entry of a float column, or, for a key that is no
+    column, an entry of a new column that holds value for every record."""
+    target = trace[part] if part else trace
+    if part != "records":
+        target[key] = value
+    elif key == "step":
+        target[key] = target[key][:1] + value + target[key][2:]
+    elif key in target:
+        target[key][1] = value
+    else:
+        target[key] = [value] * len(target["step"])
+
+
 @pytest.mark.parametrize("part, key, value", TRACE_FAULTS)
 def test_audit_mistyped_trace_field_is_usage_error(sin_quad_trace, tmp_path,
                                                    capsys, part, key, value):
-    target = sin_quad_trace[part] if part else sin_quad_trace
-    (target[1] if part == "records" else target)[key] = value
+    _edit(sin_quad_trace, part, key, value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(sin_quad_trace))
     code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
@@ -410,8 +425,8 @@ def test_audit_mistyped_trace_field_is_usage_error(sin_quad_trace, tmp_path,
 
 def _audit_edited(trace, tmp_path, capsys, part, key, value):
     """run_cli's (code, out, err) for `rssm audit` of the trace with one
-    field set to value (part "records": a field of records[1])."""
-    (trace[part][1] if part == "records" else trace[part])[key] = value
+    field set to value by _edit."""
+    _edit(trace, part, key, value)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(trace))
     return run_cli(capsys, "audit", "--trace-in", str(path),
@@ -443,10 +458,8 @@ TRACE_VALUE_FAULTS = [
                  id="record-delta-zero"),
     pytest.param("records", "f_best", 10 ** 400,
                  "record 1 is not one run writes", id="record-f-best-huge-int"),
-    pytest.param("records", "k", 1, "unexpected keyword argument 'k'",
-                 id="record-k-pre-change"),
-    pytest.param("records", "accepted", True,
-                 "unexpected keyword argument 'accepted'",
+    pytest.param("records", "k", 1, "'k': 'list'", id="record-k-pre-change"),
+    pytest.param("records", "accepted", True, "'accepted': 'list'",
                  id="record-accepted-pre-change"),
     pytest.param("summary", "final_S", float("inf"),
                  "non-finite summary field final_S=inf",
@@ -483,8 +496,8 @@ def test_audit_rejects_a_trace_written_before_the_step_was_stored_once(
         sin_quad_trace, tmp_path, capsys):
     # such a trace also wrote each record's step as `accepted` and the
     # summary's N_r, N_s, N_eps, eval_count and iterations
-    for r in sin_quad_trace["records"]:
-        r["accepted"] = r["step"] == "reflection"
+    columns = sin_quad_trace["records"]
+    columns["accepted"] = [step == "r" for step in columns["step"]]
     path = tmp_path / "old.json"
     path.write_text(json.dumps(sin_quad_trace))
     code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
@@ -498,8 +511,8 @@ def test_audit_rejects_a_trace_written_before_the_step_was_stored_once(
 def test_audit_rejects_a_trace_written_with_record_indices(
         sin_quad_trace, tmp_path, capsys):
     # such a trace also wrote each record's list position as `k`
-    for k, r in enumerate(sin_quad_trace["records"]):
-        r["k"] = k
+    columns = sin_quad_trace["records"]
+    columns["k"] = list(range(len(columns["step"])))
     path = tmp_path / "old.json"
     path.write_text(json.dumps(sin_quad_trace))
     code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
@@ -508,6 +521,26 @@ def test_audit_rejects_a_trace_written_with_record_indices(
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed trace: ")
     assert "'k'" in lines[0]
+
+
+def test_audit_rejects_a_trace_in_the_row_layout(sin_quad_trace, tmp_path,
+                                                 capsys):
+    # the layout before the records were stored as columns: one object per
+    # record, with the step's name
+    columns = sin_quad_trace["records"]
+    names = {"r": "reflection", "s": "shrink"}
+    sin_quad_trace["records"] = [
+        {key: names[step] if key == "step" else columns[key][i]
+         for key in columns} for i, step in enumerate(columns["step"])]
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(sin_quad_trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--case", "pl", "--L", "8", "--fstar", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: malformed trace: 'records' must be the column layout: step a "
+        "string of r and s, and delta, S, f_best, f_worst, v, v_r, "
+        "simplex_gradient_norm each a list; not list"]
 
 
 @pytest.fixture()
@@ -622,9 +655,12 @@ def test_audit_invalid_json_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload", [
     {"records": 5},
-    {"config": {"n": 2}, "records": [{"step": "shrink", "bogus": 1}],
+    {"config": {"n": 2}, "records": {"step": "s", "bogus": [1]},
      "reason": "budget"},
-    {"config": {"n": 2}, "records": [], "reason": "budget"},
+    {"config": {"n": 2}, "records": {"step": "", "delta": [], "S": [],
+                                     "f_best": [], "f_worst": [], "v": [],
+                                     "v_r": [], "simplex_gradient_norm": []},
+     "reason": "budget"},
 ])
 def test_audit_malformed_trace_is_usage_error(tmp_path, capsys, payload):
     path = tmp_path / "malformed.json"

@@ -380,6 +380,23 @@ def test_audit_eval_identity():
         "eval_identity"].status == "skipped"
 
 
+def test_audit_takes_its_counts_from_one_walk(monkeypatch):
+    trace = run(builtin("quad-iso", 3),
+                SolverConfig(n=3, stopping="none", max_iterations=40))
+    N_s, N_r = trace.N_s, trace.N_r
+    walks = []
+
+    def counted(self):
+        walks.append(1)
+        return sum(1 for r in self.records if r.step == "shrink")
+
+    monkeypatch.setattr(Trace, "N_s", property(counted))
+    report = audit_trace(trace, constants_for_trace(trace, L=2.0))
+    assert len(walks) == 1
+    assert (report.counts["N_r"], report.counts["N_s"]) == (N_r, N_s) != (40, 0)
+    assert checks_by_name(report)["eval_identity"].status == "pass"
+
+
 def test_audit_skips_need_preconditions():
     trace = Trace(config=synth_cfg(mode="practical", beta=None, eta=1e-3),
                   records=[rec("reflection", 1.0, 4.0)],

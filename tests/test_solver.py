@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,8 +289,10 @@ def test_an_overflowing_value_sum_ends_the_run_and_keeps_the_records():
         return 1e308 if calls[0] > 12 else float(x @ x)
 
     cfg = SolverConfig(n=2, stopping="none", max_iterations=50, center=3.0)
-    with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         trace = run(Objective("late", 2, late), cfg)
+    assert caught == []
     assert trace.reason == "overflow"
     steps = [r.step for r in trace.records]
     assert steps == ["reflection"] * 6 + ["shrink"] * 2
@@ -303,12 +306,13 @@ def test_an_overflowing_value_sum_ends_the_run_and_keeps_the_records():
 def test_the_overflowing_objective_of_the_roadmap_stops_without_nan():
     big = Objective("big", 2, lambda x: 1e308 + 1e292 * float(x @ x), L=2e292)
     cfg = _theoretical_cfg(L=2e292, max_iterations=5)
-    # the sum's own overflow is the one warning: no frame kernel runs
-    with pytest.warns(RuntimeWarning) as caught:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         trace = run(big, cfg)
-    assert [str(w.message) for w in caught] == [
-        "overflow encountered in reduce"]
+    assert caught == []
     assert (trace.reason, trace.records) == ("overflow", [])
+    # the run stops at the sum: no gradient is taken
+    assert "final_gradient_norm" not in trace.summary
     assert trace.summary["objective_calls"] == 3
     Trace.from_json(trace.to_json())
 
@@ -316,8 +320,10 @@ def test_the_overflowing_objective_of_the_roadmap_stops_without_nan():
 def test_an_overflowing_gradient_norm_ends_the_run_and_keeps_final_S():
     # vertex values -+1.7e308 sum to 0, but the gradient leaves the doubles
     steep = Objective("steep", 1, lambda x: 1.7e308 * float(x[0]))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         trace = run(steep, SolverConfig(n=1, stopping="none"))
+    assert caught == []
     assert (trace.reason, trace.records) == ("overflow", [])
     assert trace.summary["overflow"] == "the simplex gradient norm is inf"
     assert trace.summary["final_S"] == 0.0
@@ -512,6 +518,8 @@ def test_trace_json_round_trip():
     assert back.to_json() == text
     parsed = json.loads(text)
     assert set(parsed) == {"config", "records", "reason", "summary"}
+    assert set(parsed["records"]) == {
+        f.name for f in dataclasses.fields(rssm.solver.IterationRecord)}
 
 
 def _three_runs():
@@ -530,10 +538,11 @@ def test_traces_serialise_as_dataclasses_asdict_does():
     for trace in _three_runs():
         reasons.append(trace.reason)
         assert trace.records
-        for r in trace.records:
-            assert r.to_dict() == dataclasses.asdict(r)
-        oracle = {"config": trace.config,
-                  "records": [dataclasses.asdict(r) for r in trace.records],
+        rows = [dataclasses.asdict(r) for r in trace.records]
+        columns = {key: [row[key] for row in rows] for key in rows[0]}
+        columns["step"] = "".join({"reflection": "r", "shrink": "s"}[step]
+                                  for step in columns["step"])
+        oracle = {"config": trace.config, "records": columns,
                   "reason": trace.reason, "summary": trace.summary}
         assert trace.to_json() == json.dumps(oracle, sort_keys=True,
                                              separators=(",", ":"))
@@ -544,32 +553,84 @@ def test_record_dicts_do_not_alias_the_records():
     trace = run(builtin("quad-iso", 2), SolverConfig(n=2, stopping="none",
                                                      max_iterations=5))
     before = [dataclasses.asdict(r) for r in trace.records]
-    d = trace.records[0].to_dict()
-    d["step"], d["delta"] = "bogus", -1.0
-    d["extra"] = True
-    for rec in trace.to_dict()["records"]:
-        rec.clear()
+    text = trace.to_json()
+    columns = trace.to_dict()["records"]
+    columns["delta"][0] = -1.0
+    columns["step"], columns["extra"] = "bogus", [True]
+    for column in columns.values():
+        if isinstance(column, list):
+            column.clear()
     assert [dataclasses.asdict(r) for r in trace.records] == before
     assert not hasattr(trace.records[0], "extra")
+    assert trace.to_json() == text
+
+
+def _columns(**changed) -> dict:
+    """The records column object of one shrink, with `changed` columns."""
+    columns = {f.name: [1.0] for f in
+               dataclasses.fields(rssm.solver.IterationRecord)}
+    columns["step"] = "s"
+    columns.update(changed)
+    return columns
 
 
 @pytest.mark.parametrize("payload, what", [
     ({"records": 5}, "missing key 'config'"),
     ({"config": {"n": 2}, "records": 5, "reason": ""}, "a list"),
-    ({"config": {"n": 2}, "records": {}, "reason": ""}, "a list"),
-    ({"config": [2], "records": [], "reason": ""}, "an object"),
-    ({"config": {"n": 2}, "records": [5], "reason": ""}, "mapping"),
-    ({"config": {"n": 2}, "records": [{"step": "shrink", "bogus": 1}],
-      "reason": ""}, "bogus"),
-    ({"config": {"n": 2}, "records": [{"step": "shrink"}], "reason": ""},
-     "missing"),
-    ({"config": {"n": 2}, "records": []}, "missing key 'reason'"),
+    ({"config": {"n": 2}, "records": [], "reason": ""}, "a list"),
+    ({"config": [2], "records": _columns(), "reason": ""}, "an object"),
+    ({"config": {"n": 2}, "records": _columns(delta=5), "reason": ""},
+     "'delta': 'int'"),
+    ({"config": {"n": 2}, "records": _columns(bogus=[1]), "reason": ""},
+     "bogus"),
+    ({"config": {"n": 2}, "records": {"step": "s"}, "reason": ""},
+     "not {'step': 'str'}"),
+    ({"config": {"n": 2}, "records": _columns()}, "missing key 'reason'"),
     ([], "malformed"),
 ])
 def test_malformed_trace_is_a_value_error(payload, what):
     with pytest.raises(ValueError, match="malformed trace") as ei:
         Trace.from_json(json.dumps(payload))
     assert what in str(ei.value)
+
+
+# one column of a three-record trace and its new value, with the part of the
+# error that names the column and the first record at fault
+COLUMN_FAULTS = [
+    ("step", "rxs", "record 1 is not one run writes: step 'x'"),
+    ("step", ["r", "s", "s"], "'step': 'list'"),
+    ("step", "rs", "column delta has 3 entries for 2 steps"),
+    ("delta", (1.0, 1.0, 1.0), "'delta': 'tuple'"),
+    ("delta", [1.0, 0.5], "column delta has 2 entries for 3 steps"),
+    ("delta", [1.0, -0.0, 0.5], "record 1 is not one run writes: delta -0.0"),
+    ("S", [1.0, 2.0, "3"], "record 2 is not one run writes: S '3'"),
+    ("v", [False, 1.0, 1.0], "record 0 is not one run writes: v False"),
+    ("v_r", [0.0, 10 ** 400, math.nan], "record 1 is not one run writes: v_r"),
+    ("f_best", [0.0, math.nan, 1.0],
+     "record 1 is not one run writes: f_best nan"),
+]
+
+
+@pytest.mark.parametrize("name, value, what", COLUMN_FAULTS)
+def test_the_loader_names_the_column_and_record_at_fault(name, value, what):
+    d = run(builtin("quad-iso", 2),
+            SolverConfig(n=2, stopping="none", max_iterations=3)).to_dict()
+    d["records"][name] = value
+    with pytest.raises(ValueError, match="malformed trace: ") as ei:
+        Trace.from_dict(d)
+    assert what in str(ei.value)
+
+
+def test_the_loader_keeps_ints_and_the_least_positive_radius():
+    d = run(builtin("quad-iso", 2),
+            SolverConfig(n=2, stopping="none", max_iterations=3)).to_dict()
+    d["records"]["delta"][2] = 5e-324
+    d["records"]["S"] = [1, -2, 3]
+    back = Trace.from_dict(d)
+    assert [r.S for r in back.records] == [1, -2, 3]
+    assert back.records[2].delta == 5e-324
+    assert [r.step for r in back.records] == [
+        {"r": "reflection", "s": "shrink"}[c] for c in d["records"]["step"]]
 
 
 @pytest.mark.parametrize("key", ["gamma", "n", "center"])

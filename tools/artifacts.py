@@ -14,7 +14,9 @@ into OUT, one file per artifact:
   every builtin at n in {1, 2, 4, 8}, in both modes, 3000 iterations from
   1.7; and of 6 practical-mode ``stopping=gap`` runs (quad-iso,
   quad-spectrum and logsumexp at n in {2, 4}, epsilon 1e-4, from 1.7),
-  whose audits reach the convex checks that gap stopping unlocks;
+  whose audits reach the convex checks that gap stopping unlocks; beside
+  each ``trace/<name>.json``, ``trace/<name>.records.txt`` lists the
+  loaded trace apart from its file layout (see ``_listing``);
 * ``certify/`` -- for every certify report at seeds 4242, 1 and 2:
   ``to_dict``, ``repr(achieved)`` and SHA-256 digests of H and of G;
 * ``cli/`` -- stdout, stderr and exit code of the README commands, of
@@ -22,7 +24,8 @@ into OUT, one file per artifact:
   constants outside the positive doubles among them), of a solve whose
   value sum overflows and the audit of its trace, and of ``--help`` for
   the program and every subcommand (the ``wall_ms`` column of the scaling
-  CSV cut).
+  CSV cut); the trace files these write are in ``cli/work``, each with its
+  ``.records.txt`` listing.
 
 Compare two checkouts with::
 
@@ -30,12 +33,15 @@ Compare two checkouts with::
     python3 tools/artifacts.py CHANGE/src /tmp/b
     diff -r /tmp/a /tmp/b
 
+A change of the trace file layout shows in the ``.json`` traces only; the
+listings stay equal while the records do.
 The perfbench workloads are read from this script's own checkout.  The run
 takes about a minute and is not part of the test suite.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -121,6 +127,18 @@ def _digest(a) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
+def _listing(trace) -> str:
+    """The trace apart from its file layout: one line per record, the repr
+    of each field in declaration order, then the reason and the summary."""
+    from rssm import solver
+
+    names = [f.name for f in dataclasses.fields(solver.IterationRecord)]
+    lines = [" ".join(repr(getattr(r, name)) for name in names)
+             for r in trace.records]
+    lines += [repr(trace.reason), json.dumps(trace.summary, sort_keys=True)]
+    return "\n".join(lines) + "\n"
+
+
 def _solver_runs():
     """(name, objective, config) of every solve whose trace is dumped."""
     import workloads
@@ -162,6 +180,7 @@ def dump_traces(out: Path) -> None:
         text = trace.to_json()
         _write(out / "trace" / f"{name}.json", text)
         back = solver.Trace.from_json(text)
+        _write(out / "trace" / f"{name}.records.txt", _listing(back))
         case = obj.convexity
         R = mu = None
         if case in complexity.CONVEX_CASES:
@@ -208,6 +227,11 @@ def dump_cli(src: Path, out: Path) -> None:
         _write(out / "cli" / f"{name}.code", f"{proc.returncode}\n")
     sweep = work / "sweep.csv"
     sweep.write_text(_cut_wall_ms(sweep.read_text()))
+    from rssm import solver
+
+    for path in sorted(work.glob("*.json")):
+        _write(path.with_suffix(".records.txt"),
+               _listing(solver.Trace.from_json(path.read_text())))
 
 
 def main(argv=None) -> int:
