@@ -32,7 +32,8 @@ from dataclasses import dataclass, asdict, field
 # the convexity tags are the objectives'; tools/artifacts.py reads
 # complexity.CONVEX_CASES
 from .objectives import CASES, CONVEX_CASES
-from .solver import _MAX, Trace, _sq, evaluation_count, mean_value_gap
+from .solver import (_FIELD_OVERFLOW, _MAX, Trace, _sq, evaluation_count,
+                     mean_value_gap)
 
 __all__ = [
     "ComplexityConstants",
@@ -377,7 +378,9 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     * radius_law          — delta_k = delta0 * gamma^(#shrinks before k).
     * eval_identity       — the measured objective_calls equal
                             (n+1) + N_r + n*N_s + N_s from the records (a
-                            shrink also discards its candidate evaluation).
+                            shrink also discards its candidate evaluation),
+                            plus the candidate of the unrecorded iteration
+                            when a record field's overflow stopped the run.
     * reflection_decrease — accepted reflections decrease the vertex-value
                             sum by at least (2n+2)/n * beta*L*delta_k^2
                             (theoretical mode).
@@ -474,7 +477,9 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     # --- plumbing invariants ----------------------------------------------
     add("radius_law", None, radius_deviations(),
         "relative deviation from delta0*gamma^shrinks")
-    expected = evaluation_count(cfg["n"], len(recs), N_s) + N_s
+    unrecorded = (trace.reason == "overflow" and
+                  str(summ.get("overflow", "")).startswith(_FIELD_OVERFLOW))
+    expected = evaluation_count(cfg["n"], len(recs), N_s) + N_s + unrecorded
     add("eval_identity",
         None if "objective_calls" in summ else "summary lacks objective_calls",
         check=lambda name: AuditCheck(

@@ -179,11 +179,10 @@ def _helmert_rows(n: int) -> np.ndarray:
 
     Row k (1-based) is (1,...,1,-k,0,...,0)/sqrt(k(k+1)) with k leading ones.
     """
-    H = np.zeros((n, n + 1))
-    for k in range(1, n + 1):
-        H[k - 1, :k] = 1.0
-        H[k - 1, k] = -float(k)
-        H[k - 1] /= np.sqrt(k * (k + 1.0))
+    k = np.arange(1.0, n + 1.0)
+    H = np.tri(n, n + 1)  # row k-1 holds k leading ones
+    H.ravel()[1::n + 2] = -k  # the entries (k-1, k)
+    H /= np.sqrt(k * (k + 1.0))[:, None]
     return H
 
 
@@ -291,7 +290,9 @@ def reflect_worst(s: Simplex, worst_index: int) -> np.ndarray:
     if not (0 <= worst_index < m):
         raise IndexError(f"vertex index {worst_index} out of range 0..{m - 1}")
     V = s.vertices
-    others = np.concatenate((V[:worst_index], V[worst_index + 1:]))
+    # the last row, the one run reflects, leaves a view of the others
+    others = (V[:worst_index] if worst_index == m - 1 else
+              np.concatenate((V[:worst_index], V[worst_index + 1:])))
     return -V[worst_index] + (2.0 / s.dim) * others.sum(axis=0)
 
 
@@ -366,12 +367,21 @@ def _frame_regularity(Y: np.ndarray) -> RegularityReport:
     G = Y @ Y.T
     sq = G.diagonal()
     ideal_edge = math.sqrt(2.0 * (1.0 + 1.0 / n))
-    # squared edges, the diagonal overwritten by an edge so it sets no extreme
-    q = sq[:, None] + sq[None, :]
-    q -= 2.0 * G
+    # the diagonal overwritten by an edge so it sets no extreme
+    q = _squared_edges(sq, G)
     q.ravel()[::n + 2] = q[0, 1]
     return RegularityReport(_extreme_deviation(sq, 1.0),
                             _extreme_deviation(q, ideal_edge) / ideal_edge)
+
+
+def _squared_edges(sq: np.ndarray, G: np.ndarray,
+                   rows=slice(None)) -> np.ndarray:
+    """sq_i + sq_j - 2 G_ij = ||y_i - y_j||^2 for the frame rows i in `rows`
+    (all of them, or one index) against every row j, from the squared row
+    norms sq and G, the inner products of those rows with every row."""
+    q = sq[rows, None] + sq
+    q -= 2.0 * G
+    return q
 
 
 def _extreme_deviation(sq: np.ndarray, ideal: float) -> float:

@@ -30,8 +30,10 @@ import numpy as np
 
 from .simplex import (
     Simplex,
+    _extreme_deviation,
     _frame_gradient,
     _frame_regularity,
+    _squared_edges,
     _unit_frame,
     make_regular_simplex,
     reflect_worst,
@@ -67,6 +69,10 @@ _MAX = sys.float_info.max
 
 # A solver run fails loudly once accumulated geometric drift exceeds this.
 REGULARITY_FAIL_TOL = 1e-6
+
+# summary["overflow"] of a run stopped by a record field beyond the doubles,
+# after the iteration's candidate was evaluated and before its step
+_FIELD_OVERFLOW = "the record field "
 
 # Practical mode stops rather than looping below this radius fraction.  The
 # value is far below any resolution doubles can use (acceptance compares
@@ -346,13 +352,30 @@ class Trace:
 
 
 class SolverState:
-    """Mutable run state: value-sorted simplex, cached values and the
-    objective-call count (every other count is :class:`Trace`'s)."""
+    """Mutable run state: value-sorted simplex, cached values, the
+    objective-call count (every other count is :class:`Trace`'s) and the
+    squared edges the regularity screen reads.
+
+    ``_edges`` is E, indexed by slot: E[a, b] = ||y_i - y_j||^2 / (2(1+1/n))
+    for the vertices i, j at sorted positions with ``_slot[i] == a`` and
+    ``_slot[j] == b``, y the rows of the unit frame, and E[a, a] = ||y_i||^2,
+    so that every entry of a regular simplex is 1.  A sort permutes
+    ``_slot``, never E.  ``_moved`` is the sorted position of the one vertex
+    that moved since E was written, or None when E is to be rebuilt: the
+    caller sets it to n, the position a reflection replaces, or to None
+    before the sort, which carries it to the vertex's new position.
+    """
 
     def __init__(self, simplex: Simplex, values: np.ndarray):
         self.simplex = simplex
         self.values = values
         self.objective_calls = 0
+        m = len(values)
+        self._edges = np.empty((m, m))
+        self._diagonal = self._edges.reshape(-1)[::m + 1]  # a view of E
+        self._edge_scale = (m - 1) / (2.0 * m)  # 1 / (2(1+1/n))
+        self._slot = np.arange(m)
+        self._moved = None
 
     def evaluate(self, objective, x) -> float:
         """f(x), counted in objective_calls: the solver's only objective call.
@@ -371,6 +394,35 @@ class SolverState:
         order = np.argsort(self.values, kind="stable")
         self.values = self.values[order]
         self.simplex.vertices = self.simplex.vertices[order]
+        self._slot = self._slot[order]
+        if self._moved is not None:  # position n, the largest index
+            self._moved = int(order.argmax())
+
+    def _regularity_screen(self, Y: np.ndarray) -> float:
+        """Bring E up to date with the unit frame Y of the sorted simplex
+        and return max |sqrt(E_ab) - 1|, NaN when E holds one.
+
+        A rebuild forms the Gram matrix of Y, O(n^3); after a reflection
+        one row and column of E and its diagonal are written, O(n^2).  The
+        result differs from the deviation of :func:`_frame_regularity` by
+        rounding of order (n+1) * machine epsilon.
+        """
+        E, p, s = self._edges, self._moved, self._slot
+        if p is None:
+            G = Y @ Y.T
+            sq = G.diagonal()
+            np.multiply(_squared_edges(sq, G), self._edge_scale, out=E)
+            self._diagonal[:] = sq
+            self._slot = np.arange(len(sq))
+        else:
+            sq = np.einsum("ij,ij->i", Y, Y)
+            row = _squared_edges(sq, Y.dot(Y[p]), p)
+            row *= self._edge_scale
+            a = s[p]
+            E[a][s] = row  # row and column a through views of E
+            E[:, a][s] = row
+            self._diagonal[s] = sq
+        return _extreme_deviation(E, 1.0)
 
 
 def _check_stopping(objective, cfg: SolverConfig) -> None:
@@ -398,6 +450,13 @@ def run(objective, cfg: SolverConfig) -> Trace:
     -eta computed once per run, or else shrink the n non-best vertices
     toward the best one and re-evaluate them; record; stable-sort by value.
 
+    The verdict is screened on the squared edges cached on the state
+    (``SolverState._regularity_screen``): a reflection updates one row
+    of them, a shrink rebuilds them.  Only a screen above half of
+    REGULARITY_FAIL_TOL, or a NaN, takes the exact report of the frame, so
+    the stop iteration and ``summary["regularity"]`` are those of a report
+    taken every iteration.
+
     The criterion is tested at the top of every iteration, so on
     "epsilon-reached" the number of records is the first iteration index at
     which it held.  The closed-form gradient is exact only on a regular
@@ -407,7 +466,13 @@ def run(objective, cfg: SolverConfig) -> Trace:
     read with the drift in ``summary["regularity"]`` beside it.  A value sum
     S or a gradient norm that is not finite ends the run as "overflow", with
     no numpy warning; ``summary["overflow"]`` names it and its value, and
-    ``final_S`` and ``final_gradient_norm`` are kept when finite.
+    ``final_S`` and ``final_gradient_norm`` are kept when finite.  So does a
+    record's gap v or v_r, after the candidate's evaluation (counted in
+    ``objective_calls``) and before the step: the earlier records are kept.
+    Every objective call of a run, the n+1 starting evaluations among them,
+    runs under one numpy error state that ignores overflow and invalid
+    operations, so an objective's own numpy warnings of those kinds are
+    not shown.
 
     Raises:
         ValueError: the objective cannot serve cfg.stopping
@@ -419,9 +484,6 @@ def run(objective, cfg: SolverConfig) -> Trace:
     n = cfg.n
     state = SolverState(make_regular_simplex(cfg.start_center(), cfg.delta0, n),
                         np.empty(n + 1))
-    for i, v in enumerate(state.simplex.vertices):
-        state.values[i] = state.evaluate(objective, v)
-    state.sort()
     trace = Trace(config=cfg.to_dict())
     reflection_only = cfg.algorithm == "reflection_only"
     if cfg.mode == "theoretical":
@@ -429,6 +491,9 @@ def run(objective, cfg: SolverConfig) -> Trace:
     else:
         margin = -cfg.eta
     with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(state.simplex.vertices):
+            state.values[i] = state.evaluate(objective, x)
+        state.sort()
         while True:
             f = state.values
             delta = state.simplex.radius
@@ -448,11 +513,14 @@ def run(objective, cfg: SolverConfig) -> Trace:
                 trace.summary["overflow"] = (
                     f"the simplex gradient norm is {grad_norm!r}")
                 break
-            rep = _frame_regularity(Y)
-            if rep.max_deviation() > REGULARITY_FAIL_TOL:
-                trace.reason = "regularity-failure"
-                trace.summary["regularity"] = str(rep)
-                break
+            # the cached edges screen; the exact report decides near the
+            # tolerance, so the verdict is the one a fresh report gives
+            if not state._regularity_screen(Y) <= 0.5 * REGULARITY_FAIL_TOL:
+                rep = _frame_regularity(Y)
+                if rep.max_deviation() > REGULARITY_FAIL_TOL:
+                    trace.reason = "regularity-failure"
+                    trace.summary["regularity"] = str(rep)
+                    break
             if cfg.stopping == "true_gradient":
                 g_true = np.asarray(objective.gradient(c), dtype=float)
                 crit = math.sqrt(g_true @ g_true)
@@ -477,6 +545,15 @@ def run(objective, cfg: SolverConfig) -> Trace:
             # the candidate is evaluated even when the step ends in a shrink
             x_r = reflect_worst(state.simplex, n)
             f_r = state.evaluate(objective, x_r)
+            v, v_r = f_worst_k - mean_best, f_r - mean_best
+            if not (-_MAX <= v <= _MAX and -_MAX <= v_r <= _MAX):
+                # the record could not be written; the step is not taken
+                name, value = (("v", v) if not -_MAX <= v <= _MAX
+                               else ("v_r", v_r))
+                trace.reason = "overflow"
+                trace.summary["overflow"] = (
+                    f"{_FIELD_OVERFLOW}{name} is {value!r}")
+                break
             # a boolean, not a margin of -inf: -inf * 0.0 is NaN once delta^2
             # underflows; once delta^2 overflows the margin is -inf and the
             # step shrinks
@@ -491,7 +568,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
                     f[i] = state.evaluate(objective, V[i])
             trace.records.append(IterationRecord(  # the fields in their order
                 "reflection" if accepted else "shrink", delta, S, f_best_k,
-                f_worst_k, f_worst_k - mean_best, f_r - mean_best, grad_norm))
+                f_worst_k, v, v_r, grad_norm))
+            state._moved = n if accepted else None
             state.sort()
 
     trace.summary.update({

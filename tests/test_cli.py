@@ -21,7 +21,7 @@ from rssm.interpolation import (
     g_matrix,
     query_point,
 )
-from rssm.objectives import builtin_names
+from rssm.objectives import Objective, builtin_names
 from rssm.simplex import make_regular_simplex
 from rssm.solver import (
     ALGORITHMS,
@@ -29,6 +29,7 @@ from rssm.solver import (
     STOPPING_RULES,
     SolverConfig,
     Trace,
+    run,
 )
 
 
@@ -126,6 +127,34 @@ def test_solve_trace_out_of_an_overflowing_run_keeps_the_trace(tmp_path,
     assert (code, err) == (0, "") and json.loads(out)["passed"]
     code, out, err = run_cli(capsys, *argv, "--summary")
     assert (code, out, err) == (0, "quad-iso,2,1e-06,0,0,3,,overflow\n", "")
+
+
+def test_audit_of_a_run_stopped_by_an_overflowing_gap(tmp_path, capsys):
+    # vertex values tie near -0.8e308 and every shrink is taken, until the
+    # candidate of iteration 3 returns 1.7e308: v_r leaves the doubles
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return -0.8e308 if calls[0] <= 8 else 1.7e308
+
+    trace = run(Objective("switch", 1, f),
+                SolverConfig(n=1, stopping="none", max_iterations=50))
+    assert trace.reason == "overflow"
+    assert trace.summary["overflow"] == "the record field v_r is inf"
+    # the records before the stop are kept, and the trace is written
+    assert [r.step for r in trace.records] == ["shrink"] * 3
+    path = tmp_path / "t.json"
+    path.write_text(trace.to_json())
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--L", "1")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["passed"]
+    # the candidate the run evaluated and did not record is counted
+    identity = [c for c in report["checks"] if c["name"] == "eval_identity"]
+    assert identity[0]["status"] == "pass"
+    assert identity[0]["detail"] == "objective_calls=9, expected=9"
 
 
 def test_solve_collapse_ends_in_regularity_failure(capsys):

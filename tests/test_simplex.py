@@ -17,6 +17,7 @@ from rssm.simplex import (
     regular_simplex_gradient,
     regularity_report,
     shrink_toward_best,
+    _helmert_rows,
     _unit_frame,
 )
 
@@ -50,6 +51,21 @@ def test_construction_respects_center_and_radius():
     np.testing.assert_allclose(dists, 2.0, rtol=1e-12)
     assert s.radius == 2.0
     assert s.dim == 3
+
+
+def _helmert_loop(n):
+    """Row k (1-based) is (1,...,1,-k,0,...,0)/sqrt(k(k+1)), one row a time."""
+    H = np.zeros((n, n + 1))
+    for k in range(1, n + 1):
+        H[k - 1, :k] = 1.0
+        H[k - 1, k] = -float(k)
+        H[k - 1] /= np.sqrt(k * (k + 1.0))
+    return H
+
+
+def test_helmert_rows_equal_the_row_by_row_formula():
+    for n in [*range(1, 40), 64, 127, 199]:
+        assert np.array_equal(_helmert_rows(n), _helmert_loop(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20])

@@ -16,8 +16,12 @@ from rssm.objectives import Objective, builtin
 from rssm.simplex import (
     CenterResolutionError,
     Simplex,
+    _frame_regularity,
+    _unit_frame,
     make_regular_simplex,
+    reflect_worst,
     regular_simplex_gradient,
+    shrink_toward_best,
 )
 from rssm.solver import (
     EvaluationError,
@@ -330,6 +334,129 @@ def test_an_overflowing_gradient_norm_ends_the_run_and_keeps_final_S():
     assert "final_gradient_norm" not in trace.summary
     assert trace.final_gap(0.0) == 0.0
     Trace.from_json(trace.to_json())
+
+
+def test_an_overflowing_reflected_gap_ends_the_run_before_its_step():
+    # S = -1.6e308 and the gradient norm is 0, but the first candidate
+    # lands on the cliff, so v_r = 1.7e308 + 0.8e308
+    cliff = Objective("cliff", 1, lambda x: 1.7e308 if abs(x[0]) > 1.5
+                      else -0.8e308)
+    trace = run(cliff, SolverConfig(n=1, stopping="none", max_iterations=2))
+    assert (trace.reason, trace.records) == ("overflow", [])
+    assert trace.summary["overflow"] == "the record field v_r is inf"
+    # the candidate is counted; the state is the loop top's
+    assert trace.summary["objective_calls"] == 3
+    assert trace.summary["final_values"] == [-0.8e308, -0.8e308]
+    assert trace.summary["final_S"] == -1.6e308
+    assert trace.summary["final_gradient_norm"] == 0.0
+    assert Trace.from_json(trace.to_json()).summary == trace.summary
+
+
+def test_the_starting_evaluations_warn_no_more_than_the_rest():
+    # every call of this objective overflows in exp
+    def f(x):
+        return float(np.minimum(np.exp(np.float64(800.0)), 1.0) + x @ x)
+
+    counted = _Counted(Objective("exp", 2, f))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run(counted, SolverConfig(n=2, stopping="none",
+                                          max_iterations=5))
+    assert caught == []
+    assert trace.summary["objective_calls"] == counted.calls > 3
+
+
+# ---------------------------------------------------------------------------
+# the regularity screen on the cached squared edges
+
+
+U = np.finfo(float).eps
+
+
+def _fresh_edges(Y):
+    """E from a fresh Gram matrix of Y, indexed by sorted position."""
+    n = Y.shape[1]
+    G = Y @ Y.T
+    sq = G.diagonal()
+    E = (sq[:, None] + sq[None, :] - 2.0 * G) * (n / (2.0 * (n + 1.0)))
+    np.fill_diagonal(E, sq)
+    return E
+
+
+@pytest.mark.parametrize("centre", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+def test_cached_edges_equal_a_fresh_gram_computation(n, centre):
+    # 10^4 random steps driven through the state as run drives it: an
+    # accepted reflection of position n, or a shrink toward position 0
+    rng = np.random.default_rng(n)
+    state = SolverState(make_regular_simplex(np.full(n, centre), 1.0, n),
+                        rng.standard_normal(n + 1))
+    state.sort()
+    bound = 4.0 * (n + 1) * U
+    worst = 0.0
+    for step in range(10_000):
+        Y = _unit_frame(state.simplex, state.simplex.centroid())
+        screen = state._regularity_screen(Y)
+        # an entry is written once per visit of its row; a sample of the
+        # steps therefore still sees every entry the walk writes
+        if step % 7 == 0 or step == 9_999:
+            s = state._slot
+            err = np.abs(state._edges[np.ix_(s, s)] - _fresh_edges(Y)).max()
+            exact = _frame_regularity(Y).max_deviation()
+            worst = max(worst, err, abs(screen - exact))
+        if rng.random() < 0.8:
+            state.simplex.vertices[n] = reflect_worst(state.simplex, n)
+            state.values[n] = rng.standard_normal()
+            state._moved = n
+        else:
+            state.simplex = shrink_toward_best(state.simplex, 0, 0.9999)
+            state.values[1:] = rng.standard_normal(n)
+            state._moved = None
+        state.sort()
+    assert worst <= bound
+    # the walk stays where the screen alone decides
+    assert screen <= 0.1 * rssm.solver.REGULARITY_FAIL_TOL
+
+
+REGULARITY_FAILURES = [
+    pytest.param(builtin("damped-sine", 4), SolverConfig(n=4, stopping="none"),
+                 76, "radius dev 2.358e-06, edge dev 8.643e-07",
+                 id="damped-sine"),
+    pytest.param(Objective("const", 2, lambda x: 0.0),
+                 _theoretical_cfg(max_iterations=100_000),
+                 34, "radius dev 1.201e-06, edge dev 4.997e-07", id="const"),
+    pytest.param(Objective("const", 2, lambda x: 0.0),
+                 _theoretical_cfg(center=1e8, max_iterations=100_000),
+                 7, "radius dev 2.853e-06, edge dev 4.997e-07",
+                 id="const-centre-1e8"),
+]
+
+
+@pytest.mark.parametrize("obj, cfg, k, drift", REGULARITY_FAILURES)
+def test_the_screen_stops_where_an_exact_report_does(obj, cfg, k, drift,
+                                                     monkeypatch):
+    trace = run(obj, cfg)
+    assert (trace.reason, len(trace.records)) == ("regularity-failure", k)
+    assert trace.summary["regularity"] == drift
+    # a NaN screen takes the exact report at every loop top
+    monkeypatch.setattr(SolverState, "_regularity_screen",
+                        lambda self, Y: math.nan)
+    assert run(obj, cfg).to_json() == trace.to_json()
+
+
+def test_a_clean_run_takes_no_exact_report(monkeypatch):
+    calls = []
+
+    def spy(Y):
+        calls.append(Y.shape)
+        return _frame_regularity(Y)
+
+    monkeypatch.setattr(rssm.solver, "_frame_regularity", spy)
+    trace = run(builtin("quad-spectrum", 64, seed=0),
+                SolverConfig(n=64, epsilon=1.0, center=0.5))
+    assert trace.reason == "epsilon-reached"
+    assert trace.N_r > 100 and trace.N_s > 0
+    assert calls == []
 
 
 class _Counted:

@@ -14,7 +14,12 @@ into OUT, one file per artifact:
   every builtin at n in {1, 2, 4, 8}, in both modes, 3000 iterations from
   1.7; and of 6 practical-mode ``stopping=gap`` runs (quad-iso,
   quad-spectrum and logsumexp at n in {2, 4}, epsilon 1e-4, from 1.7),
-  whose audits reach the convex checks that gap stopping unlocks; beside
+  whose audits reach the convex checks that gap stopping unlocks; and of
+  far-centre runs, where vertex rounding is largest: the constant
+  objective in theoretical mode and quad-iso to budget at centre 1e8,
+  n=2, and at centres 1e4 and 1e6, n in {8, 32}, damped-sine walking to
+  budget and quad-iso minimised 0.3 from the centre in both modes (most
+  of these end in ``regularity-failure``); beside
   each ``trace/<name>.json``, ``trace/<name>.records.txt`` lists the
   loaded trace apart from its file layout (see ``_listing``);
 * ``certify/`` -- for every certify report at seeds 4242, 1 and 2:
@@ -170,6 +175,25 @@ def _solver_runs():
                 name, n, seed=0), solver.SolverConfig(
                 n=n, mode="practical", stopping="gap", epsilon=1e-4,
                 center=1.7)
+    yield "far-const-n2-c1e8-theoretical", const, solver.SolverConfig(
+        n=2, mode="theoretical", beta=1.0, L=1.0, stopping="none",
+        center=1e8)
+    yield "far-quad-iso-n2-c1e8-practical", objectives.builtin(
+        "quad-iso", 2, seed=0), solver.SolverConfig(
+        n=2, stopping="none", max_iterations=2000, center=1e8)
+    for centre, ctag in ((1e4, "c1e4"), (1e6, "c1e6")):
+        for n in (8, 32):
+            tag = f"n{n}-{ctag}"
+            yield f"far-damped-sine-{tag}-practical", objectives.builtin(
+                "damped-sine", n, seed=0), solver.SolverConfig(
+                n=n, stopping="none", max_iterations=2000, center=centre)
+            obj = objectives.builtin("quad-iso", n, x_star=centre + 0.3)
+            for mode in solver.MODES:
+                extra = (dict(beta=1.0, L=obj.L) if mode == "theoretical"
+                         else {})
+                yield f"far-settle-{tag}-{mode}", obj, solver.SolverConfig(
+                    n=n, mode=mode, stopping="none", max_iterations=2000,
+                    center=centre, **extra)
 
 
 def dump_traces(out: Path) -> None:
