@@ -20,13 +20,15 @@ search method (reflection, centroid, shrink).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .simplex import (DegenerateSimplexError, Simplex, _affine_system,
-                      _check_nonsingular, reflect_worst, shrink_toward_best)
+                      _check_nonsingular, _unit_frame, reflect_worst,
+                      shrink_toward_best)
 
 __all__ = [
     "QueryCoefficients",
@@ -64,6 +66,13 @@ EIG_ZERO_RTOL = 1e-9
 # The sharpness certificate accepts mu down to this (rounding in the solve).
 MU_TOL = -1e-12
 
+# The closed-form weights are taken when the residual F = I - A M of their
+# approximate inverse M has ||F||max <= _FRAME_TOL / (n+1), so that
+# ||F||_2 <= (n+1) ||F||max <= sqrt(u).  One residual correction leaves an
+# error of order ||F||_2^2 = u times the weights (see _frame_weights): the
+# rounding level of the solve it replaces.
+_FRAME_TOL = math.sqrt(np.finfo(float).eps / 2)
+
 
 @dataclass
 class QueryCoefficients:
@@ -91,24 +100,71 @@ def _solve_guarded(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
+def _frame_weights(s: Simplex, x: np.ndarray) -> np.ndarray | None:
+    """The affine weights of x in closed form, or None when the simplex is
+    not certified regular.
+
+    In the unit frame Y = (V - c) / delta (rows y_i, c the centroid) the
+    weights solve A w = b with A = [1'; Y'] and b = (1, q), q = (x - c)/delta.
+    On a regular simplex Y'1 = 0 and k Y'Y = I with k = n/(n+1), so
+    M = [1/(n+1), k Y] is the inverse of A, and M b is the closed form
+    ell_i = 1/(n+1) + k y_i.q.  The certificate is the one matmul
+    F = I - A M, whose blocks are I - k Y'Y and -k Y'1 (above the diagonal)
+    or -Y'1/(n+1) (below it): ||F||max <= _FRAME_TOL/(n+1).  Then A is
+    invertible, A^-1 = M (I - F)^-1, and the corrected weights
+    w = M b + M (b - A M b) = M (I + F) b differ from A^-1 b by
+    M F^2 (I - F)^-1 b, at most about u ||M|| ||b|| since ||F||_2 <= sqrt(u).
+    The correction is what makes these the weights of the rounded vertices,
+    not of the ideal simplex they approximate.
+    """
+    n = s.dim
+    k = n / (n + 1.0)
+    # a frame that overflows (an unresolved radius) fails the certificate
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = s.centroid()
+        Y = _unit_frame(s, c)
+        F = Y.T @ Y
+        F *= k
+        F.ravel()[::n + 1] -= 1.0
+        residual = max(float(np.abs(F).max()),
+                       k * float(np.abs(Y.sum(axis=0)).max()))
+    if not residual <= _FRAME_TOL / (n + 1):  # NaN fails too
+        return None
+    q = (x - c) / s.radius
+    w = k * (Y @ q) + 1.0 / (n + 1)
+    w += (1.0 - w.sum()) / (n + 1) + k * (Y @ (q - Y.T @ w))
+    return w
+
+
 def lagrange_coefficients(s: Simplex, x) -> QueryCoefficients:
     """Affine weights expressing x through the vertices, query weight -1 prepended.
 
     The weights w solve sum_i w_i = 1, sum_i w_i x_i = x; the returned vector
     is ell = (-1, w_1, ..., w_{n+1}).
 
+    On a simplex that one matmul certifies regular (the residual of the
+    closed-form inverse at most _FRAME_TOL/(n+1) in every entry) the weights
+    are the closed form 1/(n+1) + (n/(n+1)) y_i.(x - c)/delta, refined by one
+    residual correction with the same inverse: O(n^2) work, no SVD and no
+    solve (:func:`_frame_weights`).  The certificate itself bounds the
+    affine system's reciprocal condition far above ``simplex.RCOND_MIN``, so
+    the guard cannot fire there.  Any other simplex takes the guarded solve
+    of ``simplex._affine_system``.
+
     Raises:
         DegenerateSimplexError: the affine system fails the nondegeneracy
             rule (reciprocal condition at most ``simplex.RCOND_MIN``).
     """
     x = np.asarray(x, dtype=float)
-    c, scale, A = _affine_system(s)
-    b = np.concatenate([[1.0], (x - c) / scale])
-    w = _solve_guarded(A, b)
+    w = _frame_weights(s, x)
+    if w is None:
+        c, scale, A = _affine_system(s)
+        b = np.concatenate([[1.0], (x - c) / scale])
+        w = _solve_guarded(A, b)
     ell = np.concatenate([[-1.0], w])
     tol = COEFF_ZERO_TOL * max(1.0, float(np.abs(ell).max()))
-    pos = tuple(int(i) for i in np.flatnonzero(ell > tol))
-    neg = tuple(int(i) for i in np.flatnonzero(ell < -tol))
+    pos = tuple(np.flatnonzero(ell > tol).tolist())
+    neg = tuple(np.flatnonzero(ell < -tol).tolist())
     return QueryCoefficients(ell=ell, positive_index_set=pos, negative_index_set=neg)
 
 

@@ -224,7 +224,7 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
     # deviations fail the verdict below
     with np.errstate(over="ignore", invalid="ignore"):
         rep = regularity_report(s)
-    if rep.max_deviation() > GEOMETRY_RTOL:
+    if not rep.max_deviation() <= GEOMETRY_RTOL:
         raise CenterResolutionError(
             f"radius {radius:.3g} is too small for centre scale "
             f"{np.abs(c).max():.3g} (max |c_i|): the rounded vertices "
@@ -338,7 +338,12 @@ class RegularityReport:
     max_edge_deviation: float
 
     def max_deviation(self) -> float:
-        return max(self.max_radius_deviation, self.max_edge_deviation)
+        """The larger deviation, or NaN when either is NaN; a verdict reads
+        it as ``not dev <= tol``, so a NaN fails it."""
+        r, e = self.max_radius_deviation, self.max_edge_deviation
+        if r != r or e != e:
+            return math.nan
+        return max(r, e)
 
     def __str__(self) -> str:
         return (f"radius dev {self.max_radius_deviation:.3e}, "

@@ -517,7 +517,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
             # tolerance, so the verdict is the one a fresh report gives
             if not state._regularity_screen(Y) <= 0.5 * REGULARITY_FAIL_TOL:
                 rep = _frame_regularity(Y)
-                if rep.max_deviation() > REGULARITY_FAIL_TOL:
+                if not rep.max_deviation() <= REGULARITY_FAIL_TOL:
                     trace.reason = "regularity-failure"
                     trace.summary["regularity"] = str(rep)
                     break

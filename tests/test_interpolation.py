@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rssm.interpolation
-from rssm.simplex import DegenerateSimplexError, Simplex, make_regular_simplex
+from rssm.simplex import (RCOND_MIN, DegenerateSimplexError, Simplex,
+                          _affine_system, _unit_frame, make_regular_simplex)
 from rssm.interpolation import (
     GMatrix,
     QueryCoefficients,
@@ -20,6 +21,8 @@ from rssm.interpolation import (
     query_point,
     simplex_gradient,
     worst_case_quadratic,
+    _FRAME_TOL,
+    _frame_weights,
 )
 
 from conftest import haar_rotation, random_regular_simplex
@@ -74,6 +77,132 @@ def test_degenerate_simplex_raises():
         lagrange_coefficients(s, np.array([0.3, 0.3]))
     with pytest.raises(DegenerateSimplexError):
         simplex_gradient(s, [0.0, 1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# the certified closed form and its fallback
+
+
+def _certificate_residual(s):
+    """||I - A M||max of the closed form's approximate inverse M."""
+    n = s.dim
+    k = n / (n + 1.0)
+    Y = _unit_frame(s, s.centroid())
+    F = np.eye(n) - k * (Y.T @ Y)
+    return max(np.abs(F).max(), k * np.abs(Y.sum(axis=0)).max())
+
+
+def _certified_and_perturbed_simplices():
+    for n in (1, 2, 3, 8, 32, 64):
+        rng = np.random.default_rng(100 + n)
+        for centre in (0.0, 3.0, 1e3, 1e6):
+            radius = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
+            c = centre * rng.standard_normal(n)
+            s = random_regular_simplex(n, rng, radius=radius, center=c)
+            yield s
+            for size in (1e-13, 1e-11, 1e-9):
+                V = s.vertices.copy()
+                V[0] += size * radius * rng.standard_normal(n)
+                yield Simplex(V, radius=radius, check=False)
+
+
+def test_the_guard_cannot_fire_on_a_certified_simplex():
+    # With F = I - A M (A = [1'; Y'], M = [1/(n+1), k Y], k = n/(n+1)):
+    # A A' = (I - F) W^-1 with W = diag(1/(n+1), k I), so the affine
+    # system D A of _affine_system (D = diag(1, rho), rho = delta / scale)
+    # has squared singular values within a factor (1 -+ sqrt(n)||F||_2) of
+    # those of D W^-1/2, whose ratio is rho^2 / n.  A certified F has
+    # sqrt(n)||F||_2 <= sqrt(n u), and rho >= 1/max||y_i|| = 1 - O(sqrt u),
+    # so rcond >= 0.99 / sqrt(n): at least 0.12 for n <= 64, eleven orders
+    # above RCOND_MIN.
+    certified = rejected = 0
+    for s in _certified_and_perturbed_simplices():
+        n = s.dim
+        residual = _certificate_residual(s)
+        if _frame_weights(s, s.centroid()) is None:
+            assert not residual <= _FRAME_TOL / (n + 1)
+            rejected += 1
+            continue
+        assert residual <= _FRAME_TOL / (n + 1)
+        certified += 1
+        sv = np.linalg.svd(_affine_system(s)[2], compute_uv=False)
+        assert sv[-1] / sv[0] >= 0.99 / np.sqrt(n), n
+        assert 0.99 / np.sqrt(n) > 1e10 * RCOND_MIN
+    # the sweep reaches both sides of the certificate
+    assert certified >= 40 and rejected >= 10, (certified, rejected)
+
+
+def _flattened_simplex():
+    # a regular simplex pressed into the plane x_3 = 0: the radius still
+    # names a regular one, the vertices span no volume
+    s = make_regular_simplex(np.zeros(3), 1.0, 3)
+    V = s.vertices.copy()
+    V[:, 2] = 0.0
+    return Simplex(V, radius=1.0, check=False)
+
+
+def _beyond_the_certificate():
+    rng = np.random.default_rng(7)
+    s = random_regular_simplex(4, rng, radius=1.0)
+    V = s.vertices.copy()
+    V[0] += 1e-6 * rng.standard_normal(4)
+    yield "perturbed", Simplex(V, radius=1.0)
+    c = rng.uniform(-1.0, 1.0, 8)
+    c *= 1e8 / np.abs(c).max()
+    yield "far-centre", random_regular_simplex(8, rng, radius=1.0, center=c)
+
+
+@pytest.mark.parametrize("where,s", list(_beyond_the_certificate()))
+def test_a_simplex_beyond_the_certificate_takes_the_guarded_solve(
+        monkeypatch, where, s):
+    assert not _certificate_residual(s) <= _FRAME_TOL / (s.dim + 1)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    guards = _count_calls(monkeypatch, rssm.interpolation, "_check_nonsingular")
+    for kind in ("reflection", "centroid", "shrink"):
+        x = query_point(s, kind, gamma=0.3 if kind == "shrink" else None)
+        assert _frame_weights(s, x) is None
+        ell = lagrange_coefficients(s, x).ell
+        assert ell[1:].sum() == pytest.approx(1.0, abs=1e-12)
+        scale = np.abs(s.vertices).max()
+        np.testing.assert_allclose(ell[1:] @ s.vertices, x,
+                                   rtol=0, atol=1e-12 * scale)
+    assert (solves["count"], guards["count"]) == (3, 3)
+
+
+def test_a_degenerate_simplex_takes_the_guarded_solve_and_raises(monkeypatch):
+    s = _flattened_simplex()
+    # a null direction of Y puts an eigenvalue -1 in F: far beyond the
+    # certificate, so the fast path never accepts a degenerate simplex
+    assert _certificate_residual(s) >= 1.0 / (s.dim + 1)
+    guards = _count_calls(monkeypatch, rssm.interpolation, "_check_nonsingular")
+    assert _frame_weights(s, s.centroid()) is None
+    with pytest.raises(DegenerateSimplexError):
+        lagrange_coefficients(s, s.centroid())
+    assert guards["count"] == 1
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_a_certify_task_solves_no_affine_system(monkeypatch, n):
+    # one task of the certify benchmark: a seeded regular simplex, rotated,
+    # then the 3 query kinds x 2 classes
+    rng = np.random.default_rng(n)
+    c, radius = 3.0 * rng.standard_normal(n), 0.7
+    s0 = make_regular_simplex(c, radius, n)
+    s = Simplex(c + (s0.vertices - c) @ haar_rotation(n, rng), radius=radius)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    shapes = []
+    check = rssm.interpolation._check_nonsingular
+    monkeypatch.setattr(rssm.interpolation, "_check_nonsingular",
+                        lambda M: (shapes.append(M.shape), check(M))[1])
+    reports = [bound_report(s, kind, cls, 1.0,
+                            gamma=0.4 if kind == "shrink" else None)
+               for kind in ("reflection", "centroid", "shrink")
+               for cls in ("nonconvex", "convex")]
+    assert len(reports) == 6
+    assert all(rep.attained and rep.mu.sharp for rep in reports)
+    assert solves["count"] == 0
+    # the mu certificate's (|I_-| - 1)-square block is the only guarded matrix
+    assert (n + 1, n + 1) not in shapes and shapes == [(1, 1), (1, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rssm.interpolation import lagrange_coefficients, simplex_gradient
+import rssm.simplex
 from rssm.simplex import (
     CenterResolutionError,
     DegenerateSimplexError,
+    GEOMETRY_RTOL,
+    RegularityReport,
     Simplex,
     make_regular_simplex,
     reflect_worst,
@@ -488,3 +491,24 @@ def test_regularity_report_propagates_inf_and_nan_as_the_formula_does():
             np.testing.assert_array_equal(got, want)
             seen.update(map(repr, got))
     assert {"inf", "nan"} <= seen
+
+
+NAN_REPORTS = [pytest.param(math.nan, 0.5, id="radius-nan"),
+               pytest.param(0.5, math.nan, id="edge-nan"),
+               pytest.param(math.nan, math.nan, id="both-nan")]
+
+
+@pytest.mark.parametrize("radius_dev, edge_dev", NAN_REPORTS)
+def test_a_nan_deviation_makes_the_largest_nan(radius_dev, edge_dev):
+    rep = RegularityReport(radius_dev, edge_dev)
+    assert math.isnan(rep.max_deviation())
+    assert not rep.max_deviation() <= GEOMETRY_RTOL
+
+
+@pytest.mark.parametrize("radius_dev, edge_dev", NAN_REPORTS)
+def test_construction_rejects_a_nan_regularity_report(radius_dev, edge_dev,
+                                                      monkeypatch):
+    monkeypatch.setattr(rssm.simplex, "regularity_report",
+                        lambda s: RegularityReport(radius_dev, edge_dev))
+    with pytest.raises(CenterResolutionError, match="nan"):
+        make_regular_simplex(np.zeros(3), 1.0, 3)

@@ -15,6 +15,7 @@ from rssm.interpolation import simplex_gradient
 from rssm.objectives import Objective, builtin
 from rssm.simplex import (
     CenterResolutionError,
+    RegularityReport,
     Simplex,
     _frame_regularity,
     _unit_frame,
@@ -416,6 +417,23 @@ def test_cached_edges_equal_a_fresh_gram_computation(n, centre):
     assert worst <= bound
     # the walk stays where the screen alone decides
     assert screen <= 0.1 * rssm.solver.REGULARITY_FAIL_TOL
+
+
+@pytest.mark.parametrize("radius_dev, edge_dev", [
+    pytest.param(math.nan, 0.5, id="radius-nan"),
+    pytest.param(0.5, math.nan, id="edge-nan"),
+    pytest.param(math.nan, math.nan, id="both-nan")])
+def test_a_nan_regularity_report_fails_the_verdict(radius_dev, edge_dev,
+                                                   monkeypatch):
+    # the screen defers to the exact report, which reads NaN
+    monkeypatch.setattr(SolverState, "_regularity_screen",
+                        lambda self, Y: math.nan)
+    monkeypatch.setattr(rssm.solver, "_frame_regularity",
+                        lambda Y: RegularityReport(radius_dev, edge_dev))
+    trace = run(builtin("quad-iso", 2), SolverConfig(n=2, stopping="none"))
+    assert (trace.reason, trace.records) == ("regularity-failure", [])
+    assert trace.summary["regularity"] == str(
+        RegularityReport(radius_dev, edge_dev))
 
 
 REGULARITY_FAILURES = [

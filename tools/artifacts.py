@@ -22,8 +22,10 @@ into OUT, one file per artifact:
   of these end in ``regularity-failure``); beside
   each ``trace/<name>.json``, ``trace/<name>.records.txt`` lists the
   loaded trace apart from its file layout (see ``_listing``);
-* ``certify/`` -- for every certify report at seeds 4242, 1 and 2:
-  ``to_dict``, ``repr(achieved)`` and SHA-256 digests of H and of G;
+* ``certify/`` -- for every certify report at seeds 4242, 1 and 2, two
+  JSON lines: ``to_dict``; then ``dominated``, the index sets of the
+  weights, G's eigenvalues and ||H||_F, which a tolerant compare can read,
+  beside SHA-256 digests of H and of G;
 * ``cli/`` -- stdout, stderr and exit code of the README commands, of
   ``verify-bounds`` and ``worst-case`` variants, of bad-input runs (audit
   constants outside the positive doubles among them), of a solve whose
@@ -40,6 +42,19 @@ Compare two checkouts with::
 
 A change of the trace file layout shows in the ``.json`` traces only; the
 listings stay equal while the records do.
+
+A change that replaces a bound-pipeline kernel by one as accurate moves
+last bits there, so ``diff -r`` cannot gate it.  Then::
+
+    python3 tools/artifacts.py --compare /tmp/a /tmp/b
+
+requires every ``trace/``, ``audit/`` and other ``cli/`` file to be
+byte-identical, and the ``TOLERANT`` files (``certify/`` and the
+``verify-bounds``/``worst-case`` stdouts) to match value by value: every
+boolean, string, integer and index set equal, every float within
+``ULP_BOUND`` units in the last place of its scale (digests skipped).  It
+prints each problem and the largest float distance, and exits 1 on a
+problem.
 The perfbench workloads are read from this script's own checkout.  The run
 takes about a minute and is not part of the test suite.
 """
@@ -47,16 +62,36 @@ takes about a minute and is not part of the test suite.
 from __future__ import annotations
 
 import dataclasses
+import fnmatch
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 CERTIFY_SEEDS = (4242, 1, 2)
+
+# The bound pipeline's outputs, whose floats may move in their last bits when
+# a kernel is replaced by another that is as accurate: the certify reports
+# and the JSON stdout of the verify-bounds and worst-case runs.  In
+# ``--compare``, every other file must be byte-identical.
+TOLERANT = ("certify/*.txt", "cli/verify-bounds-*.stdout",
+            "cli/worst-case-*.stdout")
+
+# In ``--compare``, a float of a TOLERANT file may differ from its
+# counterpart by at most this many units in the last place of its scale:
+# the largest magnitude in its array (nested arrays counted as one) or in
+# its object of numbers (the mu entries), else its own.  Weights that move
+# by a few ulps move G, a sum of n+1 weighted outer products, and the mu
+# entries built from it by up to a few ulps per term: the bound allows 8
+# per term at the largest n dumped, 64.
+ULP_BOUND = 8 * 65
 
 # (name, argv); files named in an argv are written in OUT/cli/work
 CLI_RUNS = [
@@ -229,9 +264,17 @@ def dump_certify(out: Path) -> None:
         lines = []
         for j in range(len(inp["tasks"])):
             for rep in cert.task(inp, j, None):
+                q = rep.g.coefficients
                 lines.append(json.dumps(rep.to_dict(), sort_keys=True))
-                lines.append(f"{rep.achieved!r} H {_digest(rep.quadratic.H)} "
-                             f"G {_digest(rep.g.matrix)}")
+                lines.append(json.dumps({
+                    "dominated": rep.dominated,
+                    "positive_index_set": list(q.positive_index_set),
+                    "negative_index_set": list(q.negative_index_set),
+                    "H_frobenius": float(np.linalg.norm(rep.quadratic.H)),
+                    "H_sha256": _digest(rep.quadratic.H),
+                    "G_eigenvalues": rep.g.eigenvalues.tolist(),
+                    "G_sha256": _digest(rep.g.matrix),
+                }, sort_keys=True))
         _write(out / "certify" / f"seed{seed}.txt", "\n".join(lines) + "\n")
 
 
@@ -258,10 +301,90 @@ def dump_cli(src: Path, out: Path) -> None:
                _listing(solver.Trace.from_json(path.read_text())))
 
 
+def _numbers(v) -> list[float]:
+    """Every float in v, a list nested to any depth."""
+    if isinstance(v, list):
+        return [x for item in v for x in _numbers(item)]
+    return [v] if type(v) is float else []
+
+
+def _compare_values(a, b, where: str, scale: float | None,
+                    problems: list[str]) -> float:
+    """Walk a and b, JSON values, in step; append each difference beyond
+    ULP_BOUND, or of anything but a float, to problems.  Returns the largest
+    float distance seen, in units in the last place of the float's scale."""
+    if type(a) is not type(b):
+        problems.append(f"{where}: {a!r} vs {b!r}")
+        return 0.0
+    if type(a) is float:
+        ulp = math.ulp(max(abs(a), abs(b)) if scale is None else scale)
+        dist = abs(a - b) / ulp
+        if not dist <= ULP_BOUND:
+            problems.append(f"{where}: {a!r} vs {b!r} ({dist:.3g} ulps)")
+        return dist
+    if isinstance(a, list):
+        if len(a) != len(b):
+            problems.append(f"{where}: length {len(a)} vs {len(b)}")
+            return 0.0
+        if scale is None:
+            scale = max(map(abs, _numbers(a) + _numbers(b)), default=0.0)
+        return max((_compare_values(x, y, f"{where}[{i}]", scale, problems)
+                    for i, (x, y) in enumerate(zip(a, b))), default=0.0)
+    if isinstance(a, dict):
+        if list(a) != list(b):
+            problems.append(f"{where}: keys {list(a)} vs {list(b)}")
+            return 0.0
+        values = list(a.values()) + list(b.values())
+        scale = (max(map(abs, values), default=0.0)
+                 if all(type(v) is float for v in values) else None)
+        return max((_compare_values(a[k], b[k], f"{where}.{k}", scale,
+                                    problems)
+                    for k in a if not k.endswith("_sha256")), default=0.0)
+    if a != b:  # bool, int, str, None: exact
+        problems.append(f"{where}: {a!r} vs {b!r}")
+    return 0.0
+
+
+def compare(a: Path, b: Path) -> int:
+    """Compare two dumps: the TOLERANT files value by value, floats within
+    ULP_BOUND, and every other file byte for byte.  Prints each problem and
+    the largest float distance; returns 0 when there is no problem."""
+    files = {p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file()}
+    other = {p.relative_to(b).as_posix() for p in b.rglob("*") if p.is_file()}
+    problems = [f"{rel}: only in {a}" for rel in sorted(files - other)]
+    problems += [f"{rel}: only in {b}" for rel in sorted(other - files)]
+    worst = 0.0
+    for rel in sorted(files & other):
+        x, y = (a / rel).read_bytes(), (b / rel).read_bytes()
+        if x == y:
+            continue
+        if not any(fnmatch.fnmatch(rel, pat) for pat in TOLERANT):
+            problems.append(f"{rel}: differs")
+            continue
+        xs, ys = x.decode().splitlines(), y.decode().splitlines()
+        if rel.startswith("cli/"):  # one JSON document
+            xs, ys = ["".join(xs)], ["".join(ys)]
+        if len(xs) != len(ys):
+            problems.append(f"{rel}: {len(xs)} vs {len(ys)} lines")
+            continue
+        for i, (u, v) in enumerate(zip(xs, ys), 1):
+            worst = max(worst, _compare_values(json.loads(u), json.loads(v),
+                                               f"{rel}:{i}", None, problems))
+    for line in problems:
+        print(line)
+    print(f"{len(problems)} problems; largest float distance {worst:.3g} "
+          f"ulps of scale (bound {ULP_BOUND})")
+    return 1 if problems else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(Path(args[1]), Path(args[2]))
     if len(args) != 2:
-        print("usage: python3 tools/artifacts.py SRC OUT", file=sys.stderr)
+        print("usage: python3 tools/artifacts.py SRC OUT\n"
+              "       python3 tools/artifacts.py --compare A B",
+              file=sys.stderr)
         return 2
     src, out = Path(args[0]).resolve(), Path(args[1]).resolve()
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
