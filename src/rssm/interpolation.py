@@ -109,11 +109,11 @@ def _frame_weights(s: Simplex, x: np.ndarray) -> np.ndarray | None:
     On a regular simplex Y'1 = 0 and k Y'Y = I with k = n/(n+1), so
     M = [1/(n+1), k Y] is the inverse of A, and M b is the closed form
     ell_i = 1/(n+1) + k y_i.q.  The certificate is the one matmul
-    F = I - A M, whose blocks are I - k Y'Y and -k Y'1 (above the diagonal)
-    or -Y'1/(n+1) (below it): ||F||max <= _FRAME_TOL/(n+1).  Then A is
-    invertible, A^-1 = M (I - F)^-1, and the corrected weights
+    F = I - A M, whose blocks are I - k Y'Y, the centring residual -k 1'Y
+    and its transpose over n+1 (and 0): ||F||max <= _FRAME_TOL/(n+1).
+    Then A is invertible, A^-1 = M (I - F)^-1, and the corrected weights
     w = M b + M (b - A M b) = M (I + F) b differ from A^-1 b by
-    M F^2 (I - F)^-1 b, at most about u ||M|| ||b|| since ||F||_2 <= sqrt(u).
+    M F^2 (I - F)^-1 b, at most about u ||M|| ||b|| as ||F||_2 <= sqrt(u).
     The correction is what makes these the weights of the rounded vertices,
     not of the ideal simplex they approximate.
     """
@@ -145,8 +145,8 @@ def lagrange_coefficients(s: Simplex, x) -> QueryCoefficients:
     On a simplex that one matmul certifies regular (the residual of the
     closed-form inverse at most _FRAME_TOL/(n+1) in every entry) the weights
     are the closed form 1/(n+1) + (n/(n+1)) y_i.(x - c)/delta, refined by one
-    residual correction with the same inverse: O(n^2) work, no SVD and no
-    solve (:func:`_frame_weights`).  The certificate itself bounds the
+    O(n^2) residual correction with the same inverse: no SVD and no solve
+    (:func:`_frame_weights`).  The certificate itself bounds the
     affine system's reciprocal condition far above ``simplex.RCOND_MIN``, so
     the guard cannot fire there.  Any other simplex takes the guarded solve
     of ``simplex._affine_system``.
