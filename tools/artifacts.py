@@ -368,8 +368,13 @@ def compare(a: Path, b: Path) -> int:
             problems.append(f"{rel}: {len(xs)} vs {len(ys)} lines")
             continue
         for i, (u, v) in enumerate(zip(xs, ys), 1):
-            worst = max(worst, _compare_values(json.loads(u), json.loads(v),
-                                               f"{rel}:{i}", None, problems))
+            try:
+                u, v = json.loads(u), json.loads(v)
+            except ValueError:
+                problems.append(f"{rel}:{i}: differs and is not JSON")
+                continue
+            worst = max(worst, _compare_values(u, v, f"{rel}:{i}", None,
+                                               problems))
     for line in problems:
         print(line)
     print(f"{len(problems)} problems; largest float distance {worst:.3g} "
