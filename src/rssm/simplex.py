@@ -40,6 +40,19 @@ GEOMETRY_RTOL = 1e-9
 RCOND_MIN = 1e-12
 
 
+def _is_int(x) -> bool:
+    """The integer rule of the input boundaries (a simplex file's `dim`, a
+    trace config's counts): an int, numpy's included, never a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """The number rule of the input boundaries (a simplex file's radius and
+    vertices, a trace config's scales): a float (np.float64 is one) or an
+    int as :func:`_is_int` takes it, never a bool or a string."""
+    return isinstance(x, float) or _is_int(x)
+
+
 class DegenerateSimplexError(ValueError):
     """Raised when a simplex fails the nondegeneracy rule (RCOND_MIN)."""
 
@@ -58,11 +71,12 @@ class CenterResolutionError(ValueError):
 class Simplex:
     """n+1 vertices in R^n with a reference radius.
 
-    The container itself only guarantees shape, finiteness and (optionally)
-    nondegeneracy, by the rule the affine solves apply; use
-    :func:`make_regular_simplex` to obtain a certified regular simplex and
-    :func:`regularity_report` to measure how far an instance has drifted
-    from regularity.
+    The container itself only guarantees shape, finite entries and a
+    positive finite radius.  Nondegeneracy is checked where a system is
+    solved (the affine solves and the mu block of ``rssm.interpolation``);
+    use :func:`make_regular_simplex` to obtain a certified regular simplex
+    and :func:`regularity_report` to measure how far an instance has
+    drifted from regularity.
 
     Attributes:
         vertices: array of shape (n+1, n), one vertex per row.
@@ -74,7 +88,7 @@ class Simplex:
 
     __slots__ = ("vertices", "dim", "radius")
 
-    def __init__(self, vertices, radius: float | None = None, check: bool = True):
+    def __init__(self, vertices, radius: float | None = None):
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[0] != V.shape[1] + 1:
             raise ValueError(
@@ -86,9 +100,6 @@ class Simplex:
             raise ValueError("vertices contain non-finite entries")
         self.vertices = V
         self.dim = V.shape[1]
-        if check:
-            # first, so that _affine_system names an overflowing centroid
-            _check_nonsingular(_affine_system(self)[2])
         if radius is None:
             with np.errstate(over="ignore"):
                 radius = float(np.mean(np.linalg.norm(V - self.centroid(),
@@ -113,20 +124,34 @@ class Simplex:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Simplex":
-        """Inverse of :meth:`to_dict`; ValueError when `d` is not a simplex
-        (not an object, a key missing or mistyped, a number beyond the
-        double range, or a wrong `dim`)."""
+        """Inverse of :meth:`to_dict`; ValueError when `d` is not a simplex:
+        not an object, a key missing, a `dim` not an integer, a `radius` or
+        vertex entry not a number (:func:`_is_real`; a bool or a string is
+        neither), a number beyond the double range, or a wrong `dim`."""
         try:
-            s = cls(np.asarray(d["vertices"], dtype=float),
-                    radius=float(d["radius"]))
-            if int(d["dim"]) != s.dim:
-                raise ValueError(f"dim field {d['dim']} does not match "
-                                 f"vertex shape {s.vertices.shape}")
-            return s
+            dim, radius, rows = d["dim"], d["radius"], d["vertices"]
         except KeyError as exc:
             raise ValueError(f"malformed simplex: missing key {exc}") from None
-        except (TypeError, OverflowError) as exc:
+        except TypeError as exc:
             raise ValueError(f"malformed simplex: {exc}") from None
+        if not _is_int(dim):
+            raise ValueError(
+                f"malformed simplex: dim must be an integer, got {dim!r}")
+        if not _is_real(radius):
+            raise ValueError(
+                f"malformed simplex: radius must be a number, got {radius!r}")
+        if not (type(rows) is list and all(type(row) is list for row in rows)
+                and all(_is_real(x) for row in rows for x in row)):
+            raise ValueError("malformed simplex: vertices must be a list of "
+                             "rows of numbers")
+        try:
+            s = cls(np.asarray(rows, dtype=float), radius=float(radius))
+        except OverflowError as exc:
+            raise ValueError(f"malformed simplex: {exc}") from None
+        if dim != s.dim:
+            raise ValueError(f"dim field {dim} does not match "
+                             f"vertex shape {s.vertices.shape}")
+        return s
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), allow_nan=False)
@@ -143,9 +168,9 @@ def _affine_system(s: Simplex) -> tuple[np.ndarray, float, np.ndarray]:
     """Centroid c, coordinate scale and the (n+1)x(n+1) affine system
     [[1...1], [y_1 ... y_{n+1}]] with y_i = (x_i - c) / scale.
 
-    The constructor check, affine weights and interpolant gradients all use
-    this centered, unit-scale frame, so the nondegeneracy rule responds to
-    the shape of the simplex, never to its absolute position or size.
+    The guarded affine weights and interpolant gradients both use this
+    centered, unit-scale frame, so the nondegeneracy rule responds to the
+    shape of the simplex, never to its absolute position or size.
     """
     # an overflow shows as a non-finite c or scale, raised on below
     with np.errstate(over="ignore"):
@@ -167,7 +192,7 @@ def _affine_system(s: Simplex) -> tuple[np.ndarray, float, np.ndarray]:
 def _check_nonsingular(M: np.ndarray) -> None:
     """The one nondegeneracy rule: DegenerateSimplexError when the least
     singular value of M is at most RCOND_MIN times its largest (scale-free;
-    an all-zero M fails).  Guards the constructor, solves and mu certificate."""
+    an all-zero M fails).  Guards the affine solves and the mu certificate."""
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= RCOND_MIN * sv[0]:
         raise DegenerateSimplexError("affine system is singular beyond tolerance "
@@ -204,7 +229,7 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
 
     Returns:
         A certified regular Simplex.  Its affine system's reciprocal condition
-        is at least 1/sqrt(n), far above RCOND_MIN, so that check is skipped.
+        is at least 1/sqrt(n), far above RCOND_MIN.
 
     Raises:
         ValueError: radius not positive and finite, n < 1, or center of
@@ -219,7 +244,7 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     c = np.broadcast_to(np.asarray(center, dtype=float), (n,)).copy()
     Y = radius * np.sqrt((n + 1.0) / n) * _helmert_rows(n).T
-    s = Simplex(c[None, :] + Y, radius=float(radius), check=False)
+    s = Simplex(c[None, :] + Y, radius=float(radius))
     # an unresolved radius can overflow the unit frame; inf or NaN
     # deviations fail the verdict below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,7 +348,7 @@ def shrink_toward_best(s: Simplex, best_index: int, gamma: float) -> Simplex:
     best = s.vertices[best_index]
     V = gamma * s.vertices + (1.0 - gamma) * best[None, :]
     V[best_index] = best
-    return Simplex(V, radius=gamma * s.radius, check=False)
+    return Simplex(V, radius=gamma * s.radius)
 
 
 @dataclass

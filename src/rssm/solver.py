@@ -33,6 +33,8 @@ from .simplex import (
     _extreme_deviation,
     _frame_gradient,
     _frame_regularity,
+    _is_int,
+    _is_real,
     _squared_edges,
     _unit_frame,
     make_regular_simplex,
@@ -62,7 +64,9 @@ STOPPING_RULES = ("simplex_gradient", "true_gradient", "gap", "none")
 STOP_REASONS = ("epsilon-reached", "budget", "delta-floor",
                 "regularity-failure", "overflow")
 
-# the JSON number types of the float fields, float first; bool is not one
+# the JSON number types of the float fields, float first; bool is not one.
+# On decoded JSON, type(x) in _REAL is simplex._is_real, at a lower cost per
+# record entry
 _REAL = (float, int)
 # NaN, +-inf and an int beyond the double range fall outside [-_MAX, _MAX]
 _MAX = sys.float_info.max
@@ -153,8 +157,13 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("n", "max_iterations", "max_evaluations"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("delta0", "gamma", "epsilon", "beta", "eta", "L"):
+            value = getattr(self, name)
+            if not (_is_real(value) or value is None
+                    and name in ("beta", "eta", "L")):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0.0 < self.gamma < 1.0):

@@ -20,7 +20,7 @@ def random_regular_simplex(n, rng, radius=None, center=None):
     s = make_regular_simplex(np.zeros(n), radius, n)
     Q = haar_rotation(n, rng)
     return Simplex(s.vertices @ Q.T + np.asarray(center)[None, :],
-                   radius=radius, check=False)
+                   radius=radius)
 
 
 @pytest.fixture

@@ -308,7 +308,7 @@ def test_criterion_05(criterion):
                 idx = int(rng.integers(0, n + 1))
                 V = s.vertices.copy()
                 V[idx] = reflect_worst(s, idx)
-                s = Simplex(V, radius=s.radius, check=False)
+                s = Simplex(V, radius=s.radius)
             else:
                 s = shrink_toward_best(s, 0, 0.9999)
             worst = max(worst, regularity_report(s).max_deviation())

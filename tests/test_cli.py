@@ -910,6 +910,18 @@ BAD_INPUTS = [
     pytest.param(2, ["audit", "--trace-in", "TMP/t.json", "--case",
                      "strongly_convex", "--L", "8", "--R", "1", "--mu", "inf",
                      "--fstar", "0"], id="p-audit-mu-inf"),
+    # a number is a float or an int, never a bool or a string, in a simplex
+    # file and in a trace's config
+    pytest.param(2, ["verify-bounds", "--simplex-json", "TMP/float_dim.json"],
+                 id="q-simplex-float-dim"),
+    pytest.param(2, ["worst-case", "--simplex-json", "TMP/bool_dim.json"],
+                 id="q-simplex-bool-dim"),
+    pytest.param(2, ["verify-bounds", "--simplex-json",
+                     "TMP/string_radius.json"], id="q-simplex-string-radius"),
+    pytest.param(2, ["worst-case", "--simplex-json", "TMP/bool_vertex.json"],
+                 id="q-simplex-bool-vertex"),
+    pytest.param(2, ["audit", "--trace-in", "TMP/bool_delta0.json", "--case",
+                     "pl", "--L", "8"], id="q-audit-config-bool-delta0"),
 ]
 
 _G_OVERFLOW = "error: G overflows the double range"
@@ -935,6 +947,16 @@ BAD_INPUT_MESSAGES = {
     "p-audit-fstar-nan": "error: f_star must be finite, got nan",
     "p-audit-R-inf": "error: R must be positive and finite, got inf",
     "p-audit-mu-inf": "error: mu must be positive and finite, got inf",
+    "q-simplex-float-dim": "error: malformed simplex: dim must be an integer, "
+                           "got 2.7",
+    "q-simplex-bool-dim": "error: malformed simplex: dim must be an integer, "
+                          "got True",
+    "q-simplex-string-radius": "error: malformed simplex: radius must be a "
+                               "number, got '0.7'",
+    "q-simplex-bool-vertex": "error: malformed simplex: vertices must be a "
+                             "list of rows of numbers",
+    "q-audit-config-bool-delta0": "error: malformed trace: delta0 must be a "
+                                  "number, got True",
 }
 
 
@@ -960,10 +982,21 @@ def test_bad_input_ends_in_one_error_line(request, tmp_path, capsys, code,
         {"dim": 2, "radius": 10 ** 400, "vertices": [[0, 0], [1, 0], [0, 1]]}))
     (tmp_path / "int_vertex.json").write_text(json.dumps(
         {"dim": 2, "radius": 1, "vertices": [[0, 0], [10 ** 400, 0], [0, 1]]}))
-    if "TMP/t.json" in argv:
+    triangle = {"dim": 2, "radius": 0.7, "vertices": [[0, 0], [1, 0], [0, 1]]}
+    for name, field, value in (("float_dim", "dim", 2.7),
+                               ("bool_dim", "dim", True),
+                               ("string_radius", "radius", "0.7"),
+                               ("bool_vertex", "vertices",
+                                [[0, 0], [1, 0], [0, True]])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {**triangle, field: value}))
+    if "TMP/t.json" in argv or "TMP/bool_delta0.json" in argv:
         # the README's sin-quad trace
         assert run_cli(capsys, *README_TRACE_SOLVE, "--trace-out",
                        str(tmp_path / "t.json"))[0] == 0
+        trace = json.loads((tmp_path / "t.json").read_text())
+        trace["config"]["delta0"] = True
+        (tmp_path / "bool_delta0.json").write_text(json.dumps(trace))
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rssm.interpolation
+import rssm.simplex
 from rssm.simplex import (RCOND_MIN, DegenerateSimplexError, Simplex,
                           _affine_system, _unit_frame, make_regular_simplex)
 from rssm.interpolation import (
@@ -72,7 +73,7 @@ def test_weights_reproduce_query(rng):
 
 def test_degenerate_simplex_raises():
     V = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]])
-    s = Simplex(V, radius=1.0, check=False)
+    s = Simplex(V, radius=1.0)
     with pytest.raises(DegenerateSimplexError):
         lagrange_coefficients(s, np.array([0.3, 0.3]))
     with pytest.raises(DegenerateSimplexError):
@@ -103,7 +104,7 @@ def _certified_and_perturbed_simplices():
             for size in (1e-13, 1e-11, 1e-9):
                 V = s.vertices.copy()
                 V[0] += size * radius * rng.standard_normal(n)
-                yield Simplex(V, radius=radius, check=False)
+                yield Simplex(V, radius=radius)
 
 
 def test_the_guard_cannot_fire_on_a_certified_simplex():
@@ -138,7 +139,7 @@ def _flattened_simplex():
     s = make_regular_simplex(np.zeros(3), 1.0, 3)
     V = s.vertices.copy()
     V[:, 2] = 0.0
-    return Simplex(V, radius=1.0, check=False)
+    return Simplex(V, radius=1.0)
 
 
 def _beyond_the_certificate():
@@ -183,17 +184,19 @@ def test_a_degenerate_simplex_takes_the_guarded_solve_and_raises(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 32, 64])
 def test_a_certify_task_solves_no_affine_system(monkeypatch, n):
-    # one task of the certify benchmark: a seeded regular simplex, rotated,
-    # then the 3 query kinds x 2 classes
+    # one task of the certify benchmark, whole: a seeded regular simplex,
+    # rotated, then the 3 query kinds x 2 classes
     rng = np.random.default_rng(n)
     c, radius = 3.0 * rng.standard_normal(n), 0.7
-    s0 = make_regular_simplex(c, radius, n)
-    s = Simplex(c + (s0.vertices - c) @ haar_rotation(n, rng), radius=radius)
+    Q = haar_rotation(n, rng)
     solves = _count_calls(monkeypatch, np.linalg, "solve")
     shapes = []
-    check = rssm.interpolation._check_nonsingular
-    monkeypatch.setattr(rssm.interpolation, "_check_nonsingular",
-                        lambda M: (shapes.append(M.shape), check(M))[1])
+    check = rssm.simplex._check_nonsingular
+    for module in (rssm.simplex, rssm.interpolation):
+        monkeypatch.setattr(module, "_check_nonsingular",
+                            lambda M: (shapes.append(M.shape), check(M))[1])
+    s0 = make_regular_simplex(c, radius, n)
+    s = Simplex(c + (s0.vertices - c) @ Q, radius=radius)
     reports = [bound_report(s, kind, cls, 1.0,
                             gamma=0.4 if kind == "shrink" else None)
                for kind in ("reflection", "centroid", "shrink")
@@ -305,7 +308,7 @@ def test_g_translation_invariance(rng):
     n = 3
     s = random_regular_simplex(n, rng, center=np.zeros(n))
     shift = rng.standard_normal(n) * 50.0
-    s2 = Simplex(s.vertices + shift, radius=s.radius, check=False)
+    s2 = Simplex(s.vertices + shift, radius=s.radius)
     x = query_point(s, "reflection")
     g1 = g_matrix(s, x)
     g2 = g_matrix(s2, x + shift)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rssm.interpolation import lagrange_coefficients, simplex_gradient
+from rssm.interpolation import (bound_report, lagrange_coefficients,
+                                simplex_gradient)
 import rssm.simplex
 from rssm.simplex import (
     CenterResolutionError,
@@ -139,53 +140,67 @@ def test_vertex_array_shape_checked():
 
 
 def test_degenerate_vertices_rejected():
-    V = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # collinear
-    with pytest.raises(DegenerateSimplexError, match="singular beyond tolerance"):
-        Simplex(V)
+    # the constructor takes them; each solve on them applies the rule
+    s = Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # collinear
+    for solve in (lambda: lagrange_coefficients(s, np.array([0.5, 0.5])),
+                  lambda: simplex_gradient(s, [0.0, 1.0, 2.0]),
+                  lambda: bound_report(s, "reflection", "nonconvex", 1.0)):
+        with pytest.raises(DegenerateSimplexError,
+                           match="singular beyond tolerance"):
+            solve()
 
 
-@pytest.mark.parametrize("radius", [1e308, None])
+@pytest.mark.parametrize("radius", [1e308])
 def test_overflowing_centroid_is_named_and_warns_nothing(radius):
     # tier-1 turns warnings into errors, so numpy's overflow must not escape
     V = np.array([[1e308, 0.0], [1e308, 1e308], [0.0, 1e308]])
-    with pytest.raises(ValueError, match="overflow") as exc:
-        Simplex(V, radius=radius)
-    assert not isinstance(exc.value, DegenerateSimplexError)
+    s = Simplex(V, radius=radius)
+    for solve in (lambda: lagrange_coefficients(s, np.zeros(2)),
+                  lambda: simplex_gradient(s, [0.0, 1.0, 2.0])):
+        with pytest.raises(ValueError, match="overflow") as exc:
+            solve()
+        assert not isinstance(exc.value, DegenerateSimplexError)
 
 
 @pytest.mark.parametrize("radius", [math.inf, math.nan])
-@pytest.mark.parametrize("check", [True, False])
-def test_radius_must_be_positive_and_finite(radius, check):
-    V = make_regular_simplex(0.0, 1.0, 2).vertices
+@pytest.mark.parametrize("flat", [True, False])
+def test_radius_must_be_positive_and_finite(radius, flat):
+    # the rule reads the radius alone, whatever the vertices span
+    V = make_regular_simplex(0.0, 1.0, 2).vertices.copy()
+    if flat:
+        V[:, 1] = 0.0
     with pytest.raises(ValueError, match="positive and finite"):
-        Simplex(V, radius=radius, check=check)
+        Simplex(V, radius=radius)
 
 
-def test_unchecked_overflowing_centroid_takes_no_infinite_radius():
+def test_overflowing_centroid_takes_no_infinite_radius():
     V = np.array([[1e308, 0.0], [1e308, 1e308], [0.0, 1e308]])
     with pytest.raises(ValueError, match="positive and finite, got inf"):
-        Simplex(V, check=False)
+        Simplex(V)
 
 
 @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11, 3e-12, 1e-12, 5e-13, 2e-13,
                                1e-13, 1e-14])
 @pytest.mark.parametrize("n", [2, 8, 32])
 def test_constructor_rejects_what_the_affine_solve_rejects(t, n):
-    # a unit regular simplex flattened by t along its last coordinate; near
-    # t = 1e-12 the constructor and the solve once applied different rules
+    # The two guarded solves, weights and interpolant gradient, reject
+    # alike.  A unit regular simplex flattened by t along its last
+    # coordinate; near t = 1e-12 the constructor and the solve once applied
+    # different rules, hence the name.  The constructor now takes every one
+    # of these, and only a solve applies the rule.
     V = make_regular_simplex(np.zeros(n), 1.0, n).vertices.copy()
     V[:, -1] *= t
+    s = Simplex(V)
 
-    def rejected(build):
+    def rejected(solve):
         try:
-            build()
+            solve()
         except DegenerateSimplexError:
             return True
         return False
 
-    assert rejected(lambda: Simplex(V)) == rejected(
-        lambda: lagrange_coefficients(Simplex(V, check=False), V.mean(axis=0)))
-
+    assert rejected(lambda: lagrange_coefficients(s, V.mean(axis=0))) == \
+        rejected(lambda: simplex_gradient(s, np.arange(n + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +247,7 @@ def test_reflection_regularity_property(n, seed):
     wi = int(g.integers(0, n + 1))
     V = s.vertices.copy()
     V[wi] = reflect_worst(s, wi)
-    s2 = Simplex(V, radius=s.radius, check=False)
+    s2 = Simplex(V, radius=s.radius)
     assert regularity_report(s2).max_deviation() <= 1e-9
 
 
@@ -399,6 +414,32 @@ def test_malformed_simplex_json_is_a_value_error(text):
         Simplex.from_json(text)
 
 
+# a field of a unit triangle's simplex file, its mistyped value and the
+# error, which names the field
+NUMBER_FAULTS = [
+    ("dim", 2.7, "dim must be an integer, got 2.7"),
+    ("dim", "2", "dim must be an integer, got '2'"),
+    ("dim", True, "dim must be an integer, got True"),
+    ("radius", "0.7", "radius must be a number, got '0.7'"),
+    ("radius", True, "radius must be a number, got True"),
+    ("vertices", [[0, 0], ["1", 0], [0, 1]],
+     "vertices must be a list of rows of numbers"),
+    ("vertices", [[0, 0], [1, 0], [0, True]],
+     "vertices must be a list of rows of numbers"),
+    ("vertices", [0, 1, 2], "vertices must be a list of rows of numbers"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", NUMBER_FAULTS)
+def test_from_dict_applies_the_number_rule(field, value, message):
+    d = {"dim": 2, "radius": 0.7, "vertices": [[0, 0], [1, 0], [0, 1]]}
+    Simplex.from_dict(d)
+    d[field] = value
+    with pytest.raises(ValueError) as ei:
+        Simplex.from_json(json.dumps(d))
+    assert str(ei.value) == "malformed simplex: " + message
+
+
 def test_json_text_is_valid_json():
     s = make_regular_simplex(0.0, 1.0, 1)
     payload = json.loads(s.to_json())
@@ -419,7 +460,7 @@ def _offset_simplices(seed=3):
             s = random_regular_simplex(n, rng, center=c)
             yield s
             drifted = s.vertices + 1e-6 * rng.standard_normal(s.vertices.shape)
-            yield Simplex(drifted, radius=s.radius, check=False)
+            yield Simplex(drifted, radius=s.radius)
 
 
 def test_centroid_and_unit_frame_equal_the_mean_formulas():
@@ -454,7 +495,7 @@ def _overflowing_simplices():
     for n in (1, 2, 3, 8):
         V = 1e10 * rng.standard_normal((n + 1, n))
         for radius in (1e-300, 1e-310, 5e-324):
-            yield Simplex(V, radius=radius, check=False)
+            yield Simplex(V, radius=radius)
 
 
 def test_regularity_report_equals_the_out_of_place_formula():

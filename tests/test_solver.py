@@ -252,7 +252,7 @@ def test_recorded_gradient_norms_match_the_affine_solve(monkeypatch):
     trace = run(obj, cfg)
     assert len(trace.records) == cfg.max_iterations
     for record, V in zip(trace.records, simplices):
-        s = Simplex(V, radius=record.delta, check=False)
+        s = Simplex(V, radius=record.delta)
         values = np.array([obj(v) for v in V])
         want = np.linalg.norm(simplex_gradient(s, values))
         assert record.simplex_gradient_norm == pytest.approx(want, rel=1e-12)
@@ -785,6 +785,35 @@ def test_trace_config_missing_a_field_is_a_value_error(key):
     del d["config"][key]
     with pytest.raises(ValueError, match=f"malformed trace: config lacks {key}"):
         Trace.from_json(json.dumps(d))
+
+
+CONFIG_NUMBERS = ["delta0", "gamma", "epsilon", "beta", "eta", "L"]
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("name", CONFIG_NUMBERS)
+def test_config_numbers_are_floats_or_ints(name, value):
+    # the number rule of the trace loader's records: a bool or a string is
+    # not a number, though True compares as 1 and float("0.5") parses
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a number, got {value!r}$"):
+        SolverConfig(n=2, **{name: value})
+
+
+@pytest.mark.parametrize("name", CONFIG_NUMBERS)
+def test_trace_config_holding_true_is_a_value_error(name):
+    d = run(builtin("quad-iso", 2),
+            SolverConfig(n=2, stopping="none", max_iterations=3)).to_dict()
+    d["config"][name] = True
+    with pytest.raises(ValueError, match=f"^malformed trace: {name} must be "
+                                         "a number, got True$"):
+        Trace.from_json(json.dumps(d))
+
+
+def test_config_takes_numpy_numbers():
+    cfg = SolverConfig(n=2, delta0=np.float64(0.5), gamma=np.float64(0.5),
+                       epsilon=np.int64(1))
+    assert (cfg.delta0, cfg.gamma, cfg.epsilon) == (0.5, 0.5, 1)
 
 
 def test_trace_json_rejects_a_non_finite_record():

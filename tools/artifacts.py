@@ -28,11 +28,14 @@ into OUT, one file per artifact:
   beside SHA-256 digests of H and of G;
 * ``cli/`` -- stdout, stderr and exit code of the README commands, of
   ``verify-bounds`` and ``worst-case`` variants, of bad-input runs (audit
-  constants outside the positive doubles among them), of a solve whose
-  value sum overflows and the audit of its trace, and of ``--help`` for
-  the program and every subcommand (the ``wall_ms`` column of the scaling
-  CSV cut); the trace files these write are in ``cli/work``, each with its
-  ``.records.txt`` listing.
+  constants outside the positive doubles among them), of ``verify-bounds``
+  and ``worst-case`` on the ``SIMPLEX_FILES`` (collinear, coincident,
+  overflowing about the centroid, flattened to rcond 5e-14, radius field
+  1e-300), of a solve whose value sum overflows and the audit of its
+  trace, and of ``--help`` for the program and every subcommand (the
+  ``wall_ms`` column of the scaling CSV cut); the trace files these write
+  are in ``cli/work``, each with its ``.records.txt`` listing, and the
+  simplex files in ``cli/work/simplex``.
 
 Compare two checkouts with::
 
@@ -92,6 +95,27 @@ TOLERANT = ("certify/*.txt", "cli/verify-bounds-*.stdout",
 # entries built from it by up to a few ulps per term: the bound allows 8
 # per term at the largest n dumped, 64.
 ULP_BOUND = 8 * 65
+
+# The --simplex-json inputs of the CLI runs, by name; the first four fail the
+# nondegeneracy rule or overflow about their centroid, the last is a unit
+# triangle whose radius field makes its unit frame overflow.
+_A, _B, _T = math.sqrt(2.0 / 3.0), math.sqrt(2.0) / 3.0, 8.2e-14
+SIMPLEX_FILES = {
+    "collinear": {"dim": 2, "radius": 1,
+                  "vertices": [[0, 0], [1, 0], [2, 0]]},
+    "coincident": {"dim": 2, "radius": 1,
+                   "vertices": [[1, 1], [1, 1], [1, 1]]},
+    "centroid-overflow": {"dim": 2, "radius": 1e308,
+                          "vertices": [[1e308, 0], [1e308, 1e308],
+                                       [0, 1e308]]},
+    # a unit regular 3-simplex pressed by _T along its last axis: rcond of
+    # its affine system about 5e-14
+    "flat": {"dim": 3, "radius": 1.0,
+             "vertices": [[_A, _B, _T / 3], [-_A, _B, _T / 3],
+                          [0.0, -2 * _B, _T / 3], [0.0, 0.0, -_T]]},
+    "radius-1e-300": {"dim": 2, "radius": 1e-300,
+                      "vertices": [[0, 0], [1, 0], [0, 1]]},
+}
 
 # (name, argv); files named in an argv are written in OUT/cli/work
 CLI_RUNS = [
@@ -155,7 +179,9 @@ CLI_RUNS = [
                  "sweep.csv"]),
     ("help", ["--help"]),
 ] + [(f"help-{cmd}", [cmd, "--help"]) for cmd in
-     ("solve", "verify-bounds", "worst-case", "audit", "scaling")]
+     ("solve", "verify-bounds", "worst-case", "audit", "scaling")] + [
+    (f"{cmd}-file-{name}", [cmd, "--simplex-json", f"simplex/{name}.json"])
+    for name in SIMPLEX_FILES for cmd in ("verify-bounds", "worst-case")]
 
 
 def _write(path: Path, text: str) -> None:
@@ -286,6 +312,8 @@ def dump_cli(src: Path, out: Path) -> None:
     work = out / "cli" / "work"
     work.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    for name, d in SIMPLEX_FILES.items():
+        _write(work / "simplex" / f"{name}.json", json.dumps(d))
     for name, argv in CLI_RUNS:
         proc = subprocess.run([sys.executable, "-m", "rssm.cli", *argv],
                               cwd=work, env=env, capture_output=True, text=True)
