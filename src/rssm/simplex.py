@@ -315,10 +315,20 @@ def reflect_worst(s: Simplex, worst_index: int) -> np.ndarray:
     if not (0 <= worst_index < m):
         raise IndexError(f"vertex index {worst_index} out of range 0..{m - 1}")
     V = s.vertices
-    # the last row, the one run reflects, leaves a view of the others
+    # the last row, the one query_point reflects, leaves a view of the others
     others = (V[:worst_index] if worst_index == m - 1 else
               np.concatenate((V[:worst_index], V[worst_index + 1:])))
-    return -V[worst_index] + (2.0 / s.dim) * others.sum(axis=0)
+    return _reflection(others.sum(axis=0), V[worst_index], s.dim)
+
+
+def _reflection(rest: np.ndarray, worst: np.ndarray, n: int) -> np.ndarray:
+    """(2/n) * rest - worst: the reflection of the vertex `worst` through
+    the centroid of the other n, from `rest`, the sum of those n vertices.
+
+    The one reflection kernel: :func:`reflect_worst` passes the sum of the
+    other rows, the solver the running vertex sum minus the worst row.
+    """
+    return (2.0 / n) * rest - worst
 
 
 def shrink_toward_best(s: Simplex, best_index: int, gamma: float) -> Simplex:
@@ -424,14 +434,19 @@ def _extreme_deviation(sq: np.ndarray, ideal: float) -> float:
                ideal - math.sqrt(max(lo, 0.0)))
 
 
-def _unit_frame(s: Simplex, c: np.ndarray) -> np.ndarray:
-    """Vertices centred on their centroid c and divided by the stored radius.
+def _unit_frame(s: Simplex, c: np.ndarray, order=None) -> np.ndarray:
+    """Vertices centred on their centroid c and divided by the stored radius,
+    one per row, in the row order `order` (an index array) when given.
 
     Radius-normalised coordinates keep the geometry exactly scale-free and
     survive sizes whose squares would underflow.  The regularity report and
     the closed-form gradient both read this frame, so a caller that needs
     both builds it once and passes it to the two frame kernels.
     """
-    Y = s.vertices - c
+    if order is None:
+        Y = s.vertices - c
+    else:
+        Y = s.vertices.take(order, axis=0)
+        Y -= c
     Y /= s.radius
     return Y

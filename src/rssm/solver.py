@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, asdict
 from operator import attrgetter
 
@@ -35,10 +36,10 @@ from .simplex import (
     _frame_regularity,
     _is_int,
     _is_real,
+    _reflection,
     _squared_edges,
     _unit_frame,
     make_regular_simplex,
-    reflect_worst,
     shrink_toward_best,
 )
 # perfbench/tracing.py wraps rssm.solver.simplex_gradient, the name of the
@@ -361,76 +362,138 @@ class Trace:
 
 
 class SolverState:
-    """Mutable run state: value-sorted simplex, cached values, the
-    objective-call count (every other count is :class:`Trace`'s) and the
-    squared edges the regularity screen reads.
+    """Mutable run state: the simplex, whose vertices keep their slots (rows
+    of ``simplex.vertices``), the slots in value order, the values in that
+    order, the running vertex sum, the objective-call count (every other
+    count is :class:`Trace`'s) and the squared edges the regularity screen
+    reads.
 
-    ``_edges`` is E, indexed by slot: E[a, b] = ||y_i - y_j||^2 / (2(1+1/n))
-    for the vertices i, j at sorted positions with ``_slot[i] == a`` and
-    ``_slot[j] == b``, y the rows of the unit frame, and E[a, a] = ||y_i||^2,
-    so that every entry of a regular simplex is 1.  A sort permutes
-    ``_slot``, never E.  ``_moved`` is the sorted position of the one vertex
-    that moved since E was written, or None when E is to be rebuilt: the
-    caller sets it to n, the position a reflection replaces, or to None
-    before the sort, which carries it to the vertex's new position.
+    ``order`` lists the slots by ascending value, ties in the order they
+    had before, as a stable sort leaves them; ``values[i]`` is the value of
+    the vertex in slot ``order[i]``, so ``values[0]`` is the best value and
+    ``values[n]`` the worst.  ``total`` is T, the sum of the vertices: the
+    centroid is T/(n+1) and the reflection of the worst vertex x_w is
+    (2/n)(T - x_w) - x_w, each O(n).  An accepted reflection writes one row
+    and adds x_r - x_w to T; T is re-summed in value order at the start, at
+    every shrink and after every n+1 accepted reflections, so it is the
+    rounded sum of at most 3(n+1) rows (``tests/test_exact_geometry.py``
+    holds the centroid and the reflection to the bound that gives).
+
+    ``_edges`` is E, indexed by slot: E[a, b] = ||y_a - y_b||^2 / (2(1+1/n))
+    for y_a and y_b the unit-frame rows of the vertices in slots a and b,
+    and E[a, a] = ||y_a||^2, so that every entry of a regular simplex is 1.
+    ``_moved`` is the value position of the one vertex that moved since E
+    was written, or None when E is to be rebuilt.
     """
 
-    def __init__(self, simplex: Simplex, values: np.ndarray):
+    def __init__(self, simplex: Simplex, objective):
+        """Evaluate the objective at every vertex, slot by slot, and order
+        the slots by value."""
         self.simplex = simplex
-        self.values = values
+        self.objective = objective
         self.objective_calls = 0
-        m = len(values)
+        m = simplex.vertices.shape[0]
+        self.order = np.arange(m)
+        self.values = np.array([self.evaluate(x) for x in simplex.vertices])
         self._edges = np.empty((m, m))
         self._diagonal = self._edges.reshape(-1)[::m + 1]  # a view of E
         self._edge_scale = (m - 1) / (2.0 * m)  # 1 / (2(1+1/n))
-        self._slot = np.arange(m)
-        self._moved = None
+        self._sort()
 
-    def evaluate(self, objective, x) -> float:
+    def evaluate(self, x) -> float:
         """f(x), counted in objective_calls: the solver's only objective call.
 
         Raises:
-            EvaluationError: the value is NaN or infinite.
+            EvaluationError: the value is NaN, infinite or an int beyond the
+                double range.
         """
         self.objective_calls += 1
-        val = objective(x)
-        if not np.isfinite(val):
+        val = self.objective(x)
+        try:
+            finite = math.isfinite(val)
+        except OverflowError:  # an int beyond the doubles
+            finite = False
+        if not finite:
             raise EvaluationError(x, val)
         return float(val)
 
-    def sort(self) -> None:
-        """Ascending stable sort of vertices by cached value."""
-        order = np.argsort(self.values, kind="stable")
-        self.values = self.values[order]
-        self.simplex.vertices = self.simplex.vertices[order]
-        self._slot = self._slot[order]
-        if self._moved is not None:  # position n, the largest index
-            self._moved = int(order.argmax())
+    def centroid(self) -> np.ndarray:
+        """T/(n+1), the centroid from the running vertex sum."""
+        return self.total / len(self.order)
+
+    def reflection(self) -> np.ndarray:
+        """The reflection of the worst vertex through the centroid of the
+        other n, from the running vertex sum."""
+        x_w = self.simplex.vertices[self.order[-1]]
+        return _reflection(self.total - x_w, x_w, self.simplex.dim)
+
+    def accept(self, x_r: np.ndarray, f_r: float) -> None:
+        """Put x_r, of value f_r, in the worst vertex's slot."""
+        f, order = self.values, self.order
+        n = len(order) - 1
+        w = order[n]
+        V = self.simplex.vertices
+        self.total += x_r - V[w]
+        V[w] = x_r
+        # bisect_right places a tie last among the n best values, where a
+        # stable sort of the values in their previous order puts it
+        k = bisect_right(f, f_r, 0, n)
+        f[k + 1:] = f[k:n]
+        f[k] = f_r
+        order[k + 1:] = order[k:n]
+        order[k] = w
+        self._moved = k
+        self._updates += 1
+        if self._updates > n:
+            self._resum()
+
+    def shrink(self, gamma: float) -> None:
+        """Shrink every other vertex toward the best one, evaluate them in
+        value order and sort the slots again."""
+        self.simplex = shrink_toward_best(self.simplex, self.order[0], gamma)
+        V, f, order = self.simplex.vertices, self.values, self.order
+        for i in range(1, len(order)):
+            f[i] = self.evaluate(V[order[i]])
+        self._sort()
+
+    def _sort(self) -> None:
+        """Stable sort of the slots by value from their previous order;
+        re-sums T, and E is to be rebuilt."""
+        perm = np.argsort(self.values, kind="stable")
+        self.values = self.values[perm]
+        self.order = self.order[perm]
+        self._moved = None
+        self._resum()
+
+    def _resum(self) -> None:
+        """T summed afresh over the vertices in value order."""
+        self.total = self.simplex.vertices.take(self.order, axis=0).sum(axis=0)
+        self._updates = 0
 
     def _regularity_screen(self, Y: np.ndarray) -> float:
-        """Bring E up to date with the unit frame Y of the sorted simplex
-        and return max |sqrt(E_ab) - 1|, NaN when E holds one.
+        """Bring E up to date with the unit frame Y, in value order, and
+        return max |sqrt(E_ab) - 1|, NaN when E holds one.
 
         A rebuild forms the Gram matrix of Y, O(n^3); after a reflection
         one row and column of E and its diagonal are written, O(n^2).  The
         result differs from the deviation of :func:`_frame_regularity` by
         rounding of order (n+1) * machine epsilon.
         """
-        E, p, s = self._edges, self._moved, self._slot
+        E, p, o = self._edges, self._moved, self.order
         if p is None:
             G = Y @ Y.T
             sq = G.diagonal()
-            np.multiply(_squared_edges(sq, G), self._edge_scale, out=E)
-            self._diagonal[:] = sq
-            self._slot = np.arange(len(sq))
+            q = _squared_edges(sq, G)
+            q *= self._edge_scale
+            E[np.ix_(o, o)] = q
         else:
             sq = np.einsum("ij,ij->i", Y, Y)
             row = _squared_edges(sq, Y.dot(Y[p]), p)
             row *= self._edge_scale
-            a = s[p]
-            E[a][s] = row  # row and column a through views of E
-            E[:, a][s] = row
-            self._diagonal[s] = sq
+            a = o[p]
+            E[a][o] = row  # row and column a through views of E
+            E[:, a][o] = row
+        self._diagonal[o] = sq
         return _extreme_deviation(E, 1.0)
 
 
@@ -450,14 +513,24 @@ def _check_stopping(objective, cfg: SolverConfig) -> None:
 def run(objective, cfg: SolverConfig) -> Trace:
     """Run the search loop until the stopping criterion, a budget or a failure.
 
-    Each iteration, in order: take the value sum S, its mean and the
-    centroid once, and from that centroid the radius-normalised centred
-    frame, which gives the closed-form gradient and the regularity verdict;
+    Each iteration, in order: take the value sum S and its mean once, the
+    centroid once from the state's running vertex sum T, and from that
+    centroid the radius-normalised centred frame of the vertices in value
+    order, which gives the closed-form gradient and the regularity verdict;
     test the stopping criterion, the budgets and the practical-mode radius
-    floor; reflect the worst vertex and evaluate the candidate; accept it
-    when f_r - f_worst <= margin * delta_k^2, the margin -(2n+2)/n*beta*L or
-    -eta computed once per run, or else shrink the n non-best vertices
-    toward the best one and re-evaluate them; record; stable-sort by value.
+    floor; reflect the worst vertex, (2/n)(T - x_w) - x_w, and evaluate the
+    candidate; accept it when f_r - f_worst <= margin * delta_k^2, the
+    margin -(2n+2)/n*beta*L or -eta computed once per run, or else shrink
+    the n non-best vertices toward the best one and re-evaluate them in
+    value order; record.  The vertices keep their slots (see
+    :class:`SolverState`): an accepted reflection writes one row, updates T
+    and inserts its slot into the value order, O(n) beside the O(n^2)
+    frame; a shrink sorts the slots again and re-sums T.  S, f_best,
+    f_worst and the mean of the n best are read from the values in value
+    order.  Up to the first accepted reflection, and throughout a run of
+    shrinks only, every number is the one the sums of the rows in value
+    order give, bit for bit; after it, x_r and the centroid from T differ
+    from those sums in their last bits.
 
     The verdict is screened on the squared edges cached on the state
     (``SolverState._regularity_screen``): a reflection updates one row
@@ -491,8 +564,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
     """
     _check_stopping(objective, cfg)
     n = cfg.n
-    state = SolverState(make_regular_simplex(cfg.start_center(), cfg.delta0, n),
-                        np.empty(n + 1))
+    simplex = make_regular_simplex(cfg.start_center(), cfg.delta0, n)
     trace = Trace(config=cfg.to_dict())
     reflection_only = cfg.algorithm == "reflection_only"
     if cfg.mode == "theoretical":
@@ -500,9 +572,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
     else:
         margin = -cfg.eta
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(state.simplex.vertices):
-            state.values[i] = state.evaluate(objective, x)
-        state.sort()
+        state = SolverState(simplex, objective)
         while True:
             f = state.values
             delta = state.simplex.radius
@@ -513,8 +583,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
                 grad_norm = math.nan  # this loop top takes no gradient
                 break
             mean = S / (n + 1)
-            c = state.simplex.centroid()
-            Y = _unit_frame(state.simplex, c)
+            c = state.centroid()
+            Y = _unit_frame(state.simplex, c, state.order)
             g = _frame_gradient(Y, f, mean, delta)
             grad_norm = math.sqrt(g @ g)
             if not grad_norm <= _MAX:  # NaN or inf
@@ -552,8 +622,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
             f_worst_k = float(f[n])
             mean_best = float(f[:n].sum() / n)
             # the candidate is evaluated even when the step ends in a shrink
-            x_r = reflect_worst(state.simplex, n)
-            f_r = state.evaluate(objective, x_r)
+            x_r = state.reflection()
+            f_r = state.evaluate(x_r)
             v, v_r = f_worst_k - mean_best, f_r - mean_best
             if not (-_MAX <= v <= _MAX and -_MAX <= v_r <= _MAX):
                 # the record could not be written; the step is not taken
@@ -568,23 +638,17 @@ def run(objective, cfg: SolverConfig) -> Trace:
             # step shrinks
             accepted = reflection_only or f_r - f_worst_k <= margin * _sq(delta)
             if accepted:
-                state.simplex.vertices[n] = x_r
-                f[n] = f_r
+                state.accept(x_r, f_r)
             else:
-                state.simplex = shrink_toward_best(state.simplex, 0, cfg.gamma)
-                V = state.simplex.vertices
-                for i in range(1, n + 1):
-                    f[i] = state.evaluate(objective, V[i])
+                state.shrink(cfg.gamma)
             trace.records.append(IterationRecord(  # the fields in their order
                 "reflection" if accepted else "shrink", delta, S, f_best_k,
                 f_worst_k, v, v_r, grad_norm))
-            state._moved = n if accepted else None
-            state.sort()
 
     trace.summary.update({
         "final_delta": state.simplex.radius,
         "final_values": state.values.tolist(),
-        "best_point": state.simplex.vertices[0].tolist(),
+        "best_point": state.simplex.vertices[state.order[0]].tolist(),
         "best_value": float(state.values[0]),
         "objective_calls": state.objective_calls,
     })

@@ -8,19 +8,35 @@ Stability of Numerical Algorithms", 2nd ed. (2002), ch. 3: a sum of m
 terms, in any order, is within gamma_(m-1) of the sum of their magnitudes,
 and each further rounded operation adds one to k.  The bounds are compared
 in exact arithmetic too.  The simplices are those of the weights oracle:
-n <= 8, at the origin, rotated, and at centres 1e3 and 1e6.
+n <= 8, at the origin, rotated, and at centres 1e3 and 1e6; the solver's
+running-sum centroid and reflection are also held at n = 16.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rssm.simplex import reflect_worst, shrink_toward_best
+from rssm.simplex import make_regular_simplex, reflect_worst, shrink_toward_best
+from rssm.solver import SolverState
 
+from conftest import random_regular_simplex
 from test_exact_weights import _simplices
 
 SIMPLICES = list(_simplices())
 SHRINK_GAMMAS = (0.5, 0.3, 0.9)
+
+
+def _running_sum_simplices():
+    yield from SIMPLICES
+    n = 16
+    rng = np.random.default_rng(n)
+    yield n, "origin", make_regular_simplex(np.zeros(n), 1.0, n)
+    for centre in (1e3, 1e6):
+        c = rng.uniform(-1.0, 1.0, n)
+        c *= centre / np.abs(c).max()
+        yield n, f"centre-{centre:.0e}", random_regular_simplex(n, rng,
+                                                                center=c)
 
 
 def gamma(k: int) -> Fraction:
@@ -83,3 +99,40 @@ def test_shrink_toward_every_vertex_lies_within_its_bound(n, where, s):
             radius = G * Fraction(s.radius)
             assert abs(Fraction(s2.radius) - radius) <= gamma(1) * radius
 
+
+
+@pytest.mark.parametrize("n,where,s", list(_running_sum_simplices()))
+def test_running_sum_centroid_and_reflection_lie_within_their_bounds(n, where,
+                                                                     s):
+    # The solver's T starts as the sum of the n+1 rows, and each accepted
+    # reflection adds fl(x_r - x_w) to it: after t updates T is a rounded
+    # summation tree of M = n+1+2t float terms, within gamma_(M-1) of the
+    # sum of their magnitudes W.  The centroid T/(n+1) is one division
+    # more: gamma_M W/(n+1).  The reflection (2/n)(T - x_w) - x_w adds the
+    # term -x_w (gamma_M of W + |x_w|), 2/n rounded and one product
+    # (gamma_(M+2)) and the final subtraction: gamma_(M+3) of
+    # (2/n)(W + |x_w|) + |x_w|.  A re-sum after n+1 updates leaves a tree of
+    # the n+1 current rows, all among the terms, so these bounds hold
+    # across it.  The oracle reads the rows the state holds.
+    rng = np.random.default_rng(n)
+    state = SolverState(type(s)(s.vertices.copy(), radius=s.radius),
+                        lambda x: float(rng.standard_normal()))
+    m, k = n + 1, Fraction(2, n)
+    M = m
+    W = [sum(map(abs, col)) for col in zip(*exact_rows(s.vertices))]
+    for t in range(n + 2):
+        X = exact_rows(state.simplex.vertices)
+        total = [sum(col) for col in zip(*X)]
+        bound = [gamma(M) * a / m for a in W]
+        assert_within(state.centroid(), [x / m for x in total], bound,
+                      (where, t))
+        x_w = X[int(state.order[n])]
+        want = [k * (a - b) - b for a, b in zip(total, x_w)]
+        bound = [gamma(M + 3) * (k * (a + abs(b)) + abs(b))
+                 for a, b in zip(W, x_w)]
+        x_r = state.reflection()
+        assert_within(x_r, want, bound, (where, t))
+        W = [a + abs(b) + abs(Fraction(float(r)))
+             for a, b, r in zip(W, x_w, x_r)]
+        M += 2
+        state.accept(x_r, float(rng.standard_normal()))

@@ -46,18 +46,25 @@ Compare two checkouts with::
 A change of the trace file layout shows in the ``.json`` traces only; the
 listings stay equal while the records do.
 
-A change that replaces a bound-pipeline kernel by one as accurate moves
-last bits there, so ``diff -r`` cannot gate it.  Then::
+A change that replaces a kernel by one as accurate moves last bits, so
+``diff -r`` cannot gate it.  Then::
 
     python3 tools/artifacts.py --compare /tmp/a /tmp/b
 
-requires every ``trace/``, ``audit/`` and other ``cli/`` file to be
-byte-identical, and the ``TOLERANT`` files (``certify/`` and the
+requires the ``TOLERANT`` files (``certify/`` and the
 ``verify-bounds``/``worst-case`` stdouts) to match value by value: every
 boolean, string, integer and index set equal, every float within
-``ULP_BOUND`` units in the last place of its scale (digests skipped).  It
-prints each problem and the largest float distance, and exits 1 on a
-problem.
+``ULP_BOUND`` units in the last place of its scale (digests skipped).  A
+trace that is not byte-identical (``trace/`` and ``cli/work/``, with its
+``.records.txt`` listing and the stdout of the CLI run that wrote it) must
+keep its stop reason, and on ``epsilon-reached`` its step string; for any
+other reason the first record whose step differs is listed with its delta
+and f_worst - f_best, which shows whether the runs parted where rounding
+decides a step.  An audit (``audit/`` and the ``audit-*`` stdouts) must keep
+its verdict and the status of every check, any other CLI output its text
+apart from its float literals, and every other file its bytes.  It prints
+each listed trace, each problem and the largest float distance, and exits
+1 on a problem.
 The perfbench workloads are read from this script's own checkout.  The run
 takes about a minute and is not part of the test suite.
 """
@@ -70,6 +77,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -373,18 +381,116 @@ def _compare_values(a, b, where: str, scale: float | None,
     return 0.0
 
 
+def _is_trace(rel: str) -> bool:
+    """A trace file of the dump: trace/<name>.json or cli/work/<name>.json
+    (the simplex input files lie one level further down)."""
+    parts = rel.split("/")
+    return rel.endswith(".json") and (parts[0] == "trace" and len(parts) == 2
+                                      or parts[:2] == ["cli", "work"]
+                                      and len(parts) == 3)
+
+
+# the stdout of a CLI run that wrote a trace renders that trace, and is
+# judged with it
+RENDERS = {f"cli/{name}.stdout": f"cli/work/{argv[argv.index('--trace-out') + 1]}"
+           for name, argv in CLI_RUNS if "--trace-out" in argv}
+
+# a float literal of a CLI text output: a decimal point or an exponent
+_FLOAT = re.compile(r"(-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+)")
+
+
+def _compare_trace(rel: str, x: bytes, y: bytes, problems: list[str],
+                   notes: list[str]) -> None:
+    """Two traces that are not byte-identical: the same reason, and on
+    epsilon-reached the same step string, or a problem; otherwise a note of
+    the first record whose step differs, with its delta and f_worst - f_best
+    (also in units in the last place of f_worst)."""
+    a, b = json.loads(x), json.loads(y)
+    reason = a["reason"]
+    if reason != b["reason"]:
+        problems.append(f"{rel}: reason {reason!r} vs {b['reason']!r}")
+        return
+    sa, sb = a["records"]["step"], b["records"]["step"]
+    k = next((i for i, (p, q) in enumerate(zip(sa, sb)) if p != q),
+             min(len(sa), len(sb)))
+    where = f"{rel}: {reason}, {len(sa)} vs {len(sb)} records"
+    if reason == "epsilon-reached":
+        if sa != sb:
+            problems.append(f"{where}, steps differ from record {k}")
+    elif k < min(len(sa), len(sb)):
+        r = a["records"]
+        gap = r["f_worst"][k] - r["f_best"][k]
+        notes.append(f"{where}; first differing step at record {k}: delta "
+                     f"{r['delta'][k]!r}, f_worst - f_best {gap!r} "
+                     f"({gap / math.ulp(r['f_worst'][k]):.3g} ulps of "
+                     f"f_worst)")
+    elif sa != sb:
+        notes.append(f"{where}; the steps agree up to the shorter run's end")
+    else:
+        notes.append(f"{where}; the same steps")
+
+
+def _statuses(doc: dict) -> list:
+    return [("passed", doc["passed"])] + [(c["name"], c["status"])
+                                          for c in doc["checks"]]
+
+
 def compare(a: Path, b: Path) -> int:
-    """Compare two dumps: the TOLERANT files value by value, floats within
-    ULP_BOUND, and every other file byte for byte.  Prints each problem and
-    the largest float distance; returns 0 when there is no problem."""
+    """Compare two dumps.  Prints each problem, a note for each trace whose
+    steps may differ, and the largest float distance; returns 0 when there
+    is no problem.
+
+    * a TOLERANT file: value by value, floats within ULP_BOUND;
+    * a trace (and its .records.txt listing, and the stdout of the CLI run
+      that wrote it): the same reason and, on epsilon-reached, the same
+      step string; for any other reason a note lists the first differing
+      record with its delta and f_worst - f_best;
+    * an audit (audit/, and the audit-* stdouts): the same verdict and the
+      same status of every check;
+    * any other CLI output: the same text apart from its float literals;
+    * every other file: byte for byte.
+    """
     files = {p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file()}
     other = {p.relative_to(b).as_posix() for p in b.rglob("*") if p.is_file()}
     problems = [f"{rel}: only in {a}" for rel in sorted(files - other)]
     problems += [f"{rel}: only in {b}" for rel in sorted(other - files)]
+    notes = []
     worst = 0.0
-    for rel in sorted(files & other):
+    traces = epsilon = 0
+    both = files & other
+
+    def judged_as_trace(rel):
+        """The trace rel renders or lists, when that trace differs too."""
+        trace = RENDERS.get(rel, rel.removesuffix(".records.txt") + ".json")
+        return (trace != rel and trace in both
+                and (a / trace).read_bytes() != (b / trace).read_bytes())
+
+    for rel in sorted(both):
         x, y = (a / rel).read_bytes(), (b / rel).read_bytes()
-        if x == y:
+        if x == y or judged_as_trace(rel):
+            continue
+        if _is_trace(rel):
+            traces += 1
+            epsilon += json.loads(x)["reason"] == "epsilon-reached"
+            _compare_trace(rel, x, y, problems, notes)
+            continue
+        if (rel.startswith("audit/")
+                or fnmatch.fnmatch(rel, "cli/audit-*.stdout")):
+            try:
+                sa, sb = _statuses(json.loads(x)), _statuses(json.loads(y))
+            except (ValueError, KeyError, TypeError):
+                problems.append(f"{rel}: differs and is not an audit")
+                continue
+            if sa != sb:
+                diff = [f"{p} {u!r} vs {v!r}" for (p, u), (_, v)
+                        in zip(sa, sb) if u != v] or [f"{sa} vs {sb}"]
+                problems.append(f"{rel}: statuses differ: {'; '.join(diff)}")
+            continue
+        if rel.startswith("cli/") and not any(fnmatch.fnmatch(rel, pat)
+                                              for pat in TOLERANT):
+            u, v = _FLOAT.split(x.decode()), _FLOAT.split(y.decode())
+            if len(u) != len(v) or u[::2] != v[::2]:
+                problems.append(f"{rel}: differs apart from its floats")
             continue
         if not any(fnmatch.fnmatch(rel, pat) for pat in TOLERANT):
             problems.append(f"{rel}: differs")
@@ -403,8 +509,10 @@ def compare(a: Path, b: Path) -> int:
                 continue
             worst = max(worst, _compare_values(u, v, f"{rel}:{i}", None,
                                                problems))
-    for line in problems:
+    for line in notes + problems:
         print(line)
+    print(f"{traces} traces differ: {epsilon} epsilon-reached, "
+          f"{traces - epsilon} others listed")
     print(f"{len(problems)} problems; largest float distance {worst:.3g} "
           f"ulps of scale (bound {ULP_BOUND})")
     return 1 if problems else 0
