@@ -71,7 +71,8 @@ MU_TOL = -1e-12
 # ||F||_2 <= (n+1) ||F||max <= sqrt(u).  One residual correction leaves an
 # error of order ||F||_2^2 = u times the weights (see _frame_weights): the
 # rounding level of the solve it replaces.
-_FRAME_TOL = math.sqrt(np.finfo(float).eps / 2)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_FRAME_TOL = math.sqrt(_UNIT_ROUNDOFF)
 
 
 @dataclass
@@ -116,21 +117,34 @@ def _frame_weights(s: Simplex, x: np.ndarray) -> np.ndarray | None:
     M F^2 (I - F)^-1 b, at most about u ||M|| ||b|| as ||F||_2 <= sqrt(u).
     The correction is what makes these the weights of the rounded vertices,
     not of the ideal simplex they approximate.
+
+    Far from the origin the rounded centroid c is off by about u ||c||, so
+    Y'1 grows with ||c||/delta and the centring block alone can miss the
+    certificate.  Then the frame is re-centred once on its own column
+    means m, Y - 1m', and q becomes q - m: translating the frame and the
+    query alike leaves the weights unchanged, since they sum to 1.
     """
     n = s.dim
     k = n / (n + 1.0)
+    tol = _FRAME_TOL / (n + 1)
+    shift = 0.0
     # a frame that overflows (an unresolved radius) fails the certificate
     with np.errstate(over="ignore", invalid="ignore"):
         c = s.centroid()
         Y = _unit_frame(s, c)
+        column_sums = Y.sum(axis=0)
+        if not k * float(np.abs(column_sums).max()) <= tol:
+            shift = column_sums / (n + 1)
+            Y -= shift
+            column_sums = Y.sum(axis=0)
         F = Y.T @ Y
         F *= k
         F.ravel()[::n + 1] -= 1.0
         residual = max(float(np.abs(F).max()),
-                       k * float(np.abs(Y.sum(axis=0)).max()))
-    if not residual <= _FRAME_TOL / (n + 1):  # NaN fails too
+                       k * float(np.abs(column_sums).max()))
+    if not residual <= tol:  # NaN fails too
         return None
-    q = (x - c) / s.radius
+    q = (x - c) / s.radius - shift
     w = k * (Y @ q) + 1.0 / (n + 1)
     w += (1.0 - w.sum()) / (n + 1) + k * (Y @ (q - Y.T @ w))
     return w
@@ -213,56 +227,167 @@ def _deterministic_eigh(Gm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, P
 
 
-@dataclass
+def _classify(values: np.ndarray) -> np.ndarray:
+    """+1, -1 or 0 per value: 0 when within EIG_ZERO_RTOL of the largest
+    magnitude."""
+    tol = EIG_ZERO_RTOL * float(np.abs(values).max(initial=0.0)) + np.finfo(float).tiny
+    return np.where(values > tol, 1.0, np.where(values < -tol, -1.0, 0.0))
+
+
+def _two_cluster_form(Gm: np.ndarray, q: QueryCoefficients,
+                      offsets: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+    """(u, lam_u, lam_c) with G = lam_c I + (lam_u - lam_c) u u' certified,
+    or None.
+
+    On a regular simplex the three canonical queries give this form: the
+    centroid a scalar G, the reflection u along the one vertex of negative
+    weight, the shrink u along either vertex of nonzero weight.  u is read
+    from the sign partition: the offset x_i - x of the one negative vertex,
+    else (no negative vertex) of the first positive one; any other
+    partition, and n = 1, returns None.  lam_u = u'Gu and lam_c is the mean
+    of the rest of the trace, (tr G - lam_u)/(n-1).
+
+    The certificate: with E = G - G_cf and m = max(|lam_u|, |lam_c|),
+    eps = n ||E||max + 16(n+1) u m (u the unit roundoff; the second term
+    covers the rounding of E and ||u||^2 != 1) bounds ||E||_2 plus the
+    distance of G_cf's eigenvalues from lam_u, lam_c.  By Weyl's bound every
+    eigenvalue of G lies within eps of its cluster value.  The form is
+    accepted when eps <= EIG_ZERO_RTOL m / 2 and each cluster value v sits
+    outside the band where that shift could change its zero class:
+    |v| <= EIG_ZERO_RTOL (m - eps) - eps (zero) or
+    |v| > EIG_ZERO_RTOL (m + eps) + eps (nonzero, the sign of v).  Then
+    every eigenvalue of G gets the class of its cluster value, so the counts
+    equal those of eigh, and the cluster sums differ from eigh's sums only
+    by O(||E||^2 / gap) plus rounding.
+    """
+    n = Gm.shape[0]
+    negative = [i for i in q.negative_index_set if i != 0]
+    if n < 2 or len(negative) > 1 or not (negative or q.positive_index_set):
+        return None
+    i = negative[0] if negative else q.positive_index_set[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = offsets[i - 1]
+        u = y / math.sqrt(float(y @ y))
+        lam_u = float(u @ (Gm @ u))
+        lam_c = (float(Gm.trace()) - lam_u) / (n - 1)
+        E = np.multiply.outer(u, (lam_c - lam_u) * u)
+        E += Gm
+        E.ravel()[::n + 1] -= lam_c
+        m = max(abs(lam_u), abs(lam_c))
+        eps = n * float(np.abs(E).max()) + 16 * (n + 1) * _UNIT_ROUNDOFF * m
+    if not eps <= 0.5 * EIG_ZERO_RTOL * m:  # NaN fails too
+        return None
+    zero = EIG_ZERO_RTOL * (m - eps) - eps
+    nonzero = EIG_ZERO_RTOL * (m + eps) + eps + np.finfo(float).tiny
+    if any(zero < abs(v) <= nonzero for v in (lam_u, lam_c)):
+        return None
+    return u, lam_u, lam_c
+
+
 class GMatrix:
-    """The signed second-moment matrix of a query, with its eigensystem.
+    """The signed second-moment matrix of a query, with its spectrum.
 
     The count of positive eigenvalues equals |I_+| - 1 and of negative ones
     |I_-| - 1, where I_+/I_- is the sign partition of the affine weights.
+
+    Built without an eigensystem (as g_matrix builds it), G first tries the
+    certified two-cluster form G = lam_c I + (lam_u - lam_c) u u' of the
+    canonical queries on a regular simplex (:func:`_two_cluster_form`).
+    When it holds, the counts, the spectral sums, the extremal quadratic and
+    the mu certificate read the two cluster values and u, all in O(n^2);
+    otherwise they read eigh of `matrix`.  `eigenvalues` (descending) and
+    `eigenvectors` (columns, aligned) are eigh of `matrix` in either case,
+    computed on first read: inside a multiple eigenvalue the rounded values
+    of G spread by more than the cluster mean shows, so they are never
+    replaced by it.  A given eigensystem is taken as the spectrum, with no
+    two-cluster form.
     """
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray  # descending
-    eigenvectors: np.ndarray  # columns, aligned with eigenvalues
-    coefficients: QueryCoefficients
-    offsets: np.ndarray  # rows x_i - x: the vertices centred at the query
+    def __init__(self, matrix: np.ndarray, eigenvalues: np.ndarray | None = None,
+                 eigenvectors: np.ndarray | None = None, *,
+                 coefficients: QueryCoefficients, offsets: np.ndarray):
+        self.matrix = matrix
+        self.coefficients = coefficients
+        self.offsets = offsets  # rows x_i - x: the vertices centred at the query
+        if eigenvalues is not None:
+            self._eigensystem = (eigenvalues, eigenvectors)
+            self._two_cluster = None
+
+    @cached_property
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        return _deterministic_eigh(self.matrix)
+
+    @cached_property
+    def _two_cluster(self) -> tuple[np.ndarray, float, float] | None:
+        return _two_cluster_form(self.matrix, self.coefficients, self.offsets)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigensystem[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigensystem[1]
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, multiplicities): the two cluster values, or every
+        eigenvalue once."""
+        if self._two_cluster is not None:
+            _, lam_u, lam_c = self._two_cluster
+            return (np.array([lam_u, lam_c]),
+                    np.array([1.0, self.matrix.shape[0] - 1.0]))
+        w = self.eigenvalues
+        return w, np.ones(len(w))
 
     @cached_property
     def _signs(self) -> np.ndarray:
-        """+1, -1 or 0 per eigenvalue: 0 when within EIG_ZERO_RTOL of the
-        largest magnitude.
+        """+1, -1 or 0 per spectrum value: 0 when within EIG_ZERO_RTOL of
+        the largest magnitude.
 
         The one zero classification: the counts, the traces (and so the
         bound), the extremal quadratic and the mu certificate all read it.
         """
-        w = self.eigenvalues
-        tol = EIG_ZERO_RTOL * float(np.abs(w).max(initial=0.0)) + np.finfo(float).tiny
-        return np.where(w > tol, 1.0, np.where(w < -tol, -1.0, 0.0))
+        return _classify(self._spectrum[0])
+
+    def _class_sum(self, values: np.ndarray, mask: np.ndarray) -> float:
+        return float((self._spectrum[1] * values)[mask].sum())
 
     def positive_count(self) -> int:
-        return int(np.sum(self._signs > 0))
+        return int(self._spectrum[1][self._signs > 0].sum())
 
     def negative_count(self) -> int:
-        return int(np.sum(self._signs < 0))
+        return int(self._spectrum[1][self._signs < 0].sum())
 
     def nuclear_norm(self) -> float:
-        return float(np.abs(self.eigenvalues[self._signs != 0]).sum())
+        return self._class_sum(np.abs(self._spectrum[0]), self._signs != 0)
 
     def trace_positive(self) -> float:
-        return float(self.eigenvalues[self._signs > 0].sum())
+        return self._class_sum(self._spectrum[0], self._signs > 0)
 
     def trace_negative(self) -> float:
         """Magnitude of the negative part of the trace (a nonnegative number)."""
-        return float(-self.eigenvalues[self._signs < 0].sum())
+        return -self._class_sum(self._spectrum[0], self._signs < 0)
+
+    def _negative_basis(self) -> np.ndarray:
+        """Orthonormal columns spanning the negative eigenspace: u or
+        nothing when the lam_c cluster (sign 1) is not negative, else the
+        eigenvectors eigh classes negative (the certified counts agree)."""
+        if self._two_cluster is not None and self._signs[1] >= 0:
+            u = self._two_cluster[0]
+            return u[:, None] if self._signs[0] < 0 else u[:, :0]
+        return self.eigenvectors[:, _classify(self.eigenvalues) < 0]
 
 
 def g_matrix(s: Simplex, x) -> GMatrix:
-    """Assemble G = sum_i ell_i (x_i - x)(x_i - x)' with its eigendecomposition.
+    """Assemble G = sum_i ell_i (x_i - x)(x_i - x)'.
 
     The query-centered form equals sum_{i=0..n+1} ell_i x_i x_i' because the
     weights satisfy sum ell_i = 0 and sum ell_i x_i = 0; centering just
     removes cancellation error for far-away simplices.  A G that is not
-    finite raises ValueError.
+    finite raises ValueError.  No eigendecomposition runs here: the GMatrix
+    takes its spectrum from the certified two-cluster form when the query
+    is canonical on a regular simplex, else from eigh on first need.
     """
     x = np.asarray(x, dtype=float)
     q = lagrange_coefficients(s, x)
@@ -271,9 +396,7 @@ def g_matrix(s: Simplex, x) -> GMatrix:
     Gm = 0.5 * (Gm + Gm.T)
     if not np.isfinite(Gm).all():
         raise ValueError("G overflows the double range")
-    w, P = _deterministic_eigh(Gm)
-    return GMatrix(matrix=Gm, eigenvalues=w, eigenvectors=P, coefficients=q,
-                   offsets=Y)
+    return GMatrix(Gm, coefficients=q, offsets=Y)
 
 
 def error_bound(kind: str, cls: str, n: int, L: float, delta: float,
@@ -391,7 +514,7 @@ def mu_certificate(g: GMatrix) -> MuCertificate:
             f"match |I_-|-1 = {m}; certificate unavailable"
         )
         return cert
-    P_neg = g.eigenvectors[:, g._signs < 0]
+    P_neg = g._negative_basis()
     Y = g.offsets
     Y_pos = Y[[i - 1 for i in pos], :]
     Y_neg = Y[[i - 1 for i in neg_tail], :]
@@ -406,9 +529,10 @@ def mu_certificate(g: GMatrix) -> MuCertificate:
     # cumsum adds left to right, so the residual column is rounded exactly
     # as a running sum over j would round it
     residual = ell[pos] - np.cumsum(M, axis=1)[:, -1]
-    for i, row, r in zip(pos, M.tolist(), residual.tolist()):
-        cert.entries.update(zip([(i, j) for j in neg_tail], row))
-        cert.entries[(i, 0)] = r
+    # row by row: mu_ij for j in I_- minus the query, then mu_i0
+    columns = (*neg_tail, 0)
+    values = np.concatenate([M, residual[:, None]], axis=1).ravel().tolist()
+    cert.entries = dict(zip([(i, j) for i in pos for j in columns], values))
     return cert
 
 
@@ -432,7 +556,24 @@ class Quadratic:
         return float(np.linalg.norm(self.H, 2))
 
     def is_convex(self) -> bool:
-        return bool(np.linalg.eigvalsh(self.H).min() >= -1e-12)
+        """H >= 0, with eigenvalues within EIG_ZERO_RTOL of the largest
+        magnitude counted as zero."""
+        w = np.linalg.eigvalsh(self.H)
+        return bool(w.min() >= -EIG_ZERO_RTOL * float(np.abs(w).max(initial=0.0)))
+
+
+def _extremal_weights(g: GMatrix, cls: str, sign: str) -> np.ndarray:
+    """The weight of each spectrum value of G in H*/L: +-1 or 0."""
+    if cls not in CLASSES:
+        raise ValueError(f"unknown function class {cls!r}")
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
+    d = g._signs
+    if cls == "nonconvex":
+        return -d if sign == "negative" else d
+    if sign == "positive":
+        return (d > 0).astype(float)
+    return (d < 0).astype(float)
 
 
 def worst_case_quadratic(g: GMatrix, L: float, cls: str,
@@ -446,22 +587,17 @@ def worst_case_quadratic(g: GMatrix, L: float, cls: str,
     (L/2)tr(G_+) of overestimation) or negative (sign="negative", attaining
     (L/2)tr(G_-) of underestimation) eigenspace of G.
     """
-    if cls not in CLASSES:
-        raise ValueError(f"unknown function class {cls!r}")
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    d = g._signs
-    if cls == "nonconvex":
-        if sign == "negative":
-            d = -d
-    elif sign == "positive":
-        d = (d > 0).astype(float)
+    d = _extremal_weights(g, cls, sign)
+    n = g.matrix.shape[0]
+    if g._two_cluster is not None:
+        # H = L (d_c I + (d_u - d_c) u u'), symmetric entry for entry
+        u = g._two_cluster[0]
+        H = (L * (d[0] - d[1])) * np.outer(u, u)
+        H.ravel()[::n + 1] += L * d[1]
     else:
-        d = (d < 0).astype(float)
-    P = g.eigenvectors
-    H = L * (P * d) @ P.T
-    H = 0.5 * (H + H.T)
-    n = H.shape[0]
+        P = g.eigenvectors
+        H = L * (P * d) @ P.T
+        H = 0.5 * (H + H.T)
     return Quadratic(H=H, v=np.zeros(n), c=0.0)
 
 
@@ -550,7 +686,13 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     # f(u - centre) at every vertex u (c = 0, v = 0): (1/2) rowsum((Y H) o Y)
     centre = s.centroid()
     Y = s.vertices - centre[None, :]
-    values = 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
+    if g._two_cluster is None:
+        values = 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
+    else:
+        # y'Hy = L (d_c ||y||^2 + (d_u - d_c) (y.u)^2)
+        d_u, d_c = L * _extremal_weights(g, cls, sign)
+        a = Y @ g._two_cluster[0]
+        values = 0.5 * (d_c * (Y * Y).sum(axis=1) + (d_u - d_c) * (a * a))
     achieved = abs(float(g.coefficients.ell[1:] @ values) - quad(x - centre))
     if not (np.isfinite(bound) and np.isfinite(achieved)):
         raise ValueError(f"the {kind} bound overflows the double range: "

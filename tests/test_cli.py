@@ -322,6 +322,15 @@ def test_worst_case_convex_is_convex(capsys):
     assert np.linalg.eigvalsh(H).min() >= -1e-9
 
 
+@pytest.mark.parametrize("L", ["1e-13", "1", "1e13"])
+def test_worst_case_nonconvex_reflection_is_not_convex_at_any_scale(capsys, L):
+    # H = L (I - 2uu') has the eigenvalue -L
+    code, out, _ = run_cli(capsys, "worst-case", "--n", "2", "--kind",
+                           "reflection", "--cls", "nonconvex", "--L", L)
+    assert code == 0
+    assert json.loads(out)["quadratic"]["convex"] is False
+
+
 @pytest.mark.parametrize("kind,cls", [("reflection", "convex"),
                                       ("centroid", "nonconvex"),
                                       ("shrink", "convex")])

@@ -7,6 +7,9 @@ certified closed form (``_frame_weights``) and the guarded solve of
 ``_affine_system`` -- are held to one a-priori bound on their distance from
 it (``weight_error_bound``).  n stays at most 8, where one exact solve takes
 a few milliseconds.
+
+The same oracle gives G exactly, against which the certified two-cluster
+form of G (``GMatrix._two_cluster``) is held to its threshold.
 """
 
 from fractions import Fraction
@@ -14,9 +17,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rssm.interpolation import (_frame_weights, _solve_guarded,
+from rssm.interpolation import (EIG_ZERO_RTOL, _FRAME_TOL, _frame_weights,
+                                _solve_guarded, g_matrix,
                                 lagrange_coefficients, query_point)
-from rssm.simplex import _affine_system, make_regular_simplex
+from rssm.simplex import _affine_system, _unit_frame, make_regular_simplex
 
 from conftest import random_regular_simplex
 
@@ -122,3 +126,67 @@ def test_the_oracle_solves_a_hand_example():
     V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert exact_weights(V, np.array([0.25, 0.5])) == [
         Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+
+
+def test_a_re_centred_frame_keeps_the_weights_within_the_bound():
+    # at ||c||/delta = 4e6 and n = 8 the rounded centroid leaves the frame's
+    # column sums beyond the certificate; re-centred on its column means,
+    # the frame certifies, and its weights are those of the rounded vertices
+    n = 8
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-1.0, 1.0, n)
+    c *= 4e6 / np.abs(c).max()
+    s = random_regular_simplex(n, rng, center=c)
+    Y = _unit_frame(s, s.centroid())
+    assert not n / (n + 1) * np.abs(Y.sum(axis=0)).max() <= _FRAME_TOL / (n + 1)
+    for kind, x in _queries(s):
+        w_exact = exact_weights(s.vertices, x)
+        fast = _frame_weights(s, x)
+        assert fast is not None, kind
+        assert _error(fast, w_exact) <= weight_error_bound(s, x, w_exact), kind
+
+
+def _exact_g(V, x, w):
+    """G = sum_i w_i (v_i - x)(v_i - x)' in exact arithmetic."""
+    rows = [[Fraction(float(a)) - Fraction(float(b)) for a, b in zip(v, x)]
+            for v in V]
+    n = len(x)
+    return [[sum(wi * r[i] * r[j] for wi, r in zip(w, rows)) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n,where,s", [c for c in _simplices()
+                                       if c[1] != "centre-1e+06"])
+def test_the_two_cluster_form_of_g_lies_within_its_threshold(n, where, s):
+    # With u, lam_u, lam_c as certified, G_cf = lam_c I + (lam_u - lam_c) uu'
+    # has the eigenvalues lam_c and lam_u + (lam_u - lam_c)(||u||^2 - 1), so
+    # each eigenvalue of a G is within n ||G - G_cf||max + 2m |||u||^2 - 1|
+    # of its cluster value (Weyl), m = max(|lam_u|, |lam_c|).  The
+    # certificate promises that this is at most EIG_ZERO_RTOL m / 2, for the
+    # assembled G and for the exact G of the rounded vertices alike, and that
+    # its float margin 16(n+1)u m covers the rounding of E = G - G_cf.
+    for kind, x in list(_queries(s))[:3]:
+        g = g_matrix(s, x)
+        if n == 1:
+            assert g._two_cluster is None  # no complement to average
+            continue
+        assert g._two_cluster is not None, kind
+        u, lam_u, lam_c = g._two_cluster
+        m = max(abs(lam_u), abs(lam_c))
+        uf = [Fraction(float(a)) for a in u]
+        gap = Fraction(lam_u) - Fraction(lam_c)
+        cf = [[(Fraction(lam_c) if i == j else 0) + gap * uf[i] * uf[j]
+               for j in range(n)] for i in range(n)]
+        spread = 2 * Fraction(m) * abs(sum(a * a for a in uf) - 1)
+        E = g.matrix - lam_c * np.eye(n) - (lam_u - lam_c) * np.outer(u, u)
+        margin = n * float(np.abs(E).max()) + 16 * (n + 1) * U * m
+
+        def weyl(G):
+            return n * max(abs(G[i][j] - cf[i][j])
+                           for i in range(n) for j in range(n)) + spread
+
+        assembled = weyl([[Fraction(float(a)) for a in row] for row in g.matrix])
+        exact = weyl(_exact_g(s.vertices, x, exact_weights(s.vertices, x)))
+        assert assembled <= Fraction(margin), kind
+        half = Fraction(0.5 * EIG_ZERO_RTOL * m)
+        assert assembled <= half and exact <= half, (kind, float(exact))

@@ -85,10 +85,14 @@ def test_degenerate_simplex_raises():
 
 
 def _certificate_residual(s):
-    """||I - A M||max of the closed form's approximate inverse M."""
+    """||I - A M||max of the closed form's approximate inverse M, in the
+    frame re-centred on its column means when the centring block alone
+    misses the certificate."""
     n = s.dim
     k = n / (n + 1.0)
     Y = _unit_frame(s, s.centroid())
+    if not k * np.abs(Y.sum(axis=0)).max() <= _FRAME_TOL / (n + 1):
+        Y = Y - Y.mean(axis=0)
     F = np.eye(n) - k * (Y.T @ Y)
     return max(np.abs(F).max(), k * np.abs(Y.sum(axis=0)).max())
 
@@ -182,25 +186,29 @@ def test_a_degenerate_simplex_takes_the_guarded_solve_and_raises(monkeypatch):
     assert guards["count"] == 1
 
 
-@pytest.mark.parametrize("n", [8, 32, 64])
-def test_a_certify_task_solves_no_affine_system(monkeypatch, n):
-    # one task of the certify benchmark, whole: a seeded regular simplex,
-    # rotated, then the 3 query kinds x 2 classes
+def _certify_task(n):
+    """One task of the certify benchmark, whole: a seeded regular simplex,
+    rotated, then the 3 query kinds x 2 classes."""
     rng = np.random.default_rng(n)
     c, radius = 3.0 * rng.standard_normal(n), 0.7
     Q = haar_rotation(n, rng)
+    s0 = make_regular_simplex(c, radius, n)
+    s = Simplex(c + (s0.vertices - c) @ Q, radius=radius)
+    return [bound_report(s, kind, cls, 1.0,
+                         gamma=0.4 if kind == "shrink" else None)
+            for kind in ("reflection", "centroid", "shrink")
+            for cls in ("nonconvex", "convex")]
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_a_certify_task_solves_no_affine_system(monkeypatch, n):
     solves = _count_calls(monkeypatch, np.linalg, "solve")
     shapes = []
     check = rssm.simplex._check_nonsingular
     for module in (rssm.simplex, rssm.interpolation):
         monkeypatch.setattr(module, "_check_nonsingular",
                             lambda M: (shapes.append(M.shape), check(M))[1])
-    s0 = make_regular_simplex(c, radius, n)
-    s = Simplex(c + (s0.vertices - c) @ Q, radius=radius)
-    reports = [bound_report(s, kind, cls, 1.0,
-                            gamma=0.4 if kind == "shrink" else None)
-               for kind in ("reflection", "centroid", "shrink")
-               for cls in ("nonconvex", "convex")]
+    reports = _certify_task(n)
     assert len(reports) == 6
     assert all(rep.attained and rep.mu.sharp for rep in reports)
     assert solves["count"] == 0
@@ -491,6 +499,17 @@ def test_shrink_report_attains_bound():
     assert rep.attained
 
 
+@pytest.mark.parametrize("L", [1e-13, 1.0, 1e13])
+def test_is_convex_is_relative_to_the_size_of_H(L):
+    s = make_regular_simplex(np.zeros(2), 1.0, 2)
+    g = g_matrix(s, query_point(s, "reflection"))
+    # L (I - 2uu') has the eigenvalue -L: not convex at any scale
+    assert not worst_case_quadratic(g, L, "nonconvex").is_convex()
+    assert worst_case_quadratic(g, L, "convex").is_convex()
+    assert worst_case_quadratic(g, L, "convex", sign="negative").is_convex()
+    assert Quadratic(H=np.zeros((2, 2)), v=np.zeros(2)).is_convex()
+
+
 def test_worst_case_sign_flip():
     s = make_regular_simplex(np.zeros(2), 1.0, 2)
     g = g_matrix(s, query_point(s, "reflection"))
@@ -648,6 +667,27 @@ def test_far_simplex_reports_attain_their_bounds(n, centre):
                                                     rep.bound)
 
 
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("centre", [1e3, 1e5])
+def test_far_simplex_weights_need_no_solve(monkeypatch, n, centre):
+    # the cells above: the frame, re-centred on its column means where the
+    # rounded centroid no longer centres it, certifies the closed form
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-1.0, 1.0, n)
+    c *= centre / np.abs(c).max()
+    s = random_regular_simplex(n, rng, radius=1.0, center=c)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    shapes = []
+    check = rssm.simplex._check_nonsingular
+    monkeypatch.setattr(rssm.interpolation, "_check_nonsingular",
+                        lambda M: (shapes.append(M.shape), check(M))[1])
+    for kind in ("reflection", "centroid", "shrink"):
+        x = query_point(s, kind, gamma=0.5 if kind == "shrink" else None)
+        assert _frame_weights(s, x) is not None, kind
+        lagrange_coefficients(s, x)
+    assert solves["count"] == 0 and shapes == []
+
+
 def test_g_keeps_the_query_centred_vertices(rng):
     # the mu certificate reads these rows instead of forming V - x again
     s = random_regular_simplex(5, rng)
@@ -696,7 +736,108 @@ def test_bound_report_assembles_g_once(monkeypatch, rng, kind):
     rep = bound_report(s, kind, "nonconvex", 1.0,
                        gamma=0.4 if kind == "shrink" else None)
     assert rep.attained and rep.mu.sharp
-    assert (g_calls["count"], ell_calls["count"], eigh_calls["count"]) == (1, 1, 1)
+    # a canonical query on a regular simplex reads the certified two-cluster
+    # form of G: no eigh
+    assert (g_calls["count"], ell_calls["count"], eigh_calls["count"]) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("kind", ["reflection", "centroid", "shrink"])
+def test_a_perturbed_bound_report_assembles_g_once(monkeypatch, rng, kind):
+    s = _perturbed(random_regular_simplex(5, rng), 1e-6, rng)
+    g_calls = _count_calls(monkeypatch, rssm.interpolation, "g_matrix")
+    ell_calls = _count_calls(monkeypatch, rssm.interpolation, "lagrange_coefficients")
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    rep = bound_report(s, kind, "nonconvex", 1.0,
+                       gamma=0.4 if kind == "shrink" else None)
+    # a shrink query lies on an edge, so its G is exactly rank one on any
+    # simplex and keeps the two-cluster form; the others take one eigh
+    eighs = 0 if kind == "shrink" else 1
+    assert (rep.g._two_cluster is None) == (eighs == 1)
+    assert (g_calls["count"], ell_calls["count"], eigh_calls["count"]) == (1, 1, eighs)
+
+
+def _perturbed(s, size, rng):
+    """s with its first vertex moved by `size` radii in a random direction."""
+    V = s.vertices.copy()
+    V[0] += size * s.radius * rng.standard_normal(s.dim)
+    return Simplex(V, radius=s.radius)
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+def test_a_certify_task_runs_no_eigh(monkeypatch, n):
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    reports = _certify_task(n)
+    assert all(rep.attained and rep.dominated and rep.mu.sharp
+               for rep in reports)
+    assert all(rep.g._two_cluster is not None for rep in reports)
+    assert eigh_calls["count"] == 0
+    # the eigensystem is still eigh of G, on first read, bit for bit
+    w, P = rssm.interpolation._deterministic_eigh(reports[0].g.matrix)
+    assert eigh_calls["count"] == 1
+    np.testing.assert_array_equal(reports[0].g.eigenvalues, w)
+    np.testing.assert_array_equal(reports[0].g.eigenvectors, P)
+    assert eigh_calls["count"] == 2
+
+
+def test_a_cluster_value_at_the_zero_threshold_takes_eigh():
+    # lam_c = 1e-9 = EIG_ZERO_RTOL m, and G's two eigenvalues there straddle
+    # it: E is tiny, but the cluster value could take either zero class
+    # while eigh gives one eigenvalue each, so the form must be refused
+    Gm = np.diag([1.0, 1e-9 * (1 + 1e-6), 1e-9 * (1 - 1e-6)])
+    q = QueryCoefficients(ell=np.array([-1.0, -0.5, 1.0, 0.5, 0.0]),
+                          positive_index_set=(2, 3),
+                          negative_index_set=(0, 1))
+    # the negative vertex's offset puts u along e_1
+    offsets = np.vstack([[2.0, 0.0, 0.0], np.eye(3)])
+    g = GMatrix(Gm, coefficients=q, offsets=offsets)
+    assert g._two_cluster is None
+    assert (g.positive_count(), g.negative_count()) == (2, 0)
+
+
+def _beyond_the_two_cluster_form():
+    rng = np.random.default_rng(8)
+    yield "perturbed", _perturbed(random_regular_simplex(8, rng, radius=1.0),
+                                  1e-6, rng)
+    # the weights certify here (the frame re-centred), G does not: rounding
+    # spreads its clusters by more than EIG_ZERO_RTOL allows
+    c = rng.uniform(-1.0, 1.0, 64)
+    c *= 1e6 / np.abs(c).max()
+    yield "far-centre", random_regular_simplex(64, rng, radius=1.0, center=c)
+
+
+@pytest.mark.parametrize("where,s", list(_beyond_the_two_cluster_form()))
+def test_a_g_beyond_the_two_cluster_form_takes_eigh(monkeypatch, where, s):
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    kinds = ("reflection", "centroid", "shrink")
+    if where == "perturbed":
+        kinds = kinds[:2]  # a shrink G is rank one on any simplex
+    for kind in kinds:
+        gamma = 0.3 if kind == "shrink" else None
+        x = query_point(s, kind, gamma=gamma)
+        assert (_frame_weights(s, x) is None) == (where == "perturbed")
+        for cls in ("nonconvex", "convex"):
+            before = eigh_calls["count"]
+            rep = bound_report(s, kind, cls, 1.3, gamma=gamma)
+            assert rep.g._two_cluster is None
+            assert eigh_calls["count"] == before + 1
+            # the report of the same G with its eigensystem given: the eigh
+            # path, formula for formula
+            g = GMatrix(rep.g.matrix,
+                        *rssm.interpolation._deterministic_eigh(rep.g.matrix),
+                        coefficients=rep.g.coefficients, offsets=rep.g.offsets)
+            sign = ("negative" if cls == "convex"
+                    and g.trace_negative() >= g.trace_positive() else "positive")
+            quad = worst_case_quadratic(g, 1.3, cls, sign=sign)
+            Y = s.vertices - s.centroid()
+            values = 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
+            achieved = abs(float(g.coefficients.ell[1:] @ values)
+                           - quad(x - s.centroid()))
+            assert rep.bound == nuclear_bound_from_g(g, 1.3, cls)
+            np.testing.assert_array_equal(rep.quadratic.H, quad.H)
+            assert rep.achieved == achieved
+            assert rep.mu.to_dict() == mu_certificate(g).to_dict()
+            np.testing.assert_array_equal(rep.g.eigenvalues, g.eigenvalues)
+            assert rep.attained and rep.dominated, (where, kind, cls)
 
 
 @pytest.mark.parametrize("kind", ["reflection", "centroid", "shrink"])

@@ -25,7 +25,10 @@ into OUT, one file per artifact:
 * ``certify/`` -- for every certify report at seeds 4242, 1 and 2, two
   JSON lines: ``to_dict``; then ``dominated``, the index sets of the
   weights, G's eigenvalues and ||H||_F, which a tolerant compare can read,
-  beside SHA-256 digests of H and of G;
+  beside SHA-256 digests of H and of G; and in ``fallback.txt`` the same
+  for the 3 kinds x 2 classes on two simplices beyond the closed forms
+  (see ``_fallback_simplices``), so that the guarded solve of the weights
+  and the eigh of G are dumped too;
 * ``cli/`` -- stdout, stderr and exit code of the README commands, of
   ``verify-bounds`` and ``worst-case`` variants, of bad-input runs (audit
   constants outside the positive doubles among them), of ``verify-bounds``
@@ -289,8 +292,40 @@ def dump_traces(out: Path) -> None:
         _write(out / "audit" / f"{name}.json", report.to_json())
 
 
+def _report_lines(rep) -> list[str]:
+    q = rep.g.coefficients
+    return [json.dumps(rep.to_dict(), sort_keys=True), json.dumps({
+        "dominated": rep.dominated,
+        "positive_index_set": list(q.positive_index_set),
+        "negative_index_set": list(q.negative_index_set),
+        "H_frobenius": float(np.linalg.norm(rep.quadratic.H)),
+        "H_sha256": _digest(rep.quadratic.H),
+        "G_eigenvalues": rep.g.eigenvalues.tolist(),
+        "G_sha256": _digest(rep.g.matrix),
+    }, sort_keys=True)]
+
+
+def _fallback_simplices():
+    """Two simplices whose reports leave the closed forms: a regular one
+    perturbed by 1e-6 radii at n=8 (the guarded solve for the weights, eigh
+    for G of the reflection and the centroid) and a regular one centred at
+    ||c||inf = 1e6 radii at n=64 (the guarded solve and eigh throughout)."""
+    from rssm import simplex
+
+    rng = np.random.default_rng(0)
+    for n, centre, perturbation in ((8, 3.0, 1e-6), (64, 1e6, 0.0)):
+        c = rng.uniform(-1.0, 1.0, n)
+        c *= centre / np.abs(c).max()
+        Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+        s0 = simplex.make_regular_simplex(c, 1.0, n)
+        V = c + (s0.vertices - c) @ (Q * np.sign(np.diag(R))[None, :])
+        V[0] += perturbation * rng.standard_normal(n)
+        yield simplex.Simplex(V, radius=1.0)
+
+
 def dump_certify(out: Path) -> None:
     import workloads
+    from rssm import interpolation
 
     cert = workloads.Certify()
     for seed in CERTIFY_SEEDS:
@@ -298,18 +333,15 @@ def dump_certify(out: Path) -> None:
         lines = []
         for j in range(len(inp["tasks"])):
             for rep in cert.task(inp, j, None):
-                q = rep.g.coefficients
-                lines.append(json.dumps(rep.to_dict(), sort_keys=True))
-                lines.append(json.dumps({
-                    "dominated": rep.dominated,
-                    "positive_index_set": list(q.positive_index_set),
-                    "negative_index_set": list(q.negative_index_set),
-                    "H_frobenius": float(np.linalg.norm(rep.quadratic.H)),
-                    "H_sha256": _digest(rep.quadratic.H),
-                    "G_eigenvalues": rep.g.eigenvalues.tolist(),
-                    "G_sha256": _digest(rep.g.matrix),
-                }, sort_keys=True))
+                lines += _report_lines(rep)
         _write(out / "certify" / f"seed{seed}.txt", "\n".join(lines) + "\n")
+    lines = []
+    for s in _fallback_simplices():
+        for kind in interpolation.QUERY_KINDS:
+            for cls in interpolation.CLASSES:
+                lines += _report_lines(interpolation.bound_report(
+                    s, kind, cls, 1.0, gamma=0.3 if kind == "shrink" else None))
+    _write(out / "certify" / "fallback.txt", "\n".join(lines) + "\n")
 
 
 def _cut_wall_ms(csv: str) -> str:
