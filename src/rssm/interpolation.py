@@ -66,12 +66,14 @@ EIG_ZERO_RTOL = 1e-9
 # The sharpness certificate accepts mu down to this (rounding in the solve).
 MU_TOL = -1e-12
 
+# The unit roundoff u of a double.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 # The closed-form weights are taken when the residual F = I - A M of their
 # approximate inverse M has ||F||max <= _FRAME_TOL / (n+1), so that
 # ||F||_2 <= (n+1) ||F||max <= sqrt(u).  One residual correction leaves an
 # error of order ||F||_2^2 = u times the weights (see _frame_weights): the
 # rounding level of the solve it replaces.
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _FRAME_TOL = math.sqrt(_UNIT_ROUNDOFF)
 
 
@@ -612,7 +614,7 @@ class BoundReport:
     mu: MuCertificate
     quadratic: "Quadratic"
     query: np.ndarray  # the query point x
-    g: GMatrix  # G of the query, with its eigensystem
+    g: GMatrix  # G of the query, with its spectrum
 
     @property
     def attained(self) -> bool:
@@ -664,7 +666,7 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     same, and the frame keeps it free of cancellation against ||x||^2 on
     simplices far from the origin.
 
-    G, its eigensystem and the affine weights are computed once, by one
+    G, its spectrum and the affine weights are computed once, by one
     g_matrix call, and shared by the bound, the extremal quadratic, the
     interpolant value and the mu certificate.
 

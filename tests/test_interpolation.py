@@ -741,6 +741,13 @@ def test_bound_report_assembles_g_once(monkeypatch, rng, kind):
     assert (g_calls["count"], ell_calls["count"], eigh_calls["count"]) == (1, 1, 0)
 
 
+def _perturbed(s, size, rng):
+    """s with its first vertex moved by `size` radii in a random direction."""
+    V = s.vertices.copy()
+    V[0] += size * s.radius * rng.standard_normal(s.dim)
+    return Simplex(V, radius=s.radius)
+
+
 @pytest.mark.parametrize("kind", ["reflection", "centroid", "shrink"])
 def test_a_perturbed_bound_report_assembles_g_once(monkeypatch, rng, kind):
     s = _perturbed(random_regular_simplex(5, rng), 1e-6, rng)
@@ -754,13 +761,6 @@ def test_a_perturbed_bound_report_assembles_g_once(monkeypatch, rng, kind):
     eighs = 0 if kind == "shrink" else 1
     assert (rep.g._two_cluster is None) == (eighs == 1)
     assert (g_calls["count"], ell_calls["count"], eigh_calls["count"]) == (1, 1, eighs)
-
-
-def _perturbed(s, size, rng):
-    """s with its first vertex moved by `size` radii in a random direction."""
-    V = s.vertices.copy()
-    V[0] += size * s.radius * rng.standard_normal(s.dim)
-    return Simplex(V, radius=s.radius)
 
 
 @pytest.mark.parametrize("n", [2, 8, 32, 64])
