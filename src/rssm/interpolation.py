@@ -605,7 +605,11 @@ def worst_case_quadratic(g: GMatrix, L: float, cls: str,
 
 @dataclass
 class BoundReport:
-    """Bound-vs-achieved summary for one query kind and function class."""
+    """Bound-vs-achieved summary for one query kind and function class.
+
+    The two class reports of one query on one simplex share their `query`,
+    `g` and `mu` objects (see :func:`bound_report`).
+    """
 
     kind: str
     cls: str
@@ -653,6 +657,28 @@ def query_point(s: Simplex, kind: str, gamma: float | None = None) -> np.ndarray
     raise ValueError(f"unknown query kind {kind!r}")
 
 
+def _query(s: Simplex, kind: str,
+           gamma: float | None) -> tuple[np.ndarray, GMatrix, MuCertificate]:
+    """(x, g, mu) of a query on s: the class-independent part of a report.
+
+    Memoised on the simplex by (kind, gamma), gamma None for every kind but
+    shrink, with a copy of the vertices and the radius it was built from.
+    A memo that no longer matches both is dropped, so the vertices may be
+    edited in place or reassigned.  A build that raises stores nothing.
+    """
+    memo = s._queries
+    if (memo is None or memo[1] != s.radius
+            or not np.array_equal(memo[0], s.vertices)):
+        memo = s._queries = (s.vertices.copy(), s.radius, {})
+    key = (kind, gamma if kind == "shrink" else None)
+    entry = memo[2].get(key)
+    if entry is None:
+        x = query_point(s, kind, gamma=gamma)
+        g = g_matrix(s, x)
+        entry = memo[2][key] = (x, g, mu_certificate(g))
+    return entry
+
+
 def bound_report(s: Simplex, kind: str, cls: str, L: float,
                  gamma: float | None = None, sign: str | None = None) -> BoundReport:
     """Build the worst-case quadratic for a query and measure what it achieves.
@@ -666,9 +692,12 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     same, and the frame keeps it free of cancellation against ||x||^2 on
     simplices far from the origin.
 
-    G, its spectrum and the affine weights are computed once, by one
-    g_matrix call, and shared by the bound, the extremal quadratic, the
-    interpolant value and the mu certificate.
+    The query point, G (one g_matrix call: the affine weights, G and its
+    spectrum) and the mu certificate are computed once per query per
+    simplex and shared by both classes: they are memoised on `s`, checked
+    against its vertices and radius on every call.  A report computes only
+    the class-dependent parts itself: the bound, the sign, the extremal
+    quadratic and the achieved error.
 
     Raises:
         ValueError: L is not positive and finite, the query is invalid, or
@@ -676,8 +705,7 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     """
     if not (0.0 < L < np.inf):
         raise ValueError(f"L must be positive and finite, got {L}")
-    x = query_point(s, kind, gamma=gamma)
-    g = g_matrix(s, x)
+    x, g, mu = _query(s, kind, gamma)
     bound = nuclear_bound_from_g(g, L, cls)
     if sign is None:
         if cls == "convex" and g.trace_negative() >= g.trace_positive():
@@ -700,7 +728,7 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
         raise ValueError(f"the {kind} bound overflows the double range: "
                          f"bound {bound!r}, achieved {achieved!r}")
     return BoundReport(kind=kind, cls=cls, bound=bound, achieved=achieved,
-                       mu=mu_certificate(g), quadratic=quad, query=x, g=g)
+                       mu=mu, quadratic=quad, query=x, g=g)
 
 
 def gradient_bound_report(s: Simplex, objective, L: float | None = None) -> dict:

@@ -78,6 +78,14 @@ class Simplex:
     and :func:`regularity_report` to measure how far an instance has
     drifted from regularity.
 
+    A simplex memoises the class-independent part of each sharp-bound
+    query (``interpolation.bound_report``: the query point, G and the mu
+    certificate), so the two function classes of one query share one
+    build.  The memo keeps a copy of the vertices and the radius it was
+    built from and is checked against both on every call (O(n^2)), so an
+    edit of ``vertices``, in place or by reassignment, or of ``radius``
+    rebuilds it.
+
     Attributes:
         vertices: array of shape (n+1, n), one vertex per row.
         dim: the ambient dimension n.
@@ -86,7 +94,7 @@ class Simplex:
             distances.
     """
 
-    __slots__ = ("vertices", "dim", "radius")
+    __slots__ = ("vertices", "dim", "radius", "_queries")
 
     def __init__(self, vertices, radius: float | None = None):
         V = np.asarray(vertices, dtype=float)
@@ -108,6 +116,7 @@ class Simplex:
             raise ValueError(
                 f"radius must be positive and finite, got {radius}")
         self.radius = float(radius)
+        self._queries = None  # see interpolation._query
 
     def centroid(self) -> np.ndarray:
         """Arithmetic mean of the n+1 vertices."""

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rssm.interpolation
 from rssm.cli import build_parser, main
 from rssm.complexity import CASES
 from rssm.experiments import ExperimentPlan
@@ -288,6 +289,17 @@ def test_verify_bounds_fails_on_an_irregular_simplex(tmp_path, capsys):
              for r in payload["reports"]}
     assert mu_ok[("reflection", "nonconvex")] is False
     assert mu_ok[("reflection", "convex")] is False
+
+
+def test_verify_bounds_assembles_each_query_g_once(monkeypatch, capsys):
+    # 3 query kinds x 2 classes: the two classes of a query share its G
+    calls = []
+    assemble = rssm.interpolation.g_matrix
+    monkeypatch.setattr(rssm.interpolation, "g_matrix",
+                        lambda s, x: (calls.append(x), assemble(s, x))[1])
+    code, out, _ = run_cli(capsys, "verify-bounds", "--n", "4")
+    assert code == 0 and len(json.loads(out)["reports"]) == 6
+    assert len(calls) == 3
 
 
 def test_verify_bounds_bad_file_is_usage_error(tmp_path, capsys):

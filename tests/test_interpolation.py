@@ -186,18 +186,27 @@ def test_a_degenerate_simplex_takes_the_guarded_solve_and_raises(monkeypatch):
     assert guards["count"] == 1
 
 
-def _certify_task(n):
-    """One task of the certify benchmark, whole: a seeded regular simplex,
-    rotated, then the 3 query kinds x 2 classes."""
+def _certify_simplex(n):
+    """The simplex of one certify benchmark task: seeded, regular, rotated."""
     rng = np.random.default_rng(n)
     c, radius = 3.0 * rng.standard_normal(n), 0.7
     Q = haar_rotation(n, rng)
     s0 = make_regular_simplex(c, radius, n)
-    s = Simplex(c + (s0.vertices - c) @ Q, radius=radius)
-    return [bound_report(s, kind, cls, 1.0,
-                         gamma=0.4 if kind == "shrink" else None)
+    return Simplex(c + (s0.vertices - c) @ Q, radius=radius)
+
+
+def _all_reports(s, gamma=0.4, L=1.0):
+    """The 3 query kinds x 2 classes on s, in the certify task's order."""
+    return [bound_report(s, kind, cls, L,
+                         gamma=gamma if kind == "shrink" else None)
             for kind in ("reflection", "centroid", "shrink")
             for cls in ("nonconvex", "convex")]
+
+
+def _certify_task(n):
+    """One task of the certify benchmark, whole: a seeded regular simplex,
+    rotated, then the 3 query kinds x 2 classes."""
+    return _all_reports(_certify_simplex(n))
 
 
 @pytest.mark.parametrize("n", [8, 32, 64])
@@ -212,8 +221,9 @@ def test_a_certify_task_solves_no_affine_system(monkeypatch, n):
     assert len(reports) == 6
     assert all(rep.attained and rep.mu.sharp for rep in reports)
     assert solves["count"] == 0
-    # the mu certificate's (|I_-| - 1)-square block is the only guarded matrix
-    assert (n + 1, n + 1) not in shapes and shapes == [(1, 1), (1, 1)]
+    # the mu certificate's (|I_-| - 1)-square block is the only guarded
+    # matrix: the reflection's, once for both classes
+    assert (n + 1, n + 1) not in shapes and shapes == [(1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +829,8 @@ def test_a_g_beyond_the_two_cluster_form_takes_eigh(monkeypatch, where, s):
             before = eigh_calls["count"]
             rep = bound_report(s, kind, cls, 1.3, gamma=gamma)
             assert rep.g._two_cluster is None
-            assert eigh_calls["count"] == before + 1
+            # one eigh per query: the second class reads the first's G
+            assert eigh_calls["count"] == before + (cls == "nonconvex")
             # the report of the same G with its eigensystem given: the eigh
             # path, formula for formula
             g = GMatrix(rep.g.matrix,
@@ -867,6 +878,124 @@ def test_report_carries_query_and_g(rng):
     np.testing.assert_array_equal(rep.query, x)
     np.testing.assert_array_equal(rep.g.eigenvalues, g_matrix(s, x).eigenvalues)
     assert "query" not in rep.to_dict() and "g" not in rep.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the per-simplex query memo
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def _fresh_report(s, rep, L, gamma=None):
+    """rep's query and class on a new Simplex of s's vertices and radius,
+    whose memo is empty."""
+    return bound_report(Simplex(s.vertices.copy(), radius=s.radius),
+                        rep.kind, rep.cls, L, gamma=gamma)
+
+
+def _assert_as_fresh(s, reports, L=1.0, gamma=0.4):
+    """Each report equals, bit for bit, the one built on a fresh simplex."""
+    for rep in reports:
+        fresh = _fresh_report(s, rep, L, gamma if rep.kind == "shrink" else None)
+        assert rep.to_dict() == fresh.to_dict()
+        for a, b in ((rep.bound, fresh.bound), (rep.achieved, fresh.achieved),
+                     (rep.quadratic.H, fresh.quadratic.H),
+                     (rep.g.matrix, fresh.g.matrix), (rep.query, fresh.query)):
+            _assert_same_bits(a, b)
+
+
+def _assert_rebuilt(before, after):
+    for old, rep in zip(before, after, strict=True):
+        assert rep.g is not old.g and rep.mu is not old.mu
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_memoised_certify_reports_equal_fresh_ones(n):
+    s = _certify_simplex(n)
+    reports = _all_reports(s)
+    _assert_as_fresh(s, reports)
+    # the two classes of a query share its class-independent part
+    for a, b in zip(reports[::2], reports[1::2]):
+        assert (a.kind, a.cls, b.cls) == (b.kind, "nonconvex", "convex")
+        assert a.query is b.query and a.g is b.g and a.mu is b.mu
+    # and an unedited simplex keeps it for later reports
+    assert all(rep.g is again.g for rep, again in zip(reports, _all_reports(s)))
+
+
+@pytest.mark.parametrize("where,s", list(_beyond_the_two_cluster_form()))
+def test_memoised_eigh_reports_equal_fresh_ones(where, s):
+    _assert_as_fresh(s, _all_reports(s, gamma=0.3, L=1.3), L=1.3, gamma=0.3)
+
+
+def test_an_in_place_vertex_edit_rebuilds_the_memo():
+    # the solver's accept writes vertex rows in place, as here
+    s = _certify_simplex(8)
+    before = _all_reports(s)
+    s.vertices[3] = s.vertices[3] + 1e-3 * s.radius
+    after = _all_reports(s)
+    _assert_rebuilt(before, after)
+    assert all(not np.array_equal(rep.g.matrix, old.g.matrix)
+               for old, rep in zip(before, after))
+    _assert_as_fresh(s, after)
+
+
+def test_reassigned_vertices_rebuild_the_memo():
+    s = _certify_simplex(8)
+    before = _all_reports(s)
+    s.vertices = s.vertices[::-1].copy()  # the last vertex reflects another
+    after = _all_reports(s)
+    _assert_rebuilt(before, after)
+    assert not np.array_equal(after[0].query, before[0].query)
+    _assert_as_fresh(s, after)
+
+
+def test_a_new_radius_rebuilds_the_memo():
+    # the radius enters the weights: the frame of a wrong radius fails the
+    # closed form's certificate, so they come from the guarded solve
+    s = _certify_simplex(8)
+    before = _all_reports(s)
+    s.radius = 2.0 * s.radius
+    after = _all_reports(s)
+    _assert_rebuilt(before, after)
+    assert _frame_weights(s, after[0].query) is None
+    _assert_as_fresh(s, after)
+
+
+def test_shrink_reports_at_two_gammas_keep_their_own_queries():
+    s = _certify_simplex(8)
+    reports = {(gamma, cls): bound_report(s, "shrink", cls, 1.0, gamma=gamma)
+               for gamma in (0.3, 0.6) for cls in ("nonconvex", "convex")}
+    for (gamma, _), rep in reports.items():
+        _assert_as_fresh(s, [rep], gamma=gamma)
+    assert reports[0.3, "nonconvex"].g is reports[0.3, "convex"].g
+    assert reports[0.3, "nonconvex"].g is not reports[0.6, "nonconvex"].g
+    assert reports[0.3, "convex"].bound != reports[0.6, "convex"].bound
+    # the memo kept both: a later report at 0.3 is its first one's
+    again = bound_report(s, "shrink", "convex", 1.0, gamma=0.3)
+    assert again.g is reports[0.3, "convex"].g
+
+
+@pytest.mark.parametrize("gamma", [None, 0.0, 1.0, 1.5, float("nan")])
+def test_a_bad_shrink_gamma_raises_on_every_call(gamma):
+    s = _certify_simplex(8)
+    bound_report(s, "shrink", "convex", 1.0, gamma=0.4)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="shrink query needs gamma"):
+            bound_report(s, "shrink", "nonconvex", 1.0, gamma=gamma)
+
+
+def test_an_overflowing_g_raises_on_every_call(monkeypatch):
+    s = make_regular_simplex(np.zeros(2), 1e160, 2)
+    g_calls = _count_calls(monkeypatch, rssm.interpolation, "g_matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for count in (1, 2, 3):
+            with pytest.raises(ValueError, match="G overflows"):
+                bound_report(s, "reflection", "nonconvex", 1.0)
+            assert g_calls["count"] == count
 
 
 # ---------------------------------------------------------------------------
