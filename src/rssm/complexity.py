@@ -32,7 +32,8 @@ from dataclasses import dataclass, asdict, field
 # the convexity tags are the objectives'; tools/artifacts.py reads
 # complexity.CONVEX_CASES
 from .objectives import CASES, CONVEX_CASES
-from .solver import (_FIELD_OVERFLOW, _MAX, Trace, _sq, evaluation_count,
+from .simplex import _positive, _positive_int, _unit_interval
+from .solver import (_FIELD_OVERFLOW, Trace, _sq, evaluation_count,
                      mean_value_gap)
 
 __all__ = [
@@ -94,24 +95,19 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
     """Evaluate every complexity constant available from the given inputs.
 
     R (radius of the initial mean-value sublevel set) unlocks the convex
-    tail constants; mu (strong-convexity/PL modulus) unlocks rho.  L, and R
-    and mu when given, must be positive and finite.
+    tail constants; mu (strong-convexity/PL modulus) unlocks rho.  n is a
+    positive integer; gamma, eta_split in (0, 1); others positive, finite.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    if not (epsilon > 0 and delta0 > 0):
-        raise ValueError("epsilon, delta0 must be positive")
-    if not (0.0 < eta_split < 1.0):
-        raise ValueError(f"eta_split must lie in (0,1), got {eta_split}")
-    # the rule SolverConfig applies to L
-    for name, value in (("L", L), ("R", R), ("mu", mu)):
-        if value is not None and not (0.0 < value <= _MAX):
-            raise ValueError(
-                f"{name} must be positive and finite, got {value}")
+    _positive_int("n", n)
+    _positive("beta", beta)
+    _unit_interval("gamma", gamma)
+    _positive("epsilon", epsilon)
+    _positive("delta0", delta0)
+    _unit_interval("eta_split", eta_split)
+    _positive("L", L)
+    for name, value in (("R", R), ("mu", mu)):
+        if value is not None:
+            _positive(name, value)
 
     rn = math.sqrt(n)
     kappa1 = (beta + 1.0) * n + rn / 2.0

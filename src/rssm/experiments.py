@@ -18,11 +18,12 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import objectives
+from .simplex import _positive, _positive_int
 from .solver import SolverConfig, run
 
 __all__ = [
@@ -37,9 +38,6 @@ __all__ = [
     "write_csv",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = ("objective", "n", "epsilon", "seed", "N_r", "N_s", "N_eps",
-              "evals", "final_gap", "reason", "wall_ms")
 
 MIN_FIT_POINTS = 4
 
@@ -67,17 +65,19 @@ class ExperimentPlan:
     objective_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = tuple(int(n) for n in self.dims)
-        self.epsilons = tuple(float(e) for e in self.epsilons)
-        if not self.dims or any(n < 1 for n in self.dims):
-            raise ValueError(f"dims must be positive, got {self.dims}")
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
+        dims, epsilons = tuple(self.dims), tuple(self.epsilons)
+        for name, values, rule in (("dims", dims, _positive_int),
+                                   ("epsilons", epsilons, _positive)):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            for i, value in enumerate(values):
+                rule(f"{name}[{i}]", value)
+        self.dims = tuple(map(int, dims))
+        self.epsilons = tuple(map(float, epsilons))
         if any(a <= b for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise ValueError(
                 f"epsilons must be strictly decreasing, got {self.epsilons}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        _positive_int("repetitions", self.repetitions)
         if self.objective not in objectives.builtin_names():
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -108,6 +108,9 @@ class ScalingRow:
             "" if self.final_gap is None else repr(self.final_gap),
             self.reason, f"{self.wall_ms:.3f}",
         ]
+
+
+CSV_HEADER = tuple(f.name for f in fields(ScalingRow))
 
 
 @dataclass
@@ -172,12 +175,6 @@ def write_csv(rows, fileobj) -> None:
         writer.writerow(row.csv_values())
 
 
-def _stopping_for(obj) -> str:
-    if obj.convexity in objectives.CONVEX_CASES:
-        return "gap"
-    return "true_gradient"
-
-
 def _start_center(n: int, distance: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(n)
@@ -192,7 +189,8 @@ def run_cell(plan: ExperimentPlan, n: int, epsilon: float, seed: int) -> Scaling
     """Solve one grid cell and package the CSV row."""
     obj = objectives.builtin(plan.objective, n, seed=seed,
                              **plan.objective_params)
-    stopping = _stopping_for(obj)
+    stopping = ("gap" if obj.convexity in objectives.CONVEX_CASES
+                else "true_gradient")
     cfg = SolverConfig(
         n=n, delta0=plan.delta0, gamma=plan.gamma, epsilon=epsilon,
         mode="theoretical", beta=plan.beta, L=obj.L, stopping=stopping,

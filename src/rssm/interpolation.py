@@ -21,13 +21,16 @@ search method (reflection, centroid, shrink).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from types import MappingProxyType
 
 import numpy as np
 
 from .simplex import (DegenerateSimplexError, Simplex, _affine_system,
-                      _check_nonsingular, _unit_frame, reflect_worst,
+                      _check_nonsingular, _positive, _positive_int,
+                      _unit_frame, _unit_interval, reflect_worst,
                       shrink_toward_best)
 
 __all__ = [
@@ -226,7 +229,14 @@ def _deterministic_eigh(Gm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # argmax of an all-False column is row 0, whose entry is then 0 (no flip)
     flip = P[first, np.arange(P.shape[1])] < 0
     P[:, flip] = -P[:, flip]
+    _read_only(w, P)
     return w, P
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    """Clear each array's writeable flag: an edit in place raises ValueError."""
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def _classify(values: np.ndarray) -> np.ndarray:
@@ -283,6 +293,7 @@ def _two_cluster_form(Gm: np.ndarray, q: QueryCoefficients,
     nonzero = EIG_ZERO_RTOL * (m + eps) + eps + np.finfo(float).tiny
     if any(zero < abs(v) <= nonzero for v in (lam_u, lam_c)):
         return None
+    _read_only(u)
     return u, lam_u, lam_c
 
 
@@ -301,19 +312,15 @@ class GMatrix:
     `eigenvectors` (columns, aligned) are eigh of `matrix` in either case,
     computed on first read: inside a multiple eigenvalue the rounded values
     of G spread by more than the cluster mean shows, so they are never
-    replaced by it.  A given eigensystem is taken as the spectrum, with no
-    two-cluster form.
+    replaced by it.  The reports of one query share a GMatrix, so the
+    arrays of g_matrix, the eigensystem and u are read-only.
     """
 
-    def __init__(self, matrix: np.ndarray, eigenvalues: np.ndarray | None = None,
-                 eigenvectors: np.ndarray | None = None, *,
-                 coefficients: QueryCoefficients, offsets: np.ndarray):
+    def __init__(self, matrix: np.ndarray, *, coefficients: QueryCoefficients,
+                 offsets: np.ndarray):
         self.matrix = matrix
         self.coefficients = coefficients
         self.offsets = offsets  # rows x_i - x: the vertices centred at the query
-        if eigenvalues is not None:
-            self._eigensystem = (eigenvalues, eigenvectors)
-            self._two_cluster = None
 
     @cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -398,6 +405,7 @@ def g_matrix(s: Simplex, x) -> GMatrix:
     Gm = 0.5 * (Gm + Gm.T)
     if not np.isfinite(Gm).all():
         raise ValueError("G overflows the double range")
+    _read_only(Gm, Y, q.ell)
     return GMatrix(Gm, coefficients=q, offsets=Y)
 
 
@@ -422,11 +430,11 @@ def error_bound(kind: str, cls: str, n: int, L: float, delta: float,
         raise ValueError(f"unknown query kind {kind!r}")
     if cls not in CLASSES:
         raise ValueError(f"unknown function class {cls!r}")
-    if kind == "shrink":
-        if gamma is None or not (0.0 < gamma < 1.0):
-            raise ValueError(f"shrink bound needs gamma in (0,1), got {gamma}")
-    elif gamma is not None and not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (0,1) when given, got {gamma}")
+    _positive_int("n", n)
+    _positive("L", L)
+    _positive("delta", delta)
+    if kind == "shrink" or gamma is not None:
+        _unit_interval("gamma", gamma)
     if kind == "reflection":
         if cls == "convex":
             return (1.0 + 1.0 / n) ** 2 * L * delta ** 2
@@ -456,17 +464,20 @@ class MuCertificate:
 
     entries maps (i, j) -> mu_ij for i in I_+ and j in (I_- minus the query)
     together with the residual column mu_i0 = ell_i - sum_j mu_ij.  Indices
-    refer to the original vertex numbering of the ell vector (0 = query).
-    available is False when the certificate cannot be formed (negative
-    eigenspace dimension mismatch or singular Y_- P_-), in which case
-    sharpness is simply not asserted.
+    refer to the original vertex numbering of the ell vector (0 = query);
+    a read-only copy, as the reports of one query share it.  available is
+    False when the certificate cannot be formed (negative eigenspace
+    dimension mismatch or singular Y_- P_-): sharpness is not asserted.
     """
 
-    entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    entries: Mapping[tuple[int, int], float] = field(default_factory=dict)
     positive_index_set: tuple[int, ...] = ()
     negative_index_set: tuple[int, ...] = ()
     available: bool = True
     message: str = ""
+
+    def __post_init__(self):
+        self.entries = MappingProxyType(dict(self.entries))
 
     @property
     def sharp(self) -> bool:
@@ -502,20 +513,17 @@ def mu_certificate(g: GMatrix) -> MuCertificate:
     neg_tail = [i for i in vert_order if i in neg_set]
     neg = (0, *neg_tail)
 
-    cert = MuCertificate(positive_index_set=tuple(pos), negative_index_set=neg)
+    cert = partial(MuCertificate, positive_index_set=tuple(pos),
+                   negative_index_set=neg)
     if not neg_tail:
         # Interpolation query: all vertex weights nonnegative, no M block.
-        cert.entries = {(i, 0): float(ell[i]) for i in pos}
-        return cert
+        return cert(entries={(i, 0): float(ell[i]) for i in pos})
 
     m = len(neg_tail)
     if g.negative_count() != m:
-        cert.available = False
-        cert.message = (
+        return cert(available=False, message=(
             f"negative eigenspace dimension {g.negative_count()} does not "
-            f"match |I_-|-1 = {m}; certificate unavailable"
-        )
-        return cert
+            f"match |I_-|-1 = {m}; certificate unavailable"))
     P_neg = g._negative_basis()
     Y = g.offsets
     Y_pos = Y[[i - 1 for i in pos], :]
@@ -524,9 +532,8 @@ def mu_certificate(g: GMatrix) -> MuCertificate:
     try:
         _check_nonsingular(B)
     except DegenerateSimplexError:
-        cert.available = False
-        cert.message = "Y_- P_- is singular beyond tolerance; certificate unavailable"
-        return cert
+        return cert(available=False, message="Y_- P_- is singular beyond "
+                    "tolerance; certificate unavailable")
     M = (ell[pos, None] * (Y_pos @ P_neg)) @ np.linalg.inv(B)
     # cumsum adds left to right, so the residual column is rounded exactly
     # as a running sum over j would round it
@@ -534,8 +541,8 @@ def mu_certificate(g: GMatrix) -> MuCertificate:
     # row by row: mu_ij for j in I_- minus the query, then mu_i0
     columns = (*neg_tail, 0)
     values = np.concatenate([M, residual[:, None]], axis=1).ravel().tolist()
-    cert.entries = dict(zip([(i, j) for i in pos for j in columns], values))
-    return cert
+    return cert(entries=dict(zip([(i, j) for i in pos for j in columns],
+                                 values)))
 
 
 @dataclass
@@ -650,9 +657,7 @@ def query_point(s: Simplex, kind: str, gamma: float | None = None) -> np.ndarray
         return reflect_worst(s, s.dim)
     if kind == "centroid":
         return s.centroid()
-    if kind == "shrink":
-        if gamma is None or not (0.0 < gamma < 1.0):
-            raise ValueError(f"shrink query needs gamma in (0,1), got {gamma}")
+    if kind == "shrink":  # shrink_toward_best checks gamma
         return shrink_toward_best(s, 0, gamma).vertices[s.dim]
     raise ValueError(f"unknown query kind {kind!r}")
 
@@ -665,6 +670,7 @@ def _query(s: Simplex, kind: str,
     shrink, with a copy of the vertices and the radius it was built from.
     A memo that no longer matches both is dropped, so the vertices may be
     edited in place or reassigned.  A build that raises stores nothing.
+    What the reports share is read-only: x, the arrays of g and mu.entries.
     """
     memo = s._queries
     if (memo is None or memo[1] != s.radius
@@ -674,6 +680,7 @@ def _query(s: Simplex, kind: str,
     entry = memo[2].get(key)
     if entry is None:
         x = query_point(s, kind, gamma=gamma)
+        _read_only(x)
         g = g_matrix(s, x)
         entry = memo[2][key] = (x, g, mu_certificate(g))
     return entry
@@ -703,8 +710,7 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
         ValueError: L is not positive and finite, the query is invalid, or
             G, the bound or the achieved error overflows the double range.
     """
-    if not (0.0 < L < np.inf):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    _positive("L", L)
     x, g, mu = _query(s, kind, gamma)
     bound = nuclear_bound_from_g(g, L, cls)
     if sign is None:

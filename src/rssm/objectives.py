@@ -27,9 +27,9 @@ inequality gives the same constant in every dimension.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .simplex import _positive, _positive_int
 
 __all__ = [
     "Objective",
@@ -108,11 +108,6 @@ def _haar_orthogonal(n: int, seed: int) -> np.ndarray:
     A = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(A)
     return Q * np.sign(np.diag(R))[None, :]
-
-
-def _positive(name: str, value: float) -> None:
-    if not (0.0 < value < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _minimizer(n: int, x_star) -> np.ndarray:
@@ -226,8 +221,7 @@ def builtin(name: str, n: int, seed: int | None = None, **params) -> Objective:
     Raises:
         ValueError: unknown name or invalid parameters.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _positive_int("n", n)
     if name == "quad-iso":
         obj = _make_quad_iso(n, params.pop("L", 1.0), params.pop("x_star", None))
     elif name == "quad-spectrum":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,29 @@ def _is_real(x) -> bool:
     vertices, a trace config's scales): a float (np.float64 is one) or an
     int as :func:`_is_int` takes it, never a bool or a string."""
     return isinstance(x, float) or _is_int(x)
+
+
+# NaN, +-inf and an int beyond the double range fall outside [-_MAX, _MAX]
+_MAX = sys.float_info.max
+
+
+def _rule(test, must: str):
+    """check(name, x): ValueError "{name} must {must}, got {x!r}" unless
+    test(x); a value that does not compare (None, a string) fails."""
+    def check(name: str, x) -> None:
+        try:
+            if test(x):
+                return
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{name} must {must}, got {x!r}")
+    return check
+
+
+# The three rules every entry point applies to its numeric arguments
+_positive = _rule(lambda x: 0.0 < x <= _MAX, "be positive and finite")
+_unit_interval = _rule(lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
+_positive_int = _rule(lambda x: _is_int(x) and x >= 1, "be a positive integer")
 
 
 class DegenerateSimplexError(ValueError):
@@ -112,9 +136,7 @@ class Simplex:
             with np.errstate(over="ignore"):
                 radius = float(np.mean(np.linalg.norm(V - self.centroid(),
                                                       axis=1)))
-        if not (0.0 < radius < math.inf):
-            raise ValueError(
-                f"radius must be positive and finite, got {radius}")
+        _positive("radius", radius)
         self.radius = float(radius)
         self._queries = None  # see interpolation._query
 
@@ -241,16 +263,14 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
         is at least 1/sqrt(n), far above RCOND_MIN.
 
     Raises:
-        ValueError: radius not positive and finite, n < 1, or center of
-            wrong length.
+        ValueError: radius not positive and finite, n not a positive
+            integer, or center of wrong length.
         CenterResolutionError: the radius is too small for its centre, or
             subnormal with too few bits, so the rounded vertices are not
             regular to GEOMETRY_RTOL.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if not (0.0 < radius < math.inf):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    _positive_int("n", n)
+    _positive("radius", radius)
     c = np.broadcast_to(np.asarray(center, dtype=float), (n,)).copy()
     Y = radius * np.sqrt((n + 1.0) / n) * _helmert_rows(n).T
     s = Simplex(c[None, :] + Y, radius=float(radius))
@@ -359,8 +379,7 @@ def shrink_toward_best(s: Simplex, best_index: int, gamma: float) -> Simplex:
         ValueError: gamma outside (0, 1).
         IndexError: best_index out of range.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    _unit_interval("gamma", gamma)
     m = s.vertices.shape[0]
     if not (0 <= best_index < m):
         raise IndexError(f"vertex index {best_index} out of range 0..{m - 1}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, asdict
 from operator import attrgetter
@@ -30,15 +29,18 @@ from operator import attrgetter
 import numpy as np
 
 from .simplex import (
+    _MAX,
     Simplex,
     _extreme_deviation,
     _frame_gradient,
     _frame_regularity,
-    _is_int,
     _is_real,
+    _positive,
+    _positive_int,
     _reflection,
     _squared_edges,
     _unit_frame,
+    _unit_interval,
     make_regular_simplex,
     shrink_toward_best,
 )
@@ -69,8 +71,6 @@ STOP_REASONS = ("epsilon-reached", "budget", "delta-floor",
 # On decoded JSON, type(x) in _REAL is simplex._is_real, at a lower cost per
 # record entry
 _REAL = (float, int)
-# NaN, +-inf and an int beyond the double range fall outside [-_MAX, _MAX]
-_MAX = sys.float_info.max
 
 # A solver run fails loudly once accumulated geometric drift exceeds this.
 REGULARITY_FAIL_TOL = 1e-6
@@ -120,7 +120,7 @@ class SolverConfig:
     """Configuration of a search run.
 
     Attributes:
-        n: dimension.
+        n: dimension, a positive integer.
         delta0: initial simplex radius (> 0, finite).
         gamma: shrink factor in (0, 1).
         epsilon: stopping tolerance (> 0, finite).
@@ -136,7 +136,7 @@ class SolverConfig:
             <= epsilon), "true_gradient" (test objectives only), "gap"
             (mean vertex value - f* <= epsilon; needs f* metadata), or
             "none" (run to budget).
-        max_iterations / max_evaluations: budgets, integers as n is;
+        max_iterations / max_evaluations: budgets, positive integers;
             max_evaluations counts actual objective calls.
         center: starting centroid (scalar is broadcast).
     """
@@ -157,40 +157,25 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("n", "max_iterations", "max_evaluations"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("delta0", "gamma", "epsilon", "beta", "eta", "L"):
-            value = getattr(self, name)
-            if not (_is_real(value) or value is None
-                    and name in ("beta", "eta", "L")):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
+            _positive_int(name, getattr(self, name))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.stopping not in STOPPING_RULES:
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
-        if self.mode == "theoretical":
-            if self.beta is None or not (self.beta > 0):
-                raise ValueError("theoretical mode needs beta > 0")
-            if self.L is None or not (self.L > 0):
-                raise ValueError("theoretical mode needs the smoothness constant L")
-        elif self.eta is None or not (self.eta > 0):
-            raise ValueError("practical mode needs eta > 0")
-        # beta, eta and L may be None; the audit reads beta in either mode
-        for name in ("delta0", "epsilon", "beta", "eta", "L"):
+        needs = ("beta", "L") if self.mode == "theoretical" else ("eta",)
+        for name in ("delta0", "gamma", "epsilon", "beta", "eta", "L"):
             value = getattr(self, name)
-            if name in ("delta0", "epsilon") or value is not None:
-                if not (0.0 < value <= _MAX):
-                    raise ValueError(
-                        f"{name} must be positive and finite, got {value}")
-        if self.max_iterations < 1 or self.max_evaluations < 1:
-            raise ValueError("budgets must be positive")
+            # a None the mode does not need passes; a given beta is checked
+            # in either mode, as the audit reads it
+            if value is None and name in ("beta", "eta", "L"):
+                if name in needs:
+                    raise ValueError(f"{self.mode} mode needs {name}")
+                continue
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            (_unit_interval if name == "gamma" else _positive)(name, value)
         try:
             # the shapes np.broadcast_to(center, (n,)) in start_center takes
             c = np.asarray(self.center, dtype=float)

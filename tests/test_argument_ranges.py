@@ -1,0 +1,132 @@
+"""The three range rules of the numeric arguments, at every entry point.
+
+``simplex`` owns the rules: positive and finite (0 < x <= the largest
+double), the open unit interval, and the positive integer.  Each entry point
+below routes its arguments through them, so a value outside its range is a
+ValueError that names the parameter, and the values the benchmark and the
+CLI pass, numpy scalars among them, are accepted.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from rssm.complexity import constants
+from rssm.experiments import ExperimentPlan
+from rssm.interpolation import bound_report, error_bound, query_point
+from rssm.objectives import builtin
+from rssm.simplex import Simplex, make_regular_simplex, shrink_toward_best
+from rssm.solver import SolverConfig
+
+_S = make_regular_simplex(np.zeros(2), 1.0, 2)
+
+_CONSTANTS = dict(n=2, beta=1.0, gamma=0.5, L=1.0, epsilon=1e-3, delta0=1.0,
+                  R=1.0, mu=0.5, eta_split=0.5)
+_THEORETICAL = dict(n=2, mode="theoretical", beta=1.0, L=1.0)
+
+# (entry point, parameter as the message names it, rule, call with the value)
+ENTRIES = [
+    ("Simplex", "radius", "positive",
+     lambda v: Simplex(_S.vertices, radius=v)),
+    ("make_regular_simplex", "n", "int",
+     lambda v: make_regular_simplex(0.0, 1.0, v)),
+    ("make_regular_simplex", "radius", "positive",
+     lambda v: make_regular_simplex(0.0, v, 2)),
+    ("shrink_toward_best", "gamma", "unit",
+     lambda v: shrink_toward_best(_S, 0, v)),
+    ("query_point", "gamma", "unit",
+     lambda v: query_point(_S, "shrink", gamma=v)),
+    ("bound_report", "L", "positive",
+     lambda v: bound_report(Simplex(_S.vertices), "centroid", "convex", v)),
+    ("bound_report", "gamma", "unit",
+     lambda v: bound_report(Simplex(_S.vertices), "shrink", "convex", 1.0,
+                            gamma=v)),
+    ("error_bound", "n", "int",
+     lambda v: error_bound("reflection", "convex", v, 1.0, 1.0)),
+    ("error_bound", "L", "positive",
+     lambda v: error_bound("reflection", "convex", 2, v, 1.0)),
+    ("error_bound", "delta", "positive",
+     lambda v: error_bound("centroid", "convex", 2, 1.0, v)),
+    ("error_bound", "gamma", "unit",
+     lambda v: error_bound("shrink", "convex", 2, 1.0, 1.0, gamma=v)),
+    ("builtin", "n", "int", lambda v: builtin("quad-iso", v)),
+    ("builtin quad-iso", "L", "positive",
+     lambda v: builtin("quad-iso", 2, L=v)),
+    ("builtin quad-spectrum", "L", "positive",
+     lambda v: builtin("quad-spectrum", 2, mu=1e-300, L=v)),
+    ("builtin quad-spectrum", "mu", "positive",
+     lambda v: builtin("quad-spectrum", 2, mu=v, L=1e300)),
+    ("builtin logsumexp", "scale", "positive",
+     lambda v: builtin("logsumexp", 2, scale=v)),
+    *[("constants", name, rule,
+       lambda v, name=name: constants(**{**_CONSTANTS, name: v}))
+      for name, rule in (("n", "int"), ("beta", "positive"), ("gamma", "unit"),
+                         ("L", "positive"), ("epsilon", "positive"),
+                         ("delta0", "positive"), ("R", "positive"),
+                         ("mu", "positive"), ("eta_split", "unit"))],
+    *[("SolverConfig", name, rule,
+       lambda v, name=name: SolverConfig(**{**_THEORETICAL, name: v}))
+      for name, rule in (("n", "int"), ("delta0", "positive"),
+                         ("gamma", "unit"), ("epsilon", "positive"),
+                         ("beta", "positive"), ("L", "positive"),
+                         ("max_iterations", "int"),
+                         ("max_evaluations", "int"))],
+    ("SolverConfig", "eta", "positive", lambda v: SolverConfig(n=2, eta=v)),
+    ("ExperimentPlan", "dims[1]", "int",
+     lambda v: ExperimentPlan("quad-iso", dims=(2, v))),
+    ("ExperimentPlan", "epsilons[0]", "positive",
+     lambda v: ExperimentPlan("quad-iso", epsilons=(v,))),
+    ("ExperimentPlan", "repetitions", "int",
+     lambda v: ExperimentPlan("quad-iso", repetitions=v)),
+]
+
+# the values outside each rule, with their test ids
+_OUTSIDE_REALS = [(math.nan, "nan"), (math.inf, "inf"), (-1, "-1"), (0, "0"),
+                  (10 ** 400, "10**400")]
+OUTSIDE = {
+    "positive": _OUTSIDE_REALS,
+    "unit": _OUTSIDE_REALS + [(1, "1")],
+    # 10**400 is an integer; NaN and inf are not
+    "int": _OUTSIDE_REALS[:4] + [(2.5, "2.5")],
+}
+
+# values inside each rule of the kinds the benchmark and the CLI pass:
+# Python and numpy floats and ints
+INSIDE = {
+    "positive": [0.75, 2, np.float64(0.5), np.int64(3)],
+    "unit": [0.25, np.float64(0.75)],
+    "int": [3, np.int64(2)],
+}
+
+
+_CALLS = [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in ENTRIES]
+
+
+@pytest.mark.parametrize("param, call, value", [
+    pytest.param(param, call, value, id=f"{entry}-{param}-{vid}")
+    for entry, param, rule, call in ENTRIES for value, vid in OUTSIDE[rule]])
+def test_a_value_outside_the_rule_names_its_parameter(param, call, value):
+    with pytest.raises(ValueError, match="^" + re.escape(param) + " must "):
+        call(value)
+
+
+@pytest.mark.parametrize("entry, param, rule, call", _CALLS)
+def test_the_values_callers_pass_are_accepted(entry, param, rule, call):
+    for value in INSIDE[rule]:
+        call(value)
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("positive", "must be positive and finite, got "),
+    ("unit", "must lie in (0, 1), got "),
+    ("int", "must be a positive integer, got "),
+])
+def test_each_rule_has_one_message_shape(rule, message):
+    for entry, param, case_rule, call in ENTRIES:
+        if case_rule != rule:
+            continue
+        with pytest.raises(ValueError) as exc:
+            call(-1)
+        assert str(exc.value) == f"{param} {message}-1", (entry, param)

@@ -1,5 +1,7 @@
 """Affine interpolation machinery: weights, G matrices, sharp bounds, mu."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -422,9 +424,12 @@ def _hand_built_g(eigenvalues, offsets):
     ell = np.array([-1.0, 2.0, -0.5, -0.5, 0.0])
     q = QueryCoefficients(ell=ell, positive_index_set=(1,),
                           negative_index_set=(0, 2, 3))
-    w = np.asarray(eigenvalues, dtype=float)
-    return GMatrix(matrix=np.diag(w), eigenvalues=w, eigenvectors=np.eye(3),
-                   coefficients=q, offsets=np.asarray(offsets, dtype=float))
+    # G = diag(w) takes eigh: no partition with two negative vertices has
+    # the two-cluster form
+    g = GMatrix(np.diag(eigenvalues), coefficients=q,
+                offsets=np.asarray(offsets, dtype=float))
+    assert g._two_cluster is None
+    return g
 
 
 def test_mu_unavailable_on_eigenspace_count_mismatch():
@@ -831,11 +836,11 @@ def test_a_g_beyond_the_two_cluster_form_takes_eigh(monkeypatch, where, s):
             assert rep.g._two_cluster is None
             # one eigh per query: the second class reads the first's G
             assert eigh_calls["count"] == before + (cls == "nonconvex")
-            # the report of the same G with its eigensystem given: the eigh
-            # path, formula for formula
-            g = GMatrix(rep.g.matrix,
-                        *rssm.interpolation._deterministic_eigh(rep.g.matrix),
-                        coefficients=rep.g.coefficients, offsets=rep.g.offsets)
+            # the report of the same G rebuilt, which takes eigh too: the
+            # eigh path, formula for formula
+            g = GMatrix(rep.g.matrix, coefficients=rep.g.coefficients,
+                        offsets=rep.g.offsets)
+            assert g._two_cluster is None
             sign = ("negative" if cls == "convex"
                     and g.trace_negative() >= g.trace_positive() else "positive")
             quad = worst_case_quadratic(g, 1.3, cls, sign=sign)
@@ -965,6 +970,44 @@ def test_a_new_radius_rebuilds_the_memo():
     _assert_as_fresh(s, after)
 
 
+# the arrays the two class reports of one query share, by the report
+SHARED_ARRAYS = {
+    "query": lambda rep: rep.query,
+    "g.matrix": lambda rep: rep.g.matrix,
+    "g.offsets": lambda rep: rep.g.offsets,
+    "g.coefficients.ell": lambda rep: rep.g.coefficients.ell,
+    "g.eigenvalues": lambda rep: rep.g.eigenvalues,
+    "g.eigenvectors": lambda rep: rep.g.eigenvectors,
+    "two-cluster u": lambda rep: rep.g._two_cluster[0],
+}
+
+
+@pytest.mark.parametrize("kind", ["reflection", "shrink"])
+@pytest.mark.parametrize("part", list(SHARED_ARRAYS))
+def test_an_edit_of_a_shared_array_raises(part, kind):
+    # each edit once changed the next report of the query on the simplex
+    s = _certify_simplex(8)
+    gamma = 0.4 if kind == "shrink" else None
+    first = bound_report(s, kind, "nonconvex", 1.0, gamma=gamma)
+    a = SHARED_ARRAYS[part](first)
+    with pytest.raises(ValueError, match="read-only"):
+        a[(0,) * a.ndim] += 5.0
+    second = bound_report(s, kind, "convex", 1.0, gamma=gamma)
+    assert second.g is first.g
+    _assert_as_fresh(s, [first, second])
+
+
+def test_the_shared_mu_entries_are_read_only():
+    s = _certify_simplex(8)
+    first = bound_report(s, "reflection", "nonconvex", 1.0)
+    key = next(iter(first.mu.entries))
+    with pytest.raises(TypeError):
+        first.mu.entries[key] = 5.0
+    second = bound_report(s, "reflection", "convex", 1.0)
+    assert second.mu is first.mu
+    _assert_as_fresh(s, [first, second])
+
+
 def test_shrink_reports_at_two_gammas_keep_their_own_queries():
     s = _certify_simplex(8)
     reports = {(gamma, cls): bound_report(s, "shrink", cls, 1.0, gamma=gamma)
@@ -984,7 +1027,8 @@ def test_a_bad_shrink_gamma_raises_on_every_call(gamma):
     s = _certify_simplex(8)
     bound_report(s, "shrink", "convex", 1.0, gamma=0.4)
     for _ in range(3):
-        with pytest.raises(ValueError, match="shrink query needs gamma"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"gamma must lie in (0, 1), got {gamma!r}") + "$"):
             bound_report(s, "shrink", "nonconvex", 1.0, gamma=gamma)
 
 
