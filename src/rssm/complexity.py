@@ -32,8 +32,8 @@ from dataclasses import dataclass, asdict, field
 # the convexity tags are the objectives'; tools/artifacts.py reads
 # complexity.CONVEX_CASES
 from .objectives import CASES, CONVEX_CASES
-from .simplex import _positive, _positive_int, _unit_interval
-from .solver import (_FIELD_OVERFLOW, Trace, _sq, evaluation_count,
+from .simplex import _positive, _positive_int, _sq, _unit_interval
+from .solver import (_FIELD_OVERFLOW, Trace, evaluation_count,
                      mean_value_gap)
 
 __all__ = [

@@ -28,10 +28,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .simplex import (DegenerateSimplexError, Simplex, _affine_system,
-                      _check_nonsingular, _positive, _positive_int,
-                      _unit_frame, _unit_interval, reflect_worst,
-                      shrink_toward_best)
+from .simplex import (_MAX, _UNIT_ROUNDOFF, DegenerateSimplexError, Simplex,
+                      _affine_system, _check_nonsingular, _positive,
+                      _positive_int, _sq, _unit_frame, _unit_interval,
+                      reflect_worst, shrink_toward_best)
 
 __all__ = [
     "QueryCoefficients",
@@ -68,9 +68,6 @@ EIG_ZERO_RTOL = 1e-9
 
 # The sharpness certificate accepts mu down to this (rounding in the solve).
 MU_TOL = -1e-12
-
-# The unit roundoff u of a double.
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # The closed-form weights are taken when the residual F = I - A M of their
 # approximate inverse M has ||F||max <= _FRAME_TOL / (n+1), so that
@@ -425,6 +422,10 @@ def error_bound(kind: str, cls: str, n: int, L: float, delta: float,
           reflection, convex:     (1 + 1/n)^2 * L * delta^2
           centroid (either cls):  L * delta^2 / 2
           shrink (either cls):    (n+1)/n * gamma(1-gamma) * L * delta^2
+
+    Raises:
+        ValueError: an unknown kind or class, an argument outside its range,
+            or a bound beyond the double range.
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
@@ -435,13 +436,20 @@ def error_bound(kind: str, cls: str, n: int, L: float, delta: float,
     _positive("delta", delta)
     if kind == "shrink" or gamma is not None:
         _unit_interval("gamma", gamma)
+    d2 = _sq(delta)
     if kind == "reflection":
         if cls == "convex":
-            return (1.0 + 1.0 / n) ** 2 * L * delta ** 2
-        return (2.0 * n + 2.0) / n * L * delta ** 2
-    if kind == "centroid":
-        return 0.5 * L * delta ** 2
-    return (n + 1.0) / n * gamma * (1.0 - gamma) * L * delta ** 2
+            bound = (1.0 + 1.0 / n) ** 2 * L * d2
+        else:
+            bound = (2.0 * n + 2.0) / n * L * d2
+    elif kind == "centroid":
+        bound = 0.5 * L * d2
+    else:
+        bound = (n + 1.0) / n * gamma * (1.0 - gamma) * L * d2
+    if not bound <= _MAX:
+        raise ValueError(f"the {kind} bound overflows the double range: "
+                         f"bound {bound!r}")
+    return bound
 
 
 def nuclear_bound_from_g(g: GMatrix, L: float, cls: str) -> float:
@@ -757,6 +765,8 @@ def gradient_bound_report(s: Simplex, objective, L: float | None = None) -> dict
     delta = s.radius
     if L is None:
         L = getattr(objective, "L", None)
+    if L is not None:
+        _positive("L", L)
     values = np.array([objective(v) for v in s.vertices], dtype=float)
     c = s.centroid()
     ghat = simplex_gradient(s, values)

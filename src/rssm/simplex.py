@@ -57,6 +57,17 @@ def _is_real(x) -> bool:
 # NaN, +-inf and an int beyond the double range fall outside [-_MAX, _MAX]
 _MAX = sys.float_info.max
 
+# The unit roundoff u of a double.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _sq(x: float) -> float:
+    """x ** 2, or inf where Python's float power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
 
 def _rule(test, must: str):
     """check(name, x): ValueError "{name} must {must}, got {x!r}" unless
@@ -71,10 +82,13 @@ def _rule(test, must: str):
     return check
 
 
-# The three rules every entry point applies to its numeric arguments
+# The three rules every entry point applies to its numeric arguments; an
+# int beyond the doubles fails the integer rule too, as every count feeds
+# float arithmetic
 _positive = _rule(lambda x: 0.0 < x <= _MAX, "be positive and finite")
 _unit_interval = _rule(lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
-_positive_int = _rule(lambda x: _is_int(x) and x >= 1, "be a positive integer")
+_positive_int = _rule(lambda x: _is_int(x) and 1 <= x <= _MAX,
+                      "be a positive integer")
 
 
 class DegenerateSimplexError(ValueError):

@@ -30,6 +30,7 @@ import numpy as np
 
 from .simplex import (
     _MAX,
+    _UNIT_ROUNDOFF,
     Simplex,
     _extreme_deviation,
     _frame_gradient,
@@ -38,6 +39,7 @@ from .simplex import (
     _positive,
     _positive_int,
     _reflection,
+    _sq,
     _squared_edges,
     _unit_frame,
     _unit_interval,
@@ -84,14 +86,6 @@ _FIELD_OVERFLOW = "the record field "
 # eta*delta^2 against value differences) but large enough that the floor is
 # reached before eta*delta^2 underflows and ties start to be accepted.
 DELTA_FLOOR_FRACTION = 1e-30
-
-
-def _sq(x: float) -> float:
-    """x ** 2, or inf where Python's float power raises OverflowError."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
 
 
 def mean_value_gap(S: float, n: int, f_star: float) -> float:
@@ -346,12 +340,69 @@ class Trace:
         return cls.from_dict(json.loads(text))
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): a result of k rounded operations,
+    each exact up to a factor (1 + d) with |d| <= u, lies within gamma_k of
+    the exact one relative to the sum of its terms' magnitudes."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _drift_constants(n: int) -> tuple[float, float, float, float, float]:
+    """The constants of :class:`SolverState`'s drift budget in dimension n.
+
+    Squared edges are measured in ideal squared edges l^2 = 2(1 + 1/n)
+    delta^2, squared radii in delta^2, and T is a rounded sum of at most
+    M = 3(n+1) terms (see :class:`SolverState`), each of norm at most R.
+
+    A = 8(1 - 1/n)^2 - 1 (A_1 = 1): the reflection x_r = (2/n) sum_(j != w)
+        x_j - x_w is an affine combination of the vertices, so each of its
+        squared edges ||x_r - x_k||^2 is a combination of the old squared
+        edges whose coefficients sum to 1 and their magnitudes to A.  Its
+        relative deviation is thus at most A times theirs.
+    g = (3n - 1)/(n + 1): the same magnitude sum for a squared radius
+        about the exact centroid (Gower, "Properties of Euclidean and
+        non-Euclidean distance matrices", Linear Algebra Appl. 67, 1985).
+    c = gamma_M M / (n+1): c R / delta bounds the distance of the centroid
+        T/(n+1) from the exact centroid, in radii.
+    r = gamma_(M+3) ((2/n)(M+1) + 1) / sqrt(2(1 + 1/n)): r R / delta bounds
+        the distance of the rounded reflection from the exact one, in ideal
+        edges (``tests/test_exact_geometry.py`` holds both to these bounds).
+    B = (1 + tau)^2 (2n/(n+1)) gamma_(n+8) + gamma_5, tau = 2
+        REGULARITY_FAIL_TOL: the rounding of a cached squared edge, of the
+        screen and of the exact report, for frames whose rows y have norm
+        at most 1 + tau, as every frame a screen or a report passed has.
+        Each entry of a frame row is within gamma_2 of (x - c)/delta, which
+        moves ||y_a - y_b||^2 by at most 8 gamma_2 (1 + tau)^2 to first
+        order; fl(fl(sq_a + sq_b) - 2 G_ab), from the n-term sums sq and G
+        of the rounded rows, is within gamma_(n+2) (||y_a|| + ||y_b||)^2
+        of their exact squared edge; the rounded scale n/(2(n+1)) and the
+        product add two roundings.  With gamma_j + gamma_k + gamma_j
+        gamma_k <= gamma_(j+k) a cached edge is within the first term of
+        its exact value.  The second covers the square roots, subtractions
+        and rounded ideal edge through which the screen and the report read
+        such squares; the report's squared radii are within
+        gamma_(n+8) (1 + tau)^2 of the exact ones, so its radii are inside
+        B too.  ``tests/test_solver.py`` holds every cached
+        entry and both deviations of the report to B against an exact
+        oracle.
+    """
+    m, M = n + 1.0, 3 * (n + 1)
+    growth = 1.0 if n == 1 else 8.0 * (1.0 - 1.0 / n) ** 2 - 1.0
+    gower = (3.0 * n - 1.0) / m
+    centring = _gamma(M) * M / m
+    rounding = (_gamma(M + 3) * (2.0 / n * (M + 1) + 1.0)
+                / math.sqrt(2.0 * (1.0 + 1.0 / n)))
+    slack = ((1.0 + 2.0 * REGULARITY_FAIL_TOL) ** 2 * (2.0 * n / m)
+             * _gamma(n + 8) + _gamma(5))
+    return growth, gower, centring, rounding, slack
+
+
 class SolverState:
     """Mutable run state: the simplex, whose vertices keep their slots (rows
     of ``simplex.vertices``), the slots in value order, the values in that
     order, the running vertex sum, the objective-call count (every other
-    count is :class:`Trace`'s) and the squared edges the regularity screen
-    reads.
+    count is :class:`Trace`'s), and the squared edges and drift budget the
+    regularity verdict reads.
 
     ``order`` lists the slots by ascending value, ties in the order they
     had before, as a stable sort leaves them; ``values[i]`` is the value of
@@ -363,12 +414,25 @@ class SolverState:
     every shrink and after every n+1 accepted reflections, so it is the
     rounded sum of at most 3(n+1) rows (``tests/test_exact_geometry.py``
     holds the centroid and the reflection to the bound that gives).
+    ``_norm2`` is R^2, the largest squared norm of those rows: set from the
+    rows at each re-sum and raised by each accepted reflection, it is reset
+    at no other point, since T's sum still holds the rows replaced since.
 
     ``_edges`` is E, indexed by slot: E[a, b] = ||y_a - y_b||^2 / (2(1+1/n))
     for y_a and y_b the unit-frame rows of the vertices in slots a and b,
     and E[a, a] = ||y_a||^2, so that every entry of a regular simplex is 1.
-    ``_moved`` is the value position of the one vertex that moved since E
-    was written, or None when E is to be rebuilt.
+    ``_pending`` lists the slots moved since E was last written, or is None
+    when E is to be rebuilt.
+
+    ``_eta`` is the drift budget: a bound on the relative deviation
+    |d_ab / l^2 - 1| of every exact squared edge d_ab of the vertices from
+    the ideal l^2 = 2(1+1/n) delta^2 (see :func:`_drift_constants` for the
+    constants).  The screen sets it from its value s to s(2 + s) + B; an
+    accepted reflection raises it to A eta (1 + t) + t (2 + t), for t the
+    reflection's rounding in ideal edges; the start and every shrink set it
+    to inf.  :meth:`_drift_bound` turns it into a bound on the exact
+    report; a NaN in eta, R^2 or delta, or an inf in eta or R^2, leaves
+    that bound NaN or inf.
     """
 
     def __init__(self, simplex: Simplex, objective):
@@ -383,6 +447,8 @@ class SolverState:
         self._edges = np.empty((m, m))
         self._diagonal = self._edges.reshape(-1)[::m + 1]  # a view of E
         self._edge_scale = (m - 1) / (2.0 * m)  # 1 / (2(1+1/n))
+        (self._growth, self._gower, self._centring, self._rounding,
+         self._slack) = _drift_constants(m - 1)
         self._sort()
 
     def evaluate(self, x) -> float:
@@ -413,13 +479,20 @@ class SolverState:
         return _reflection(self.total - x_w, x_w, self.simplex.dim)
 
     def accept(self, x_r: np.ndarray, f_r: float) -> None:
-        """Put x_r, of value f_r, in the worst vertex's slot."""
+        """Put x_r, this state's :meth:`reflection`, of value f_r, in the
+        worst vertex's slot."""
         f, order = self.values, self.order
         n = len(order) - 1
-        w = order[n]
+        w = int(order[n])
         V = self.simplex.vertices
+        # the budget from the T that made x_r
+        t = self._rounding * math.sqrt(self._norm2) / self.simplex.radius
+        self._eta = self._growth * self._eta * (1.0 + t) + t * (2.0 + t)
         self.total += x_r - V[w]
         V[w] = x_r
+        r2 = float(x_r @ x_r)
+        if not r2 <= self._norm2:  # a NaN too
+            self._norm2 = r2
         # bisect_right places a tie last among the n best values, where a
         # stable sort of the values in their previous order puts it
         k = bisect_right(f, f_r, 0, n)
@@ -427,7 +500,8 @@ class SolverState:
         f[k] = f_r
         order[k + 1:] = order[k:n]
         order[k] = w
-        self._moved = k
+        if self._pending is not None and w not in self._pending:
+            self._pending.append(w)
         self._updates += 1
         if self._updates > n:
             self._resum()
@@ -443,43 +517,62 @@ class SolverState:
 
     def _sort(self) -> None:
         """Stable sort of the slots by value from their previous order;
-        re-sums T, and E is to be rebuilt."""
+        re-sums T, E is to be rebuilt and the budget is spent."""
         perm = np.argsort(self.values, kind="stable")
         self.values = self.values[perm]
         self.order = self.order[perm]
-        self._moved = None
+        self._pending = None
+        self._eta = math.inf
         self._resum()
 
     def _resum(self) -> None:
-        """T summed afresh over the vertices in value order."""
-        self.total = self.simplex.vertices.take(self.order, axis=0).sum(axis=0)
+        """T summed afresh over the vertices in value order, and R^2 the
+        largest squared norm among them."""
+        X = self.simplex.vertices.take(self.order, axis=0)
+        self.total = X.sum(axis=0)
+        self._norm2 = float(np.einsum("ij,ij->i", X, X).max())
         self._updates = 0
 
-    def _regularity_screen(self, Y: np.ndarray) -> float:
-        """Bring E up to date with the unit frame Y, in value order, and
-        return max |sqrt(E_ab) - 1|, NaN when E holds one.
+    def _drift_bound(self) -> float:
+        """A bound on the deviation of the exact report of this loop top's
+        frame, from the budget: g eta + c R / delta + B, the radius bound
+        (Gower's about the exact centroid, plus the distance of T/(n+1)
+        from it) plus the frame's rounding; the edge bound eta + B is never
+        larger.  NaN or inf when the budget holds one."""
+        return (self._gower * self._eta + self._slack + self._centring
+                * math.sqrt(self._norm2) / self.simplex.radius)
 
-        A rebuild forms the Gram matrix of Y, O(n^3); after a reflection
-        one row and column of E and its diagonal are written, O(n^2).  The
-        result differs from the deviation of :func:`_frame_regularity` by
-        rounding of order (n+1) * machine epsilon.
+    def _regularity_screen(self, Y: np.ndarray) -> float:
+        """Bring E up to date with the unit frame Y, in value order, set the
+        budget from it, and return max |sqrt(E_ab) - 1|, NaN when E holds
+        one.
+
+        A rebuild forms the Gram matrix of Y, O(n^3); otherwise the rows
+        and columns of the moved slots are written from their inner
+        products with every row, O(n^2) per slot, and every diagonal
+        entry.  The result is within B (see :func:`_drift_constants`) of
+        the exact deviation of the cached rows, and so is the exact
+        report's deviation.
         """
-        E, p, o = self._edges, self._moved, self.order
-        if p is None:
-            G = Y @ Y.T
+        E, P = self._edges, self._pending
+        Ys = np.empty_like(Y)  # the frame in slot order
+        Ys[self.order] = Y
+        if P is None:
+            G = Ys @ Ys.T
             sq = G.diagonal()
-            q = _squared_edges(sq, G)
-            q *= self._edge_scale
-            E[np.ix_(o, o)] = q
+            E[:] = _squared_edges(sq, G)
+            E *= self._edge_scale
         else:
-            sq = np.einsum("ij,ij->i", Y, Y)
-            row = _squared_edges(sq, Y.dot(Y[p]), p)
-            row *= self._edge_scale
-            a = o[p]
-            E[a][o] = row  # row and column a through views of E
-            E[:, a][o] = row
-        self._diagonal[o] = sq
-        return _extreme_deviation(E, 1.0)
+            sq = np.einsum("ij,ij->i", Ys, Ys)
+            q = _squared_edges(sq, Ys[P] @ Ys.T, P)
+            q *= self._edge_scale
+            E[P] = q
+            E[:, P] = q.T
+        self._diagonal[:] = sq
+        self._pending = []
+        s = _extreme_deviation(E, 1.0)
+        self._eta = s * (2.0 + s) + self._slack
+        return s
 
 
 def _check_stopping(objective, cfg: SolverConfig) -> None:
@@ -517,12 +610,20 @@ def run(objective, cfg: SolverConfig) -> Trace:
     order give, bit for bit; after it, x_r and the centroid from T differ
     from those sums in their last bits.
 
-    The verdict is screened on the squared edges cached on the state
-    (``SolverState._regularity_screen``): a reflection updates one row
-    of them, a shrink rebuilds them.  Only a screen above half of
-    REGULARITY_FAIL_TOL, or a NaN, takes the exact report of the frame, so
-    the stop iteration and ``summary["regularity"]`` are those of a report
-    taken every iteration.
+    The regularity verdict is certified a priori where it can be: the
+    state's drift budget (:class:`SolverState`) bounds the exact report of
+    the frame from the rounding bounds of the reflections since the last
+    screen, and while that bound is at most half of REGULARITY_FAIL_TOL
+    the loop top reads nothing else.  Otherwise it screens the squared
+    edges cached on the state (``SolverState._regularity_screen``), which
+    writes the rows of the slots moved since the screen last ran (a shrink
+    rebuilds them all) and sets the budget afresh from its value; only a
+    screen above half of REGULARITY_FAIL_TOL, or a NaN, takes the exact
+    report.  The start and every shrink spend the budget, and a NaN or inf
+    in it leaves the loop top uncertified, so the loop top screens.  A
+    certified or screened verdict passes only where the exact report is
+    within REGULARITY_FAIL_TOL, so the stop iteration and
+    ``summary["regularity"]`` are those of a report taken every iteration.
 
     The criterion is tested at the top of every iteration, so on
     "epsilon-reached" the number of records is the first iteration index at
@@ -577,9 +678,12 @@ def run(objective, cfg: SolverConfig) -> Trace:
                 trace.summary["overflow"] = (
                     f"the simplex gradient norm is {grad_norm!r}")
                 break
-            # the cached edges screen; the exact report decides near the
-            # tolerance, so the verdict is the one a fresh report gives
-            if not state._regularity_screen(Y) <= 0.5 * REGULARITY_FAIL_TOL:
+            # the budget certifies, or else the cached edges screen; the
+            # exact report decides near the tolerance, so the verdict is the
+            # one a fresh report gives
+            if not (state._drift_bound() <= 0.5 * REGULARITY_FAIL_TOL
+                    or state._regularity_screen(Y)
+                    <= 0.5 * REGULARITY_FAIL_TOL):
                 rep = _frame_regularity(Y)
                 if not rep.max_deviation() <= REGULARITY_FAIL_TOL:
                     trace.reason = "regularity-failure"

@@ -1,10 +1,11 @@
 """The three range rules of the numeric arguments, at every entry point.
 
 ``simplex`` owns the rules: positive and finite (0 < x <= the largest
-double), the open unit interval, and the positive integer.  Each entry point
-below routes its arguments through them, so a value outside its range is a
-ValueError that names the parameter, and the values the benchmark and the
-CLI pass, numpy scalars among them, are accepted.
+double), the open unit interval, and the positive integer (1 <= x <= the
+largest double).  Each entry point below routes its arguments through
+them, so a value outside its range is a ValueError that names the
+parameter, and the values the benchmark and the CLI pass, numpy scalars
+among them, are accepted.
 """
 
 import math
@@ -15,7 +16,8 @@ import pytest
 
 from rssm.complexity import constants
 from rssm.experiments import ExperimentPlan
-from rssm.interpolation import bound_report, error_bound, query_point
+from rssm.interpolation import (bound_report, error_bound,
+                                gradient_bound_report, query_point)
 from rssm.objectives import builtin
 from rssm.simplex import Simplex, make_regular_simplex, shrink_toward_best
 from rssm.solver import SolverConfig
@@ -43,6 +45,8 @@ ENTRIES = [
     ("bound_report", "gamma", "unit",
      lambda v: bound_report(Simplex(_S.vertices), "shrink", "convex", 1.0,
                             gamma=v)),
+    ("gradient_bound_report", "L", "positive",
+     lambda v: gradient_bound_report(_S, builtin("quad-iso", 2), L=v)),
     ("error_bound", "n", "int",
      lambda v: error_bound("reflection", "convex", v, 1.0, 1.0)),
     ("error_bound", "L", "positive",
@@ -88,8 +92,9 @@ _OUTSIDE_REALS = [(math.nan, "nan"), (math.inf, "inf"), (-1, "-1"), (0, "0"),
 OUTSIDE = {
     "positive": _OUTSIDE_REALS,
     "unit": _OUTSIDE_REALS + [(1, "1")],
-    # 10**400 is an integer; NaN and inf are not
-    "int": _OUTSIDE_REALS[:4] + [(2.5, "2.5")],
+    # 10**400 is an integer beyond the doubles (complexity.constants once
+    # raised OverflowError from math.sqrt(n) on it); 2.5 is no integer
+    "int": _OUTSIDE_REALS + [(2.5, "2.5")],
 }
 
 # values inside each rule of the kinds the benchmark and the CLI pass:

@@ -9,7 +9,9 @@ terms, in any order, is within gamma_(m-1) of the sum of their magnitudes,
 and each further rounded operation adds one to k.  The bounds are compared
 in exact arithmetic too.  The simplices are those of the weights oracle:
 n <= 8, at the origin, rotated, and at centres 1e3 and 1e6; the solver's
-running-sum centroid and reflection are also held at n = 16.
+running-sum centroid and reflection are also held at n = 16.  The two
+affine identities the solver's drift budget rests on are checked in exact
+arithmetic at the end.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from rssm.simplex import make_regular_simplex, reflect_worst, shrink_toward_best
-from rssm.solver import SolverState
+from rssm.solver import SolverState, _drift_constants
 
 from conftest import random_regular_simplex
 from test_exact_weights import _simplices
@@ -136,3 +138,75 @@ def test_running_sum_centroid_and_reflection_lie_within_their_bounds(n, where,
              for a, b, r in zip(W, x_w, x_r)]
         M += 2
         state.accept(x_r, float(rng.standard_normal()))
+
+
+# The drift budget of the solver's loop rests on two affine identities.
+# For a point p = sum_j a_j x_j with sum_j a_j = 1,
+#   ||p - x_k||^2 = sum_j a_j d_jk - (1/2) sum_(i,j) a_i a_j d_ij,
+# d_ij = ||x_i - x_j||^2, so each squared edge of the reflection (a_j = 2/n
+# for j != w, a_w = -1) and each squared radius about the centroid
+# (a_j = 1/(n+1)) is a fixed combination of the old squared edges.  In
+# units of the ideal squared edge and squared radius the coefficients sum
+# to 1, so the relative deviation grows at most by the sum of their
+# magnitudes: A_n for an edge, (3n - 1)/(n + 1) for a radius.
+
+
+def _edge_coefficients(a, k):
+    """The coefficient of each d_ij, i < j, in ||sum_j a_j x_j - x_k||^2."""
+    c = {}
+    m = len(a)
+    for j in range(m):
+        if j != k:
+            key = (min(j, k), max(j, k))
+            c[key] = c.get(key, 0) + a[j]
+    for i in range(m):
+        for j in range(i + 1, m):
+            c[(i, j)] = c.get((i, j), 0) - a[i] * a[j]
+    return c
+
+
+def _check_identity(a, k, c, n, rng):
+    """The coefficients reproduce ||p - x_k||^2 exactly on random rational
+    points."""
+    X = [[Fraction(int(v), 64) for v in rng.integers(-640, 640, n)]
+         for _ in range(len(a))]
+    p = [sum(aj * x[i] for aj, x in zip(a, X)) for i in range(n)]
+
+    def d(u, v):
+        return sum((s - t) ** 2 for s, t in zip(u, v))
+
+    assert d(p, X[k]) == sum(cij * d(X[i], X[j]) for (i, j), cij in c.items())
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_reflected_edge_coefficients_sum_to_one_and_a_n(n):
+    # the worst vertex in the last slot; any other slot permutes the
+    # coefficients
+    rng = np.random.default_rng(n)
+    a = [Fraction(2, n)] * n + [Fraction(-1)]
+    A = Fraction(1) if n == 1 else 8 * (1 - Fraction(1, n)) ** 2 - 1
+    growth = _drift_constants(n)[0]
+    assert abs(Fraction(growth) - A) <= gamma(4) * A
+    for k in range(n):
+        c = _edge_coefficients(a, k)
+        assert sum(c.values()) == 1
+        assert sum(map(abs, c.values())) == A
+    _check_identity(a, 0, _edge_coefficients(a, 0), n, rng)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_centroid_radius_coefficients_sum_to_one_and_gower(n):
+    # ||x_k - c||^2 / delta^2 = sum c_ij d_ij / l^2 with l^2 / delta^2 =
+    # 2(n+1)/n: the coefficients times 2(n+1)/n
+    rng = np.random.default_rng(n)
+    m = n + 1
+    a = [Fraction(1, m)] * m
+    g = Fraction(3 * n - 1, n + 1)
+    gower = _drift_constants(n)[1]
+    assert abs(Fraction(gower) - g) <= gamma(3) * g
+    unit = Fraction(2 * (n + 1), n)
+    for k in range(m):
+        c = _edge_coefficients(a, k)
+        assert sum(c.values()) * unit == 1
+        assert sum(map(abs, c.values())) * unit == g
+    _check_identity(a, 0, _edge_coefficients(a, 0), n, rng)

@@ -28,6 +28,8 @@ from rssm.interpolation import (
     _frame_weights,
 )
 
+from rssm.objectives import Objective
+
 from conftest import haar_rotation, random_regular_simplex
 
 
@@ -361,6 +363,26 @@ def test_error_bound_argument_validation():
         error_bound("shrink", "nonconvex", 2, 1.0, 1.0, gamma=1.0)
     with pytest.raises(ValueError):
         error_bound("centroid", "nonconvex", 2, 1.0, 1.0, gamma=2.0)
+
+
+@pytest.mark.parametrize("kind, cls, n, L, delta, gamma", [
+    pytest.param("centroid", "convex", 2, 1.0, 1e200, None,
+                 id="delta-squared"),
+    pytest.param("reflection", "nonconvex", 3, 1e300, 1e10, None,
+                 id="L-delta-squared"),
+    pytest.param("reflection", "convex", 2, 1e308, 1.0, None,
+                 id="coefficient-L"),
+    pytest.param("shrink", "convex", 2, 1e300, 1e100, 0.5, id="shrink"),
+])
+def test_a_bound_beyond_the_doubles_is_a_named_value_error(kind, cls, n, L,
+                                                          delta, gamma):
+    with pytest.raises(ValueError, match=f"^the {kind} bound overflows the "
+                                         "double range: bound inf$"):
+        error_bound(kind, cls, n, L, delta, gamma=gamma)
+
+
+def test_a_bound_near_the_top_of_the_doubles_is_returned():
+    assert error_bound("centroid", "convex", 1, 2.0, 1e154) == 1e154 ** 2
 
 
 def test_nuclear_bound_matches_closed_forms():
@@ -1072,6 +1094,29 @@ def test_gradient_report_skips_without_gradient():
     rep = gradient_bound_report(s, lambda x: float(x @ x), L=1.0)
     assert set(rep["skipped"]) == {"gradient_error", "gap_lower"}
     assert rep["simplex_gradient_upper"]["holds"]
+
+
+@pytest.mark.parametrize("L", [-1.0, 0.0, float("nan"), float("inf"),
+                               10 ** 400])
+def test_gradient_report_refuses_an_l_outside_its_range(L):
+    # given, or read from the objective: a negative L once reported gap_lower
+    # failing against a meaningless bound
+    s = make_regular_simplex(np.zeros(2), 1.0, 2)
+    quad = Quadratic(H=np.eye(2), v=np.full(2, -0.3))
+    message = "^L must be positive and finite, got "
+    with pytest.raises(ValueError, match=message):
+        gradient_bound_report(s, quad, L=L)
+    obj = Objective("quad", 2, quad, grad=quad.gradient, L=L)
+    with pytest.raises(ValueError, match=message):
+        gradient_bound_report(s, obj)
+
+
+def test_gradient_report_reads_l_from_the_objective():
+    s = make_regular_simplex(np.zeros(2), 1.0, 2)
+    quad = Quadratic(H=np.eye(2), v=np.full(2, -0.3))
+    obj = Objective("quad", 2, quad, grad=quad.gradient, L=1.0)
+    assert gradient_bound_report(s, obj) == gradient_bound_report(s, quad,
+                                                                  L=1.0)
 
 
 def test_gradient_inequalities_random_sweep():

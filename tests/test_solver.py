@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,8 @@ from rssm.solver import (
     mean_value_gap,
     run,
 )
+
+from test_exact_geometry import gamma
 
 
 def _theoretical_cfg(**kw):
@@ -400,10 +403,12 @@ def test_the_starting_evaluations_warn_no_more_than_the_rest():
 
 
 # ---------------------------------------------------------------------------
-# the regularity screen on the cached squared edges
+# the regularity verdict: the drift budget and the screen on the cached
+# squared edges
 
 
 U = np.finfo(float).eps
+HALF_TOL = 0.5 * rssm.solver.REGULARITY_FAIL_TOL
 
 
 def _fresh_edges(Y):
@@ -416,34 +421,246 @@ def _fresh_edges(Y):
     return E
 
 
-@pytest.mark.parametrize("centre", [0.0, 1e3, 1e6])
-@pytest.mark.parametrize("n", [1, 2, 8, 33])
-def test_cached_edges_equal_a_fresh_gram_computation(n, centre):
-    # 10^4 random steps driven through the state as run drives it: an
-    # accepted reflection of the worst vertex, or a shrink toward the best,
-    # with random values
+def _loop_tops(n, centre, steps, budget):
+    """The loop tops of a random walk driven through a SolverState as run
+    drives it: at each, the frame and then, unless `budget` is set and the
+    budget certifies the top, the screen; then an accepted reflection of the
+    worst vertex (4 steps in 5) or a shrink toward the best, with random
+    values.  Yields (step, state, centroid, frame, bound, screen); screen is
+    None at a certified top and bound None without the budget."""
     rng = np.random.default_rng(n)
     state = SolverState(make_regular_simplex(np.full(n, centre), 1.0, n),
                         lambda x: rng.standard_normal())
-    bound = 4.0 * (n + 1) * U
-    worst = 0.0
-    for step in range(10_000):
-        o = state.order
-        Y = _unit_frame(state.simplex, state.centroid(), o)
-        screen = state._regularity_screen(Y)
-        # an entry is written once per visit of its row; a sample of the
-        # steps therefore still sees every entry the walk writes
-        if step % 7 == 0 or step == 9_999:
-            err = np.abs(state._edges[np.ix_(o, o)] - _fresh_edges(Y)).max()
-            exact = _frame_regularity(Y).max_deviation()
-            worst = max(worst, err, abs(screen - exact))
+    for step in range(steps):
+        c = state.centroid()
+        Y = _unit_frame(state.simplex, c, state.order)
+        bound = state._drift_bound() if budget else None
+        certified = budget and bound <= HALF_TOL
+        screen = None if certified else state._regularity_screen(Y)
+        yield step, state, c, Y, bound, screen
         if rng.random() < 0.8:
             state.accept(state.reflection(), rng.standard_normal())
         else:
             state.shrink(0.9999)
-    assert worst <= bound
+
+
+def _exact_ints(A):
+    """Python ints I and a shift k with A[i, j] == I[i][j] / 2**k exactly."""
+    mant, exp = np.frexp(A)
+    M = (mant * 2.0 ** 53).astype(np.int64)  # the 53-bit significands
+    E = exp.astype(np.int64) - 53
+    k = -int(E[M != 0].min(initial=0))
+    return [[int(m) << int(e + k) if m else 0 for m, e in zip(rm, re)]
+            for rm, re in zip(M, E)], k
+
+
+def _exact_sqrt(q):
+    """sqrt(q) for a Fraction q >= 0, rounded down to a multiple of 2^-200."""
+    return Fraction(math.isqrt(q.numerator * 4 ** 200 // q.denominator),
+                    2 ** 200)
+
+
+def _derived_bound_ratio(state, c, Y):
+    """The largest error, over the cached squared edges and radii and the
+    exact report's two deviations, in units of the derived rounding bound B.
+
+    The oracle is exact on the float vertices: E[a, b] against
+    ||x_a - x_b||^2 / (2(1+1/n) delta^2), E[a, a] and the report's radii
+    against ||x_a - c||^2 / delta^2 about the frame's centroid c, and the
+    report's edges against the exact edges.  Each error is an exact integer
+    ratio, rounded once to a double."""
+    n = Y.shape[1]
+    B = rssm.solver._drift_constants(n)[4]
+    rows, k = _exact_ints(np.vstack([state.simplex.vertices, c]))
+    X, C = rows[:-1], rows[-1]
+    p, q = state.simplex.radius.as_integer_ratio()
+    # a radius is R / den, an edge D n q^2 / (2 (n+1) den), in exact ints
+    den = 4 ** k * p * p
+    radii = [sum((s - t) ** 2 for s, t in zip(x, C)) * q * q for x in X]
+    edge_den = 2 * (n + 1) * den
+    E = state._edges
+    worst = 0.0
+    for a in range(n + 1):
+        num, low = float(E[a, a]).as_integer_ratio()
+        worst = max(worst, abs(num * den - radii[a] * low) / (low * den))
+    edges = []
+    for a in range(n + 1):
+        for b in range(a + 1, n + 1):
+            D = sum((s - t) ** 2 for s, t in zip(X[a], X[b])) * n * q * q
+            edges.append(D)
+            for x in (E[a, b], E[b, a]):
+                num, low = float(x).as_integer_ratio()
+                worst = max(worst, abs(num * edge_den - D * low)
+                            / (low * edge_den))
+    rep = _frame_regularity(Y)
+    for got, exact, d in ((rep.max_radius_deviation, radii, den),
+                          (rep.max_edge_deviation, edges, edge_den)):
+        if exact:  # n = 1 has one edge; every n has radii
+            hi, lo = Fraction(max(exact), d), Fraction(min(exact), d)
+            dev = max(_exact_sqrt(hi) - 1, 1 - _exact_sqrt(lo))
+            worst = max(worst, float(abs(Fraction(got) - dev)) + 2.0 ** -190)
+    return worst / B
+
+
+def test_the_derived_rounding_bound_is_the_gamma_form():
+    # B = (1 + 2 tol)^2 (2n/(n+1)) gamma_(n+8) + gamma_5, in exact arithmetic
+    tau = Fraction(2 * rssm.solver.REGULARITY_FAIL_TOL)
+    for n in range(1, 65):
+        want = ((1 + tau) ** 2 * Fraction(2 * n, n + 1) * gamma(n + 8)
+                + gamma(5))
+        # evaluated in doubles: a few roundings of itself, far inside the
+        # factor 2 that half of REGULARITY_FAIL_TOL leaves
+        got = Fraction(rssm.solver._drift_constants(n)[4])
+        assert abs(got / want - 1) <= Fraction(8, 2 ** 53), n
+
+
+@pytest.mark.parametrize("centre", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+def test_cached_edges_equal_a_fresh_gram_computation(n, centre):
+    # 10^4 random steps, with the screen at every loop top, so that it
+    # writes one moved row at a time
+    worst = ratio = 0.0
+    for step, state, c, Y, _, screen in _loop_tops(n, centre, 10_000,
+                                                   budget=False):
+        # an entry is written once per visit of its row; a sample of the
+        # steps therefore still sees every entry the walk writes
+        if step % 7 == 0 or step == 9_999:
+            o = state.order
+            err = np.abs(state._edges[np.ix_(o, o)] - _fresh_edges(Y)).max()
+            exact = _frame_regularity(Y).max_deviation()
+            worst = max(worst, err, abs(screen - exact))
+        if step % 1000 == 0 or step == 9_999:
+            ratio = max(ratio, _derived_bound_ratio(state, c, Y))
+    assert worst <= 4.0 * (n + 1) * U
+    # every cached entry, the screen's and the report's deviations within B
+    # of the exact values: the budget's anchor slack and the frame's
+    # rounding
+    assert ratio <= 1.0
     # the walk stays where the screen alone decides
     assert screen <= 0.1 * rssm.solver.REGULARITY_FAIL_TOL
+
+
+def test_a_cache_kernel_off_by_16u_fails_the_derived_bound(monkeypatch):
+    # at n = 1 B is about 14u, so an edge kernel scaled by 1 + 16u (u the
+    # unit roundoff, U / 2) breaks it
+    kernel = rssm.solver._squared_edges
+    monkeypatch.setattr(rssm.solver, "_squared_edges",
+                        lambda *args: kernel(*args) * (1.0 + 8 * U))
+    ratio = max(_derived_bound_ratio(state, c, Y)
+                for _, state, c, Y, _, _ in _loop_tops(1, 0.0, 200,
+                                                      budget=False))
+    assert ratio > 1.0
+
+
+@pytest.mark.parametrize("centre", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+def test_the_budget_bounds_the_exact_report_at_every_certified_loop_top(
+        n, centre):
+    # the walk as run takes it: the screen only where the budget does not
+    # certify, so the screen writes every row moved since its last run
+    certified = screens = 0
+    worst = ratio = 0.0
+    for step, state, c, Y, bound, screen in _loop_tops(n, centre, 3_000,
+                                                       budget=True):
+        if screen is None:
+            certified += 1
+            assert _frame_regularity(Y).max_deviation() <= bound, step
+            continue
+        screens += 1
+        o = state.order
+        worst = max(worst, np.abs(state._edges[np.ix_(o, o)]
+                                  - _fresh_edges(Y)).max())
+        if screens % 250 == 1:
+            ratio = max(ratio, _derived_bound_ratio(state, c, Y))
+    assert worst <= 4.0 * (n + 1) * U
+    assert ratio <= 1.0
+    # about one step in five is a shrink, after which the screen runs; the
+    # rounding of T grows with the centre, and at n = 33 and centre 1e6 the
+    # centroid's alone spends the budget, so every loop top screens
+    if centre == 0.0:
+        assert certified > 3 * screens
+    elif (n, centre) == (33, 1e6):
+        assert certified == 0
+    else:
+        assert certified > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_the_term_norm_bound_resets_only_with_t(n):
+    # R bounds every term of T's sum, the rows it replaced since its last
+    # re-sum among them: an anchor (a screen) leaves it, and it drops to the
+    # current rows only where T is summed afresh
+    rng = np.random.default_rng(n)
+    state = SolverState(make_regular_simplex(np.full(n, 2.0), 1.0, n),
+                        lambda x: rng.standard_normal())
+
+    def rows_norm2():
+        X = state.simplex.vertices.take(state.order, axis=0)
+        return float(np.einsum("ij,ij->i", X, X).max())
+
+    assert state._norm2 == rows_norm2()
+    terms = rows_norm2()
+    for step in range(n + 1):
+        x_r = state.reflection()
+        terms = max(terms, float(x_r @ x_r))
+        state.accept(x_r, float(rng.standard_normal()) - 10.0)
+        Y = _unit_frame(state.simplex, state.centroid(), state.order)
+        state._regularity_screen(Y)
+        if step < n:
+            assert state._updates == step + 1
+            assert state._norm2 == terms >= rows_norm2()
+    # the (n+1)-th accepted reflection re-summed T
+    assert state._updates == 0 and state._norm2 == rows_norm2()
+    state.accept(state.reflection(), 0.0)
+    state.shrink(0.5)
+    assert state._norm2 == rows_norm2()
+
+
+def _anchored_state(n=2):
+    """A state whose budget the screen has just set: certified."""
+    state = SolverState(make_regular_simplex(np.zeros(n), 1.0, n),
+                        lambda x: float(x @ x))
+    state._regularity_screen(_unit_frame(state.simplex, state.centroid(),
+                                         state.order))
+    assert state._drift_bound() <= HALF_TOL
+    return state
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["eta", "norm", "reflection", "screen"])
+def test_a_nan_or_inf_in_the_budget_leaves_the_loop_top_uncertified(
+        where, value, monkeypatch):
+    # max(x, nan) drops a NaN, so each test reads not (bound <= half)
+    state = _anchored_state()
+    if where == "eta":
+        state._eta = value
+    elif where == "norm":
+        state._norm2 = value
+    elif where == "reflection":
+        x_r = state.reflection()
+        x_r[0] = value
+        state.accept(x_r, 0.0)
+    else:
+        monkeypatch.setattr(rssm.solver, "_extreme_deviation",
+                            lambda E, ideal: value)
+        state._regularity_screen(_unit_frame(state.simplex, state.centroid(),
+                                             state.order))
+    assert not state._drift_bound() <= HALF_TOL
+
+
+def test_a_nan_radius_leaves_the_loop_top_uncertified():
+    state = _anchored_state()
+    state.simplex.radius = math.nan
+    assert not state._drift_bound() <= HALF_TOL
+
+
+def test_the_start_and_every_shrink_spend_the_budget():
+    state = SolverState(make_regular_simplex(np.zeros(3), 1.0, 3),
+                        lambda x: float(x @ x))
+    assert state._drift_bound() == math.inf
+    state = _anchored_state(3)
+    state.shrink(0.5)
+    assert state._drift_bound() == math.inf and state._pending is None
 
 
 @pytest.mark.parametrize("radius_dev, edge_dev", [
@@ -483,7 +700,9 @@ def test_the_screen_stops_where_an_exact_report_does(obj, cfg, k, drift,
     trace = run(obj, cfg)
     assert (trace.reason, len(trace.records)) == ("regularity-failure", k)
     assert trace.summary["regularity"] == drift
-    # a NaN screen takes the exact report at every loop top
+    # with the budget off, a NaN screen takes the exact report at every
+    # loop top
+    monkeypatch.setattr(SolverState, "_drift_bound", lambda self: math.nan)
     monkeypatch.setattr(SolverState, "_regularity_screen",
                         lambda self, Y: math.nan)
     assert run(obj, cfg).to_json() == trace.to_json()
@@ -502,6 +721,25 @@ def test_a_clean_run_takes_no_exact_report(monkeypatch):
     assert trace.reason == "epsilon-reached"
     assert trace.N_r > 100 and trace.N_s > 0
     assert calls == []
+
+
+def test_a_clean_run_screens_on_at_most_a_third_of_its_loop_tops(
+        monkeypatch):
+    screens = []
+    screen = SolverState._regularity_screen
+
+    def spy(self, Y):
+        screens.append(Y.shape)
+        return screen(self, Y)
+
+    monkeypatch.setattr(SolverState, "_regularity_screen", spy)
+    trace = run(builtin("quad-spectrum", 64, seed=0),
+                SolverConfig(n=64, epsilon=1.0, center=0.5))
+    assert trace.reason == "epsilon-reached"
+    # the start and every shrink screen, and the budget runs out every
+    # few accepted reflections
+    loop_tops = len(trace.records) + 1
+    assert trace.N_s + 1 <= len(screens) <= loop_tops / 3
 
 
 class _Counted:
