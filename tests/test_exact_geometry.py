@@ -50,6 +50,11 @@ def exact_rows(V) -> list[list[Fraction]]:
     return [[Fraction(float(x)) for x in row] for row in V]
 
 
+def squared_distance(got, want) -> Fraction:
+    """||got - want||^2 in exact arithmetic, for floats got."""
+    return sum((Fraction(float(g)) - w) ** 2 for g, w in zip(got, want))
+
+
 def assert_within(got, want, bound, what):
     """|got_j - want_j| <= bound_j for every entry, in exact arithmetic."""
     for j, (g, w, b) in enumerate(zip(got, want, bound)):
@@ -115,25 +120,34 @@ def test_running_sum_centroid_and_reflection_lie_within_their_bounds(n, where,
     # (gamma_(M+2)) and the final subtraction: gamma_(M+3) of
     # (2/n)(W + |x_w|) + |x_w|.  A re-sum after n+1 updates leaves a tree of
     # the n+1 current rows, all among the terms, so these bounds hold
-    # across it.  The oracle reads the rows the state holds.
+    # across it.  The oracle reads the rows the state holds.  In norm, with
+    # at most 3(n+1) terms of norm at most R (the state's R^2), the drift
+    # budget's constants bound both errors: the centroid's by c R and the
+    # reflection's by r R times the ideal edge over delta, sqrt(2(1+1/n)).
     rng = np.random.default_rng(n)
     state = SolverState(type(s)(s.vertices.copy(), radius=s.radius),
                         lambda x: float(rng.standard_normal()))
     m, k = n + 1, Fraction(2, n)
     M = m
     W = [sum(map(abs, col)) for col in zip(*exact_rows(s.vertices))]
+    _, _, centring, rounding, _ = map(Fraction, _drift_constants(n))
     for t in range(n + 2):
         X = exact_rows(state.simplex.vertices)
         total = [sum(col) for col in zip(*X)]
         bound = [gamma(M) * a / m for a in W]
-        assert_within(state.centroid(), [x / m for x in total], bound,
-                      (where, t))
+        c = state.centroid()
+        assert_within(c, [x / m for x in total], bound, (where, t))
+        R2 = Fraction(state._norm2)
+        assert squared_distance(c, [x / m for x in total]) <= \
+            centring ** 2 * R2
         x_w = X[int(state.order[n])]
         want = [k * (a - b) - b for a, b in zip(total, x_w)]
         bound = [gamma(M + 3) * (k * (a + abs(b)) + abs(b))
                  for a, b in zip(W, x_w)]
         x_r = state.reflection()
         assert_within(x_r, want, bound, (where, t))
+        assert squared_distance(x_r, want) <= \
+            rounding ** 2 * R2 * 2 * (1 + Fraction(1, n))
         W = [a + abs(b) + abs(Fraction(float(r)))
              for a, b, r in zip(W, x_w, x_r)]
         M += 2

@@ -586,7 +586,7 @@ def test_the_budget_bounds_the_exact_report_at_every_certified_loop_top(
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
-def test_the_term_norm_bound_resets_only_with_t(n):
+def test_the_term_norm_bound_resets_only_where_t_is_resummed(n):
     # R bounds every term of T's sum, the rows it replaced since its last
     # re-sum among them: an anchor (a screen) leaves it, and it drops to the
     # current rows only where T is summed afresh
