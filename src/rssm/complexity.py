@@ -114,7 +114,7 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
     kappa2 = (beta - 0.5) * n + rn / 2.0 - 0.5
     delta_bar = gamma * epsilon / (L * kappa1)
     psi0 = L * gamma / (1.0 + gamma) * _sq(delta0)
-    C1 = (2.0 * beta / n) * gamma ** 2 * (1.0 - eta_split)
+    C1 = (2.0 * beta / n) * _sq(gamma) * (1.0 - eta_split)
 
     d_thr = A = delta_cvx = None
     if R is not None:
@@ -124,14 +124,14 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
                 f"(n={n}, beta={beta})"
             )
         d_thr = 4.0 * _sq(kappa2) * L * _sq(R) / (1.0 - eta_split)
-        A = beta * gamma ** 2 * (1.0 - eta_split) ** 2 / (
+        A = beta * _sq(gamma) * (1.0 - eta_split) ** 2 / (
             2.0 * L * _sq(R) * n * _sq(kappa2))
         # the tail radius at the target gap epsilon
         delta_cvx = _tail_radius(epsilon, eta_split, kappa2, L, R)
 
     rho = None
     if mu is not None:
-        rho = 4.0 * beta * mu * gamma ** 2 / (n * (L * _sq(kappa2) + mu))
+        rho = 4.0 * beta * mu * _sq(gamma) / (n * (L * _sq(kappa2) + mu))
 
     return ComplexityConstants(
         n=n, beta=beta, gamma=gamma, L=L, epsilon=epsilon, delta0=delta0,
@@ -224,7 +224,7 @@ def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
     if d_bar0 < 0:
         raise ValueError(f"d_bar0 must be nonnegative, got {d_bar0}")
     c = consts
-    e2 = 2.0 * c.beta * c.gamma ** 2 * _sq(c.epsilon)
+    e2 = 2.0 * c.beta * _sq(c.gamma) * _sq(c.epsilon)
 
     if case in ("nonconvex", "pl"):
         shrinks = max(0.0, _shrink_bound_nonconvex(c))
@@ -496,7 +496,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
                 and consts.delta0 > consts.delta_bar)
     floor_why = None if floor_ok else ("needs theoretical mode, true-gradient "
                                        "stopping and delta0 > delta_bar")
-    floor = (n + 1.0) * 2.0 * consts.beta * gamma ** 2 * _sq(consts.epsilon) \
+    floor = (n + 1.0) * 2.0 * consts.beta * _sq(gamma) * _sq(consts.epsilon) \
         / (L * n * _sq(consts.kappa1))
     add("reflection_decrease_floor", floor_why,
         ((k, dS, -floor) for k, dS, r in reflections))

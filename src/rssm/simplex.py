@@ -62,11 +62,11 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _sq(x: float) -> float:
-    """x ** 2, or inf where Python's float power raises OverflowError."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
+    """x * x as a float: one correctly rounded product, inf beyond the
+    doubles.  ``x ** 2`` calls the C library's pow, which need not round
+    correctly, and raises OverflowError where the product is inf."""
+    x = float(x)
+    return x * x
 
 
 def _rule(test, must: str):
@@ -88,7 +88,8 @@ def _rule(test, must: str):
 _positive = _rule(lambda x: 0.0 < x <= _MAX, "be positive and finite")
 _unit_interval = _rule(lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 _positive_int = _rule(lambda x: _is_int(x) and 1 <= x <= _MAX,
-                      "be a positive integer")
+                      "be a positive integer no larger than the largest "
+                      "double")
 
 
 class DegenerateSimplexError(ValueError):

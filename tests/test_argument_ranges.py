@@ -126,7 +126,8 @@ def test_the_values_callers_pass_are_accepted(entry, param, rule, call):
 @pytest.mark.parametrize("rule, message", [
     ("positive", "must be positive and finite, got "),
     ("unit", "must lie in (0, 1), got "),
-    ("int", "must be a positive integer, got "),
+    ("int", "must be a positive integer no larger than the largest double, "
+            "got "),
 ])
 def test_each_rule_has_one_message_shape(rule, message):
     for entry, param, case_rule, call in ENTRIES:
@@ -135,3 +136,11 @@ def test_each_rule_has_one_message_shape(rule, message):
         with pytest.raises(ValueError) as exc:
             call(-1)
         assert str(exc.value) == f"{param} {message}-1", (entry, param)
+
+
+def test_an_integer_beyond_the_doubles_fails_with_a_true_message():
+    # a positive integer that no double holds: the message says so
+    with pytest.raises(ValueError) as exc:
+        SolverConfig(n=10 ** 400)
+    assert str(exc.value) == ("n must be a positive integer no larger than "
+                              f"the largest double, got {10 ** 400!r}")

@@ -494,9 +494,11 @@ def _strict_json(text):
 # never writes (records[1] is an accepted reflection), with the part of
 # the one error line that names the fault
 TRACE_VALUE_FAULTS = [
-    pytest.param("config", "n", 2.0, "n must be a positive integer, got 2.0",
+    pytest.param("config", "n", 2.0, "n must be a positive integer no larger "
+                 "than the largest double, got 2.0",
                  id="config-n-float"),
-    pytest.param("config", "n", True, "n must be a positive integer, got True",
+    pytest.param("config", "n", True, "n must be a positive integer no larger "
+                 "than the largest double, got True",
                  id="config-n-bool"),
     pytest.param("records", "v", float("nan"), "record 1 is not one run writes",
                  id="record-v-nan"),
@@ -523,10 +525,12 @@ TRACE_VALUE_FAULTS = [
                  "center must be the length-2 list run writes",
                  id="config-center-scalar"),
     pytest.param("config", "max_iterations", True,
-                 "max_iterations must be a positive integer, got True",
+                 "max_iterations must be a positive integer no larger than the "
+                 "largest double, got True",
                  id="config-max-iterations-bool"),
     pytest.param("config", "max_evaluations", 2.5,
-                 "max_evaluations must be a positive integer, got 2.5",
+                 "max_evaluations must be a positive integer no larger than the "
+                 "largest double, got 2.5",
                  id="config-max-evaluations-float"),
 ]
 

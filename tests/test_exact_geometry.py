@@ -9,9 +9,10 @@ terms, in any order, is within gamma_(m-1) of the sum of their magnitudes,
 and each further rounded operation adds one to k.  The bounds are compared
 in exact arithmetic too.  The simplices are those of the weights oracle:
 n <= 8, at the origin, rotated, and at centres 1e3 and 1e6; the solver's
-running-sum centroid and reflection are also held at n = 16.  The two
-affine identities the solver's drift budget rests on are checked in exact
-arithmetic at the end.
+running-sum centroid and reflection are also held at n = 16, and so is
+the closed-form simplex gradient, with three sets of vertex values.  The
+two affine identities the solver's drift budget rests on are checked in
+exact arithmetic at the end.
 """
 
 from fractions import Fraction
@@ -19,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rssm.simplex import make_regular_simplex, reflect_worst, shrink_toward_best
+from rssm.simplex import (_unit_frame, make_regular_simplex, reflect_worst,
+                          regular_simplex_gradient, shrink_toward_best)
 from rssm.solver import SolverState, _drift_constants
 
 from conftest import random_regular_simplex
@@ -107,7 +109,6 @@ def test_shrink_toward_every_vertex_lies_within_its_bound(n, where, s):
             assert abs(Fraction(s2.radius) - radius) <= gamma(1) * radius
 
 
-
 @pytest.mark.parametrize("n,where,s", list(_running_sum_simplices()))
 def test_running_sum_centroid_and_reflection_lie_within_their_bounds(n, where,
                                                                      s):
@@ -152,6 +153,85 @@ def test_running_sum_centroid_and_reflection_lie_within_their_bounds(n, where,
              for a, b, r in zip(W, x_w, x_r)]
         M += 2
         state.accept(x_r, float(rng.standard_normal()))
+
+
+def _values(s):
+    """Vertex values by name: standard normal; the same far above their
+    spread; and a quadratic whose minimiser lies 1e-6 radii from the
+    centroid, where the gradient nearly vanishes."""
+    rng = np.random.default_rng(s.dim)
+    noise = rng.standard_normal(s.dim + 1)
+    yield "normal", noise
+    yield "offset", 1e4 + 1e-2 * noise
+    d = rng.standard_normal(s.dim)
+    p = s.centroid() + 1e-6 * s.radius * d / np.linalg.norm(d)
+    yield "near-stationary", np.array([float((x - p) @ (x - p))
+                                       for x in s.vertices])
+
+
+def closed_form_gradient(X, F, radius) -> list[Fraction]:
+    """n/((n+1) delta^2) sum_i (f_i - mean f)(x_i - c), c the centroid, in
+    exact arithmetic on the rows X and values F (Fractions) and the float
+    radius: the gradient of the affine interpolant of a regular simplex."""
+    m = len(X)
+    mean = sum(F) / m
+    scale = Fraction(m - 1, m) / Fraction(radius) ** 2
+    return [scale * sum((f - mean) * (x - sum(col) / m)
+                        for f, x in zip(F, col)) for col in zip(*X)]
+
+
+def frame_gradient_case(s, f):
+    """The oracle of regular_simplex_gradient(s, f) and its bound, entry by
+    entry.
+
+    regular_simplex_gradient forms the centroid c~ (gamma_(n+1) of
+    sum_i |x_ij| / (n+1)) and the mean m~ (gamma_(n+1) of
+    sum_i |f_i| / (n+1)), the frame (x_ij - c~_j) / delta (two roundings),
+    f_i - m~ (one), their dot product over n+1 vertices (gamma_(n+1)), and
+    then scales it by the rounded n/(n+1) and divides by delta (three
+    roundings): each term is within gamma_(n+7) of exact.  Because the
+    f_i - mean f sum to zero, and the x_i - c too, the exact sum with c~ and
+    m~ in place of c and the mean differs from the oracle's only by
+    (n+1)(mean - m~)(c_j - c~_j).  So entry j lies within
+      n/((n+1) delta^2) (gamma_(n+7) W_j + (n+1) e_m e_j),
+    W_j = sum_i |x_ij - c~_j| |f_i - m~|, e_m and e_j the two a-priori
+    bounds above.
+    """
+    n = s.dim
+    m = n + 1
+    X = exact_rows(s.vertices)
+    F = [Fraction(float(v)) for v in f]
+    c = [Fraction(float(x)) for x in s.centroid()]
+    mean = Fraction(float(f.mean()))
+    e_m = gamma(m) * sum(map(abs, F)) / m
+    scale = Fraction(n, m) / Fraction(s.radius) ** 2
+    bound = [scale * (gamma(n + 7) * sum(abs(x - cj) * abs(v - mean)
+                                         for x, v in zip(col, F))
+                      + e_m * gamma(m) * sum(map(abs, col)))
+             for col, cj in zip(zip(*X), c)]
+    return closed_form_gradient(X, F, s.radius), bound
+
+
+@pytest.mark.parametrize("n,where,s", list(_running_sum_simplices()))
+def test_closed_form_gradient_lies_within_its_bound(n, where, s):
+    for name, f in _values(s):
+        want, bound = frame_gradient_case(s, f)
+        assert_within(regular_simplex_gradient(s, f), want, bound,
+                      (where, name))
+
+
+def test_an_uncentred_closed_form_fails_its_bound():
+    # Y^T f in place of Y^T (f - m~) multiplies the residue of Y^T 1 by the
+    # mean value: far outside the bound once the values sit far above their
+    # spread
+    n, _, s = next(case for case in _running_sum_simplices()
+                   if case[:2] == (4, "centre-1e+03"))
+    f = dict(_values(s))["offset"]
+    Y = _unit_frame(s, s.centroid())
+    uncentred = (Y.T @ f) * (n / (n + 1.0)) / s.radius
+    want, bound = frame_gradient_case(s, f)
+    with pytest.raises(AssertionError):
+        assert_within(uncentred, want, bound, "uncentred")
 
 
 # The drift budget of the solver's loop rests on two affine identities.

@@ -22,6 +22,7 @@ from rssm.simplex import (
     regularity_report,
     shrink_toward_best,
     _helmert_rows,
+    _sq,
     _unit_frame,
 )
 
@@ -553,3 +554,16 @@ def test_construction_rejects_a_nan_regularity_report(radius_dev, edge_dev,
                         lambda s: RegularityReport(radius_dev, edge_dev))
     with pytest.raises(CenterResolutionError, match="nan"):
         make_regular_simplex(np.zeros(3), 1.0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the square of the acceptance margin and the complexity constants
+
+
+def test_the_square_is_the_correctly_rounded_product():
+    # the C library's pow, behind x ** 2, rounds this one up by an ulp
+    x = -3.854472771809091e+138
+    assert _sq(x) == x * x == 1.4856960348617655e+277
+    # beyond the doubles, a float or an int squares to inf, not an error
+    assert _sq(1e200) == _sq(-1e155) == _sq(10 ** 200) == math.inf
+    assert _sq(3) == 9.0 and type(_sq(3)) is float
