@@ -87,6 +87,13 @@ _FIELD_OVERFLOW = "the record field "
 # reached before eta*delta^2 underflows and ties start to be accepted.
 DELTA_FLOOR_FRACTION = 1e-30
 
+# A loop top whose gradient norm from the running moment is above this, or
+# not finite, takes it from the unit frame instead.  The frame's g @ g
+# overflows from about sqrt(_MAX) = 1.3e154 on, which ends the run as
+# "overflow"; so that stop, and the value its message names, stay the frame
+# form's.
+_MOMENT_NORM_MAX = 2.0 ** 500
+
 
 def mean_value_gap(S: float, n: int, f_star: float) -> float:
     """S/(n+1) - f*, the mean value gap of n+1 vertex values that sum to S."""
@@ -400,9 +407,9 @@ def _drift_constants(n: int) -> tuple[float, float, float, float, float]:
 class SolverState:
     """Mutable run state: the simplex, whose vertices keep their slots (rows
     of ``simplex.vertices``), the slots in value order, the values in that
-    order, the running vertex sum, the objective-call count (every other
-    count is :class:`Trace`'s), and the squared edges and drift budget the
-    regularity verdict reads.
+    order, the running vertex sum, the running moment the gradient reads,
+    the objective-call count (every other count is :class:`Trace`'s), and
+    the squared edges and drift budget the regularity verdict reads.
 
     ``order`` lists the slots by ascending value, ties in the order they
     had before, as a stable sort leaves them; ``values[i]`` is the value of
@@ -417,6 +424,21 @@ class SolverState:
     ``_norm2`` is R^2, the largest squared norm of those rows: set from the
     rows at each re-sum and raised by each accepted reflection, it is reset
     at no other point, since T's sum still holds the rows replaced since.
+
+    Each re-sum of T also re-bases the moment at x0 = the best vertex and
+    f0 = the best value: ``_moment`` is P = sum_i (f_i - f0)(x_i - x0)/delta,
+    ``_shift`` is T0 = sum_i (x_i - x0)/delta and ``_excess`` is
+    s = sum_i (f_i - f0).  An accepted reflection adds to each its change,
+    formed with the d = x_r - x_w it adds to T, so O(n).  The closed-form
+    gradient n/((n+1) delta^2) sum_i (f_i - mean f)(x_i - c) is then
+    n/((n+1) delta) (P - (s/(n+1)) T0) (:meth:`_gradient_norm`), O(n) at
+    every loop top.  The sums are shifted to x0 and f0 because the
+    differences keep the rounding to the size of the terms: s taken as
+    S - (n+1) f0, or T0 as (n+1)(c - x0)/delta, would carry the rounding of
+    the values or of the coordinates themselves, far larger near a
+    stationary point or far from the origin.  ``tests/test_exact_geometry.py``
+    holds P - (s/(n+1)) T0 and the norm to their a-priori bounds after up
+    to n+1 updates.
 
     ``_edges`` is E, indexed by slot: E[a, b] = ||y_a - y_b||^2 / (2(1+1/n))
     for y_a and y_b the unit-frame rows of the vertices in slots a and b,
@@ -485,10 +507,19 @@ class SolverState:
         n = len(order) - 1
         w = int(order[n])
         V = self.simplex.vertices
+        delta = self.simplex.radius
         # the budget from the T that made x_r
-        t = self._rounding * math.sqrt(self._norm2) / self.simplex.radius
+        t = self._rounding * math.sqrt(self._norm2) / delta
         self._eta = self._growth * self._eta * (1.0 + t) + t * (2.0 + t)
-        self.total += x_r - V[w]
+        x_w, f_w = V[w], float(f[n])
+        d = x_r - x_w
+        self.total += d
+        # the moment gains (f_r - f0)(x_r - x0) - (f_w - f0)(x_w - x0), here
+        # (f_r - f0) d + (f_r - f_w)(x_w - x0), over delta
+        self._moment += (f_r - self._f0) / delta * d
+        self._moment += (f_r - f_w) / delta * (x_w - self._x0)
+        self._shift += d / delta
+        self._excess += f_r - f_w
         V[w] = x_r
         r2 = float(x_r @ x_r)
         if not r2 <= self._norm2:  # a NaN too
@@ -526,12 +557,38 @@ class SolverState:
         self._resum()
 
     def _resum(self) -> None:
-        """T summed afresh over the vertices in value order, and R^2 the
-        largest squared norm among them."""
+        """T summed afresh over the vertices in value order, R^2 the largest
+        squared norm among them, and the moment re-based at the best vertex
+        and its value."""
+        # np.add.reduce and np.maximum.reduce are what ndarray.sum and
+        # ndarray.max compute, without their Python wrappers
         X = self.simplex.vertices.take(self.order, axis=0)
-        self.total = X.sum(axis=0)
-        self._norm2 = float(np.einsum("ij,ij->i", X, X).max())
+        self.total = np.add.reduce(X)
+        self._norm2 = float(np.maximum.reduce(np.einsum("ij,ij->i", X, X)))
         self._updates = 0
+        self._x0 = X[0]
+        self._f0 = float(self.values[0])
+        U = X - self._x0
+        U /= self.simplex.radius
+        e = self.values - self._f0
+        self._shift = np.add.reduce(U)
+        self._moment = e @ U
+        self._excess = float(np.add.reduce(e))
+
+    def _centred_moment(self) -> np.ndarray:
+        """h = P - (s/(n+1)) T0, in exact arithmetic
+        sum_i (f_i - mean f)(x_i - x0) / delta, which is
+        sum_i (f_i - mean f)(x_i - c) / delta as the f_i - mean f sum to
+        zero: O(n)."""
+        return self._moment - (self._excess / len(self.order)) * self._shift
+
+    def _gradient_norm(self) -> float:
+        """||g|| for the closed-form simplex gradient
+        g = n/((n+1) delta^2) sum_i (f_i - mean f)(x_i - c)
+        = n/((n+1) delta) h, h the :meth:`_centred_moment`: O(n)."""
+        h = self._centred_moment()
+        n = len(self.order) - 1
+        return math.sqrt(h @ h) * (n / (n + 1.0)) / self.simplex.radius
 
     def _drift_bound(self) -> float:
         """A bound on the deviation of the exact report of this loop top's
@@ -591,35 +648,39 @@ def _check_stopping(objective, cfg: SolverConfig) -> None:
 def run(objective, cfg: SolverConfig) -> Trace:
     """Run the search loop until the stopping criterion, a budget or a failure.
 
-    Each iteration, in order: take the value sum S and its mean once, the
-    centroid once from the state's running vertex sum T, and from that
-    centroid the radius-normalised centred frame of the vertices in value
-    order, which gives the closed-form gradient and the regularity verdict;
-    test the stopping criterion, the budgets and the practical-mode radius
-    floor; reflect the worst vertex, (2/n)(T - x_w) - x_w, and evaluate the
+    Each iteration, in order: take the value sum S once, the closed-form
+    gradient's norm from the state's running moment (O(n), see
+    :class:`SolverState`), and the regularity verdict; test the stopping
+    criterion, the budgets and the practical-mode radius floor; reflect the worst vertex, (2/n)(T - x_w) - x_w, and evaluate the
     candidate; accept it when f_r - f_worst <= margin * delta_k^2, the
     margin -(2n+2)/n*beta*L or -eta computed once per run, or else shrink
     the n non-best vertices toward the best one and re-evaluate them in
     value order; record.  The vertices keep their slots (see
     :class:`SolverState`): an accepted reflection writes one row, updates T
-    and inserts its slot into the value order, O(n) beside the O(n^2)
-    frame; a shrink sorts the slots again and re-sums T.  S, f_best,
-    f_worst and the mean of the n best are read from the values in value
-    order.  Up to the first accepted reflection, and throughout a run of
-    shrinks only, every number is the one the sums of the rows in value
-    order give, bit for bit; after it, x_r and the centroid from T differ
-    from those sums in their last bits.
+    and the moment and inserts its slot into the value order, O(n); a
+    shrink sorts the slots again and re-sums T.  The centroid T/(n+1) and
+    the radius-normalised centred frame of the vertices in value order,
+    O(n^2), are built only at a loop top whose verdict the drift budget
+    does not certify (they feed the screen and the exact report) or whose
+    norm from the moment is above 2^500 or not finite (the frame form then
+    gives the norm, and the overflow stop and its message are the frame
+    form's); the centroid also where the "true_gradient" rule reads it.
+    S, f_best, f_worst and the mean of the n best are read from the values
+    in value order.  Up to the first accepted reflection, and throughout a
+    run of shrinks only, every number but the gradient norm is the one the
+    sums of the rows in value order give, bit for bit; after it, x_r and
+    the centroid from T differ from those sums in their last bits.
 
     The regularity verdict is certified a priori where it can be: the
     state's drift budget (:class:`SolverState`) bounds the exact report of
     the frame from the rounding bounds of the reflections since the last
     screen, and while that bound is at most half of REGULARITY_FAIL_TOL
-    the loop top reads nothing else.  Otherwise it screens the squared
-    edges cached on the state (``SolverState._regularity_screen``), which
-    writes the rows of the slots moved since the screen last ran (a shrink
-    rebuilds them all) and sets the budget afresh from its value; only a
-    screen above half of REGULARITY_FAIL_TOL, or a NaN, takes the exact
-    report.  The start and every shrink spend the budget, and a NaN or inf
+    the loop top reads nothing else and builds no frame.  Otherwise it
+    screens the squared edges cached on the state
+    (``SolverState._regularity_screen``), which writes the rows of the
+    slots moved since the screen last ran (a shrink rebuilds them all) and
+    sets the budget afresh from its value; only a screen above half of
+    REGULARITY_FAIL_TOL, or a NaN, takes the exact report.  The start and every shrink spend the budget, and a NaN or inf
     in it leaves the loop top uncertified, so the loop top screens.  A
     certified or screened verdict passes only where the exact report is
     within REGULARITY_FAIL_TOL, so the stop iteration and
@@ -629,7 +690,11 @@ def run(objective, cfg: SolverConfig) -> Trace:
     "epsilon-reached" the number of records is the first iteration index at
     which it held.  The closed-form gradient is exact only on a regular
     simplex, so its relative error is of the order of the certified drift;
-    the loop solves no linear system.  On "regularity-failure" the summary's
+    the loop solves no linear system.  The moment and the frame give it to
+    within a few units of rounding of each other (5.2e-15 relative over
+    the epsilon-reached traces of ``tools/artifacts.py``), so the records'
+    ``simplex_gradient_norm`` and ``final_gradient_norm`` move in their last
+    bits against a frame taken every iteration, and nothing else does.  On "regularity-failure" the summary's
     ``final_gradient_norm`` is the closed form on the rejected simplex, to be
     read with the drift in ``summary["regularity"]`` beside it.  A value sum
     S or a gradient norm that is not finite ends the run as "overflow", with
@@ -662,27 +727,33 @@ def run(objective, cfg: SolverConfig) -> Trace:
         while True:
             f = state.values
             delta = state.simplex.radius
-            S = float(f.sum())
+            S = float(np.add.reduce(f))  # f.sum(), as in _resum
             if not -_MAX <= S <= _MAX:
                 trace.reason = "overflow"
                 trace.summary["overflow"] = f"the vertex-value sum S is {S!r}"
                 grad_norm = math.nan  # this loop top takes no gradient
                 break
-            mean = S / (n + 1)
-            c = state.centroid()
-            Y = _unit_frame(state.simplex, c, state.order)
-            g = _frame_gradient(Y, f, mean, delta)
-            grad_norm = math.sqrt(g @ g)
-            if not grad_norm <= _MAX:  # NaN or inf
-                trace.reason = "overflow"
-                trace.summary["overflow"] = (
-                    f"the simplex gradient norm is {grad_norm!r}")
-                break
+            grad_norm = state._gradient_norm()
+            # the frame form decides a large or non-finite norm, and the
+            # frame is built only there or where the budget does not certify
+            framed = not grad_norm <= _MOMENT_NORM_MAX
+            certified = state._drift_bound() <= 0.5 * REGULARITY_FAIL_TOL
+            c = None
+            if framed or not certified:
+                c = state.centroid()
+                Y = _unit_frame(state.simplex, c, state.order)
+            if framed:
+                g = _frame_gradient(Y, f, S / (n + 1), delta)
+                grad_norm = math.sqrt(g @ g)
+                if not grad_norm <= _MAX:  # NaN or inf
+                    trace.reason = "overflow"
+                    trace.summary["overflow"] = (
+                        f"the simplex gradient norm is {grad_norm!r}")
+                    break
             # the budget certifies, or else the cached edges screen; the
             # exact report decides near the tolerance, so the verdict is the
             # one a fresh report gives
-            if not (state._drift_bound() <= 0.5 * REGULARITY_FAIL_TOL
-                    or state._regularity_screen(Y)
+            if not (certified or state._regularity_screen(Y)
                     <= 0.5 * REGULARITY_FAIL_TOL):
                 rep = _frame_regularity(Y)
                 if not rep.max_deviation() <= REGULARITY_FAIL_TOL:
@@ -690,6 +761,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
                     trace.summary["regularity"] = str(rep)
                     break
             if cfg.stopping == "true_gradient":
+                if c is None:
+                    c = state.centroid()
                 g_true = np.asarray(objective.gradient(c), dtype=float)
                 crit = math.sqrt(g_true @ g_true)
             elif cfg.stopping == "gap":
@@ -709,7 +782,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
 
             f_best_k = float(f[0])
             f_worst_k = float(f[n])
-            mean_best = float(f[:n].sum() / n)
+            mean_best = float(np.add.reduce(f[:n])) / n
             # the candidate is evaluated even when the step ends in a shrink
             x_r = state.reflection()
             f_r = state.evaluate(x_r)

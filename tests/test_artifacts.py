@@ -78,3 +78,29 @@ def test_a_changed_check_status_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "audit/run.json: statuses differ" in out
     assert "shrink_count 'pass' vs 'fail'" in out
+
+
+@pytest.mark.parametrize("reason", ["epsilon-reached", "budget"])
+def test_traces_of_the_same_steps_name_each_value_that_moved(tmp_path, capsys,
+                                                             reason):
+    def trace(norm, summary):
+        t = _trace(reason)
+        t["records"]["simplex_gradient_norm"] = [norm, 0.25]
+        t["summary"] = summary
+        return t
+
+    for side, norm, summary in (
+            ("a", 0.5, {"final_gradient_norm": 0.25, "objective_calls": 7}),
+            ("b", 0.5 * (1 + 2 ** -50),
+             {"final_gradient_norm": 0.25, "objective_calls": 7})):
+        path = tmp_path / side / "trace" / "run.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(trace(norm, summary)))
+    assert artifacts.compare(tmp_path / "a", tmp_path / "b") == 0
+    out = capsys.readouterr().out
+    assert ("trace/run.json: " + reason + ", 2 vs 2 records; the same steps; "
+            "records.simplex_gradient_norm moved by 8.9e-16") in out
+    kind = "epsilon-reached" if reason == "epsilon-reached" else "other"
+    assert (f"values moved in the same steps of the {kind} traces, each by "
+            f"its largest relative difference: records.simplex_gradient_norm "
+            f"8.9e-16 (trace/run.json)") in out

@@ -10,11 +10,14 @@ and each further rounded operation adds one to k.  The bounds are compared
 in exact arithmetic too.  The simplices are those of the weights oracle:
 n <= 8, at the origin, rotated, and at centres 1e3 and 1e6; the solver's
 running-sum centroid and reflection are also held at n = 16, and so is
-the closed-form simplex gradient, with three sets of vertex values.  The
-two affine identities the solver's drift budget rests on are checked in
-exact arithmetic at the end.
+the closed-form simplex gradient, with three sets of vertex values, both
+as ``regular_simplex_gradient`` forms it and as the solver's running
+moment does after up to n+1 updates, the latter also along a walk to a
+near-stationary point.  The two affine identities the solver's drift
+budget rests on are checked in exact arithmetic at the end.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +25,8 @@ import pytest
 
 from rssm.simplex import (_unit_frame, make_regular_simplex, reflect_worst,
                           regular_simplex_gradient, shrink_toward_best)
-from rssm.solver import SolverState, _drift_constants
+from rssm.objectives import builtin
+from rssm.solver import SolverConfig, SolverState, _drift_constants, run
 
 from conftest import random_regular_simplex
 from test_exact_weights import _simplices
@@ -232,6 +236,176 @@ def test_an_uncentred_closed_form_fails_its_bound():
     want, bound = frame_gradient_case(s, f)
     with pytest.raises(AssertionError):
         assert_within(uncentred, want, bound, "uncentred")
+
+
+def _sqrt_between(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= sqrt(q) <= hi, 2^-200 apart, for a Fraction q >= 0."""
+    r = math.isqrt(q.numerator * 4 ** 200 // q.denominator)
+    return Fraction(r, 2 ** 200), Fraction(r + 1, 2 ** 200)
+
+
+def assert_norm_within(got, want, bound, k, what):
+    """|got - ||want||| <= (1 + gamma_k) ||bound|| + gamma_k ||want||, in
+    exact arithmetic, for a float norm `got` computed from a vector within
+    `bound` of `want`, entry by entry, with k roundings of its own."""
+    lo, hi = _sqrt_between(sum(w * w for w in want))
+    slack = (1 + gamma(k)) * _sqrt_between(sum(b * b for b in bound))[1]
+    got = Fraction(float(got))
+    assert (1 - gamma(k)) * lo - slack <= got <= (1 + gamma(k)) * hi + slack, \
+        (what, float(got), float(hi))
+
+
+class MomentOracle:
+    """Follows a SolverState's running moment P, shifted sum T0 and value
+    excess s through its accepted reflections, shrinks and re-bases, and
+    holds them at any loop top to an a-priori bound against the exact
+    closed-form gradient of the state's float vertices and values.
+
+    Since its last re-base at x0, f0 (the best vertex and value), each of
+    P, T0 and s is a rounded summation tree: the n+1 re-base terms
+    (f_i - f0)(x_i - x0)/delta, (x_i - x0)/delta and f_i - f0, and, for each
+    of k accepted reflections of x_w (value f_w) to x_r (value f_r),
+    d = x_r - x_w, the terms (f_r - f0) d/delta and
+    (f_r - f_w)(x_w - x0)/delta, d/delta and f_r - f_w.  Each term is
+    formed with at most 4, 2 and 1 roundings, and M terms are summed
+    (gamma_(M-1)), so with A, B and C the sums of the terms' magnitudes
+      |P - P*| <= gamma_(n+2k+3) A,  |T0 - T0*| <= gamma_(n+k+1) B,
+      |s - s*| <= gamma_(n+k+1) C.
+    The centred moment h = fl(P - fl(fl(s/(n+1)) T0)) adds the division,
+    the product and the subtraction, so with gamma_i + gamma_j +
+    gamma_i gamma_j <= gamma_(i+j), entry by entry
+      |h - h*| <= gamma_(2(n+k)+6) (A + C B/(n+1)),
+    h* = P* - (s*/(n+1)) T0* = sum_i (f_i - mean f)(x_i - x0)/delta, the
+    exact gradient times (n+1) delta / n.  The norm
+    sqrt(h.h) n/(n+1)/delta adds gamma_(n+4) of itself.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self._rebase()
+
+    def _rebase(self):
+        st = self.state
+        X = exact_rows(st.simplex.vertices.take(st.order, axis=0))
+        F = [Fraction(float(v)) for v in st.values]
+        x0, f0 = X[0], F[0]
+        delta = Fraction(st.simplex.radius)
+        self.A = [sum(abs(f - f0) * abs(x[j] - x0[j]) for x, f in zip(X, F))
+                  / delta for j in range(len(x0))]
+        self.B = [sum(abs(x[j] - x0[j]) for x in X) / delta
+                  for j in range(len(x0))]
+        self.C = sum(abs(f - f0) for f in F)
+        self.k = 0
+
+    def accept(self, x_r, f_r):
+        st = self.state
+        x_w = exact_rows([st.simplex.vertices[st.order[-1]]])[0]
+        x0 = exact_rows([st._x0])[0]
+        R, f_w, f0 = exact_rows([x_r])[0], Fraction(float(st.values[-1])), \
+            Fraction(st._f0)
+        f_r_ = Fraction(float(f_r))
+        delta = Fraction(st.simplex.radius)
+        for j, (r, w, o) in enumerate(zip(R, x_w, x0)):
+            self.A[j] += (abs(f_r_ - f0) * abs(r - w)
+                          + abs(f_r_ - f_w) * abs(w - o)) / delta
+            self.B[j] += abs(r - w) / delta
+        self.C += abs(f_r_ - f_w)
+        self.k += 1
+        st.accept(x_r, f_r)
+        if st._updates == 0:  # the (n+1)-th accept re-sums and re-bases
+            self._rebase()
+
+    def shrink(self, g):
+        self.state.shrink(g)
+        self._rebase()
+
+    def exact(self):
+        """h* and the exact gradient of the state's vertices and values."""
+        st = self.state
+        n = st.simplex.dim
+        X = exact_rows(st.simplex.vertices)
+        F = [Fraction(float(v)) for v in st.values]
+        F = [F[list(st.order).index(i)] for i in range(n + 1)]  # by slot
+        g = closed_form_gradient(X, F, st.simplex.radius)
+        scale = Fraction(n + 1, n) * Fraction(st.simplex.radius)
+        return [scale * x for x in g], g
+
+    def bound(self):
+        n = self.state.simplex.dim
+        return [gamma(2 * (n + self.k) + 6) * (a + self.C * b / (n + 1))
+                for a, b in zip(self.A, self.B)]
+
+    def check(self, what):
+        st = self.state
+        n = st.simplex.dim
+        h, g = self.exact()
+        bound = self.bound()
+        assert_within(st._centred_moment(), h, bound, (what, self.k))
+        scale = Fraction(n, n + 1) / Fraction(st.simplex.radius)
+        assert_norm_within(st._gradient_norm(), g, [scale * b for b in bound],
+                           n + 4, (what, self.k))
+
+
+@pytest.mark.parametrize("n,where,s", list(_running_sum_simplices()))
+def test_running_moment_gradient_lies_within_its_bound(n, where, s):
+    # at every loop top of a walk through n+1 accepted reflections (the
+    # last re-sums and re-bases), a shrink and n more, with normal values
+    # and with values far above their spread
+    for name, offset in (("normal", 0.0), ("offset", 1e4)):
+        rng = np.random.default_rng(n)
+
+        def value(x):
+            return offset + float(rng.standard_normal()) * (1e-2 if offset
+                                                            else 1.0)
+
+        oracle = MomentOracle(SolverState(
+            type(s)(s.vertices.copy(), radius=s.radius), value))
+        for step in range(2 * n + 3):
+            oracle.check((where, name, step))
+            if step == n + 1:
+                oracle.shrink(0.5)
+            else:
+                x_r = oracle.state.reflection()
+                oracle.accept(x_r, value(x_r))
+        oracle.check((where, name, "end"))
+
+
+def walk_near_stationary(check=True):
+    """damped-sine at n = 3 from 1.3, stepped as the solver's practical
+    mode steps it, down to a gradient below 1e-7 and to a regularity
+    failure:
+    each loop top's moment held to its bound (when `check`).  Returns the
+    steps, as a string of r and s."""
+    n, eta = 3, 1e-3
+    obj = builtin("damped-sine", n)
+    oracle = MomentOracle(SolverState(
+        make_regular_simplex(np.full(n, 1.3), 1.0, n), obj))
+    st = oracle.state
+    steps = ""
+    while len(steps) < 67:
+        if check:
+            oracle.check(("damped-sine", len(steps)))
+        f_w = float(st.values[-1])
+        x_r = st.reflection()
+        f_r = st.evaluate(x_r)
+        if f_r - f_w <= -eta * st.simplex.radius ** 2:
+            oracle.accept(x_r, f_r)
+            steps += "r"
+        else:
+            oracle.shrink(0.5)
+            steps += "s"
+    if check:
+        oracle.check(("damped-sine", len(steps)))
+    return steps
+
+
+def test_running_moment_gradient_near_a_stationary_point():
+    # the walk is the one run takes: its 67 steps, then a regularity failure
+    trace = run(builtin("damped-sine", 3),
+                SolverConfig(n=3, stopping="none", center=1.3))
+    assert trace.reason == "regularity-failure"
+    assert walk_near_stationary() == "".join(r.step[0] for r in trace.records)
+    assert min(r.simplex_gradient_norm for r in trace.records) < 1e-7
 
 
 # The drift budget of the solver's loop rests on two affine identities.

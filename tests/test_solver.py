@@ -23,7 +23,6 @@ from rssm.simplex import (
     _unit_frame,
     make_regular_simplex,
     reflect_worst,
-    regular_simplex_gradient,
     shrink_toward_best,
 )
 from rssm.solver import (
@@ -35,7 +34,7 @@ from rssm.solver import (
     run,
 )
 
-from test_exact_geometry import gamma
+from test_exact_geometry import MomentOracle, assert_norm_within, gamma
 
 
 def _theoretical_cfg(**kw):
@@ -208,15 +207,21 @@ def _count_calls(monkeypatch, name, owner=rssm.solver):
 
 
 def test_gradient_is_computed_once_per_iteration(monkeypatch):
+    gradients = _count_calls(monkeypatch, "_gradient_norm", SolverState)
     frames = _count_calls(monkeypatch, "_unit_frame")
+    screens = _count_calls(monkeypatch, "_regularity_screen", SolverState)
     reflections = _count_calls(monkeypatch, "_reflection")
     sorts = _count_calls(monkeypatch, "_sort", SolverState)
     cfg = SolverConfig(n=4, epsilon=1e-12, stopping="simplex_gradient",
                        max_iterations=40, center=1.5)
     trace = run(builtin("quad-spectrum", 4, seed=7), cfg)
     assert trace.reason == "budget" and len(trace.records) == 40
-    # one frame per iteration, plus the top-of-loop test that ends the run
-    assert frames["count"] == len(trace.records) + 1
+    # one gradient per iteration, plus the top-of-loop test that ends the run
+    assert gradients["count"] == len(trace.records) + 1
+    # a frame only where the budget runs out and the screen reads it: at the
+    # start, after each shrink and every few accepted reflections
+    assert frames["count"] == screens["count"]
+    assert 1 + trace.N_s <= frames["count"] < (len(trace.records) + 1) / 2
     # one O(n) reflection per iteration; the slots are sorted at the start
     # and at each shrink only
     assert reflections["count"] == len(trace.records)
@@ -229,27 +234,34 @@ def test_gradient_is_computed_once_per_iteration(monkeypatch):
                 and node.module in ("interpolation", "rssm.interpolation")]
 
 
-def test_centroid_is_computed_once_per_loop_top(monkeypatch):
-    # the frame and the true-gradient rule read one centroid per loop top,
-    # T/(n+1) from the state's running sum; the loop never calls
-    # Simplex.centroid, the sum of all rows
-    full_sums = _count_calls(monkeypatch, "centroid", Simplex)
-    centroids = []
+def _spy_centroids(monkeypatch):
+    """Record each centroid the loop forms, T/(n+1) from the state's running
+    sum, and check that each frame reads the one formed last; returns the
+    centroids and the number of frames."""
+    centroids, frames = [], []
     centroid = SolverState.centroid
+    frame = rssm.solver._unit_frame
 
     def kept(state):
         centroids.append(centroid(state))
         return centroids[-1]
 
-    monkeypatch.setattr(SolverState, "centroid", kept)
-    read = []
-    frame = rssm.solver._unit_frame
-
     def framed(s, c, order):
-        read.append(c)
+        assert c is centroids[-1]
+        frames.append(c)
         return frame(s, c, order)
 
+    monkeypatch.setattr(SolverState, "centroid", kept)
     monkeypatch.setattr(rssm.solver, "_unit_frame", framed)
+    return centroids, frames
+
+
+def test_centroid_is_computed_once_per_loop_top(monkeypatch):
+    # the frame and the true-gradient rule read at most one centroid per
+    # loop top, formed only where one of them reads it; the loop never
+    # calls Simplex.centroid, the sum of all rows
+    full_sums = _count_calls(monkeypatch, "centroid", Simplex)
+    centroids, frames = _spy_centroids(monkeypatch)
     obj = builtin("sin-quad", 4)
     points = []
     gradient = obj.gradient
@@ -262,26 +274,33 @@ def test_centroid_is_computed_once_per_loop_top(monkeypatch):
     cfg = SolverConfig(n=4, epsilon=1e-3, stopping="true_gradient", center=1.7)
     trace = run(obj, cfg)
     assert trace.reason == "epsilon-reached" and len(trace.records) > 0
-    # the loop tops are the records plus the one that stops the run
+    # the loop tops are the records plus the one that stops the run; the
+    # true-gradient rule reads a centroid at each, the frames at a few
     tops = len(trace.records) + 1
     assert len(centroids) == tops
-    # each loop top's frame and gradient test read that top's centroid
-    assert all(a is b for a, b in zip(read, centroids)) and len(read) == tops
     assert all(a is b for a, b in zip(points, centroids)) and len(points) == tops
+    assert 0 < len(frames) < tops
     # only make_regular_simplex sums the rows, once, to certify the start
     assert full_sums["count"] == 1
+    # without that rule, a centroid only where a frame is built
+    centroids.clear()
+    frames.clear()
+    trace = run(builtin("quad-spectrum", 4, seed=7),
+                SolverConfig(n=4, stopping="none", max_iterations=40,
+                             center=1.5))
+    assert len(centroids) == len(frames) < (len(trace.records) + 1) / 2
 
 
 def test_recorded_gradient_norms_match_the_affine_solve(monkeypatch):
-    # each frame is built from the vertices in value order at a loop top
+    # the vertices in value order at each loop top, as the gradient is taken
     simplices = []
-    frame = rssm.solver._unit_frame
+    norm = SolverState._gradient_norm
 
-    def kept(s, c, order):
-        simplices.append(s.vertices[order])
-        return frame(s, c, order)
+    def kept(state):
+        simplices.append(state.simplex.vertices[state.order])
+        return norm(state)
 
-    monkeypatch.setattr(rssm.solver, "_unit_frame", kept)
+    monkeypatch.setattr(SolverState, "_gradient_norm", kept)
     obj = builtin("damped-sine", 3)
     cfg = SolverConfig(n=3, stopping="none", max_iterations=60, center=1.3)
     trace = run(obj, cfg)
@@ -299,13 +318,15 @@ def test_regularity_failure_reports_the_closed_form_gradient(monkeypatch):
     cfg = SolverConfig(n=2, stopping="none", center=0.3)
     trace = run(obj, cfg)
     assert trace.reason == "regularity-failure" and trace.records == []
-    # the closed form on the rejected simplex: here the value-sorted start
-    s = make_regular_simplex(cfg.start_center(), cfg.delta0, cfg.n)
-    values = np.array([obj(v) for v in s.vertices])
-    order = np.argsort(values, kind="stable")
-    s.vertices = s.vertices[order]
-    g = regular_simplex_gradient(s, values[order])
-    assert trace.summary["final_gradient_norm"] == math.sqrt(g @ g)
+    # the closed form on the rejected simplex, the start, from the moment
+    # just re-based there: within its bound of the exact gradient
+    oracle = MomentOracle(SolverState(
+        make_regular_simplex(cfg.start_center(), cfg.delta0, cfg.n), obj))
+    _, g = oracle.exact()
+    scale = Fraction(cfg.n, cfg.n + 1) / Fraction(cfg.delta0)
+    assert_norm_within(trace.summary["final_gradient_norm"], g,
+                       [scale * b for b in oracle.bound()], cfg.n + 4,
+                       "final_gradient_norm")
 
 
 def test_collapsed_simplex_keeps_its_trace():

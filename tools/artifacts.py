@@ -63,7 +63,11 @@ trace that is not byte-identical (``trace/`` and ``cli/work/``, with its
 keep its stop reason, and on ``epsilon-reached`` its step string; for any
 other reason the first record whose step differs is listed with its delta
 and f_worst - f_best, which shows whether the runs parted where rounding
-decides a step.  An audit (``audit/`` and the ``audit-*`` stdouts) must keep
+decides a step.  Two traces of the same steps are listed with each record
+column and summary key whose values differ and its largest relative
+difference, and the run ends with the largest of each, over the
+epsilon-reached traces and over the others apart (a run that walked on
+after it converged records rounding noise).  An audit (``audit/`` and the ``audit-*`` stdouts) must keep
 its verdict and the status of every check, any other CLI output its text
 apart from its float literals, and every other file its bytes.  It prints
 each listed trace, each problem and the largest float distance, and exits
@@ -431,12 +435,48 @@ RENDERS = {f"cli/{name}.stdout": f"cli/work/{argv[argv.index('--trace-out') + 1]
 _FLOAT = re.compile(r"(-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+)")
 
 
+def _relative(x, y) -> float:
+    """|x - y| relative to the larger magnitude, for two JSON values that
+    are equal or floats; inf for any other pair that differs."""
+    if x == y:
+        return 0.0
+    if type(x) is not float or type(y) is not float:
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _moved(a: dict, b: dict) -> dict[str, float]:
+    """Each record column and summary key of two traces of the same steps
+    whose values differ, with its largest relative difference (inf for a
+    difference of anything but floats, or a key in one trace only)."""
+    moved = {}
+    pairs = [(f"records.{k}", a["records"][k], b["records"][k])
+             for k in a["records"] if k != "step"]
+    sa, sb = a.get("summary", {}), b.get("summary", {})
+    pairs += [(f"summary.{k}", sa.get(k), sb.get(k))
+              for k in sorted(sa.keys() | sb.keys())]
+    for name, x, y in pairs:
+        if x == y:
+            continue
+        xs, ys = (x, y) if isinstance(x, list) and isinstance(y, list) \
+            else ([x], [y])
+        moved[name] = (max(map(_relative, xs, ys)) if len(xs) == len(ys)
+                       else math.inf)
+    return moved
+
+
 def _compare_trace(rel: str, x: bytes, y: bytes, problems: list[str],
-                   notes: list[str]) -> None:
+                   notes: list[str], moved: dict[bool, dict]) -> None:
     """Two traces that are not byte-identical: the same reason, and on
     epsilon-reached the same step string, or a problem; otherwise a note of
     the first record whose step differs, with its delta and f_worst - f_best
-    (also in units in the last place of f_worst)."""
+    (also in units in the last place of f_worst).  Two traces of the same
+    steps get a note of each column and summary key that differs, with its
+    largest relative difference, and raise that key's entry in
+    `moved[reason == "epsilon-reached"]` (the largest difference and its
+    trace): a run that ends otherwise may have walked on after it
+    converged, where a value such as the gradient norm is rounding noise.
+    """
     a, b = json.loads(x), json.loads(y)
     reason = a["reason"]
     if reason != b["reason"]:
@@ -446,9 +486,18 @@ def _compare_trace(rel: str, x: bytes, y: bytes, problems: list[str],
     k = next((i for i, (p, q) in enumerate(zip(sa, sb)) if p != q),
              min(len(sa), len(sb)))
     where = f"{rel}: {reason}, {len(sa)} vs {len(sb)} records"
-    if reason == "epsilon-reached":
-        if sa != sb:
-            problems.append(f"{where}, steps differ from record {k}")
+    if sa == sb:
+        diffs = _moved(a, b)
+        largest = moved[reason == "epsilon-reached"]
+        for name, d in diffs.items():
+            if not d <= largest.get(name, (-1.0,))[0]:
+                largest[name] = (d, rel)
+        notes.append(f"{where}; the same steps; "
+                     + (", ".join(f"{name} moved by {d:.2g}"
+                                  for name, d in diffs.items())
+                        or "no value moved"))
+    elif reason == "epsilon-reached":
+        problems.append(f"{where}, steps differ from record {k}")
     elif k < min(len(sa), len(sb)):
         r = a["records"]
         gap = r["f_worst"][k] - r["f_best"][k]
@@ -456,10 +505,8 @@ def _compare_trace(rel: str, x: bytes, y: bytes, problems: list[str],
                      f"{r['delta'][k]!r}, f_worst - f_best {gap!r} "
                      f"({gap / math.ulp(r['f_worst'][k]):.3g} ulps of "
                      f"f_worst)")
-    elif sa != sb:
-        notes.append(f"{where}; the steps agree up to the shorter run's end")
     else:
-        notes.append(f"{where}; the same steps")
+        notes.append(f"{where}; the steps agree up to the shorter run's end")
 
 
 def _statuses(doc: dict) -> list:
@@ -487,6 +534,7 @@ def compare(a: Path, b: Path) -> int:
     problems = [f"{rel}: only in {a}" for rel in sorted(files - other)]
     problems += [f"{rel}: only in {b}" for rel in sorted(other - files)]
     notes = []
+    moved = {True: {}, False: {}}
     worst = 0.0
     traces = epsilon = 0
     both = files & other
@@ -504,7 +552,7 @@ def compare(a: Path, b: Path) -> int:
         if _is_trace(rel):
             traces += 1
             epsilon += json.loads(x)["reason"] == "epsilon-reached"
-            _compare_trace(rel, x, y, problems, notes)
+            _compare_trace(rel, x, y, problems, notes, moved)
             continue
         if (rel.startswith("audit/")
                 or fnmatch.fnmatch(rel, "cli/audit-*.stdout")):
@@ -545,6 +593,13 @@ def compare(a: Path, b: Path) -> int:
         print(line)
     print(f"{traces} traces differ: {epsilon} epsilon-reached, "
           f"{traces - epsilon} others listed")
+    for epsilon_reached, largest in moved.items():
+        if largest:
+            print(f"values moved in the same steps of the "
+                  f"{'epsilon-reached' if epsilon_reached else 'other'} "
+                  f"traces, each by its largest relative difference: "
+                  + "; ".join(f"{name} {d:.2g} ({rel})"
+                              for name, (d, rel) in sorted(largest.items())))
     print(f"{len(problems)} problems; largest float distance {worst:.3g} "
           f"ulps of scale (bound {ULP_BOUND})")
     return 1 if problems else 0
