@@ -87,13 +87,6 @@ _FIELD_OVERFLOW = "the record field "
 # reached before eta*delta^2 underflows and ties start to be accepted.
 DELTA_FLOOR_FRACTION = 1e-30
 
-# A loop top whose gradient norm from the running moment is above this, or
-# not finite, takes it from the unit frame instead.  The frame's g @ g
-# overflows from about sqrt(_MAX) = 1.3e154 on, which ends the run as
-# "overflow"; so that stop, and the value its message names, stay the frame
-# form's.
-_MOMENT_NORM_MAX = 2.0 ** 500
-
 
 def mean_value_gap(S: float, n: int, f_star: float) -> float:
     """S/(n+1) - f*, the mean value gap of n+1 vertex values that sum to S."""
@@ -428,17 +421,14 @@ class SolverState:
     Each re-sum of T also re-bases the moment at x0 = the best vertex and
     f0 = the best value: ``_moment`` is P = sum_i (f_i - f0)(x_i - x0)/delta,
     ``_shift`` is T0 = sum_i (x_i - x0)/delta and ``_excess`` is
-    s = sum_i (f_i - f0).  An accepted reflection adds to each its change,
-    formed with the d = x_r - x_w it adds to T, so O(n).  The closed-form
-    gradient n/((n+1) delta^2) sum_i (f_i - mean f)(x_i - c) is then
-    n/((n+1) delta) (P - (s/(n+1)) T0) (:meth:`_gradient_norm`), O(n) at
-    every loop top.  The sums are shifted to x0 and f0 because the
-    differences keep the rounding to the size of the terms: s taken as
-    S - (n+1) f0, or T0 as (n+1)(c - x0)/delta, would carry the rounding of
-    the values or of the coordinates themselves, far larger near a
-    stationary point or far from the origin.  ``tests/test_exact_geometry.py``
-    holds P - (s/(n+1)) T0 and the norm to their a-priori bounds after up
-    to n+1 updates.
+    s = sum_i (f_i - f0).  An accepted reflection adds its change to each,
+    in O(n) from the d = x_r - x_w it adds to T, and :meth:`_gradient_norm`
+    reads the closed-form gradient from them in O(n).  They are shifted
+    sums because s taken as S - (n+1) f0, or T0 as (n+1)(c - x0)/delta,
+    would carry the rounding of the values or the coordinates themselves,
+    which near a stationary point or far from the origin exceeds the
+    gradient; ``tests/test_exact_geometry.py`` holds the shifted form to
+    its a-priori bound after up to n+1 updates.
 
     ``_edges`` is E, indexed by slot: E[a, b] = ||y_a - y_b||^2 / (2(1+1/n))
     for y_a and y_b the unit-frame rows of the vertices in slots a and b,
@@ -525,8 +515,9 @@ class SolverState:
         if not r2 <= self._norm2:  # a NaN too
             self._norm2 = r2
         # bisect_right places a tie last among the n best values, where a
-        # stable sort of the values in their previous order puts it
-        k = bisect_right(f, f_r, 0, n)
+        # stable sort of the values in their previous order puts it; a new
+        # best value, the common case, is placed first with one comparison
+        k = 0 if f_r < f[0] else bisect_right(f, f_r, 1, n)
         f[k + 1:] = f[k:n]
         f[k] = f_r
         order[k + 1:] = order[k:n]
@@ -585,10 +576,13 @@ class SolverState:
     def _gradient_norm(self) -> float:
         """||g|| for the closed-form simplex gradient
         g = n/((n+1) delta^2) sum_i (f_i - mean f)(x_i - c)
-        = n/((n+1) delta) h, h the :meth:`_centred_moment`: O(n)."""
-        h = self._centred_moment()
+        = n/((n+1) delta) h, h the :meth:`_centred_moment`: O(n).  h is
+        divided by delta before it is squared, as the frame form divides
+        its gradient, so the square underflows no sooner than the frame
+        form's and overflows no later."""
+        v = self._centred_moment() / self.simplex.radius
         n = len(self.order) - 1
-        return math.sqrt(h @ h) * (n / (n + 1.0)) / self.simplex.radius
+        return math.sqrt(v @ v) * (n / (n + 1.0))
 
     def _drift_bound(self) -> float:
         """A bound on the deviation of the exact report of this loop top's
@@ -651,20 +645,20 @@ def run(objective, cfg: SolverConfig) -> Trace:
     Each iteration, in order: take the value sum S once, the closed-form
     gradient's norm from the state's running moment (O(n), see
     :class:`SolverState`), and the regularity verdict; test the stopping
-    criterion, the budgets and the practical-mode radius floor; reflect the worst vertex, (2/n)(T - x_w) - x_w, and evaluate the
-    candidate; accept it when f_r - f_worst <= margin * delta_k^2, the
-    margin -(2n+2)/n*beta*L or -eta computed once per run, or else shrink
-    the n non-best vertices toward the best one and re-evaluate them in
-    value order; record.  The vertices keep their slots (see
+    criterion, the budgets and the practical-mode radius floor; reflect
+    the worst vertex, (2/n)(T - x_w) - x_w, and evaluate the candidate;
+    accept it when f_r - f_worst <= margin * delta_k^2, the margin
+    -(2n+2)/n*beta*L or -eta computed once per run, or else shrink the n
+    non-best vertices toward the best one and re-evaluate them in value
+    order; record.  The vertices keep their slots (see
     :class:`SolverState`): an accepted reflection writes one row, updates T
     and the moment and inserts its slot into the value order, O(n); a
     shrink sorts the slots again and re-sums T.  The centroid T/(n+1) and
     the radius-normalised centred frame of the vertices in value order,
-    O(n^2), are built only at a loop top whose verdict the drift budget
-    does not certify (they feed the screen and the exact report) or whose
-    norm from the moment is above 2^500 or not finite (the frame form then
-    gives the norm, and the overflow stop and its message are the frame
-    form's); the centroid also where the "true_gradient" rule reads it.
+    O(n^2), are built only where the drift budget does not certify the
+    verdict, for the screen and the exact report, or where the norm from
+    the moment is not finite, which the frame form then decides; the
+    centroid also where the "true_gradient" rule reads it.
     S, f_best, f_worst and the mean of the n best are read from the values
     in value order.  Up to the first accepted reflection, and throughout a
     run of shrinks only, every number but the gradient norm is the one the
@@ -680,8 +674,9 @@ def run(objective, cfg: SolverConfig) -> Trace:
     (``SolverState._regularity_screen``), which writes the rows of the
     slots moved since the screen last ran (a shrink rebuilds them all) and
     sets the budget afresh from its value; only a screen above half of
-    REGULARITY_FAIL_TOL, or a NaN, takes the exact report.  The start and every shrink spend the budget, and a NaN or inf
-    in it leaves the loop top uncertified, so the loop top screens.  A
+    REGULARITY_FAIL_TOL, or a NaN, takes the exact report.  The start and
+    every shrink spend the budget, and a NaN or inf in it leaves the loop
+    top uncertified, so the loop top screens.  A
     certified or screened verdict passes only where the exact report is
     within REGULARITY_FAIL_TOL, so the stop iteration and
     ``summary["regularity"]`` are those of a report taken every iteration.
@@ -690,13 +685,13 @@ def run(objective, cfg: SolverConfig) -> Trace:
     "epsilon-reached" the number of records is the first iteration index at
     which it held.  The closed-form gradient is exact only on a regular
     simplex, so its relative error is of the order of the certified drift;
-    the loop solves no linear system.  The moment and the frame give it to
-    within a few units of rounding of each other (5.2e-15 relative over
-    the epsilon-reached traces of ``tools/artifacts.py``), so the records'
-    ``simplex_gradient_norm`` and ``final_gradient_norm`` move in their last
-    bits against a frame taken every iteration, and nothing else does.  On "regularity-failure" the summary's
-    ``final_gradient_norm`` is the closed form on the rejected simplex, to be
-    read with the drift in ``summary["regularity"]`` beside it.  A value sum
+    the loop solves no linear system.  The moment and the frame form give
+    it within a few roundings of each other, so against a frame taken
+    every iteration only ``simplex_gradient_norm`` and
+    ``final_gradient_norm`` move, in their last bits.  On
+    "regularity-failure" the summary's ``final_gradient_norm`` is the
+    closed form on the rejected simplex, to be read with the drift in
+    ``summary["regularity"]`` beside it.  A value sum
     S or a gradient norm that is not finite ends the run as "overflow", with
     no numpy warning; ``summary["overflow"]`` names it and its value, and
     ``final_S`` and ``final_gradient_norm`` are kept when finite.  So does a
@@ -734,9 +729,11 @@ def run(objective, cfg: SolverConfig) -> Trace:
                 grad_norm = math.nan  # this loop top takes no gradient
                 break
             grad_norm = state._gradient_norm()
-            # the frame form decides a large or non-finite norm, and the
-            # frame is built only there or where the budget does not certify
-            framed = not grad_norm <= _MOMENT_NORM_MAX
+            # the frame form decides a norm that is not finite (P - s/(n+1)
+            # T0 holds inf - inf once the value differences pass the
+            # doubles), and the frame is built only there or where the
+            # budget does not certify the verdict
+            framed = not grad_norm <= _MAX
             certified = state._drift_bound() <= 0.5 * REGULARITY_FAIL_TOL
             c = None
             if framed or not certified:

@@ -276,8 +276,8 @@ class MomentOracle:
     gamma_i gamma_j <= gamma_(i+j), entry by entry
       |h - h*| <= gamma_(2(n+k)+6) (A + C B/(n+1)),
     h* = P* - (s*/(n+1)) T0* = sum_i (f_i - mean f)(x_i - x0)/delta, the
-    exact gradient times (n+1) delta / n.  The norm
-    sqrt(h.h) n/(n+1)/delta adds gamma_(n+4) of itself.
+    exact gradient times (n+1) delta / n.  The norm sqrt(v.v) n/(n+1),
+    v = h/delta, adds gamma_(n+4) of itself.
     """
 
     def __init__(self, state):

@@ -393,6 +393,26 @@ def test_an_overflowing_gradient_norm_ends_the_run_and_keeps_final_S():
     Trace.from_json(trace.to_json())
 
 
+def test_a_gradient_norm_whose_square_overflows_ends_the_run():
+    # the norm is 1e160, and the moment P - s/2 T0 about 2e150 at this
+    # radius, but the gradient's square overflows: the norm is taken from
+    # the moment over delta, so the run stops as it does with the frame
+    steep = Objective("steep", 1, lambda x: 1e160 * float(x[0]))
+    trace = run(steep, SolverConfig(n=1, delta0=1e-10, stopping="none"))
+    assert (trace.reason, trace.records) == ("overflow", [])
+    assert trace.summary["overflow"] == "the simplex gradient norm is inf"
+
+
+def test_a_radius_whose_square_underflows_keeps_the_gradient_norm():
+    # f(x) = x at radius 1e-170: the moment is about 1e-170 and its square
+    # underflows, the gradient's does not
+    line = Objective("line", 1, lambda x: float(x[0]))
+    trace = run(line, SolverConfig(n=1, delta0=1e-170, stopping="none",
+                                   max_iterations=1))
+    assert trace.records[0].simplex_gradient_norm == pytest.approx(
+        1.0, rel=1e-12)
+
+
 def test_an_overflowing_reflected_gap_ends_the_run_before_its_step():
     # S = -1.6e308 and the gradient norm is 0, but the first candidate
     # lands on the cliff, so v_r = 1.7e308 + 0.8e308

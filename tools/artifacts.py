@@ -67,9 +67,10 @@ decides a step.  Two traces of the same steps are listed with each record
 column and summary key whose values differ and its largest relative
 difference, and the run ends with the largest of each, over the
 epsilon-reached traces and over the others apart (a run that walked on
-after it converged records rounding noise).  An audit (``audit/`` and the ``audit-*`` stdouts) must keep
-its verdict and the status of every check, any other CLI output its text
-apart from its float literals, and every other file its bytes.  It prints
+after it converged records rounding noise).  An audit (``audit/`` and
+the ``audit-*`` stdouts) must keep its verdict and the status of every
+check, any other CLI output its text apart from its float literals, and
+every other file its bytes.  It prints
 each listed trace, each problem and the largest float distance, and exits
 1 on a problem.
 The perfbench workloads are read from this script's own checkout.  The run
