@@ -420,11 +420,14 @@ class SolverState:
 
     Each re-sum of T also re-bases the moment at x0 = the best vertex and
     f0 = the best value: ``_moment`` is P = sum_i (f_i - f0)(x_i - x0)/delta,
-    ``_shift`` is T0 = sum_i (x_i - x0)/delta and ``_excess`` is
-    s = sum_i (f_i - f0).  An accepted reflection adds its change to each,
-    in O(n) from the d = x_r - x_w it adds to T, and :meth:`_gradient_norm`
-    reads the closed-form gradient from them in O(n).  They are shifted
-    sums because s taken as S - (n+1) f0, or T0 as (n+1)(c - x0)/delta,
+    ``_shift`` is T0 = sum_i (x_i - x0) and ``_excess`` is
+    s/delta = sum_i (f_i - f0)/delta.  An accepted reflection adds its
+    change to each, in O(n) from the d = x_r - x_w it adds to T (T0 gains d
+    itself), and :meth:`_gradient_norm` reads the closed-form gradient from
+    them in O(n).  Each stays in range where the vertices and the gradient
+    do: P is about (n+1) delta |g|, T0 a sum of coordinate differences and
+    s/delta about (n+1) |g|.  They are shifted
+    sums because s taken as S - (n+1) f0, or T0 as (n+1)(c - x0),
     would carry the rounding of the values or the coordinates themselves,
     which near a stationary point or far from the origin exceeds the
     gradient; ``tests/test_exact_geometry.py`` holds the shifted form to
@@ -508,8 +511,8 @@ class SolverState:
         # (f_r - f0) d + (f_r - f_w)(x_w - x0), over delta
         self._moment += (f_r - self._f0) / delta * d
         self._moment += (f_r - f_w) / delta * (x_w - self._x0)
-        self._shift += d / delta
-        self._excess += f_r - f_w
+        self._shift += d
+        self._excess += (f_r - f_w) / delta
         V[w] = x_r
         r2 = float(x_r @ x_r)
         if not r2 <= self._norm2:  # a NaN too
@@ -560,14 +563,14 @@ class SolverState:
         self._x0 = X[0]
         self._f0 = float(self.values[0])
         U = X - self._x0
-        U /= self.simplex.radius
         e = self.values - self._f0
-        self._shift = np.add.reduce(U)
+        e /= self.simplex.radius
         self._moment = e @ U
+        self._shift = np.add.reduce(U)
         self._excess = float(np.add.reduce(e))
 
     def _centred_moment(self) -> np.ndarray:
-        """h = P - (s/(n+1)) T0, in exact arithmetic
+        """h = P - (s/((n+1) delta)) T0, in exact arithmetic
         sum_i (f_i - mean f)(x_i - x0) / delta, which is
         sum_i (f_i - mean f)(x_i - c) / delta as the f_i - mean f sum to
         zero: O(n)."""
@@ -580,7 +583,8 @@ class SolverState:
         divided by delta before it is squared, as the frame form divides
         its gradient, so the square underflows no sooner than the frame
         form's and overflows no later."""
-        v = self._centred_moment() / self.simplex.radius
+        v = self._centred_moment()
+        v /= self.simplex.radius
         n = len(self.order) - 1
         return math.sqrt(v @ v) * (n / (n + 1.0))
 

@@ -257,26 +257,28 @@ def assert_norm_within(got, want, bound, k, what):
 
 class MomentOracle:
     """Follows a SolverState's running moment P, shifted sum T0 and value
-    excess s through its accepted reflections, shrinks and re-bases, and
+    excess s/delta through its accepted reflections, shrinks and re-bases,
+    and
     holds them at any loop top to an a-priori bound against the exact
     closed-form gradient of the state's float vertices and values.
 
     Since its last re-base at x0, f0 (the best vertex and value), each of
-    P, T0 and s is a rounded summation tree: the n+1 re-base terms
-    (f_i - f0)(x_i - x0)/delta, (x_i - x0)/delta and f_i - f0, and, for each
-    of k accepted reflections of x_w (value f_w) to x_r (value f_r),
+    P, T0 and s/delta is a rounded summation tree: the n+1 re-base terms
+    (f_i - f0)(x_i - x0)/delta, x_i - x0 and (f_i - f0)/delta, and, for
+    each of k accepted reflections of x_w (value f_w) to x_r (value f_r),
     d = x_r - x_w, the terms (f_r - f0) d/delta and
-    (f_r - f_w)(x_w - x0)/delta, d/delta and f_r - f_w.  Each term is
-    formed with at most 4, 2 and 1 roundings, and M terms are summed
-    (gamma_(M-1)), so with A, B and C the sums of the terms' magnitudes
-      |P - P*| <= gamma_(n+2k+3) A,  |T0 - T0*| <= gamma_(n+k+1) B,
-      |s - s*| <= gamma_(n+k+1) C.
-    The centred moment h = fl(P - fl(fl(s/(n+1)) T0)) adds the division,
-    the product and the subtraction, so with gamma_i + gamma_j +
+    (f_r - f_w)(x_w - x0)/delta, d and (f_r - f_w)/delta.  Each term is
+    formed with at most 4, 1 and 2 roundings, and M terms are summed
+    (gamma_(M-1)), so with A, B delta and C/delta the sums of the terms'
+    magnitudes
+      |P - P*| <= gamma_(n+2k+4) A,  |T0 - T0*| <= gamma_(n+k+1) B delta,
+      |s/delta - s*/delta| <= gamma_(n+k+2) C/delta.
+    The centred moment h = fl(P - fl(fl(s/delta/(n+1)) T0)) adds the
+    division, the product and the subtraction, so with gamma_i + gamma_j +
     gamma_i gamma_j <= gamma_(i+j), entry by entry
       |h - h*| <= gamma_(2(n+k)+6) (A + C B/(n+1)),
-    h* = P* - (s*/(n+1)) T0* = sum_i (f_i - mean f)(x_i - x0)/delta, the
-    exact gradient times (n+1) delta / n.  The norm sqrt(v.v) n/(n+1),
+    h* = P* - (s*/((n+1) delta)) T0* = sum_i (f_i - mean f)(x_i - x0)/delta,
+    the exact gradient times (n+1) delta / n.  The norm sqrt(v.v) n/(n+1),
     v = h/delta, adds gamma_(n+4) of itself.
     """
 

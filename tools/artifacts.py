@@ -70,9 +70,8 @@ epsilon-reached traces and over the others apart (a run that walked on
 after it converged records rounding noise).  An audit (``audit/`` and
 the ``audit-*`` stdouts) must keep its verdict and the status of every
 check, any other CLI output its text apart from its float literals, and
-every other file its bytes.  It prints
-each listed trace, each problem and the largest float distance, and exits
-1 on a problem.
+every other file its bytes.  It prints each listed trace, each problem
+and the largest float distance, and exits 1 on a problem.
 The perfbench workloads are read from this script's own checkout.  The run
 takes about a minute and is not part of the test suite.
 """
@@ -516,15 +515,17 @@ def _statuses(doc: dict) -> list:
 
 
 def compare(a: Path, b: Path) -> int:
-    """Compare two dumps.  Prints each problem, a note for each trace whose
-    steps may differ, and the largest float distance; returns 0 when there
-    is no problem.
+    """Compare two dumps.  Prints each problem, a note for each trace that
+    differs, the largest relative difference of each value that moved in
+    traces of the same steps, and the largest float distance; returns 0
+    when there is no problem.
 
     * a TOLERANT file: value by value, floats within ULP_BOUND;
     * a trace (and its .records.txt listing, and the stdout of the CLI run
       that wrote it): the same reason and, on epsilon-reached, the same
       step string; for any other reason a note lists the first differing
-      record with its delta and f_worst - f_best;
+      record with its delta and f_worst - f_best; with the same steps, a
+      note lists each column and summary key that moved;
     * an audit (audit/, and the audit-* stdouts): the same verdict and the
       same status of every check;
     * any other CLI output: the same text apart from its float literals;
