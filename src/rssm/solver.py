@@ -733,10 +733,10 @@ def run(objective, cfg: SolverConfig) -> Trace:
                 grad_norm = math.nan  # this loop top takes no gradient
                 break
             grad_norm = state._gradient_norm()
-            # the frame form decides a norm that is not finite (P - s/(n+1)
-            # T0 holds inf - inf once the value differences pass the
-            # doubles), and the frame is built only there or where the
-            # budget does not certify the verdict
+            # the frame form decides a norm that is not finite (the moment
+            # holds inf - inf once the value differences pass the doubles),
+            # and the frame is built only there or where the budget does
+            # not certify the verdict
             framed = not grad_norm <= _MAX
             certified = state._drift_bound() <= 0.5 * REGULARITY_FAIL_TOL
             c = None
