@@ -426,12 +426,11 @@ class SolverState:
     itself), and :meth:`_gradient_norm` reads the closed-form gradient from
     them in O(n).  Each stays in range where the vertices and the gradient
     do: P is about (n+1) delta |g|, T0 a sum of coordinate differences and
-    s/delta about (n+1) |g|.  They are shifted
-    sums because s taken as S - (n+1) f0, or T0 as (n+1)(c - x0),
-    would carry the rounding of the values or the coordinates themselves,
-    which near a stationary point or far from the origin exceeds the
-    gradient; ``tests/test_exact_geometry.py`` holds the shifted form to
-    its a-priori bound after up to n+1 updates.
+    s/delta about (n+1) |g|.  They are shifted sums because s taken as
+    S - (n+1) f0, or T0 as (n+1)(c - x0), would carry the rounding of the
+    values or the coordinates themselves, which near a stationary point or
+    far from the origin exceeds the gradient; ``tests/test_exact_geometry.py``
+    holds the shifted form to its a-priori bound after up to n+1 updates.
 
     ``_edges`` is E, indexed by slot: E[a, b] = ||y_a - y_b||^2 / (2(1+1/n))
     for y_a and y_b the unit-frame rows of the vertices in slots a and b,
