@@ -124,7 +124,7 @@ def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
                 f"(n={n}, beta={beta})"
             )
         d_thr = 4.0 * _sq(kappa2) * L * _sq(R) / (1.0 - eta_split)
-        A = beta * _sq(gamma) * (1.0 - eta_split) ** 2 / (
+        A = beta * _sq(gamma) * _sq(1.0 - eta_split) / (
             2.0 * L * _sq(R) * n * _sq(kappa2))
         # the tail radius at the target gap epsilon
         delta_cvx = _tail_radius(epsilon, eta_split, kappa2, L, R)

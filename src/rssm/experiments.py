@@ -15,7 +15,6 @@ log(1/eps) (the semilog line that linear convergence predicts).
 from __future__ import annotations
 
 import csv
-import io
 import math
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -161,11 +160,6 @@ class ScalingResult:
     def rows_for_fit(self, n: int) -> list:
         return [r for r in self.rows
                 if r.n == n and r.reason == "epsilon-reached" and r.N_eps]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        write_csv(self.rows, buf)
-        return buf.getvalue()
 
 
 def write_csv(rows, fileobj) -> None:

@@ -91,11 +91,6 @@ class QueryCoefficients:
     positive_index_set: tuple[int, ...]
     negative_index_set: tuple[int, ...]
 
-    @property
-    def zero_index_set(self) -> tuple[int, ...]:
-        inhabited = set(self.positive_index_set) | set(self.negative_index_set)
-        return tuple(i for i in range(len(self.ell)) if i not in inhabited)
-
 
 def _solve_guarded(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A w = b, raising DegenerateSimplexError when A is near singular."""
@@ -359,9 +354,6 @@ class GMatrix:
     def _class_sum(self, values: np.ndarray, mask: np.ndarray) -> float:
         return float((self._spectrum[1] * values)[mask].sum())
 
-    def positive_count(self) -> int:
-        return int(self._spectrum[1][self._signs > 0].sum())
-
     def negative_count(self) -> int:
         return int(self._spectrum[1][self._signs < 0].sum())
 
@@ -439,7 +431,7 @@ def error_bound(kind: str, cls: str, n: int, L: float, delta: float,
     d2 = _sq(delta)
     if kind == "reflection":
         if cls == "convex":
-            bound = (1.0 + 1.0 / n) ** 2 * L * d2
+            bound = _sq(1.0 + 1.0 / n) * L * d2
         else:
             bound = (2.0 * n + 2.0) / n * L * d2
     elif kind == "centroid":
@@ -787,8 +779,8 @@ def gradient_bound_report(s: Simplex, objective, L: float | None = None) -> dict
         return report
     gtrue = np.asarray(grad_fn(c), dtype=float)
 
-    lhs1 = float(np.linalg.norm(gtrue - ghat) ** 2)
-    rhs1 = n / 4.0 * L ** 2 * delta ** 2
+    lhs1 = _sq(np.linalg.norm(gtrue - ghat))
+    rhs1 = n / 4.0 * _sq(L) * _sq(delta)
     report["gradient_error"] = {
         "holds": lhs1 <= rhs1 + 1e-9 * max(1.0, abs(rhs1)),
         "lhs": lhs1, "rhs": rhs1, "slack": rhs1 - lhs1,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simplex import _positive, _positive_int
+from .simplex import _positive, _positive_int, _sq
 
 __all__ = [
     "Objective",
@@ -177,7 +177,7 @@ def _make_logsumexp(n: int, scale: float) -> Objective:
         e1, e2 = np.exp(z1 - m), np.exp(z2 - m)
         return scale * (e1 - e2) / (e1.sum() + e2.sum())
 
-    return Objective("logsumexp", n, fn, grad, L=scale ** 2,
+    return Objective("logsumexp", n, fn, grad, L=_sq(scale),
                      f_star=float(np.log(2 * n)), x_star=np.zeros(n),
                      convexity="convex")
 

@@ -32,7 +32,6 @@ from .simplex import (
     _MAX,
     _UNIT_ROUNDOFF,
     Simplex,
-    _extreme_deviation,
     _frame_gradient,
     _frame_regularity,
     _is_real,
@@ -40,7 +39,6 @@ from .simplex import (
     _positive_int,
     _reflection,
     _sq,
-    _squared_edges,
     _unit_frame,
     _unit_interval,
     make_regular_simplex,
@@ -347,54 +345,63 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _drift_constants(n: int) -> tuple[float, float, float, float, float]:
-    """The constants of :class:`SolverState`'s drift budget in dimension n.
+def _drift_constants(n: int) -> tuple[float, float, float, float]:
+    """The constants of :class:`SolverState`'s distortion budget in
+    dimension n, for T a rounded sum of at most M = 3(n+1) terms (see
+    :class:`SolverState`) of norm at most R.  Rows e_i added to the
+    vertices move the budget's map by E = sum_i e_i w_i^T, w_i the
+    gradients of the barycentric coordinates of a regular simplex of
+    radius delta, ||w_i|| = n/((n+1) delta); as its centred vertices S have
+    S^T S = ((n+1)/n) delta^2 I, ||E|| <= ||[e_i]||_F sqrt(n/(n+1)) / delta.
 
-    Squared edges are measured in ideal squared edges l^2 = 2(1 + 1/n)
-    delta^2, squared radii in delta^2, and T is a rounded sum of at most
-    M = 3(n+1) terms (see :class:`SolverState`), each of norm at most R.
-
-    A = 8(1 - 1/n)^2 - 1 (A_1 = 1): the reflection x_r = (2/n) sum_(j != w)
-        x_j - x_w is an affine combination of the vertices, so each of its
-        squared edges ||x_r - x_k||^2 is a combination of the old squared
-        edges whose coefficients sum to 1 and their magnitudes to A.  Its
-        relative deviation is thus at most A times theirs.
-    g = (3n - 1)/(n + 1): the same magnitude sum for a squared radius
-        about the exact centroid (Gower, "Properties of Euclidean and
-        non-Euclidean distance matrices", Linear Algebra Appl. 67, 1985).
     c = gamma_M M / (n+1): c R / delta bounds the distance of the centroid
         T/(n+1) from the exact centroid, in radii.
-    r = gamma_(M+3) ((2/n)(M+1) + 1) / sqrt(2(1 + 1/n)): r R / delta bounds
-        the distance of the rounded reflection from the exact one, in ideal
-        edges (``tests/test_exact_geometry.py`` holds both to these bounds).
+    r = gamma_(M+3) ((2/n)(M+1) + 1) n/(n+1): the rounded reflection lies
+        within r R (n+1)/n of the exact one, so r R / delta bounds its ||E||
+        (``tests/test_exact_geometry.py`` holds both to these bounds).
+    h = gamma_4 n / sqrt(n+1): each of the n rows a shrink moves lies within
+        gamma_3 R of exact, and the new radius delta' = gamma delta is
+        rounded once, so h R / delta' bounds the shrink's ||E||.
     B = (1 + tau)^2 (2n/(n+1)) gamma_(n+8) + gamma_5, tau = 2
-        REGULARITY_FAIL_TOL: the rounding of a cached squared edge, of the
-        screen and of the exact report, for frames whose rows y have norm
-        at most 1 + tau, as every frame a screen or a report passed has.
-        Each entry of a frame row is within gamma_2 of (x - c)/delta, which
-        moves ||y_a - y_b||^2 by at most 8 gamma_2 (1 + tau)^2 to first
-        order; fl(fl(sq_a + sq_b) - 2 G_ab), from the n-term sums sq and G
-        of the rounded rows, is within gamma_(n+2) (||y_a|| + ||y_b||)^2
-        of their exact squared edge; the rounded scale n/(2(n+1)) and the
-        product add two roundings.  With gamma_j + gamma_k + gamma_j
-        gamma_k <= gamma_(j+k) a cached edge is within the first term of
-        its exact value.  The second covers the square roots, subtractions
-        and rounded ideal edge through which the screen and the report read
-        such squares; the report's squared radii are within
-        gamma_(n+8) (1 + tau)^2 of the exact ones, so its radii are inside
-        B too.  ``tests/test_solver.py`` holds every cached
-        entry and both deviations of the report to B against an exact
-        oracle.
+        REGULARITY_FAIL_TOL: the rounding of the exact report, for frames
+        whose rows y have norm at most 1 + tau, as every frame the budget
+        certifies or a report passes has.  Each entry of a frame row is
+        within gamma_2 of (x - c)/delta, which moves ||y_a - y_b||^2 by at
+        most 8 gamma_2 (1 + tau)^2 to first order; fl(fl(sq_a + sq_b) -
+        2 G_ab), from the n-term sums sq and G of the rounded rows, is
+        within gamma_(n+2) (||y_a|| + ||y_b||)^2 of their exact squared
+        edge, and the first term bounds both, relative to the ideal squared
+        edge.  The second covers the square roots, subtractions and rounded
+        ideal edge through which the report reads such squares; its squared
+        radii are within gamma_(n+8) (1 + tau)^2 of exact, so its radii are
+        inside B too.  ``tests/test_solver.py`` holds both deviations of the
+        report to B against an exact oracle.
     """
     m, M = n + 1.0, 3 * (n + 1)
-    growth = 1.0 if n == 1 else 8.0 * (1.0 - 1.0 / n) ** 2 - 1.0
-    gower = (3.0 * n - 1.0) / m
     centring = _gamma(M) * M / m
-    rounding = (_gamma(M + 3) * (2.0 / n * (M + 1) + 1.0)
-                / math.sqrt(2.0 * (1.0 + 1.0 / n)))
-    slack = ((1.0 + 2.0 * REGULARITY_FAIL_TOL) ** 2 * (2.0 * n / m)
+    reflection = _gamma(M + 3) * (2.0 / n * (M + 1) + 1.0) * (n / m)
+    shrink = _gamma(4) * n / math.sqrt(m)
+    slack = (_sq(1.0 + 2.0 * REGULARITY_FAIL_TOL) * (2.0 * n / m)
              * _gamma(n + 8) + _gamma(5))
-    return growth, gower, centring, rounding, slack
+    return centring, reflection, shrink, slack
+
+
+def _grown(kappa: float, e: float) -> float:
+    """kappa + 2 sqrt(1 + kappa) e + e^2: the distortion of A + E for A of
+    distortion kappa (so ||A|| <= sqrt(1 + kappa)) and ||E|| <= e."""
+    return kappa + e * (2.0 * math.sqrt(1.0 + kappa) + e)
+
+
+def _construction_distortion(center: np.ndarray, radius: float) -> float:
+    """The distortion of ``make_regular_simplex(center, radius, n)``, a
+    priori: its vertices c + rho h_i (h_i a column of the Helmert rows, rho
+    = radius sqrt((n+1)/n), so ||rho h_i|| = radius) are exactly regular,
+    and rounded h_i (gamma_2), rho (gamma_3), their product and the sum
+    with c put each within gamma_7 (||c|| + radius) of exact; so all n+1
+    give ||E|| <= sqrt(n) gamma_7 (||c|| / radius + 1)."""
+    q = center / radius
+    return _grown(0.0, _gamma(7) * math.sqrt(len(q))
+                  * (math.sqrt(q @ q) + 1.0))
 
 
 class SolverState:
@@ -402,7 +409,7 @@ class SolverState:
     of ``simplex.vertices``), the slots in value order, the values in that
     order, the running vertex sum, the running moment the gradient reads,
     the objective-call count (every other count is :class:`Trace`'s), and
-    the squared edges and drift budget the regularity verdict reads.
+    the distortion budget the regularity verdict reads.
 
     ``order`` lists the slots by ascending value, ties in the order they
     had before, as a stable sort leaves them; ``values[i]`` is the value of
@@ -432,36 +439,37 @@ class SolverState:
     far from the origin exceeds the gradient; ``tests/test_exact_geometry.py``
     holds the shifted form to its a-priori bound after up to n+1 updates.
 
-    ``_edges`` is E, indexed by slot: E[a, b] = ||y_a - y_b||^2 / (2(1+1/n))
-    for y_a and y_b the unit-frame rows of the vertices in slots a and b,
-    and E[a, a] = ||y_a||^2, so that every entry of a regular simplex is 1.
-    ``_pending`` lists the slots moved since E was last written, or is None
-    when E is to be rebuilt.
-
-    ``_eta`` is the drift budget: a bound on the relative deviation
-    |d_ab / l^2 - 1| of every exact squared edge d_ab of the vertices from
-    the ideal l^2 = 2(1+1/n) delta^2 (see :func:`_drift_constants` for the
-    constants).  The screen sets it from its value s to s(2 + s) + B; an
-    accepted reflection raises it to A eta (1 + t) + t (2 + t), for t the
-    reflection's rounding in ideal edges; the start and every shrink set it
-    to inf.  :meth:`_drift_bound` turns it into a bound on the exact
-    report; a NaN in eta, R^2 or delta, or an inf in eta or R^2, leaves
-    that bound NaN or inf.
+    ``_kappa`` is the distortion budget.  The vertices in slot i are
+    Phi(s_i) = A s_i + b for s_i the vertices of a regular simplex of the
+    stored radius delta, and kappa bounds ||A^T A - I||_2, so every exact
+    squared edge lies within a factor 1 +- kappa of the ideal
+    2(1+1/n) delta^2 and every exact squared radius about the exact
+    centroid Phi(0) within 1 +- kappa of delta^2.  A reflection or a shrink
+    is an affine combination of the vertices with weights that sum to 1,
+    so in exact arithmetic it commutes with Phi and keeps kappa (Lagarias,
+    Reeds, Wright and Wright, SIAM J. Optim. 9, 1998); only its rounding
+    moves A, by some E, and kappa grows to kappa + 2 sqrt(1 + kappa) ||E||
+    + ||E||^2 (see :func:`_drift_constants` for the bounds on ||E||).  A
+    shrink also adds 3u (1 + kappa) for the rounding of the stored radius.
+    :func:`run` seeds kappa from the construction's rounding
+    (:func:`_construction_distortion`), and :meth:`_anchor` sets it afresh
+    from an exact report; a state built without a kappa certifies nothing
+    until then.  :meth:`_drift_bound` turns kappa into a bound on the
+    exact report; a NaN in kappa, R^2 or delta, or an inf in kappa or R^2,
+    leaves that bound NaN or inf.
     """
 
-    def __init__(self, simplex: Simplex, objective):
+    def __init__(self, simplex: Simplex, objective, kappa: float = math.inf):
         """Evaluate the objective at every vertex, slot by slot, and order
-        the slots by value."""
+        the slots by value; kappa bounds the simplex's distortion."""
         self.simplex = simplex
         self.objective = objective
         self.objective_calls = 0
         m = simplex.vertices.shape[0]
         self.order = np.arange(m)
         self.values = np.array([self.evaluate(x) for x in simplex.vertices])
-        self._edges = np.empty((m, m))
-        self._diagonal = self._edges.reshape(-1)[::m + 1]  # a view of E
-        self._edge_scale = (m - 1) / (2.0 * m)  # 1 / (2(1+1/n))
-        (self._growth, self._gower, self._centring, self._rounding,
+        self._kappa = kappa
+        (self._centring, self._reflection, self._shrink,
          self._slack) = _drift_constants(m - 1)
         self._sort()
 
@@ -501,8 +509,8 @@ class SolverState:
         V = self.simplex.vertices
         delta = self.simplex.radius
         # the budget from the T that made x_r
-        t = self._rounding * math.sqrt(self._norm2) / delta
-        self._eta = self._growth * self._eta * (1.0 + t) + t * (2.0 + t)
+        self._kappa = _grown(self._kappa, self._reflection
+                             * math.sqrt(self._norm2) / delta)
         x_w, f_w = V[w], float(f[n])
         d = x_r - x_w
         self.total += d
@@ -524,8 +532,6 @@ class SolverState:
         f[k] = f_r
         order[k + 1:] = order[k:n]
         order[k] = w
-        if self._pending is not None and w not in self._pending:
-            self._pending.append(w)
         self._updates += 1
         if self._updates > n:
             self._resum()
@@ -533,7 +539,11 @@ class SolverState:
     def shrink(self, gamma: float) -> None:
         """Shrink every other vertex toward the best one, evaluate them in
         value order and sort the slots again."""
+        R = math.sqrt(self._norm2)  # every row's norm, before the move
         self.simplex = shrink_toward_best(self.simplex, self.order[0], gamma)
+        # the moved rows' rounding, then the stored radius's
+        kappa = _grown(self._kappa, self._shrink * R / self.simplex.radius)
+        self._kappa = kappa + 3.0 * _UNIT_ROUNDOFF * (1.0 + kappa)
         V, f, order = self.simplex.vertices, self.values, self.order
         for i in range(1, len(order)):
             f[i] = self.evaluate(V[order[i]])
@@ -541,12 +551,10 @@ class SolverState:
 
     def _sort(self) -> None:
         """Stable sort of the slots by value from their previous order;
-        re-sums T, E is to be rebuilt and the budget is spent."""
+        re-sums T."""
         perm = np.argsort(self.values, kind="stable")
         self.values = self.values[perm]
         self.order = self.order[perm]
-        self._pending = None
-        self._eta = math.inf
         self._resum()
 
     def _resum(self) -> None:
@@ -589,44 +597,29 @@ class SolverState:
 
     def _drift_bound(self) -> float:
         """A bound on the deviation of the exact report of this loop top's
-        frame, from the budget: g eta + c R / delta + B, the radius bound
-        (Gower's about the exact centroid, plus the distance of T/(n+1)
-        from it) plus the frame's rounding; the edge bound eta + B is never
-        larger.  NaN or inf when the budget holds one."""
-        return (self._gower * self._eta + self._slack + self._centring
+        frame, from the budget: 1 - sqrt(1 - kappa) + c R / delta + B.
+        Every exact radius about the exact centroid and every exact edge
+        lies within a factor sqrt(1 +- kappa) of its ideal, the centroid
+        T/(n+1) within c R of the exact one, and the report's rounding
+        within B.  NaN or inf when the budget holds one."""
+        kappa = self._kappa
+        # 1 - sqrt(1 - kappa) without its cancellation; kappa from kappa >= 1
+        loss = kappa / (1.0 + math.sqrt(max(1.0 - kappa, 0.0)))
+        return (loss + self._slack + self._centring
                 * math.sqrt(self._norm2) / self.simplex.radius)
 
-    def _regularity_screen(self, Y: np.ndarray) -> float:
-        """Bring E up to date with the unit frame Y, in value order, set the
-        budget from it, and return max |sqrt(E_ab) - 1|, NaN when E holds
-        one.
+    def _anchor(self, report) -> None:
+        """Set kappa afresh from the exact report of the current vertices.
 
-        A rebuild forms the Gram matrix of Y, O(n^3); otherwise the rows
-        and columns of the moved slots are written from their inner
-        products with every row, O(n^2) per slot, and every diagonal
-        entry.  The result is within B (see :func:`_drift_constants`) of
-        the exact deviation of the cached rows, and so is the exact
-        report's deviation.
+        Every exact edge lies within e = the report's edge deviation + B of
+        the ideal, so every relative deviation of a squared edge within
+        e(2 + e).  The distortion is at most n times that: Gower's identity
+        writes S(A^T A - I)S^T as -(l^2/2) J D J for D the squared edges'
+        relative deviations and J the centring projection, and
+        S^T S = ((n+1)/n) delta^2 I gives ||A^T A - I|| <= ||D|| <= n max |D|.
         """
-        E, P = self._edges, self._pending
-        Ys = np.empty_like(Y)  # the frame in slot order
-        Ys[self.order] = Y
-        if P is None:
-            G = Ys @ Ys.T
-            sq = G.diagonal()
-            E[:] = _squared_edges(sq, G)
-            E *= self._edge_scale
-        else:
-            sq = np.einsum("ij,ij->i", Ys, Ys)
-            q = _squared_edges(sq, Ys[P] @ Ys.T, P)
-            q *= self._edge_scale
-            E[P] = q
-            E[:, P] = q.T
-        self._diagonal[:] = sq
-        self._pending = []
-        s = _extreme_deviation(E, 1.0)
-        self._eta = s * (2.0 + s) + self._slack
-        return s
+        e = report.max_edge_deviation + self._slack
+        self._kappa = (len(self.order) - 1) * e * (2.0 + e)
 
 
 def _check_stopping(objective, cfg: SolverConfig) -> None:
@@ -658,10 +651,10 @@ def run(objective, cfg: SolverConfig) -> Trace:
     and the moment and inserts its slot into the value order, O(n); a
     shrink sorts the slots again and re-sums T.  The centroid T/(n+1) and
     the radius-normalised centred frame of the vertices in value order,
-    O(n^2), are built only where the drift budget does not certify the
-    verdict, for the screen and the exact report, or where the norm from
-    the moment is not finite, which the frame form then decides; the
-    centroid also where the "true_gradient" rule reads it.
+    O(n^2), are built only where the distortion budget does not certify
+    the verdict, for the exact report, or where the norm from the moment
+    is not finite, which the frame form then decides; the centroid also
+    where the "true_gradient" rule reads it.
     S, f_best, f_worst and the mean of the n best are read from the values
     in value order.  Up to the first accepted reflection, and throughout a
     run of shrinks only, every number but the gradient norm is the one the
@@ -669,20 +662,17 @@ def run(objective, cfg: SolverConfig) -> Trace:
     the centroid from T differ from those sums in their last bits.
 
     The regularity verdict is certified a priori where it can be: the
-    state's drift budget (:class:`SolverState`) bounds the exact report of
-    the frame from the rounding bounds of the reflections since the last
-    screen, and while that bound is at most half of REGULARITY_FAIL_TOL
-    the loop top reads nothing else and builds no frame.  Otherwise it
-    screens the squared edges cached on the state
-    (``SolverState._regularity_screen``), which writes the rows of the
-    slots moved since the screen last ran (a shrink rebuilds them all) and
-    sets the budget afresh from its value; only a screen above half of
-    REGULARITY_FAIL_TOL, or a NaN, takes the exact report.  The start and
-    every shrink spend the budget, and a NaN or inf in it leaves the loop
-    top uncertified, so the loop top screens.  A
-    certified or screened verdict passes only where the exact report is
-    within REGULARITY_FAIL_TOL, so the stop iteration and
-    ``summary["regularity"]`` are those of a report taken every iteration.
+    state's distortion budget kappa (:class:`SolverState`), seeded from
+    the construction's rounding and grown by the rounding bound of each
+    reflection and shrink, bounds the exact report of the frame, and while
+    that bound is at most half of REGULARITY_FAIL_TOL the loop top reads
+    nothing else and builds no frame.  Otherwise the loop top takes the
+    exact report, which decides the verdict and, where it passes, anchors
+    kappa afresh; a NaN or inf in the budget leaves the loop top
+    uncertified, so it takes the report.  A certified verdict passes only
+    where the exact report is within REGULARITY_FAIL_TOL, so the stop
+    iteration and ``summary["regularity"]`` are those of a report taken
+    every iteration.
 
     The criterion is tested at the top of every iteration, so on
     "epsilon-reached" the number of records is the first iteration index at
@@ -713,7 +703,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
     """
     _check_stopping(objective, cfg)
     n = cfg.n
-    simplex = make_regular_simplex(cfg.start_center(), cfg.delta0, n)
+    center = cfg.start_center()
+    simplex = make_regular_simplex(center, cfg.delta0, n)
     trace = Trace(config=cfg.to_dict())
     reflection_only = cfg.algorithm == "reflection_only"
     if cfg.mode == "theoretical":
@@ -721,7 +712,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
     else:
         margin = -cfg.eta
     with np.errstate(over="ignore", invalid="ignore"):
-        state = SolverState(simplex, objective)
+        state = SolverState(simplex, objective,
+                            _construction_distortion(center, cfg.delta0))
         while True:
             f = state.values
             delta = state.simplex.radius
@@ -750,16 +742,15 @@ def run(objective, cfg: SolverConfig) -> Trace:
                     trace.summary["overflow"] = (
                         f"the simplex gradient norm is {grad_norm!r}")
                     break
-            # the budget certifies, or else the cached edges screen; the
-            # exact report decides near the tolerance, so the verdict is the
-            # one a fresh report gives
-            if not (certified or state._regularity_screen(Y)
-                    <= 0.5 * REGULARITY_FAIL_TOL):
+            # the budget certifies, or else the exact report decides, so
+            # the verdict is the one a fresh report gives
+            if not certified:
                 rep = _frame_regularity(Y)
                 if not rep.max_deviation() <= REGULARITY_FAIL_TOL:
                     trace.reason = "regularity-failure"
                     trace.summary["regularity"] = str(rep)
                     break
+                state._anchor(rep)
             if cfg.stopping == "true_gradient":
                 if c is None:
                     c = state.centroid()

@@ -26,3 +26,9 @@ def random_regular_simplex(n, rng, radius=None, center=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def positive_count(g):
+    """The positive eigenvalues of a GMatrix, with multiplicity: its
+    spectrum's multiplicities where its signs are positive."""
+    return int(g._spectrum[1][g._signs > 0].sum())

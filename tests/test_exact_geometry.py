@@ -13,8 +13,9 @@ running-sum centroid and reflection are also held at n = 16, and so is
 the closed-form simplex gradient, with three sets of vertex values, both
 as ``regular_simplex_gradient`` forms it and as the solver's running
 moment does after up to n+1 updates, the latter also along a walk to a
-near-stationary point.  The two affine identities the solver's drift
-budget rests on are checked in exact arithmetic at the end.
+near-stationary point.  The solver's distortion budget is held, at the
+end, to every exact squared edge and squared radius of the float vertices
+along random walks of reflections and shrinks.
 """
 
 import math
@@ -23,10 +24,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rssm.simplex import (_unit_frame, make_regular_simplex, reflect_worst,
+from rssm.simplex import (_frame_regularity, _unit_frame,
+                          make_regular_simplex, reflect_worst,
                           regular_simplex_gradient, shrink_toward_best)
 from rssm.objectives import builtin
-from rssm.solver import SolverConfig, SolverState, _drift_constants, run
+from rssm.solver import (SolverConfig, SolverState, _construction_distortion,
+                         _drift_constants, run)
 
 from conftest import random_regular_simplex
 from test_exact_weights import _simplices
@@ -126,16 +129,17 @@ def test_running_sum_centroid_and_reflection_lie_within_their_bounds(n, where,
     # (2/n)(W + |x_w|) + |x_w|.  A re-sum after n+1 updates leaves a tree of
     # the n+1 current rows, all among the terms, so these bounds hold
     # across it.  The oracle reads the rows the state holds.  In norm, with
-    # at most 3(n+1) terms of norm at most R (the state's R^2), the drift
-    # budget's constants bound both errors: the centroid's by c R and the
-    # reflection's by r R times the ideal edge over delta, sqrt(2(1+1/n)).
+    # at most 3(n+1) terms of norm at most R (the state's R^2), the
+    # distortion budget's constants bound both errors: the centroid's by
+    # c R and the reflection's e by r R, where r = ||e|| n/(n+1) / R, the
+    # norm of the rank-one change e w^T it makes to the budget's map.
     rng = np.random.default_rng(n)
     state = SolverState(type(s)(s.vertices.copy(), radius=s.radius),
                         lambda x: float(rng.standard_normal()))
     m, k = n + 1, Fraction(2, n)
     M = m
     W = [sum(map(abs, col)) for col in zip(*exact_rows(s.vertices))]
-    _, _, centring, rounding, _ = map(Fraction, _drift_constants(n))
+    centring, reflection, _, _ = map(Fraction, _drift_constants(n))
     for t in range(n + 2):
         X = exact_rows(state.simplex.vertices)
         total = [sum(col) for col in zip(*X)]
@@ -151,8 +155,8 @@ def test_running_sum_centroid_and_reflection_lie_within_their_bounds(n, where,
                  for a, b in zip(W, x_w)]
         x_r = state.reflection()
         assert_within(x_r, want, bound, (where, t))
-        assert squared_distance(x_r, want) <= \
-            rounding ** 2 * R2 * 2 * (1 + Fraction(1, n))
+        assert squared_distance(x_r, want) * Fraction(n, n + 1) ** 2 <= \
+            reflection ** 2 * R2
         W = [a + abs(b) + abs(Fraction(float(r)))
              for a, b, r in zip(W, x_w, x_r)]
         M += 2
@@ -410,73 +414,98 @@ def test_running_moment_gradient_near_a_stationary_point():
     assert min(r.simplex_gradient_norm for r in trace.records) < 1e-7
 
 
-# The drift budget of the solver's loop rests on two affine identities.
-# For a point p = sum_j a_j x_j with sum_j a_j = 1,
-#   ||p - x_k||^2 = sum_j a_j d_jk - (1/2) sum_(i,j) a_i a_j d_ij,
-# d_ij = ||x_i - x_j||^2, so each squared edge of the reflection (a_j = 2/n
-# for j != w, a_w = -1) and each squared radius about the centroid
-# (a_j = 1/(n+1)) is a fixed combination of the old squared edges.  In
-# units of the ideal squared edge and squared radius the coefficients sum
-# to 1, so the relative deviation grows at most by the sum of their
-# magnitudes: A_n for an edge, (3n - 1)/(n + 1) for a radius.
+# The distortion budget kappa of the solver's loop (see SolverState) bounds
+# ||A^T A - I|| for the affine map A y + b that takes a regular simplex of
+# the stored radius onto the float vertices, so every exact squared edge
+# lies within a factor 1 +- kappa of 2(1 + 1/n) delta^2 and every exact
+# squared radius about the exact centroid within 1 +- kappa of delta^2.
+# The oracle checks both on the float vertices in exact arithmetic, along
+# random walks of accepted reflections and shrinks from each of kappa's two
+# anchors: run's, from the construction's rounding, and an exact report's,
+# taken on a simplex stretched along one vertex so that its radius deviates
+# more than any edge.
 
 
-def _edge_coefficients(a, k):
-    """The coefficient of each d_ij, i < j, in ||sum_j a_j x_j - x_k||^2."""
-    c = {}
-    m = len(a)
-    for j in range(m):
-        if j != k:
-            key = (min(j, k), max(j, k))
-            c[key] = c.get(key, 0) + a[j]
-    for i in range(m):
-        for j in range(i + 1, m):
-            c[(i, j)] = c.get((i, j), 0) - a[i] * a[j]
-    return c
+def exact_ints(A):
+    """Python ints I and a shift k with A[i, j] == I[i][j] / 2**k exactly."""
+    mant, exp = np.frexp(A)
+    M = (mant * 2.0 ** 53).astype(np.int64)  # the 53-bit significands
+    E = exp.astype(np.int64) - 53
+    k = -int(E[M != 0].min(initial=0))
+    return [[int(m) << int(e + k) if m else 0 for m, e in zip(rm, re)]
+            for rm, re in zip(M, E)], k
 
 
-def _check_identity(a, k, c, n, rng):
-    """The coefficients reproduce ||p - x_k||^2 exactly on random rational
-    points."""
-    X = [[Fraction(int(v), 64) for v in rng.integers(-640, 640, n)]
-         for _ in range(len(a))]
-    p = [sum(aj * x[i] for aj, x in zip(a, X)) for i in range(n)]
+def distortion_ratio(state) -> Fraction:
+    """max |q / ideal - 1| over the exact squared edges and squared radii q
+    of the state's float vertices, over its kappa: at most 1 where kappa
+    bounds them.  The ideals are 2(1 + 1/n) delta^2 and delta^2 for the
+    stored radius delta, the radii are about the exact centroid, and the
+    vertices are I / 2^k in ints, so each ratio is an exact quotient of
+    ints."""
+    I, k = exact_ints(state.simplex.vertices)
+    m = len(I)
+    n = m - 1
+    p, q = state.simplex.radius.as_integer_ratio()  # delta = p / q
+    total = [sum(col) for col in zip(*I)]
+    # m^2 4^k ||x_a - c||^2 and 4^k ||x_a - x_b||^2
+    radii = [sum((m * a - t) ** 2 for a, t in zip(row, total)) for row in I]
+    edges = [sum((a - b) ** 2 for a, b in zip(I[i], I[j]))
+             for i in range(m) for j in range(i + 1, m)]
+    unit = 4 ** k * p * p
+    devs = [Fraction(r * q * q, m * m * unit) - 1 for r in (min(radii),
+                                                            max(radii))]
+    if edges:
+        devs += [Fraction(d * n * q * q, 2 * m * unit) - 1
+                 for d in (min(edges), max(edges))]
+    return max(map(abs, devs)) / Fraction(state._kappa)
 
-    def d(u, v):
-        return sum((s - t) ** 2 for s, t in zip(u, v))
 
-    assert d(p, X[k]) == sum(cij * d(X[i], X[j]) for (i, j), cij in c.items())
+def _stretched(s, stretch):
+    """s with its vertices moved by stretch * v v^T (x - c), v the direction
+    of its first vertex from the centroid c: its squared radius deviates by
+    about 2 stretch, its squared edges by at most (1 + 1/n) stretch."""
+    c = s.centroid()
+    Y = s.vertices - c
+    v = Y[0] / np.linalg.norm(Y[0])
+    return type(s)(c + Y + stretch * np.outer(Y @ v, v), radius=s.radius)
 
 
-@pytest.mark.parametrize("n", range(1, 17))
-def test_reflected_edge_coefficients_sum_to_one_and_a_n(n):
-    # the worst vertex in the last slot; any other slot permutes the
-    # coefficients
+def _anchored(n, centre, anchor, rng):
+    """A SolverState with kappa from one of its anchors: the construction's
+    rounding, or an exact report of the constructed or a stretched
+    simplex."""
+    c = np.full(n, centre)
+    s = make_regular_simplex(c, 1.0, n)
+    if anchor == "construction":
+        return SolverState(s, lambda x: float(rng.standard_normal()),
+                           _construction_distortion(c, 1.0))
+    if anchor == "stretched":
+        s = _stretched(s, 1e-8)
+    state = SolverState(s, lambda x: float(rng.standard_normal()))
+    state._anchor(_frame_regularity(_unit_frame(s, s.centroid())))
+    return state
+
+
+def distortion_walk(n, centre, anchor, steps):
+    """The largest distortion ratio along a walk of `steps` random steps
+    from an anchor: an accepted reflection in 4 steps of 5, otherwise a
+    shrink by 0.5, 0.3 or 0.9."""
     rng = np.random.default_rng(n)
-    a = [Fraction(2, n)] * n + [Fraction(-1)]
-    A = Fraction(1) if n == 1 else 8 * (1 - Fraction(1, n)) ** 2 - 1
-    growth = _drift_constants(n)[0]
-    assert abs(Fraction(growth) - A) <= gamma(4) * A
-    for k in range(n):
-        c = _edge_coefficients(a, k)
-        assert sum(c.values()) == 1
-        assert sum(map(abs, c.values())) == A
-    _check_identity(a, 0, _edge_coefficients(a, 0), n, rng)
+    state = _anchored(n, centre, anchor, rng)
+    worst = distortion_ratio(state)
+    for _ in range(steps):
+        if rng.random() < 0.8:
+            state.accept(state.reflection(), float(rng.standard_normal()))
+        else:
+            state.shrink(float(rng.choice(SHRINK_GAMMAS)))
+        worst = max(worst, distortion_ratio(state))
+    return worst
 
 
-@pytest.mark.parametrize("n", range(1, 17))
-def test_centroid_radius_coefficients_sum_to_one_and_gower(n):
-    # ||x_k - c||^2 / delta^2 = sum c_ij d_ij / l^2 with l^2 / delta^2 =
-    # 2(n+1)/n: the coefficients times 2(n+1)/n
-    rng = np.random.default_rng(n)
-    m = n + 1
-    a = [Fraction(1, m)] * m
-    g = Fraction(3 * n - 1, n + 1)
-    gower = _drift_constants(n)[1]
-    assert abs(Fraction(gower) - g) <= gamma(3) * g
-    unit = Fraction(2 * (n + 1), n)
-    for k in range(m):
-        c = _edge_coefficients(a, k)
-        assert sum(c.values()) * unit == 1
-        assert sum(map(abs, c.values())) * unit == g
-    _check_identity(a, 0, _edge_coefficients(a, 0), n, rng)
+@pytest.mark.parametrize("anchor", ["construction", "report", "stretched"])
+@pytest.mark.parametrize("centre", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_the_distortion_budget_bounds_every_squared_edge_and_radius(
+        n, centre, anchor):
+    assert distortion_walk(n, centre, anchor, 60) <= 1

@@ -147,7 +147,9 @@ def test_grid_fits_are_populated(quad_iso_result):
 
 def test_grid_csv_shape(quad_iso_result):
     _, result = quad_iso_result
-    text = result.to_csv()
+    buf = io.StringIO()
+    write_csv(result.rows, buf)
+    text = buf.getvalue()
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 1 + len(result.rows)

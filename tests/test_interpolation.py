@@ -1,5 +1,6 @@
 """Affine interpolation machinery: weights, G matrices, sharp bounds, mu."""
 
+import math
 import re
 
 import numpy as np
@@ -30,7 +31,7 @@ from rssm.interpolation import (
 
 from rssm.objectives import Objective
 
-from conftest import haar_rotation, random_regular_simplex
+from conftest import haar_rotation, positive_count, random_regular_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,9 @@ def test_reflection_query_weights_and_partition(n):
     assert q.ell[n + 1] == pytest.approx(-1.0, abs=1e-10)
     assert q.positive_index_set == tuple(range(1, n + 1))
     assert q.negative_index_set == (0, n + 1)
-    assert q.zero_index_set == ()
+    # no weight is near zero: the two sets hold every index
+    assert (set(q.positive_index_set) | set(q.negative_index_set)
+            == set(range(len(q.ell))))
 
 
 def test_weights_reproduce_query(rng):
@@ -292,7 +295,7 @@ def test_centroid_g_is_scaled_identity():
     g = g_matrix(s, s.centroid())
     np.testing.assert_allclose(g.matrix, delta ** 2 / n * np.eye(n),
                                atol=1e-12)
-    assert g.positive_count() == n
+    assert positive_count(g) == n
     assert g.negative_count() == 0
 
 
@@ -306,7 +309,7 @@ def test_reflection_g_eigenvalues_2d():
 def test_shrink_g_is_rank_one_psd():
     s = make_regular_simplex(np.zeros(1), 1.0, 1)
     g = g_matrix(s, query_point(s, "shrink", gamma=0.5))
-    assert g.positive_count() == 1
+    assert positive_count(g) == 1
     assert g.negative_count() == 0
     assert np.trace(g.matrix) == pytest.approx(1.0, rel=1e-12)
 
@@ -322,7 +325,7 @@ def test_eigenvalue_count_law(kind, gamma, rng):
         x = query_point(s, kind, gamma=gamma)
         g = g_matrix(s, x)
         q = g.coefficients
-        assert g.positive_count() == len(q.positive_index_set) - 1
+        assert positive_count(g) == len(q.positive_index_set) - 1
         assert g.negative_count() == len(q.negative_index_set) - 1
 
 
@@ -828,7 +831,7 @@ def test_a_cluster_value_at_the_zero_threshold_takes_eigh():
     offsets = np.vstack([[2.0, 0.0, 0.0], np.eye(3)])
     g = GMatrix(Gm, coefficients=q, offsets=offsets)
     assert g._two_cluster is None
-    assert (g.positive_count(), g.negative_count()) == (2, 0)
+    assert (positive_count(g), g.negative_count()) == (2, 0)
 
 
 def _beyond_the_two_cluster_form():
@@ -1109,6 +1112,17 @@ def test_gradient_report_refuses_an_l_outside_its_range(L):
     obj = Objective("quad", 2, quad, grad=quad.gradient, L=L)
     with pytest.raises(ValueError, match=message):
         gradient_bound_report(s, obj)
+
+
+def test_gradient_report_takes_an_l_whose_square_passes_the_doubles():
+    # L^2 passes the doubles from L of about 1.34e154; the bound of the
+    # gradient error is then inf, and holds, where pow raised OverflowError
+    s = make_regular_simplex(np.zeros(2), 1.0, 2)
+    quad = Quadratic(H=np.eye(2), v=np.full(2, -0.3))
+    rep = gradient_bound_report(s, quad, L=1e160)
+    assert rep["gradient_error"]["rhs"] == math.inf
+    for name in ("simplex_gradient_upper", "gradient_error", "gap_lower"):
+        assert rep[name]["holds"], name
 
 
 def test_gradient_report_reads_l_from_the_objective():

@@ -1,7 +1,9 @@
 """Geometry kernels: construction, reflection, shrinking, regularity."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,3 +569,20 @@ def test_the_square_is_the_correctly_rounded_product():
     # beyond the doubles, a float or an int squares to inf, not an error
     assert _sq(1e200) == _sq(-1e155) == _sq(10 ** 200) == math.inf
     assert _sq(3) == 9.0 and type(_sq(3)) is float
+
+
+def test_no_float_is_squared_through_pow():
+    # every float square in the library goes through _sq; only the
+    # objectives square arrays elementwise
+    arrays = {"objectives.py": {"(x - xs) ** 2", "x ** 2", "np.sin(x) ** 2"}}
+    found = []
+    for path in sorted(Path(rssm.simplex.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.right, ast.Constant)
+                    and node.right.value == 2):
+                segment = ast.get_source_segment(text, node)
+                if segment not in arrays.get(path.name, ()):
+                    found.append((path.name, node.lineno, segment))
+    assert found == []

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rssm.simplex
 import rssm.solver
 from rssm.interpolation import simplex_gradient
 from rssm.objectives import Objective, builtin
@@ -30,11 +31,14 @@ from rssm.solver import (
     SolverConfig,
     SolverState,
     Trace,
+    _construction_distortion,
+    _grown,
     mean_value_gap,
     run,
 )
 
-from test_exact_geometry import MomentOracle, assert_norm_within, gamma
+from test_exact_geometry import (MomentOracle, assert_norm_within, exact_ints,
+                                 gamma)
 
 
 def _theoretical_cfg(**kw):
@@ -209,7 +213,7 @@ def _count_calls(monkeypatch, name, owner=rssm.solver):
 def test_gradient_is_computed_once_per_iteration(monkeypatch):
     gradients = _count_calls(monkeypatch, "_gradient_norm", SolverState)
     frames = _count_calls(monkeypatch, "_unit_frame")
-    screens = _count_calls(monkeypatch, "_regularity_screen", SolverState)
+    reports = _count_calls(monkeypatch, "_frame_regularity")
     reflections = _count_calls(monkeypatch, "_reflection")
     sorts = _count_calls(monkeypatch, "_sort", SolverState)
     cfg = SolverConfig(n=4, epsilon=1e-12, stopping="simplex_gradient",
@@ -218,10 +222,10 @@ def test_gradient_is_computed_once_per_iteration(monkeypatch):
     assert trace.reason == "budget" and len(trace.records) == 40
     # one gradient per iteration, plus the top-of-loop test that ends the run
     assert gradients["count"] == len(trace.records) + 1
-    # a frame only where the budget runs out and the screen reads it: at the
-    # start, after each shrink and every few accepted reflections
-    assert frames["count"] == screens["count"]
-    assert 1 + trace.N_s <= frames["count"] < (len(trace.records) + 1) / 2
+    # a frame only where the budget runs out and the exact report reads it;
+    # the budget certifies every loop top of this run, the start and those
+    # after a shrink among them
+    assert frames["count"] == reports["count"] == 0 and trace.N_s > 0
     # one O(n) reflection per iteration; the slots are sorted at the start
     # and at each shrink only
     assert reflections["count"] == len(trace.records)
@@ -279,16 +283,22 @@ def test_centroid_is_computed_once_per_loop_top(monkeypatch):
     tops = len(trace.records) + 1
     assert len(centroids) == tops
     assert all(a is b for a, b in zip(points, centroids)) and len(points) == tops
-    assert 0 < len(frames) < tops
+    assert len(frames) == 0
     # only make_regular_simplex sums the rows, once, to certify the start
     assert full_sums["count"] == 1
-    # without that rule, a centroid only where a frame is built
-    centroids.clear()
-    frames.clear()
-    trace = run(builtin("quad-spectrum", 4, seed=7),
-                SolverConfig(n=4, stopping="none", max_iterations=40,
-                             center=1.5))
-    assert len(centroids) == len(frames) < (len(trace.records) + 1) / 2
+    # without that rule, a centroid only where a frame is built: nowhere
+    # while the budget certifies, and at every loop top without it, each
+    # frame on the centroid formed last
+    cfg = SolverConfig(n=4, stopping="none", max_iterations=40, center=1.5)
+    for budget, frames_per_top in ((None, 0), (math.nan, 1)):
+        if budget is not None:
+            monkeypatch.setattr(SolverState, "_drift_bound",
+                                lambda self: budget)
+        centroids.clear()
+        frames.clear()
+        trace = run(builtin("quad-spectrum", 4, seed=7), cfg)
+        assert len(centroids) == len(frames) == \
+            frames_per_top * (len(trace.records) + 1)
 
 
 def test_recorded_gradient_norms_match_the_affine_solve(monkeypatch):
@@ -444,55 +454,44 @@ def test_the_starting_evaluations_warn_no_more_than_the_rest():
 
 
 # ---------------------------------------------------------------------------
-# the regularity verdict: the drift budget and the screen on the cached
-# squared edges
+# the regularity verdict: the distortion budget and the exact report
 
 
 U = np.finfo(float).eps
 HALF_TOL = 0.5 * rssm.solver.REGULARITY_FAIL_TOL
 
 
-def _fresh_edges(Y):
-    """E from a fresh Gram matrix of Y, indexed by the rows of Y."""
-    n = Y.shape[1]
-    G = Y @ Y.T
-    sq = G.diagonal()
-    E = (sq[:, None] + sq[None, :] - 2.0 * G) * (n / (2.0 * (n + 1.0)))
-    np.fill_diagonal(E, sq)
-    return E
+def _start(n, centre, objective):
+    """A SolverState on a regular simplex of radius 1 at `centre`, with
+    run's anchor."""
+    c = np.full(n, centre)
+    return SolverState(make_regular_simplex(c, 1.0, n), objective,
+                       _construction_distortion(c, 1.0))
 
 
-def _loop_tops(n, centre, steps, budget):
+def _loop_tops(n, centre, steps):
     """The loop tops of a random walk driven through a SolverState as run
-    drives it: at each, the frame and then, unless `budget` is set and the
-    budget certifies the top, the screen; then an accepted reflection of the
-    worst vertex (4 steps in 5) or a shrink toward the best, with random
-    values.  Yields (step, state, centroid, frame, bound, screen); screen is
-    None at a certified top and bound None without the budget."""
+    drives it, from run's anchor: at each, the frame, the budget's bound
+    and, where that does not certify the top, the exact report, which
+    anchors the budget afresh; then an accepted reflection of the worst
+    vertex (4 steps in 5) or a shrink toward the best, with random values.
+    Yields (step, state, centroid, frame, bound, report); report is None at
+    a certified top."""
     rng = np.random.default_rng(n)
-    state = SolverState(make_regular_simplex(np.full(n, centre), 1.0, n),
-                        lambda x: rng.standard_normal())
+    state = _start(n, centre, lambda x: rng.standard_normal())
     for step in range(steps):
         c = state.centroid()
         Y = _unit_frame(state.simplex, c, state.order)
-        bound = state._drift_bound() if budget else None
-        certified = budget and bound <= HALF_TOL
-        screen = None if certified else state._regularity_screen(Y)
-        yield step, state, c, Y, bound, screen
+        bound = state._drift_bound()
+        report = None
+        if not bound <= HALF_TOL:
+            report = _frame_regularity(Y)
+            state._anchor(report)
+        yield step, state, c, Y, bound, report
         if rng.random() < 0.8:
             state.accept(state.reflection(), rng.standard_normal())
         else:
             state.shrink(0.9999)
-
-
-def _exact_ints(A):
-    """Python ints I and a shift k with A[i, j] == I[i][j] / 2**k exactly."""
-    mant, exp = np.frexp(A)
-    M = (mant * 2.0 ** 53).astype(np.int64)  # the 53-bit significands
-    E = exp.astype(np.int64) - 53
-    k = -int(E[M != 0].min(initial=0))
-    return [[int(m) << int(e + k) if m else 0 for m, e in zip(rm, re)]
-            for rm, re in zip(M, E)], k
 
 
 def _exact_sqrt(q):
@@ -502,38 +501,26 @@ def _exact_sqrt(q):
 
 
 def _derived_bound_ratio(state, c, Y):
-    """The largest error, over the cached squared edges and radii and the
-    exact report's two deviations, in units of the derived rounding bound B.
+    """The larger error of the exact report's two deviations, in units of
+    the derived rounding bound B.
 
-    The oracle is exact on the float vertices: E[a, b] against
-    ||x_a - x_b||^2 / (2(1+1/n) delta^2), E[a, a] and the report's radii
-    against ||x_a - c||^2 / delta^2 about the frame's centroid c, and the
-    report's edges against the exact edges.  Each error is an exact integer
-    ratio, rounded once to a double."""
+    The oracle is exact on the float vertices: the report's radii against
+    ||x_a - c|| / delta about the frame's centroid c, and its edges against
+    the exact edges.  Each error is an exact ratio of ints, rounded once
+    to a double."""
     n = Y.shape[1]
-    B = rssm.solver._drift_constants(n)[4]
-    rows, k = _exact_ints(np.vstack([state.simplex.vertices, c]))
+    B = rssm.solver._drift_constants(n)[3]
+    rows, k = exact_ints(np.vstack([state.simplex.vertices, c]))
     X, C = rows[:-1], rows[-1]
     p, q = state.simplex.radius.as_integer_ratio()
-    # a radius is R / den, an edge D n q^2 / (2 (n+1) den), in exact ints
+    # a squared radius is R / den, a squared edge D / edge_den, in ints
     den = 4 ** k * p * p
     radii = [sum((s - t) ** 2 for s, t in zip(x, C)) * q * q for x in X]
     edge_den = 2 * (n + 1) * den
-    E = state._edges
-    worst = 0.0
-    for a in range(n + 1):
-        num, low = float(E[a, a]).as_integer_ratio()
-        worst = max(worst, abs(num * den - radii[a] * low) / (low * den))
-    edges = []
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            D = sum((s - t) ** 2 for s, t in zip(X[a], X[b])) * n * q * q
-            edges.append(D)
-            for x in (E[a, b], E[b, a]):
-                num, low = float(x).as_integer_ratio()
-                worst = max(worst, abs(num * edge_den - D * low)
-                            / (low * edge_den))
+    edges = [sum((s - t) ** 2 for s, t in zip(X[a], X[b])) * n * q * q
+             for a in range(n + 1) for b in range(a + 1, n + 1)]
     rep = _frame_regularity(Y)
+    worst = 0.0
     for got, exact, d in ((rep.max_radius_deviation, radii, den),
                           (rep.max_edge_deviation, edges, edge_den)):
         if exact:  # n = 1 has one edge; every n has radii
@@ -551,45 +538,18 @@ def test_the_derived_rounding_bound_is_the_gamma_form():
                 + gamma(5))
         # evaluated in doubles: a few roundings of itself, far inside the
         # factor 2 that half of REGULARITY_FAIL_TOL leaves
-        got = Fraction(rssm.solver._drift_constants(n)[4])
+        got = Fraction(rssm.solver._drift_constants(n)[3])
         assert abs(got / want - 1) <= Fraction(8, 2 ** 53), n
 
 
-@pytest.mark.parametrize("centre", [0.0, 1e3, 1e6])
-@pytest.mark.parametrize("n", [1, 2, 8, 33])
-def test_cached_edges_equal_a_fresh_gram_computation(n, centre):
-    # 10^4 random steps, with the screen at every loop top, so that it
-    # writes one moved row at a time
-    worst = ratio = 0.0
-    for step, state, c, Y, _, screen in _loop_tops(n, centre, 10_000,
-                                                   budget=False):
-        # an entry is written once per visit of its row; a sample of the
-        # steps therefore still sees every entry the walk writes
-        if step % 7 == 0 or step == 9_999:
-            o = state.order
-            err = np.abs(state._edges[np.ix_(o, o)] - _fresh_edges(Y)).max()
-            exact = _frame_regularity(Y).max_deviation()
-            worst = max(worst, err, abs(screen - exact))
-        if step % 1000 == 0 or step == 9_999:
-            ratio = max(ratio, _derived_bound_ratio(state, c, Y))
-    assert worst <= 4.0 * (n + 1) * U
-    # every cached entry, the screen's and the report's deviations within B
-    # of the exact values: the budget's anchor slack and the frame's
-    # rounding
-    assert ratio <= 1.0
-    # the walk stays where the screen alone decides
-    assert screen <= 0.1 * rssm.solver.REGULARITY_FAIL_TOL
-
-
-def test_a_cache_kernel_off_by_16u_fails_the_derived_bound(monkeypatch):
-    # at n = 1 B is about 14u, so an edge kernel scaled by 1 + 16u (u the
-    # unit roundoff, U / 2) breaks it
-    kernel = rssm.solver._squared_edges
-    monkeypatch.setattr(rssm.solver, "_squared_edges",
-                        lambda *args: kernel(*args) * (1.0 + 8 * U))
+def test_a_report_kernel_off_by_20u_fails_the_derived_bound(monkeypatch):
+    # at n = 1 B is about 14u, so an edge kernel scaled by 1 + 40u (u the
+    # unit roundoff, U / 2), which moves an edge by about 20u, breaks it
+    kernel = rssm.simplex._squared_edges
+    monkeypatch.setattr(rssm.simplex, "_squared_edges",
+                        lambda *args: kernel(*args) * (1.0 + 20 * U))
     ratio = max(_derived_bound_ratio(state, c, Y)
-                for _, state, c, Y, _, _ in _loop_tops(1, 0.0, 200,
-                                                      budget=False))
+                for _, state, c, Y, _, _ in _loop_tops(1, 0.0, 200))
     assert ratio > 1.0
 
 
@@ -597,40 +557,38 @@ def test_a_cache_kernel_off_by_16u_fails_the_derived_bound(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 8, 33])
 def test_the_budget_bounds_the_exact_report_at_every_certified_loop_top(
         n, centre):
-    # the walk as run takes it: the screen only where the budget does not
-    # certify, so the screen writes every row moved since its last run
-    certified = screens = 0
-    worst = ratio = 0.0
-    for step, state, c, Y, bound, screen in _loop_tops(n, centre, 3_000,
-                                                       budget=True):
-        if screen is None:
+    # the walk as run takes it: the exact report only where the budget
+    # does not certify, and the budget anchored afresh from it
+    certified = reports = 0
+    ratio = 0.0
+    for step, state, c, Y, bound, report in _loop_tops(n, centre, 3_000):
+        if step % 500 == 0:
+            ratio = max(ratio, _derived_bound_ratio(state, c, Y))
+        if report is None:
             certified += 1
             assert _frame_regularity(Y).max_deviation() <= bound, step
-            continue
-        screens += 1
-        o = state.order
-        worst = max(worst, np.abs(state._edges[np.ix_(o, o)]
-                                  - _fresh_edges(Y)).max())
-        if screens % 250 == 1:
-            ratio = max(ratio, _derived_bound_ratio(state, c, Y))
-    assert worst <= 4.0 * (n + 1) * U
+        else:
+            reports += 1
+    # the report's deviations within B of the exact ones
     assert ratio <= 1.0
-    # about one step in five is a shrink, after which the screen runs; the
-    # rounding of T grows with the centre, and at n = 33 and centre 1e6 the
-    # centroid's alone spends the budget, so every loop top screens
+    # the budget grows only by rounding, and the rounding of T grows with
+    # the centre: at centre 0 it certifies every loop top, and at n = 33
+    # and centre 1e6 one accepted reflection's term, 2 r R / delta, alone
+    # exceeds half the tolerance, so the loop tops after one take the
+    # report and mostly only those after a shrink certify
     if centre == 0.0:
-        assert certified > 3 * screens
+        assert reports == 0
     elif (n, centre) == (33, 1e6):
-        assert certified == 0
+        assert 0 < certified < reports
     else:
-        assert certified > 0
+        assert certified > 3 * reports
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_the_term_norm_bound_resets_only_where_t_is_resummed(n):
     # R bounds every term of T's sum, the rows it replaced since its last
-    # re-sum among them: an anchor (a screen) leaves it, and it drops to the
-    # current rows only where T is summed afresh
+    # re-sum among them: an anchor (an exact report) leaves it, and it
+    # drops to the current rows only where T is summed afresh
     rng = np.random.default_rng(n)
     state = SolverState(make_regular_simplex(np.full(n, 2.0), 1.0, n),
                         lambda x: rng.standard_normal())
@@ -646,7 +604,7 @@ def test_the_term_norm_bound_resets_only_where_t_is_resummed(n):
         terms = max(terms, float(x_r @ x_r))
         state.accept(x_r, float(rng.standard_normal()) - 10.0)
         Y = _unit_frame(state.simplex, state.centroid(), state.order)
-        state._regularity_screen(Y)
+        state._anchor(_frame_regularity(Y))
         if step < n:
             assert state._updates == step + 1
             assert state._norm2 == terms >= rows_norm2()
@@ -658,23 +616,24 @@ def test_the_term_norm_bound_resets_only_where_t_is_resummed(n):
 
 
 def _anchored_state(n=2):
-    """A state whose budget the screen has just set: certified."""
+    """A state whose budget an exact report has just anchored: certified."""
     state = SolverState(make_regular_simplex(np.zeros(n), 1.0, n),
                         lambda x: float(x @ x))
-    state._regularity_screen(_unit_frame(state.simplex, state.centroid(),
-                                         state.order))
+    state._anchor(_frame_regularity(_unit_frame(state.simplex,
+                                                state.centroid(),
+                                                state.order)))
     assert state._drift_bound() <= HALF_TOL
     return state
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("where", ["eta", "norm", "reflection", "screen"])
+@pytest.mark.parametrize("where", ["kappa", "norm", "reflection", "report"])
 def test_a_nan_or_inf_in_the_budget_leaves_the_loop_top_uncertified(
-        where, value, monkeypatch):
+        where, value):
     # max(x, nan) drops a NaN, so each test reads not (bound <= half)
     state = _anchored_state()
-    if where == "eta":
-        state._eta = value
+    if where == "kappa":
+        state._kappa = value
     elif where == "norm":
         state._norm2 = value
     elif where == "reflection":
@@ -682,10 +641,7 @@ def test_a_nan_or_inf_in_the_budget_leaves_the_loop_top_uncertified(
         x_r[0] = value
         state.accept(x_r, 0.0)
     else:
-        monkeypatch.setattr(rssm.solver, "_extreme_deviation",
-                            lambda E, ideal: value)
-        state._regularity_screen(_unit_frame(state.simplex, state.centroid(),
-                                             state.order))
+        state._anchor(RegularityReport(0.0, value))
     assert not state._drift_bound() <= HALF_TOL
 
 
@@ -695,13 +651,20 @@ def test_a_nan_radius_leaves_the_loop_top_uncertified():
     assert not state._drift_bound() <= HALF_TOL
 
 
-def test_the_start_and_every_shrink_spend_the_budget():
-    state = SolverState(make_regular_simplex(np.zeros(3), 1.0, 3),
-                        lambda x: float(x @ x))
-    assert state._drift_bound() == math.inf
-    state = _anchored_state(3)
+def test_the_start_is_anchored_and_a_shrink_adds_its_rounding():
+    # a state built without a budget certifies nothing; run's anchor, from
+    # the construction's rounding, certifies the start
+    s = make_regular_simplex(np.zeros(3), 1.0, 3)
+    assert SolverState(s, lambda x: float(x @ x))._drift_bound() == math.inf
+    state = _start(3, 0.0, lambda x: float(x @ x))
+    assert state._drift_bound() <= HALF_TOL
+    # a shrink keeps the budget and adds the rounding of its moved rows and
+    # of the stored radius
+    kappa, R = state._kappa, math.sqrt(state._norm2)
     state.shrink(0.5)
-    assert state._drift_bound() == math.inf and state._pending is None
+    grown = _grown(kappa, state._shrink * R / state.simplex.radius)
+    assert state._kappa == grown + 1.5 * U * (1.0 + grown) > kappa
+    assert state._drift_bound() <= HALF_TOL
 
 
 @pytest.mark.parametrize("radius_dev, edge_dev", [
@@ -710,9 +673,8 @@ def test_the_start_and_every_shrink_spend_the_budget():
     pytest.param(math.nan, math.nan, id="both-nan")])
 def test_a_nan_regularity_report_fails_the_verdict(radius_dev, edge_dev,
                                                    monkeypatch):
-    # the screen defers to the exact report, which reads NaN
-    monkeypatch.setattr(SolverState, "_regularity_screen",
-                        lambda self, Y: math.nan)
+    # with the budget off, the exact report, which reads NaN, decides
+    monkeypatch.setattr(SolverState, "_drift_bound", lambda self: math.nan)
     monkeypatch.setattr(rssm.solver, "_frame_regularity",
                         lambda Y: RegularityReport(radius_dev, edge_dev))
     trace = run(builtin("quad-iso", 2), SolverConfig(n=2, stopping="none"))
@@ -736,51 +698,42 @@ REGULARITY_FAILURES = [
 
 
 @pytest.mark.parametrize("obj, cfg, k, drift", REGULARITY_FAILURES)
-def test_the_screen_stops_where_an_exact_report_does(obj, cfg, k, drift,
+def test_the_budget_stops_where_an_exact_report_does(obj, cfg, k, drift,
                                                      monkeypatch):
     trace = run(obj, cfg)
     assert (trace.reason, len(trace.records)) == ("regularity-failure", k)
     assert trace.summary["regularity"] == drift
-    # with the budget off, a NaN screen takes the exact report at every
-    # loop top
+    # with the budget off, the exact report is taken at every loop top
     monkeypatch.setattr(SolverState, "_drift_bound", lambda self: math.nan)
-    monkeypatch.setattr(SolverState, "_regularity_screen",
-                        lambda self, Y: math.nan)
     assert run(obj, cfg).to_json() == trace.to_json()
 
 
 def test_a_clean_run_takes_no_exact_report(monkeypatch):
-    calls = []
-
-    def spy(Y):
-        calls.append(Y.shape)
-        return _frame_regularity(Y)
-
-    monkeypatch.setattr(rssm.solver, "_frame_regularity", spy)
+    reports = _count_calls(monkeypatch, "_frame_regularity")
+    frames = _count_calls(monkeypatch, "_unit_frame")
     trace = run(builtin("quad-spectrum", 64, seed=0),
                 SolverConfig(n=64, epsilon=1.0, center=0.5))
     assert trace.reason == "epsilon-reached"
     assert trace.N_r > 100 and trace.N_s > 0
-    assert calls == []
+    assert reports["count"] == frames["count"] == 0
 
 
-def test_a_clean_run_screens_on_at_most_a_third_of_its_loop_tops(
-        monkeypatch):
-    screens = []
-    screen = SolverState._regularity_screen
+def test_a_clean_run_certifies_every_loop_top(monkeypatch):
+    bounds = []
+    bound = SolverState._drift_bound
 
-    def spy(self, Y):
-        screens.append(Y.shape)
-        return screen(self, Y)
+    def spy(self):
+        bounds.append(bound(self))
+        return bounds[-1]
 
-    monkeypatch.setattr(SolverState, "_regularity_screen", spy)
+    monkeypatch.setattr(SolverState, "_drift_bound", spy)
     trace = run(builtin("quad-spectrum", 64, seed=0),
                 SolverConfig(n=64, epsilon=1.0, center=0.5))
     assert trace.reason == "epsilon-reached"
-    # the start and every shrink screen, and the budget runs out every
-    # few accepted reflections
-    loop_tops = len(trace.records) + 1
-    assert trace.N_s + 1 <= len(screens) <= loop_tops / 3
+    # the start, the loop tops after each shrink and those after every
+    # accepted reflection: the budget grows by rounding alone
+    assert len(bounds) == len(trace.records) + 1
+    assert max(bounds) <= 1e-2 * HALF_TOL
 
 
 class _Counted:
