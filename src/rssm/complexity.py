@@ -85,9 +85,6 @@ class ComplexityConstants:
     delta_cvx: float | None
     rho: float | None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def constants(n: int, beta: float, gamma: float, L: float, epsilon: float,
               delta0: float, R: float | None = None, mu: float | None = None,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class ExperimentPlan:
         if self.objective not in objectives.builtin_names():
             raise ValueError(f"unknown objective {self.objective!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ScalingRow:
@@ -120,9 +117,6 @@ class FitResult:
     intercept: float
     correlation: float
     points: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> FitResult:

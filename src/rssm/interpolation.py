@@ -694,9 +694,10 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
     f_hat its affine interpolant on the vertices.  For a regular simplex the
     achieved value equals the closed-form bound whenever the mu certificate
     is nonnegative.  It is measured from vertex values in the frame centred
-    at the simplex centroid: f(u) and f(u - centroid) differ by an affine
-    function, which the interpolant reproduces exactly, so the error is the
-    same, and the frame keeps it free of cancellation against ||x||^2 on
+    at the query x, on G's offsets x_i - x: f(u) and f(u - x) differ by an
+    affine function, which the interpolant reproduces exactly, so the error
+    is the same; there f(x - x) = 0, so the error is the interpolant's
+    value, and the frame keeps it free of cancellation against ||x||^2 on
     simplices far from the origin.
 
     The query point, G (one g_matrix call: the affine weights, G and its
@@ -719,9 +720,8 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
         else:
             sign = "positive"
     quad = worst_case_quadratic(g, L, cls, sign=sign)
-    # f(u - centre) at every vertex u (c = 0, v = 0): (1/2) rowsum((Y H) o Y)
-    centre = s.centroid()
-    Y = s.vertices - centre[None, :]
+    # f(u - x) at every vertex u (c = 0, v = 0): (1/2) rowsum((Y H) o Y)
+    Y = g.offsets
     if g._two_cluster is None:
         values = 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
     else:
@@ -729,7 +729,8 @@ def bound_report(s: Simplex, kind: str, cls: str, L: float,
         d_u, d_c = L * _extremal_weights(g, cls, sign)
         a = Y @ g._two_cluster[0]
         values = 0.5 * (d_c * (Y * Y).sum(axis=1) + (d_u - d_c) * (a * a))
-    achieved = abs(float(g.coefficients.ell[1:] @ values) - quad(x - centre))
+    # f(x - x) = 0: the interpolant's value is the error
+    achieved = abs(float(g.coefficients.ell[1:] @ values))
     if not (np.isfinite(bound) and np.isfinite(achieved)):
         raise ValueError(f"the {kind} bound overflows the double range: "
                          f"bound {bound!r}, achieved {achieved!r}")

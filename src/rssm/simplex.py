@@ -457,12 +457,10 @@ def _frame_regularity(Y: np.ndarray) -> RegularityReport:
                             _extreme_deviation(q, ideal_edge) / ideal_edge)
 
 
-def _squared_edges(sq: np.ndarray, G: np.ndarray,
-                   rows=slice(None)) -> np.ndarray:
-    """sq_i + sq_j - 2 G_ij = ||y_i - y_j||^2 for the frame rows i in `rows`
-    (all of them, or one index) against every row j, from the squared row
-    norms sq and G, the inner products of those rows with every row."""
-    q = sq[rows, None] + sq
+def _squared_edges(sq: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """sq_i + sq_j - 2 G_ij = ||y_i - y_j||^2 for every pair of frame rows,
+    from the squared row norms sq and their Gram matrix G."""
+    q = sq[:, None] + sq
     q -= 2.0 * G
     return q
 

@@ -345,45 +345,53 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _drift_constants(n: int) -> tuple[float, float, float, float]:
+def _drift_constants(n: int) -> tuple[float, float, float]:
     """The constants of :class:`SolverState`'s distortion budget in
-    dimension n, for T a rounded sum of at most M = 3(n+1) terms (see
-    :class:`SolverState`) of norm at most R.  Rows e_i added to the
-    vertices move the budget's map by E = sum_i e_i w_i^T, w_i the
-    gradients of the barycentric coordinates of a regular simplex of
-    radius delta, ||w_i|| = n/((n+1) delta); as its centred vertices S have
-    S^T S = ((n+1)/n) delta^2 I, ||E|| <= ||[e_i]||_F sqrt(n/(n+1)) / delta.
+    dimension n.  Rows e_i added to the vertices move the budget's map by
+    E = sum_i e_i w_i^T, w_i the gradients of the barycentric coordinates
+    of a regular simplex of radius delta, ||w_i|| = n/((n+1) delta); as its
+    centred vertices S have S^T S = ((n+1)/n) delta^2 I,
+    ||E|| <= ||[e_i]||_F sqrt(n/(n+1)) / delta.  The bounds hold while every
+    vertex lies within rho = (1 + tau) delta of the exact centroid, tau = 2
+    REGULARITY_FAIL_TOL, as at every loop top the budget certifies or a
+    report passes.
 
-    c = gamma_M M / (n+1): c R / delta bounds the distance of the centroid
-        T/(n+1) from the exact centroid, in radii.
-    r = gamma_(M+3) ((2/n)(M+1) + 1) n/(n+1): the rounded reflection lies
-        within r R (n+1)/n of the exact one, so r R / delta bounds its ||E||
-        (``tests/test_exact_geometry.py`` holds both to these bounds).
+    a = 12 (1 + tau) gamma_(2n+6) / u: with the reach R = ||x0|| + a delta
+        (:class:`SolverState`), u R / delta bounds both the centroid's
+        distance from the exact one, in radii, and the reflection's ||E||.
+        T0 sums K <= 2n+1 terms, each one rounded subtraction: the n+1
+        offsets of a re-sum (each of norm <= 2 rho) and at most n steps
+        x_r - x_w (each <= 2 (n+1) rho / n), of total norm W <= 2(2n+1) rho.
+        So x0 + T0/(n+1) lies within u ||x0|| + gamma_(K+2) W/(n+1) of the
+        exact centroid.  Over n steps the centroid moves at most 2 rho, so
+        ||u_w|| <= 4 rho, and x0 + (2/n)(T0 - u_w) - u_w lies within
+        u ||x0|| + gamma_(K+5) ((2/n)(W + 4 rho) + 4 rho) = u ||x0|| +
+        12 (1 + 1/n) gamma_(K+5) rho of the exact reflection; its ||E|| is
+        n/((n+1) delta) times that.  Every row lies within 4 rho < a delta
+        of x0, so R bounds its norm (``tests/test_exact_geometry.py`` holds
+        the centroid and the reflection to these bounds).
     h = gamma_4 n / sqrt(n+1): each of the n rows a shrink moves lies within
         gamma_3 R of exact, and the new radius delta' = gamma delta is
         rounded once, so h R / delta' bounds the shrink's ||E||.
-    B = (1 + tau)^2 (2n/(n+1)) gamma_(n+8) + gamma_5, tau = 2
-        REGULARITY_FAIL_TOL: the rounding of the exact report, for frames
-        whose rows y have norm at most 1 + tau, as every frame the budget
-        certifies or a report passes has.  Each entry of a frame row is
-        within gamma_2 of (x - c)/delta, which moves ||y_a - y_b||^2 by at
-        most 8 gamma_2 (1 + tau)^2 to first order; fl(fl(sq_a + sq_b) -
-        2 G_ab), from the n-term sums sq and G of the rounded rows, is
-        within gamma_(n+2) (||y_a|| + ||y_b||)^2 of their exact squared
-        edge, and the first term bounds both, relative to the ideal squared
-        edge.  The second covers the square roots, subtractions and rounded
-        ideal edge through which the report reads such squares; its squared
-        radii are within gamma_(n+8) (1 + tau)^2 of exact, so its radii are
-        inside B too.  ``tests/test_solver.py`` holds both deviations of the
-        report to B against an exact oracle.
+    B = (1 + tau)^2 (2n/(n+1)) gamma_(n+8) + gamma_5: the rounding of the
+        exact report, for frames whose rows y have norm at most 1 + tau, as
+        every frame the budget certifies or a report passes has.  Each
+        entry of a frame row is within gamma_2 of (x - c)/delta, which
+        moves ||y_a - y_b||^2 by at most 8 gamma_2 (1 + tau)^2 to first
+        order; fl(fl(sq_a + sq_b) - 2 G_ab), from the n-term sums sq and G
+        of the rounded rows, is within gamma_(n+2) (||y_a|| + ||y_b||)^2 of
+        their exact squared edge, and the first term bounds both, relative
+        to the ideal squared edge.  The second covers the square roots,
+        subtractions and rounded ideal edge through which the report reads
+        such squares; its squared radii are within gamma_(n+8) (1 + tau)^2
+        of exact, so its radii are inside B too.  ``tests/test_solver.py``
+        holds both deviations of the report to B against an exact oracle.
     """
-    m, M = n + 1.0, 3 * (n + 1)
-    centring = _gamma(M) * M / m
-    reflection = _gamma(M + 3) * (2.0 / n * (M + 1) + 1.0) * (n / m)
-    shrink = _gamma(4) * n / math.sqrt(m)
-    slack = (_sq(1.0 + 2.0 * REGULARITY_FAIL_TOL) * (2.0 * n / m)
-             * _gamma(n + 8) + _gamma(5))
-    return centring, reflection, shrink, slack
+    tau = 2.0 * REGULARITY_FAIL_TOL
+    reach = 12.0 * (1.0 + tau) * _gamma(2 * n + 6) / _UNIT_ROUNDOFF
+    shrink = _gamma(4) * n / math.sqrt(n + 1.0)
+    slack = _sq(1.0 + tau) * (2.0 * n / (n + 1.0)) * _gamma(n + 8) + _gamma(5)
+    return reach, shrink, slack
 
 
 def _grown(kappa: float, e: float) -> float:
@@ -407,37 +415,35 @@ def _construction_distortion(center: np.ndarray, radius: float) -> float:
 class SolverState:
     """Mutable run state: the simplex, whose vertices keep their slots (rows
     of ``simplex.vertices``), the slots in value order, the values in that
-    order, the running vertex sum, the running moment the gradient reads,
-    the objective-call count (every other count is :class:`Trace`'s), and
-    the distortion budget the regularity verdict reads.
+    order, the running offset sum and moment about the best vertex, the
+    objective-call count (every other count is :class:`Trace`'s), and the
+    distortion budget the regularity verdict reads.
 
     ``order`` lists the slots by ascending value, ties in the order they
     had before, as a stable sort leaves them; ``values[i]`` is the value of
     the vertex in slot ``order[i]``, so ``values[0]`` is the best value and
-    ``values[n]`` the worst.  ``total`` is T, the sum of the vertices: the
-    centroid is T/(n+1) and the reflection of the worst vertex x_w is
-    (2/n)(T - x_w) - x_w, each O(n).  An accepted reflection writes one row
-    and adds x_r - x_w to T; T is re-summed in value order at the start, at
-    every shrink and after every n+1 accepted reflections, so it is the
-    rounded sum of at most 3(n+1) rows (``tests/test_exact_geometry.py``
-    holds the centroid and the reflection to the bound that gives).
-    ``_norm2`` is R^2, the largest squared norm of those rows: set from the
-    rows at each re-sum and raised by each accepted reflection, it is reset
-    at no other point, since T's sum still holds the rows replaced since.
+    ``values[n]`` the worst.
 
-    Each re-sum of T also re-bases the moment at x0 = the best vertex and
-    f0 = the best value: ``_moment`` is P = sum_i (f_i - f0)(x_i - x0)/delta,
-    ``_shift`` is T0 = sum_i (x_i - x0) and ``_excess`` is
-    s/delta = sum_i (f_i - f0)/delta.  An accepted reflection adds its
-    change to each, in O(n) from the d = x_r - x_w it adds to T (T0 gains d
-    itself), and :meth:`_gradient_norm` reads the closed-form gradient from
-    them in O(n).  Each stays in range where the vertices and the gradient
-    do: P is about (n+1) delta |g|, T0 a sum of coordinate differences and
-    s/delta about (n+1) |g|.  They are shifted sums because s taken as
-    S - (n+1) f0, or T0 as (n+1)(c - x0), would carry the rounding of the
-    values or the coordinates themselves, which near a stationary point or
-    far from the origin exceeds the gradient; ``tests/test_exact_geometry.py``
-    holds the shifted form to its a-priori bound after up to n+1 updates.
+    The sums are taken about x0 = the best vertex and f0 = the best value,
+    each summed afresh over the vertices in value order at the start, at
+    every shrink and after every n+1 accepted reflections: ``_shift`` is
+    T0 = sum_i (x_i - x0), ``_moment`` is P = sum_i (f_i - f0)(x_i - x0)/delta
+    and ``_excess`` is s/delta = sum_i (f_i - f0)/delta.  The centroid is
+    x0 + T0/(n+1) and the reflection of the worst vertex x_w is
+    x0 + (2/n)(T0 - u_w) - u_w, u_w = x_w - x0, each O(n).  An accepted
+    reflection writes one row and adds its change to each sum in O(n), from
+    d = x_r - x_w (T0 gains d itself) and the u_w the reflection took, and
+    :meth:`_gradient_norm` reads the closed-form gradient from them in O(n).
+    Each sum stays in range where the vertices and the gradient do: T0 is a
+    sum of delta-scale offsets, P about (n+1) delta |g| and s/delta about
+    (n+1) |g|.  A sum of the vertices, or s taken as S - (n+1) f0, would
+    carry the rounding of the coordinates or the values themselves, which
+    far from the origin or near a stationary point exceeds the geometry or
+    the gradient; ``tests/test_exact_geometry.py`` holds the centroid, the
+    reflection and the gradient to a-priori bounds after up to n+1 updates.
+    ``_reach`` is R = ||x0|| + a delta (:func:`_drift_constants`), taken
+    at each re-sum: u R bounds the rounding of the centroid and of the
+    reflection, and R every row's norm.
 
     ``_kappa`` is the distortion budget.  The vertices in slot i are
     Phi(s_i) = A s_i + b for s_i the vertices of a regular simplex of the
@@ -455,7 +461,7 @@ class SolverState:
     (:func:`_construction_distortion`), and :meth:`_anchor` sets it afresh
     from an exact report; a state built without a kappa certifies nothing
     until then.  :meth:`_drift_bound` turns kappa into a bound on the
-    exact report; a NaN in kappa, R^2 or delta, or an inf in kappa or R^2,
+    exact report; a NaN in kappa, R or delta, or an inf in kappa or R,
     leaves that bound NaN or inf.
     """
 
@@ -469,8 +475,7 @@ class SolverState:
         self.order = np.arange(m)
         self.values = np.array([self.evaluate(x) for x in simplex.vertices])
         self._kappa = kappa
-        (self._centring, self._reflection, self._shrink,
-         self._slack) = _drift_constants(m - 1)
+        self._reach_radii, self._shrink, self._slack = _drift_constants(m - 1)
         self._sort()
 
     def evaluate(self, x) -> float:
@@ -491,39 +496,34 @@ class SolverState:
         return float(val)
 
     def centroid(self) -> np.ndarray:
-        """T/(n+1), the centroid from the running vertex sum."""
-        return self.total / len(self.order)
+        """x0 + T0/(n+1), the centroid from the running offset sum."""
+        return self._x0 + self._shift / len(self.order)
 
     def reflection(self) -> np.ndarray:
         """The reflection of the worst vertex through the centroid of the
-        other n, from the running vertex sum."""
-        x_w = self.simplex.vertices[self.order[-1]]
-        return _reflection(self.total - x_w, x_w, self.simplex.dim)
+        other n, from the running offset sum."""
+        u_w = self._u_w = self.simplex.vertices[self.order[-1]] - self._x0
+        return self._x0 + _reflection(self._shift - u_w, u_w, self.simplex.dim)
 
     def accept(self, x_r: np.ndarray, f_r: float) -> None:
-        """Put x_r, this state's :meth:`reflection`, of value f_r, in the
-        worst vertex's slot."""
+        """Put x_r, this state's latest :meth:`reflection`, of value f_r, in
+        the worst vertex's slot."""
         f, order = self.values, self.order
         n = len(order) - 1
         w = int(order[n])
         V = self.simplex.vertices
         delta = self.simplex.radius
-        # the budget from the T that made x_r
-        self._kappa = _grown(self._kappa, self._reflection
-                             * math.sqrt(self._norm2) / delta)
-        x_w, f_w = V[w], float(f[n])
-        d = x_r - x_w
-        self.total += d
-        # the moment gains (f_r - f0)(x_r - x0) - (f_w - f0)(x_w - x0), here
-        # (f_r - f0) d + (f_r - f_w)(x_w - x0), over delta
+        # the budget from the T0 that made x_r
+        self._kappa = _grown(self._kappa, _UNIT_ROUNDOFF * self._reach / delta)
+        f_w = float(f[n])
+        d = x_r - V[w]
+        # the moment gains (f_r - f0)(x_r - x0) - (f_w - f0) u_w, here
+        # (f_r - f0) d + (f_r - f_w) u_w, over delta
         self._moment += (f_r - self._f0) / delta * d
-        self._moment += (f_r - f_w) / delta * (x_w - self._x0)
+        self._moment += (f_r - f_w) / delta * self._u_w
         self._shift += d
         self._excess += (f_r - f_w) / delta
         V[w] = x_r
-        r2 = float(x_r @ x_r)
-        if not r2 <= self._norm2:  # a NaN too
-            self._norm2 = r2
         # bisect_right places a tie last among the n best values, where a
         # stable sort of the values in their previous order puts it; a new
         # best value, the common case, is placed first with one comparison
@@ -539,7 +539,7 @@ class SolverState:
     def shrink(self, gamma: float) -> None:
         """Shrink every other vertex toward the best one, evaluate them in
         value order and sort the slots again."""
-        R = math.sqrt(self._norm2)  # every row's norm, before the move
+        R = self._reach  # bounds every row's norm, before the move
         self.simplex = shrink_toward_best(self.simplex, self.order[0], gamma)
         # the moved rows' rounding, then the stored radius's
         kappa = _grown(self._kappa, self._shrink * R / self.simplex.radius)
@@ -551,28 +551,26 @@ class SolverState:
 
     def _sort(self) -> None:
         """Stable sort of the slots by value from their previous order;
-        re-sums T."""
+        re-sums."""
         perm = np.argsort(self.values, kind="stable")
         self.values = self.values[perm]
         self.order = self.order[perm]
         self._resum()
 
     def _resum(self) -> None:
-        """T summed afresh over the vertices in value order, R^2 the largest
-        squared norm among them, and the moment re-based at the best vertex
-        and its value."""
-        # np.add.reduce and np.maximum.reduce are what ndarray.sum and
-        # ndarray.max compute, without their Python wrappers
+        """The sums taken afresh over the vertices in value order, about the
+        best vertex and its value, and the reach from them."""
         X = self.simplex.vertices.take(self.order, axis=0)
-        self.total = np.add.reduce(X)
-        self._norm2 = float(np.maximum.reduce(np.einsum("ij,ij->i", X, X)))
+        x0 = self._x0 = X[0]
+        delta = self.simplex.radius
+        self._reach = math.sqrt(x0 @ x0) + self._reach_radii * delta
         self._updates = 0
-        self._x0 = X[0]
         self._f0 = float(self.values[0])
-        U = X - self._x0
+        U = X - x0
         e = self.values - self._f0
-        e /= self.simplex.radius
+        e /= delta
         self._moment = e @ U
+        # np.add.reduce is what ndarray.sum computes, without its wrapper
         self._shift = np.add.reduce(U)
         self._excess = float(np.add.reduce(e))
 
@@ -597,16 +595,16 @@ class SolverState:
 
     def _drift_bound(self) -> float:
         """A bound on the deviation of the exact report of this loop top's
-        frame, from the budget: 1 - sqrt(1 - kappa) + c R / delta + B.
+        frame, from the budget: 1 - sqrt(1 - kappa) + u R / delta + B.
         Every exact radius about the exact centroid and every exact edge
         lies within a factor sqrt(1 +- kappa) of its ideal, the centroid
-        T/(n+1) within c R of the exact one, and the report's rounding
-        within B.  NaN or inf when the budget holds one."""
+        x0 + T0/(n+1) within u R of the exact one, and the report's
+        rounding within B.  NaN or inf when the budget holds one."""
         kappa = self._kappa
         # 1 - sqrt(1 - kappa) without its cancellation; kappa from kappa >= 1
         loss = kappa / (1.0 + math.sqrt(max(1.0 - kappa, 0.0)))
-        return (loss + self._slack + self._centring
-                * math.sqrt(self._norm2) / self.simplex.radius)
+        return (loss + self._slack
+                + _UNIT_ROUNDOFF * self._reach / self.simplex.radius)
 
     def _anchor(self, report) -> None:
         """Set kappa afresh from the exact report of the current vertices.
@@ -642,24 +640,22 @@ def run(objective, cfg: SolverConfig) -> Trace:
     gradient's norm from the state's running moment (O(n), see
     :class:`SolverState`), and the regularity verdict; test the stopping
     criterion, the budgets and the practical-mode radius floor; reflect
-    the worst vertex, (2/n)(T - x_w) - x_w, and evaluate the candidate;
-    accept it when f_r - f_worst <= margin * delta_k^2, the margin
-    -(2n+2)/n*beta*L or -eta computed once per run, or else shrink the n
-    non-best vertices toward the best one and re-evaluate them in value
-    order; record.  The vertices keep their slots (see
-    :class:`SolverState`): an accepted reflection writes one row, updates T
-    and the moment and inserts its slot into the value order, O(n); a
-    shrink sorts the slots again and re-sums T.  The centroid T/(n+1) and
-    the radius-normalised centred frame of the vertices in value order,
-    O(n^2), are built only where the distortion budget does not certify
-    the verdict, for the exact report, or where the norm from the moment
-    is not finite, which the frame form then decides; the centroid also
-    where the "true_gradient" rule reads it.
-    S, f_best, f_worst and the mean of the n best are read from the values
-    in value order.  Up to the first accepted reflection, and throughout a
-    run of shrinks only, every number but the gradient norm is the one the
-    sums of the rows in value order give, bit for bit; after it, x_r and
-    the centroid from T differ from those sums in their last bits.
+    the worst vertex, x0 + (2/n)(T0 - u_w) - u_w, and evaluate the
+    candidate; accept it when f_r - f_worst <= margin * delta_k^2, the
+    margin -(2n+2)/n*beta*L or -eta computed once per run, or else shrink
+    the n non-best vertices toward the best one and re-evaluate them in
+    value order; record.  The vertices keep their slots (see
+    :class:`SolverState`): an accepted reflection writes one row, updates
+    the sums about the best vertex x0 and inserts its slot into the value
+    order, O(n); a shrink sorts the slots again and re-sums.  The centroid
+    x0 + T0/(n+1) and the radius-normalised centred frame of the vertices
+    in value order, O(n^2), are built only where the distortion budget does
+    not certify the verdict, for the exact report, or where the norm from
+    the moment is not finite, which the frame form then decides; the
+    centroid also where the "true_gradient" rule reads it.  S, f_best,
+    f_worst and the mean of the n best are read from the values in value
+    order; x_r and the centroid, taken from offsets about x0, differ from
+    what sums of the rows give in their last bits.
 
     The regularity verdict is certified a priori where it can be: the
     state's distortion budget kappa (:class:`SolverState`), seeded from

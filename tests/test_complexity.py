@@ -1,5 +1,6 @@
 """Complexity constants, predicted iteration bounds, and trace audits."""
 
+import dataclasses
 import json
 import math
 
@@ -69,8 +70,8 @@ def test_kappa1_exceeds_kappa2(n, beta):
     assert c.kappa1 == pytest.approx(c.kappa2 + 1.5 * n + 0.5)
 
 
-def test_constants_to_dict_round_trips():
-    d = make_consts(R=1.0, mu=0.2).to_dict()
+def test_constants_asdict_round_trips():
+    d = dataclasses.asdict(make_consts(R=1.0, mu=0.2))
     assert d["kappa2"] == pytest.approx(2.5)
     json.dumps(d)  # JSON-serializable
 

@@ -29,7 +29,7 @@ from rssm.simplex import (_frame_regularity, _unit_frame,
                           regular_simplex_gradient, shrink_toward_best)
 from rssm.objectives import builtin
 from rssm.solver import (SolverConfig, SolverState, _construction_distortion,
-                         _drift_constants, run)
+                         run)
 
 from conftest import random_regular_simplex
 from test_exact_weights import _simplices
@@ -119,47 +119,50 @@ def test_shrink_toward_every_vertex_lies_within_its_bound(n, where, s):
 @pytest.mark.parametrize("n,where,s", list(_running_sum_simplices()))
 def test_running_sum_centroid_and_reflection_lie_within_their_bounds(n, where,
                                                                      s):
-    # The solver's T starts as the sum of the n+1 rows, and each accepted
-    # reflection adds fl(x_r - x_w) to it: after t updates T is a rounded
-    # summation tree of M = n+1+2t float terms, within gamma_(M-1) of the
-    # sum of their magnitudes W.  The centroid T/(n+1) is one division
-    # more: gamma_M W/(n+1).  The reflection (2/n)(T - x_w) - x_w adds the
-    # term -x_w (gamma_M of W + |x_w|), 2/n rounded and one product
-    # (gamma_(M+2)) and the final subtraction: gamma_(M+3) of
-    # (2/n)(W + |x_w|) + |x_w|.  A re-sum after n+1 updates leaves a tree of
-    # the n+1 current rows, all among the terms, so these bounds hold
-    # across it.  The oracle reads the rows the state holds.  In norm, with
-    # at most 3(n+1) terms of norm at most R (the state's R^2), the
-    # distortion budget's constants bound both errors: the centroid's by
-    # c R and the reflection's e by r R, where r = ||e|| n/(n+1) / R, the
-    # norm of the rank-one change e w^T it makes to the budget's map.
+    # The solver's T0 starts as the sum of the n+1 offsets fl(x_i - x0)
+    # about the best vertex x0, and each accepted reflection adds
+    # fl(x_r - x_w) to it: after t updates T0 is a rounded summation tree
+    # of K = n+1+t terms, each one rounding from its exact value, within
+    # gamma_K of W, the sum of those values' magnitudes.  The centroid
+    # fl(x0 + fl(T0/(n+1))) adds the division and the add of x0: within
+    # u |x0| + gamma_(K+2) W/(n+1).  The reflection
+    # fl(x0 + fl(fl(fl(2/n) fl(T0 - u_w)) - u_w)), u_w = fl(x_w - x0), adds
+    # the term -u_w (gamma_(K+1) of W + |u_w|), 2/n rounded and one product,
+    # the subtraction of u_w and the add of x0: within u |x0| +
+    # gamma_(K+5) ((2/n)(W + |u_w|) + |u_w|).  A re-sum after n+1 updates
+    # starts a new tree about the new x0.  The oracle reads the rows the
+    # state holds.  In norm the state's reach R = ||x0|| + a delta bounds
+    # both errors: the centroid's by u R and the reflection's e by u R
+    # (n+1)/n, u R / delta bounding the norm ||e|| n/((n+1) delta) of the
+    # rank-one change e w^T it makes to the budget's map.
     rng = np.random.default_rng(n)
     state = SolverState(type(s)(s.vertices.copy(), radius=s.radius),
                         lambda x: float(rng.standard_normal()))
-    m, k = n + 1, Fraction(2, n)
-    M = m
-    W = [sum(map(abs, col)) for col in zip(*exact_rows(s.vertices))]
-    centring, reflection, _, _ = map(Fraction, _drift_constants(n))
+    m, k, u = n + 1, Fraction(2, n), Fraction(1, 2 ** 53)
     for t in range(n + 2):
         X = exact_rows(state.simplex.vertices)
-        total = [sum(col) for col in zip(*X)]
-        bound = [gamma(M) * a / m for a in W]
+        x0 = exact_rows([state._x0])[0]
+        if state._updates == 0:  # a re-sum: the n+1 offsets about x0
+            K = m
+            W = [sum(abs(a - b) for a in col) for col, b in zip(zip(*X), x0)]
+        R = Fraction(state._reach)
+        want = [sum(col) / m for col in zip(*X)]
+        bound = [u * abs(b) + gamma(K + 2) * a / m for a, b in zip(W, x0)]
         c = state.centroid()
-        assert_within(c, [x / m for x in total], bound, (where, t))
-        R2 = Fraction(state._norm2)
-        assert squared_distance(c, [x / m for x in total]) <= \
-            centring ** 2 * R2
+        assert_within(c, want, bound, (where, t))
+        assert squared_distance(c, want) <= (u * R) ** 2
         x_w = X[int(state.order[n])]
-        want = [k * (a - b) - b for a, b in zip(total, x_w)]
-        bound = [gamma(M + 3) * (k * (a + abs(b)) + abs(b))
-                 for a, b in zip(W, x_w)]
+        u_w = [a - b for a, b in zip(x_w, x0)]
+        want = [k * (sum(col) - b) - b for col, b in zip(zip(*X), x_w)]
+        bound = [u * abs(o) + gamma(K + 5) * (k * (a + abs(b)) + abs(b))
+                 for a, b, o in zip(W, u_w, x0)]
         x_r = state.reflection()
         assert_within(x_r, want, bound, (where, t))
         assert squared_distance(x_r, want) * Fraction(n, n + 1) ** 2 <= \
-            reflection ** 2 * R2
-        W = [a + abs(b) + abs(Fraction(float(r)))
+            (u * R) ** 2
+        W = [a + abs(Fraction(float(r)) - b)
              for a, b, r in zip(W, x_w, x_r)]
-        M += 2
+        K += 1
         state.accept(x_r, float(rng.standard_normal()))
 
 
@@ -388,7 +391,7 @@ def walk_near_stationary(check=True):
         make_regular_simplex(np.full(n, 1.3), 1.0, n), obj))
     st = oracle.state
     steps = ""
-    while len(steps) < 67:
+    while len(steps) < 66:
         if check:
             oracle.check(("damped-sine", len(steps)))
         f_w = float(st.values[-1])
@@ -406,7 +409,7 @@ def walk_near_stationary(check=True):
 
 
 def test_running_moment_gradient_near_a_stationary_point():
-    # the walk is the one run takes: its 67 steps, then a regularity failure
+    # the walk is the one run takes: its 66 steps, then a regularity failure
     trace = run(builtin("damped-sine", 3),
                 SolverConfig(n=3, stopping="none", center=1.3))
     assert trace.reason == "regularity-failure"

@@ -1,6 +1,7 @@
 """Scaling experiment harness: plans, grid runs, CSV rows, slope fits."""
 
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -34,7 +35,7 @@ def test_plan_normalizes_and_accepts():
                           repetitions=2)
     assert plan.dims == (2, 4)
     assert plan.epsilons == (0.1, 0.01)
-    assert plan.to_dict()["objective"] == "quad-iso"
+    assert dataclasses.asdict(plan)["objective"] == "quad-iso"
 
 
 @pytest.mark.parametrize("kw", [
@@ -162,7 +163,7 @@ def test_grid_csv_shape(quad_iso_result):
 
 def test_grid_rows_deterministic_except_wall_time(quad_iso_result):
     plan, result = quad_iso_result
-    again = run_scaling(ExperimentPlan(**{**plan.to_dict()}))
+    again = run_scaling(ExperimentPlan(**dataclasses.asdict(plan)))
     assert len(again.rows) == len(result.rows)
     for a, b in zip(result.rows, again.rows):
         assert a.csv_values()[:-1] == b.csv_values()[:-1]
@@ -216,7 +217,7 @@ def test_loglog_fit_rejects_nonpositive_counts():
 
 def test_fit_result_serializes():
     fit = semilog_fit([1e-1, 1e-2, 1e-3, 1e-4], [1.0, 2.0, 3.0, 4.0])
-    d = fit.to_dict()
+    d = dataclasses.asdict(fit)
     assert set(d) == {"slope", "intercept", "correlation", "points"}
 
 

@@ -869,10 +869,10 @@ def test_a_g_beyond_the_two_cluster_form_takes_eigh(monkeypatch, where, s):
             sign = ("negative" if cls == "convex"
                     and g.trace_negative() >= g.trace_positive() else "positive")
             quad = worst_case_quadratic(g, 1.3, cls, sign=sign)
-            Y = s.vertices - s.centroid()
+            # the error in the query's frame, where f(x - x) = 0
+            Y = s.vertices - x
             values = 0.5 * ((Y @ quad.H) * Y).sum(axis=1)
-            achieved = abs(float(g.coefficients.ell[1:] @ values)
-                           - quad(x - s.centroid()))
+            achieved = abs(float(g.coefficients.ell[1:] @ values))
             assert rep.bound == nuclear_bound_from_g(g, 1.3, cls)
             np.testing.assert_array_equal(rep.quadratic.H, quad.H)
             assert rep.achieved == achieved
