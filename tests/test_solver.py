@@ -592,6 +592,43 @@ def test_a_far_walk_takes_the_exact_report_at_few_loop_tops(monkeypatch):
     assert reports["count"] <= 0.01 * 301
 
 
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_the_reach_is_taken_only_where_t0_is_resummed(n):
+    # R = ||x0|| + a delta bounds every row's norm, the rows the reflections
+    # wrote since the last re-sum among them: an accepted reflection and an
+    # anchor (an exact report) leave it, and it is taken afresh from the
+    # best vertex only where T0 is summed afresh
+    rng = np.random.default_rng(n)
+    state = SolverState(make_regular_simplex(np.full(n, 2.0), 1.0, n),
+                        lambda x: rng.standard_normal())
+
+    def reach():
+        x0 = state.simplex.vertices[state.order[0]]
+        return math.sqrt(x0 @ x0) + state._reach_radii * state.simplex.radius
+
+    def rows_norm():
+        V = state.simplex.vertices
+        return float(np.sqrt(np.einsum("ij,ij->i", V, V)).max())
+
+    assert state._reach == reach() >= rows_norm()
+    taken = state._reach
+    for step in range(n + 1):
+        # each accepted value is below the others: a new best vertex
+        state.accept(state.reflection(), float(rng.standard_normal()) - 10.0)
+        Y = _unit_frame(state.simplex, state.centroid(), state.order)
+        state._anchor(_frame_regularity(Y))
+        if step < n:
+            assert state._updates == step + 1
+            assert state._reach == taken >= rows_norm()
+            assert reach() != taken
+    # the (n+1)-th accepted reflection re-summed T0
+    assert state._updates == 0 and state._reach == reach() != taken
+    assert state._reach >= rows_norm()
+    state.accept(state.reflection(), 0.0)
+    state.shrink(0.5)
+    assert state._reach == reach() >= rows_norm()
+
+
 def _anchored_state(n=2):
     """A state whose budget an exact report has just anchored: certified."""
     state = SolverState(make_regular_simplex(np.zeros(n), 1.0, n),
