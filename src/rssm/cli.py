@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import objectives
-from .simplex import Simplex, make_regular_simplex
+from .simplex import Simplex, _point, make_regular_simplex
 from .interpolation import CLASSES, QUERY_KINDS, SIGNS, bound_report
 from .solver import (ALGORITHMS, MODES, STOPPING_RULES, SolverConfig, Trace,
                      run, EvaluationError)
@@ -44,13 +44,12 @@ def _parse_params(pairs) -> dict:
     return params
 
 
-def _parse_point(text: str, n: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) == 1:
-        return np.full(n, vals[0])
-    if len(vals) != n:
-        raise ValueError(f"--start needs 1 or {n} components, got {len(vals)}")
-    return np.array(vals)
+def _parse_floats(text: str):
+    """text's comma-separated numbers, or text when one is not a number."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        return text
 
 
 def _csv(values) -> str:
@@ -79,7 +78,7 @@ def _cmd_solve(args) -> int:
         L=obj.L if args.L is None else args.L, algorithm=args.algorithm,
         stopping=args.stopping, max_iterations=args.max_iter,
         max_evaluations=args.max_evals,
-        center=_parse_point(args.start, args.n))
+        center=_point("--start", _parse_floats(args.start), args.n))
     trace = run(obj, cfg)
     if args.trace_out:
         # serialised first: a trace that is not JSON leaves no empty file

@@ -32,7 +32,8 @@ from dataclasses import dataclass, asdict, field
 # the convexity tags are the objectives'; tools/artifacts.py reads
 # complexity.CONVEX_CASES
 from .objectives import CASES, CONVEX_CASES
-from .simplex import _positive, _positive_int, _sq, _unit_interval
+from .simplex import (_finite_array, _positive, _positive_int, _sq,
+                      _unit_interval)
 from .solver import (_FIELD_OVERFLOW, Trace, evaluation_count,
                      mean_value_gap)
 
@@ -179,31 +180,20 @@ def _tail_radius(d_bar: float, eta_split: float, kappa2: float, L: float,
 
 def _unbounded(c: ComplexityConstants, radius: str) -> str | None:
     """Why the shrink count bound down to the radius named `radius` is +inf,
-    which strict JSON cannot hold, or None: the radius, or its ratio to
-    delta0, underflows."""
-    if radius == "delta_bar":
-        unbounded = c.delta_bar / c.delta0 == 0.0
-    else:
-        unbounded = c.delta_cvx == 0.0 or c.delta0 / c.delta_cvx == math.inf
-    if not unbounded:
+    which strict JSON cannot hold, or None: its ratio to delta0 underflows."""
+    if getattr(c, radius) / c.delta0 != 0.0:
         return None
     return (f"{radius}={getattr(c, radius):.3g} underflows against "
             f"delta0={c.delta0:.3g}, so the shrink count bound is +inf")
 
 
-def _shrink_bound_nonconvex(c: ComplexityConstants) -> float:
-    # log(delta_bar/delta0)/log(gamma); negative when delta0 < delta_bar.
-    why = _unbounded(c, "delta_bar")
+def _shrink_bound(c: ComplexityConstants, radius: str) -> float:
+    """log(r/delta0)/log(gamma), r the radius named `radius`: the shrinks
+    from delta0 down to r, negative when delta0 < r; ValueError when +inf."""
+    why = _unbounded(c, radius)
     if why is not None:
         raise ValueError(why)
-    return math.log(c.delta_bar / c.delta0) / math.log(c.gamma)
-
-
-def _shrink_bound_convex(c: ComplexityConstants) -> float:
-    why = _unbounded(c, "delta_cvx")
-    if why is not None:
-        raise ValueError(why)
-    return math.log(c.delta0 / c.delta_cvx) / math.log(1.0 / c.gamma)
+    return math.log(getattr(c, radius) / c.delta0) / math.log(c.gamma)
 
 
 def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
@@ -224,7 +214,7 @@ def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
     e2 = 2.0 * c.beta * _sq(c.gamma) * _sq(c.epsilon)
 
     if case in ("nonconvex", "pl"):
-        shrinks = max(0.0, _shrink_bound_nonconvex(c))
+        shrinks = max(0.0, _shrink_bound(c, "delta_bar"))
         # the reflection term; the PL case drops the factor n
         return (c.L * (d_bar0 + c.psi0) * (c.n if case == "nonconvex" else 1)
                 * _sq(c.kappa1) / e2 + shrinks)
@@ -233,7 +223,7 @@ def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
             raise ValueError("convex bound needs R (pass it to constants())")
         if not (0.0 < c.C1 < 1.0):
             raise ValueError(f"convex bound needs C1 in (0,1), got {c.C1}")
-        shrinks = max(0.0, _shrink_bound_convex(c))
+        shrinks = max(0.0, _shrink_bound(c, "delta_cvx"))
         phase1 = 0.0
         if d_bar0 > c.d_thr:
             phase1 = math.log(d_bar0 / c.d_thr) / math.log(1.0 / (1.0 - c.C1))
@@ -246,7 +236,7 @@ def predicted_bounds(consts: ComplexityConstants, d_bar0: float,
         raise ValueError("strongly convex bound needs R for the shrink count")
     if not (0.0 < c.rho < 1.0):
         raise ValueError(f"strongly convex bound needs rho in (0,1), got {c.rho}")
-    shrinks = max(0.0, _shrink_bound_convex(c))
+    shrinks = max(0.0, _shrink_bound(c, "delta_cvx"))
     successes = 0.0
     if d_bar0 > c.epsilon:
         successes = math.ceil(math.log(d_bar0 / c.epsilon)
@@ -411,8 +401,8 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    if f_star is not None and not math.isfinite(f_star):
-        raise ValueError(f"f_star must be finite, got {f_star}")
+    if f_star is not None:
+        _finite_array("f_star", f_star, ((),), "be finite")
     cfg = trace.config
     for key, val in (("n", consts.n), ("gamma", consts.gamma),
                      ("delta0", consts.delta0), ("epsilon", consts.epsilon)):
@@ -501,7 +491,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         ((k, consts.delta_bar, r.delta) for k, r in enumerate(recs)))
     add("shrink_count_bound", floor_why or _unbounded(consts, "delta_bar"),
         check=lambda name: _strict_count_check(
-            name, N_s, _shrink_bound_nonconvex(consts)))
+            name, N_s, _shrink_bound(consts, "delta_bar")))
 
     # --- shrink ascent caps (any mode; only L-smoothness is used) ----------
     per_shrink = L * gamma * (1.0 - gamma) * (n + 1.0)
@@ -533,7 +523,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         else "needs a convex case, gap stopping, R and delta0 > delta_cvx")
         or _unbounded(consts, "delta_cvx"),
         check=lambda name: _strict_count_check(
-            name, N_s, _shrink_bound_convex(consts)))
+            name, N_s, _shrink_bound(consts, "delta_cvx")))
 
     # --- counts and predicted-vs-observed ----------------------------------
     report.counts = {"N_r": len(recs) - N_s, "N_s": N_s, "N_eps": trace.N_eps,

@@ -28,9 +28,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .simplex import (_MAX, _UNIT_ROUNDOFF, DegenerateSimplexError, Simplex,
-                      _affine_system, _check_nonsingular, _positive,
-                      _positive_int, _sq, _unit_frame, _unit_interval,
+from .simplex import (_COORDINATE_OVERFLOW, _MAX, _UNIT_ROUNDOFF,
+                      DegenerateSimplexError, Simplex, _affine_system,
+                      _check_nonsingular, _point, _positive, _positive_int,
+                      _sq, _unit_frame, _unit_interval, _values,
                       reflect_worst, shrink_toward_best)
 
 __all__ = [
@@ -58,9 +59,9 @@ QUERY_KINDS = ("reflection", "centroid", "shrink")
 CLASSES = ("nonconvex", "convex")
 SIGNS = ("positive", "negative")
 
-# Absolute tolerance for classifying an affine weight as zero (weights are
-# O(1) for the query kinds of interest, and exact zeros reach us as ~1e-16
-# solver noise).
+# Tolerance for classifying an affine weight as zero, relative to
+# max(1, ||ell||_inf) (weights are O(1) for the query kinds of interest, and
+# exact zeros reach us as ~1e-16 solver noise).
 COEFF_ZERO_TOL = 1e-10
 
 # Relative tolerance for classifying an eigenvalue of G as zero.
@@ -84,7 +85,8 @@ class QueryCoefficients:
     ell has length n+2 and is indexed 0..n+1; entries 1..n+1 are the Lagrange
     weights (they sum to 1 and reproduce the query point), and ell[0] = -1.
     positive_index_set / negative_index_set partition the indices by sign,
-    with near-zero weights (|ell| <= COEFF_ZERO_TOL) in neither set.
+    with near-zero weights (|ell| <= COEFF_ZERO_TOL * max(1, ||ell||_inf))
+    in neither set.
     """
 
     ell: np.ndarray
@@ -125,7 +127,8 @@ def _frame_weights(s: Simplex, x: np.ndarray) -> np.ndarray | None:
     k = n / (n + 1.0)
     tol = _FRAME_TOL / (n + 1)
     shift = 0.0
-    # a frame that overflows (an unresolved radius) fails the certificate
+    # an overflowing frame (an unresolved radius) fails the certificate;
+    # the caller raises on overflowing weights
     with np.errstate(over="ignore", invalid="ignore"):
         c = s.centroid()
         Y = _unit_frame(s, c)
@@ -139,11 +142,11 @@ def _frame_weights(s: Simplex, x: np.ndarray) -> np.ndarray | None:
         F.ravel()[::n + 1] -= 1.0
         residual = max(float(np.abs(F).max()),
                        k * float(np.abs(column_sums).max()))
-    if not residual <= tol:  # NaN fails too
-        return None
-    q = (x - c) / s.radius - shift
-    w = k * (Y @ q) + 1.0 / (n + 1)
-    w += (1.0 - w.sum()) / (n + 1) + k * (Y @ (q - Y.T @ w))
+        if not residual <= tol:  # NaN fails too
+            return None
+        q = (x - c) / s.radius - shift
+        w = k * (Y @ q) + 1.0 / (n + 1)
+        w += (1.0 - w.sum()) / (n + 1) + k * (Y @ (q - Y.T @ w))
     return w
 
 
@@ -163,15 +166,20 @@ def lagrange_coefficients(s: Simplex, x) -> QueryCoefficients:
     of ``simplex._affine_system``.
 
     Raises:
+        ValueError: x is not a finite point of R^n (``simplex._point``), or
+            its weights overflow the double range.
         DegenerateSimplexError: the affine system fails the nondegeneracy
             rule (reciprocal condition at most ``simplex.RCOND_MIN``).
     """
-    x = np.asarray(x, dtype=float)
+    x = _point("x", x, s.dim)
     w = _frame_weights(s, x)
     if w is None:
         c, scale, A = _affine_system(s)
-        b = np.concatenate([[1.0], (x - c) / scale])
-        w = _solve_guarded(A, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.concatenate([[1.0], (x - c) / scale])
+            w = _solve_guarded(A, b)
+    if not np.isfinite(w).all():
+        raise ValueError("the affine weights of x overflow the double range")
     ell = np.concatenate([[-1.0], w])
     tol = COEFF_ZERO_TOL * max(1.0, float(np.abs(ell).max()))
     pos = tuple(np.flatnonzero(ell > tol).tolist())
@@ -189,9 +197,7 @@ def simplex_gradient(s: Simplex, values) -> np.ndarray:
     Returns:
         The constant gradient of the interpolant.
     """
-    f = np.asarray(values, dtype=float)
-    if f.shape != (s.dim + 1,):
-        raise ValueError(f"expected {s.dim + 1} values, got shape {f.shape}")
+    f = _values("values", values, s.dim + 1)
     # [alpha; g] solves  alpha + g.y_i = f_i in the centered frame (A^T has
     # A's singular values), and the gradient in original coordinates is g / scale
     _, scale, A = _affine_system(s)
@@ -201,8 +207,8 @@ def simplex_gradient(s: Simplex, values) -> np.ndarray:
 
 def interpolate(s: Simplex, values, x) -> float:
     """Value of the affine interpolant at x: sum_i ell_i f(x_i)."""
-    q = lagrange_coefficients(s, x)
-    return float(q.ell[1:] @ np.asarray(values, dtype=float))
+    f = _values("values", values, s.dim + 1)
+    return float(lagrange_coefficients(s, x).ell[1:] @ f)
 
 
 def _deterministic_eigh(Gm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,9 +393,8 @@ def g_matrix(s: Simplex, x) -> GMatrix:
     takes its spectrum from the certified two-cluster form when the query
     is canonical on a regular simplex, else from eigh on first need.
     """
-    x = np.asarray(x, dtype=float)
-    q = lagrange_coefficients(s, x)
-    Y = s.vertices - x[None, :]
+    q = lagrange_coefficients(s, x)  # x passes the point rule there
+    Y = s.vertices - np.asarray(x, dtype=float)
     Gm = (Y.T * q.ell[1:]) @ Y
     Gm = 0.5 * (Gm + Gm.T)
     if not np.isfinite(Gm).all():
@@ -651,15 +656,18 @@ def query_point(s: Simplex, kind: str, gamma: float | None = None) -> np.ndarray
 
     Without function values the "worst" vertex is arbitrary; the last vertex
     is used for reflection and for the moved vertex of a shrink (the first
-    vertex plays the role of the best/kept one).
+    vertex plays the role of the best/kept one).  A query beyond the doubles
+    raises ValueError, as the vertex coordinates it is built from do.
     """
-    if kind == "reflection":
-        return reflect_worst(s, s.dim)
-    if kind == "centroid":
-        return s.centroid()
-    if kind == "shrink":  # shrink_toward_best checks gamma
-        return shrink_toward_best(s, 0, gamma).vertices[s.dim]
-    raise ValueError(f"unknown query kind {kind!r}")
+    if kind not in QUERY_KINDS:
+        raise ValueError(f"unknown query kind {kind!r}")
+    with np.errstate(over="ignore"):  # an overflow is raised on below
+        x = (reflect_worst(s, s.dim) if kind == "reflection" else
+             s.centroid() if kind == "centroid" else
+             shrink_toward_best(s, 0, gamma).vertices[s.dim])  # checks gamma
+    if not np.isfinite(x).all():
+        raise ValueError(_COORDINATE_OVERFLOW)
+    return x
 
 
 def _query(s: Simplex, kind: str,

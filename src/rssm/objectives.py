@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simplex import _positive, _positive_int, _sq
+from .simplex import _point, _positive, _positive_int, _sq
 
 __all__ = [
     "Objective",
@@ -59,7 +59,7 @@ class Objective:
         L: certified smoothness (gradient Lipschitz) constant.
         mu: gradient-domination / strong-convexity constant, or None.
         f_star: minimal value, or None when no closed form exists.
-        x_star: a minimizer, or None.
+        x_star: a minimizer (a scalar is broadcast to R^dim), or None.
         convexity: one of CASES.
     """
 
@@ -68,6 +68,7 @@ class Objective:
                  x_star=None, convexity: str = "nonconvex"):
         if convexity not in CASES:
             raise ValueError(f"unknown convexity tag {convexity!r}")
+        _positive_int("dim", dim)
         self.name = name
         self.dim = int(dim)
         self._fn = fn
@@ -75,7 +76,7 @@ class Objective:
         self.L = L
         self.mu = mu
         self.f_star = f_star
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
+        self.x_star = None if x_star is None else _point("x_star", x_star, dim)
         self.convexity = convexity
 
     def __call__(self, x) -> float:
@@ -110,19 +111,9 @@ def _haar_orthogonal(n: int, seed: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))[None, :]
 
 
-def _minimizer(n: int, x_star) -> np.ndarray:
-    """x_star broadcast to R^n (the origin when None); ValueError if not finite."""
-    if x_star is None:
-        return np.zeros(n)
-    xs = np.broadcast_to(np.asarray(x_star, dtype=float), (n,)).copy()
-    if not np.isfinite(xs).all():
-        raise ValueError(f"x_star must be finite, got {x_star}")
-    return xs
-
-
 def _make_quad_iso(n: int, L: float, x_star) -> Objective:
     _positive("L", L)
-    xs = _minimizer(n, x_star)
+    xs = _point("x_star", 0.0 if x_star is None else x_star, n)
 
     def fn(x):
         return 0.5 * L * float(np.sum((x - xs) ** 2))
@@ -146,7 +137,7 @@ def _make_quad_spectrum(n: int, mu: float, L: float, seed: int, x_star) -> Objec
     Q = _haar_orthogonal(n, seed)
     H = (Q * eigs) @ Q.T
     H = 0.5 * (H + H.T)
-    xs = _minimizer(n, x_star)
+    xs = _point("x_star", 0.0 if x_star is None else x_star, n)
 
     def fn(x):
         y = x - xs

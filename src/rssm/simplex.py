@@ -92,6 +92,40 @@ _positive_int = _rule(lambda x: _is_int(x) and 1 <= x <= _MAX,
                       "double")
 
 
+def _finite_array(name: str, x, shapes: tuple, must: str) -> np.ndarray:
+    """x as a float array of one of `shapes` with finite entries (a float
+    array is not copied); else ValueError "{name} must {must}, got {x!r}"."""
+    try:
+        a = np.asarray(x)
+        ok = a.shape in shapes and a.dtype.kind in "biufO"
+        if ok:
+            a = a.astype(float, copy=False)
+            ok = np.isfinite(a).all()
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must {must}, got {x!r}")
+    return a
+
+
+def _point(name: str, x, n: int) -> np.ndarray:
+    """The point rule: x is a finite scalar or length-n vector (a length-1
+    vector counts as a scalar), returned as a length-n float array."""
+    p = _finite_array(name, x, ((), (1,), (n,)),
+                      f"be a finite scalar or length-{n} vector")
+    return p if p.shape == (n,) else np.full(n, p.item())
+
+
+def _values(name: str, v, m: int) -> np.ndarray:
+    """The value-vector rule: exactly m finite entries, no broadcast."""
+    return _finite_array(name, v, ((m,),), f"be a finite length-{m} vector")
+
+
+# the error of vertex coordinates, or a query built from them, off the doubles
+_COORDINATE_OVERFLOW = ("vertex coordinates overflow the double range "
+                        "about their centroid")
+
+
 class DegenerateSimplexError(ValueError):
     """Raised when a simplex fails the nondegeneracy rule (RCOND_MIN)."""
 
@@ -225,8 +259,7 @@ def _affine_system(s: Simplex) -> tuple[np.ndarray, float, np.ndarray]:
     # max-entry scale avoids squaring, so it survives subnormal-range sizes
     scale = float(np.abs(Y).max())
     if not (np.isfinite(scale) and np.isfinite(c).all()):
-        raise ValueError("vertex coordinates overflow the double range "
-                         "about their centroid")
+        raise ValueError(_COORDINATE_OVERFLOW)
     if scale == 0.0:
         raise DegenerateSimplexError("all vertices coincide")
     A = np.empty((s.dim + 1, s.dim + 1))
@@ -269,7 +302,7 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
     :func:`regular_simplex_gradient`.
 
     Args:
-        center: centroid, scalar-broadcastable 1-D array of length n.
+        center: centroid, a point of R^n (:func:`_point`).
         radius: positive centroid-to-vertex distance.
         n: ambient dimension, n >= 1.
 
@@ -279,14 +312,14 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
 
     Raises:
         ValueError: radius not positive and finite, n not a positive
-            integer, or center of wrong length.
+            integer, or center not a finite point of R^n.
         CenterResolutionError: the radius is too small for its centre, or
             subnormal with too few bits, so the rounded vertices are not
             regular to GEOMETRY_RTOL.
     """
     _positive_int("n", n)
     _positive("radius", radius)
-    c = np.broadcast_to(np.asarray(center, dtype=float), (n,)).copy()
+    c = _point("center", center, n)
     Y = radius * np.sqrt((n + 1.0) / n) * _helmert_rows(n).T
     s = Simplex(c[None, :] + Y, radius=float(radius))
     # an unresolved radius can overflow the unit frame; inf or NaN
@@ -323,10 +356,7 @@ def regular_simplex_gradient(s: Simplex, values) -> np.ndarray:
     Returns:
         The gradient of the interpolant.
     """
-    n = s.dim
-    f = np.asarray(values, dtype=float)
-    if f.shape != (n + 1,):
-        raise ValueError(f"expected {n + 1} values, got shape {f.shape}")
+    f = _values("values", values, s.dim + 1)
     return _frame_gradient(_unit_frame(s, s.centroid()), f, f.mean(), s.radius)
 
 

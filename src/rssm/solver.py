@@ -28,22 +28,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from .simplex import (
-    _MAX,
-    _UNIT_ROUNDOFF,
-    Simplex,
-    _frame_gradient,
-    _frame_regularity,
-    _is_real,
-    _positive,
-    _positive_int,
-    _reflection,
-    _sq,
-    _unit_frame,
-    _unit_interval,
-    make_regular_simplex,
-    shrink_toward_best,
-)
+from .simplex import (_MAX, _UNIT_ROUNDOFF, Simplex, _frame_gradient,
+                      _frame_regularity, _is_real, _point, _positive,
+                      _positive_int, _reflection, _sq, _unit_frame,
+                      _unit_interval, make_regular_simplex,
+                      shrink_toward_best)
 # perfbench/tracing.py wraps rssm.solver.simplex_gradient, the name of the
 # affine solve the loop once made, and its smoke test reads it; the loop
 # calls the frame kernels and never this name
@@ -130,7 +119,7 @@ class SolverConfig:
             "none" (run to budget).
         max_iterations / max_evaluations: budgets, positive integers;
             max_evaluations counts actual objective calls.
-        center: starting centroid (scalar is broadcast).
+        center: starting centroid, a finite scalar or length-n vector.
     """
 
     n: int
@@ -168,19 +157,11 @@ class SolverConfig:
             if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             (_unit_interval if name == "gamma" else _positive)(name, value)
-        try:
-            # the shapes np.broadcast_to(center, (n,)) in start_center takes
-            c = np.asarray(self.center, dtype=float)
-            ok = c.shape in ((), (1,), (self.n,)) and np.isfinite(c).all()
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValueError(f"center must be a finite scalar or length-{self.n} "
-                             f"vector, got {self.center!r}")
+        self.start_center()
 
     def start_center(self) -> np.ndarray:
-        return np.broadcast_to(
-            np.asarray(self.center, dtype=float), (self.n,)).copy()
+        """The centre as a length-n float array (the point rule)."""
+        return _point("center", self.center, self.n)
 
     def to_dict(self) -> dict:
         d = asdict(self)

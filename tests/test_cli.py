@@ -194,7 +194,8 @@ def test_solve_start_of_wrong_length_names_the_count(capsys):
     code, out, err = run_cli(capsys, "solve", "--objective", "quad-iso",
                              "--n", "2", "--start", "1,2,3")
     assert (code, out) == (2, "")
-    assert err == "error: --start needs 1 or 2 components, got 3\n"
+    assert err == ("error: --start must be a finite scalar or length-2 "
+                   "vector, got [1.0, 2.0, 3.0]\n")
 
 
 def test_solve_gap_stopping_without_f_star_is_usage_error(capsys):

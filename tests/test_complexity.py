@@ -10,8 +10,7 @@ import pytest
 from rssm.complexity import (
     AUDIT_RTOL,
     AuditCheck,
-    _shrink_bound_convex,
-    _shrink_bound_nonconvex,
+    _shrink_bound,
     _ineq_check,
     _strict_count_check,
     audit_trace,
@@ -504,11 +503,11 @@ def test_shrink_count_checks_match_their_oracle(N_s):
     records = [rec("shrink", 0.5 ** k, 4.0) for k in range(N_s)]
     for name, cfg, consts, case, bound, near in (
             ("shrink_count_bound", synth_cfg(), synth_consts(), "nonconvex",
-             _shrink_bound_nonconvex(synth_consts()),
+             _shrink_bound(synth_consts(), "delta_bar"),
              math.log(0.002) / math.log(0.5)),
             ("convex_shrink_count_bound", synth_cfg(stopping="gap"),
              synth_consts(R=2.0), "convex",
-             _shrink_bound_convex(synth_consts(R=2.0)),
+             _shrink_bound(synth_consts(R=2.0), "delta_cvx"),
              math.log(400.0) / math.log(2.0))):
         assert bound == pytest.approx(near)
         trace = Trace(config=cfg, records=records, reason="budget",
@@ -628,3 +627,16 @@ def test_audit_report_renders_and_serializes():
     assert d["case"] == "convex"
     assert {c["name"] for c in d["checks"]} >= {"radius_law", "eval_identity"}
     assert d["passed"] == report.passed
+
+
+def test_the_convex_shrink_bound_survives_a_subnormal_radius():
+    # delta_cvx = 2.07e-310 is subnormal, not zero: the bound is the one
+    # formula log(delta_cvx/delta0)/log(gamma), not +inf (delta0/delta_cvx
+    # once overflowed)
+    c = constants(n=2, beta=1, gamma=0.5, L=1, epsilon=1e-309, delta0=1,
+                  R=1, mu=0.5)
+    assert 0.0 < c.delta_cvx < 1e-308
+    bound = math.log(c.delta_cvx / c.delta0) / math.log(c.gamma)
+    assert bound == pytest.approx(1028.7, abs=0.05)
+    assert _shrink_bound(c, "delta_cvx") == bound
+    assert predicted_bounds(c, 0.0, "strongly_convex") == bound

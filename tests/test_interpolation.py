@@ -1148,3 +1148,49 @@ def test_gradient_inequalities_random_sweep():
         rep = gradient_bound_report(s, obj, L=L)
         for name in ("simplex_gradient_upper", "gradient_error", "gap_lower"):
             assert rep[name]["holds"], (name, rep[name])
+
+
+# ---------------------------------------------------------------------------
+# bad arguments and queries beyond the doubles
+
+
+@pytest.mark.parametrize("s", [
+    make_regular_simplex(np.zeros(3), 1e-3, 3),  # the closed-form weights
+    Simplex(np.vstack([np.zeros(3), np.eye(3)])),  # the guarded solve
+], ids=["regular", "corner"])
+def test_weights_beyond_the_doubles_raise_without_a_warning(s):
+    # a finite query whose weights overflow: once -inf weights and numpy
+    # RuntimeWarnings (errors under this suite's warning filter)
+    with pytest.raises(ValueError, match="^the affine weights of x overflow "
+                                         "the double range$"):
+        lagrange_coefficients(s, [1e308] * 3)
+
+
+def test_a_canonical_query_beyond_the_doubles_names_the_vertices():
+    # the queries of bound_report are not arguments: an overflowing one
+    # raises the error of the vertex coordinates it is built from, with no
+    # numpy warning ahead of it
+    s = Simplex([[1e308, 0.0], [1e308, 1e308], [0.0, 1e308]], radius=1e308)
+    message = ("^vertex coordinates overflow the double range about their "
+               "centroid$")
+    for kind in ("reflection", "centroid"):
+        with pytest.raises(ValueError, match=message):
+            query_point(s, kind)
+        with pytest.raises(ValueError, match=message):
+            bound_report(s, kind, "convex", 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: query_point(s, "edge"),
+    lambda s: bound_report(s, "edge", "convex", 1.0),
+], ids=["query_point", "bound_report"])
+def test_an_unknown_query_kind_raises(call):
+    with pytest.raises(ValueError, match="^unknown query kind 'edge'$"):
+        call(make_regular_simplex(np.zeros(2), 1.0, 2))
+
+
+def test_worst_case_quadratic_rejects_an_unknown_class():
+    s = make_regular_simplex(np.zeros(2), 1.0, 2)
+    g = g_matrix(s, query_point(s, "reflection"))
+    with pytest.raises(ValueError, match="^unknown function class 'concave'$"):
+        worst_case_quadratic(g, 1.0, "concave")

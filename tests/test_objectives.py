@@ -237,11 +237,14 @@ def test_quad_spectrum_mu_above_L_raises():
     ("quad-iso", {"L": -1.0}, "L must be positive and finite"),
     ("quad-iso", {"L": 0.0}, "L must be positive and finite"),
     ("quad-iso", {"L": np.inf}, "L must be positive and finite"),
-    ("quad-iso", {"x_star": np.nan}, "x_star must be finite"),
-    ("quad-iso", {"x_star": [0.0, np.inf]}, "x_star must be finite"),
+    ("quad-iso", {"x_star": np.nan},
+     "x_star must be a finite scalar or length-2 vector, got nan"),
+    ("quad-iso", {"x_star": [0.0, np.inf]},
+     r"x_star must be a finite scalar or length-2 vector, got \[0.0, inf\]"),
     ("quad-spectrum", {"L": np.inf}, "L must be positive and finite"),
     ("quad-spectrum", {"mu": np.nan}, "mu must be positive and finite"),
-    ("quad-spectrum", {"x_star": -np.inf}, "x_star must be finite"),
+    ("quad-spectrum", {"x_star": -np.inf},
+     "x_star must be a finite scalar or length-2 vector, got -inf"),
     ("logsumexp", {"scale": np.inf}, "scale must be positive and finite"),
     ("logsumexp", {"scale": np.nan}, "scale must be positive and finite"),
     ("logsumexp", {"scale": 1e300}, "L = scale\\*scale must be positive"),

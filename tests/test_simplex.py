@@ -586,3 +586,18 @@ def test_no_float_is_squared_through_pow():
                 if segment not in arrays.get(path.name, ()):
                     found.append((path.name, node.lineno, segment))
     assert found == []
+
+
+def test_a_simplex_needs_dimension_one():
+    # a (1, 0) array has the (n+1) x n shape for n = 0
+    with pytest.raises(ValueError, match="^ambient dimension must be at "
+                                         "least 1$"):
+        Simplex(np.zeros((1, 0)))
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_shrink_toward_best_rejects_an_index_out_of_range(index):
+    s = make_regular_simplex(np.zeros(2), 1.0, 2)
+    with pytest.raises(IndexError, match=f"^vertex index {index} out of "
+                                         "range 0..2$"):
+        shrink_toward_best(s, index, 0.5)

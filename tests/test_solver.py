@@ -1213,3 +1213,19 @@ def test_eval_identity_across_modes():
                                  center=1.9))
         assert trace.eval_count == (n + 1) + trace.N_r + n * trace.N_s
         assert trace.summary["objective_calls"] == trace.eval_count + trace.N_s
+
+
+def test_the_frame_form_decides_a_norm_the_moment_cannot_hold(monkeypatch):
+    # value differences of about 1.7e308 overflow the running moment, so
+    # the loop takes the norm from the frame form: 1e153, the slope
+    frames = []
+    kernel = rssm.solver._frame_gradient
+    monkeypatch.setattr(rssm.solver, "_frame_gradient",
+                        lambda *a: frames.append(1) or kernel(*a))
+    obj = Objective("line", 2, lambda x: 1e153 * x[0])
+    trace = run(obj, SolverConfig(n=2, delta0=1e155, stopping="none"))
+    assert frames == [1]
+    assert [r.step for r in trace.records] == ["reflection"]
+    assert trace.records[0].simplex_gradient_norm == pytest.approx(1e153)
+    assert trace.reason == "overflow"
+    assert trace.summary["overflow"] == "the vertex-value sum S is -inf"

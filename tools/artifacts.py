@@ -72,8 +72,9 @@ the ``audit-*`` stdouts) must keep its verdict and the status of every
 check, any other CLI output its text apart from its float literals, and
 every other file its bytes.  It prints each listed trace, each problem
 and the largest float distance, and exits 1 on a problem.
-The perfbench workloads are read from this script's own checkout.  The run
-takes about a minute and is not part of the test suite.
+The perfbench workloads are read from this script's own checkout.  A dump
+writes 469 files in 10 to 20 s on a 2-vCPU host; it is not part of the
+test suite, and CI runs it twice and compares the two dumps.
 """
 
 from __future__ import annotations
