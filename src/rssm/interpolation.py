@@ -559,11 +559,11 @@ class Quadratic:
     c: float = 0.0
 
     def __call__(self, u) -> float:
-        u = np.asarray(u, dtype=float)
+        u = _point("u", u, len(self.v))
         return float(self.c + self.v @ u + 0.5 * u @ self.H @ u)
 
     def gradient(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = _point("u", u, len(self.v))
         return self.v + self.H @ u
 
     def spectral_norm(self) -> float:

@@ -317,6 +317,13 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
             subnormal with too few bits, so the rounded vertices are not
             regular to GEOMETRY_RTOL.
     """
+    return _regular_simplex(center, radius, n)[0]
+
+
+def _regular_simplex(center, radius: float,
+                     n: int) -> tuple[Simplex, RegularityReport]:
+    """:func:`make_regular_simplex`, with the exact report that certified
+    the simplex, so a caller that needs both takes the O(n^3) report once."""
     _positive_int("n", n)
     _positive("radius", radius)
     c = _point("center", center, n)
@@ -332,7 +339,7 @@ def make_regular_simplex(center, radius: float, n: int) -> Simplex:
             f"{np.abs(c).max():.3g} (max |c_i|): the rounded vertices "
             f"drift by {rep}"
         )
-    return s
+    return s, rep
 
 
 def regular_simplex_gradient(s: Simplex, values) -> np.ndarray:
@@ -400,7 +407,8 @@ def _reflection(rest: np.ndarray, worst: np.ndarray, n: int) -> np.ndarray:
     the centroid of the other n, from `rest`, the sum of those n vertices.
 
     The one reflection kernel: :func:`reflect_worst` passes the sum of the
-    other rows, the solver the running vertex sum minus the worst row.
+    other rows; the solver passes offsets about the best vertex x0, T0 - u_w
+    and u_w = x_w - x0 (T0 the sum of all n+1 offsets), and adds x0.
     """
     return (2.0 / n) * rest - worst
 

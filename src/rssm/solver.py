@@ -30,9 +30,8 @@ import numpy as np
 
 from .simplex import (_MAX, _UNIT_ROUNDOFF, Simplex, _frame_gradient,
                       _frame_regularity, _is_real, _point, _positive,
-                      _positive_int, _reflection, _sq, _unit_frame,
-                      _unit_interval, make_regular_simplex,
-                      shrink_toward_best)
+                      _positive_int, _reflection, _regular_simplex, _sq,
+                      _unit_frame, _unit_interval, shrink_toward_best)
 # perfbench/tracing.py wraps rssm.solver.simplex_gradient, the name of the
 # affine solve the loop once made, and its smoke test reads it; the loop
 # calls the frame kernels and never this name
@@ -381,18 +380,6 @@ def _grown(kappa: float, e: float) -> float:
     return kappa + e * (2.0 * math.sqrt(1.0 + kappa) + e)
 
 
-def _construction_distortion(center: np.ndarray, radius: float) -> float:
-    """The distortion of ``make_regular_simplex(center, radius, n)``, a
-    priori: its vertices c + rho h_i (h_i a column of the Helmert rows, rho
-    = radius sqrt((n+1)/n), so ||rho h_i|| = radius) are exactly regular,
-    and rounded h_i (gamma_2), rho (gamma_3), their product and the sum
-    with c put each within gamma_7 (||c|| + radius) of exact; so all n+1
-    give ||E|| <= sqrt(n) gamma_7 (||c|| / radius + 1)."""
-    q = center / radius
-    return _grown(0.0, _gamma(7) * math.sqrt(len(q))
-                  * (math.sqrt(q @ q) + 1.0))
-
-
 class SolverState:
     """Mutable run state: the simplex, whose vertices keep their slots (rows
     of ``simplex.vertices``), the slots in value order, the values in that
@@ -438,24 +425,24 @@ class SolverState:
     moves A, by some E, and kappa grows to kappa + 2 sqrt(1 + kappa) ||E||
     + ||E||^2 (see :func:`_drift_constants` for the bounds on ||E||).  A
     shrink also adds 3u (1 + kappa) for the rounding of the stored radius.
-    :func:`run` seeds kappa from the construction's rounding
-    (:func:`_construction_distortion`), and :meth:`_anchor` sets it afresh
-    from an exact report; a state built without a kappa certifies nothing
-    until then.  :meth:`_drift_bound` turns kappa into a bound on the
-    exact report; a NaN in kappa, R or delta, or an inf in kappa or R,
-    leaves that bound NaN or inf.
+    A new state starts at kappa = inf and certifies nothing until
+    :meth:`_anchor` sets kappa from an exact report of its vertices:
+    :func:`run` passes the report that certified its starting simplex, and
+    every later report it takes.  :meth:`_drift_bound` turns kappa into a
+    bound on the exact report; a NaN in kappa, R or delta, or an inf in
+    kappa or R, leaves that bound NaN or inf.
     """
 
-    def __init__(self, simplex: Simplex, objective, kappa: float = math.inf):
+    def __init__(self, simplex: Simplex, objective):
         """Evaluate the objective at every vertex, slot by slot, and order
-        the slots by value; kappa bounds the simplex's distortion."""
+        the slots by value; the budget is unanchored (kappa = inf)."""
         self.simplex = simplex
         self.objective = objective
         self.objective_calls = 0
         m = simplex.vertices.shape[0]
         self.order = np.arange(m)
         self.values = np.array([self.evaluate(x) for x in simplex.vertices])
-        self._kappa = kappa
+        self._kappa = math.inf
         self._reach_radii, self._shrink, self._slack = _drift_constants(m - 1)
         self._sort()
 
@@ -639,17 +626,17 @@ def run(objective, cfg: SolverConfig) -> Trace:
     what sums of the rows give in their last bits.
 
     The regularity verdict is certified a priori where it can be: the
-    state's distortion budget kappa (:class:`SolverState`), seeded from
-    the construction's rounding and grown by the rounding bound of each
-    reflection and shrink, bounds the exact report of the frame, and while
-    that bound is at most half of REGULARITY_FAIL_TOL the loop top reads
-    nothing else and builds no frame.  Otherwise the loop top takes the
-    exact report, which decides the verdict and, where it passes, anchors
-    kappa afresh; a NaN or inf in the budget leaves the loop top
-    uncertified, so it takes the report.  A certified verdict passes only
-    where the exact report is within REGULARITY_FAIL_TOL, so the stop
-    iteration and ``summary["regularity"]`` are those of a report taken
-    every iteration.
+    state's distortion budget kappa (:class:`SolverState`), anchored from
+    the exact report that certified the starting simplex and grown by the
+    rounding bound of each reflection and shrink, bounds the exact report
+    of the frame, and while that bound is at most half of
+    REGULARITY_FAIL_TOL the loop top reads nothing else and builds no
+    frame.  Otherwise the loop top takes the exact report, which decides
+    the verdict and, where it passes, anchors kappa afresh; a NaN or inf
+    in the budget leaves the loop top uncertified, so it takes the
+    report.  A certified verdict passes only where the exact report is
+    within REGULARITY_FAIL_TOL, so the stop iteration and
+    ``summary["regularity"]`` are those of a report taken every iteration.
 
     The criterion is tested at the top of every iteration, so on
     "epsilon-reached" the number of records is the first iteration index at
@@ -680,8 +667,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
     """
     _check_stopping(objective, cfg)
     n = cfg.n
-    center = cfg.start_center()
-    simplex = make_regular_simplex(center, cfg.delta0, n)
+    simplex, report = _regular_simplex(cfg.start_center(), cfg.delta0, n)
     trace = Trace(config=cfg.to_dict())
     reflection_only = cfg.algorithm == "reflection_only"
     if cfg.mode == "theoretical":
@@ -689,8 +675,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
     else:
         margin = -cfg.eta
     with np.errstate(over="ignore", invalid="ignore"):
-        state = SolverState(simplex, objective,
-                            _construction_distortion(center, cfg.delta0))
+        state = SolverState(simplex, objective)
+        state._anchor(report)
         while True:
             f = state.values
             delta = state.simplex.radius

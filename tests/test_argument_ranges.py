@@ -19,8 +19,8 @@ import pytest
 from rssm.cli import build_parser
 from rssm.complexity import constants
 from rssm.experiments import ExperimentPlan
-from rssm.interpolation import (bound_report, error_bound, g_matrix,
-                                gradient_bound_report, interpolate,
+from rssm.interpolation import (Quadratic, bound_report, error_bound,
+                                g_matrix, gradient_bound_report, interpolate,
                                 lagrange_coefficients, query_point,
                                 simplex_gradient)
 from rssm.objectives import Objective, builtin
@@ -29,6 +29,7 @@ from rssm.simplex import (Simplex, _point, _values, make_regular_simplex,
 from rssm.solver import SolverConfig
 
 _S = make_regular_simplex(np.zeros(2), 1.0, 2)
+_QUADRATIC = Quadratic(H=np.eye(2), v=np.full(2, -0.3))
 
 _CONSTANTS = dict(n=2, beta=1.0, gamma=0.5, L=1.0, epsilon=1e-3, delta0=1.0,
                   R=1.0, mu=0.5, eta_split=0.5)
@@ -123,6 +124,8 @@ ENTRIES = [
      lambda v: lagrange_coefficients(_S, v)),
     ("g_matrix", "x", "point", lambda v: g_matrix(_S, v)),
     ("interpolate", "x", "point", lambda v: interpolate(_S, [0, 1, 2], v)),
+    ("Quadratic", "u", "point", _QUADRATIC),
+    ("Quadratic.gradient", "u", "point", _QUADRATIC.gradient),
     ("cli solve", "--start", "start", _solve_start),
     # the value-vector rule: the 3 values of a simplex in R^2
     ("interpolate", "values", "values",

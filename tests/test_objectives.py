@@ -234,20 +234,34 @@ def test_quad_spectrum_mu_above_L_raises():
 
 
 @pytest.mark.parametrize("name, params, message", [
-    ("quad-iso", {"L": -1.0}, "L must be positive and finite"),
-    ("quad-iso", {"L": 0.0}, "L must be positive and finite"),
-    ("quad-iso", {"L": np.inf}, "L must be positive and finite"),
-    ("quad-iso", {"x_star": np.nan},
-     "x_star must be a finite scalar or length-2 vector, got nan"),
-    ("quad-iso", {"x_star": [0.0, np.inf]},
-     r"x_star must be a finite scalar or length-2 vector, got \[0.0, inf\]"),
-    ("quad-spectrum", {"L": np.inf}, "L must be positive and finite"),
-    ("quad-spectrum", {"mu": np.nan}, "mu must be positive and finite"),
-    ("quad-spectrum", {"x_star": -np.inf},
-     "x_star must be a finite scalar or length-2 vector, got -inf"),
-    ("logsumexp", {"scale": np.inf}, "scale must be positive and finite"),
-    ("logsumexp", {"scale": np.nan}, "scale must be positive and finite"),
-    ("logsumexp", {"scale": 1e300}, "L = scale\\*scale must be positive"),
+    pytest.param("quad-iso", {"L": -1.0}, "L must be positive and finite",
+                 id="quad-iso-L-negative"),
+    pytest.param("quad-iso", {"L": 0.0}, "L must be positive and finite",
+                 id="quad-iso-L-zero"),
+    pytest.param("quad-iso", {"L": np.inf}, "L must be positive and finite",
+                 id="quad-iso-L-inf"),
+    pytest.param("quad-iso", {"x_star": np.nan},
+                 "x_star must be a finite scalar or length-2 vector, got nan",
+                 id="quad-iso-x_star-nan"),
+    pytest.param("quad-iso", {"x_star": [0.0, np.inf]},
+                 r"x_star must be a finite scalar or length-2 vector, "
+                 r"got \[0.0, inf\]", id="quad-iso-x_star-inf-entry"),
+    pytest.param("quad-spectrum", {"L": np.inf},
+                 "L must be positive and finite", id="quad-spectrum-L-inf"),
+    pytest.param("quad-spectrum", {"mu": np.nan},
+                 "mu must be positive and finite", id="quad-spectrum-mu-nan"),
+    pytest.param("quad-spectrum", {"x_star": -np.inf},
+                 "x_star must be a finite scalar or length-2 vector, got -inf",
+                 id="quad-spectrum-x_star-minus-inf"),
+    pytest.param("logsumexp", {"scale": np.inf},
+                 "scale must be positive and finite",
+                 id="logsumexp-scale-inf"),
+    pytest.param("logsumexp", {"scale": np.nan},
+                 "scale must be positive and finite",
+                 id="logsumexp-scale-nan"),
+    pytest.param("logsumexp", {"scale": 1e300},
+                 "L = scale\\*scale must be positive",
+                 id="logsumexp-scale-squared-overflow"),
 ])
 def test_builtin_parameters_are_checked_where_read(name, params, message):
     with pytest.raises(ValueError, match=message):

@@ -24,6 +24,7 @@ from rssm.simplex import (
     _unit_frame,
     make_regular_simplex,
     reflect_worst,
+    regularity_report,
     shrink_toward_best,
 )
 from rssm.solver import (
@@ -31,7 +32,6 @@ from rssm.solver import (
     SolverConfig,
     SolverState,
     Trace,
-    _construction_distortion,
     _grown,
     mean_value_gap,
     run,
@@ -463,10 +463,11 @@ HALF_TOL = 0.5 * rssm.solver.REGULARITY_FAIL_TOL
 
 def _start(n, centre, objective):
     """A SolverState on a regular simplex of radius 1 at `centre`, with
-    run's anchor."""
-    c = np.full(n, centre)
-    return SolverState(make_regular_simplex(c, 1.0, n), objective,
-                       _construction_distortion(c, 1.0))
+    run's anchor: the exact report of the constructed simplex."""
+    s = make_regular_simplex(np.full(n, centre), 1.0, n)
+    state = SolverState(s, objective)
+    state._anchor(regularity_report(s))
+    return state
 
 
 def _loop_tops(n, centre, steps):
@@ -580,16 +581,19 @@ def test_the_budget_bounds_the_exact_report_at_every_certified_loop_top(
         assert certified > 3 * reports
 
 
-def test_a_far_walk_takes_the_exact_report_at_few_loop_tops(monkeypatch):
+@pytest.mark.parametrize("n, reports", [(8, 1), (32, 3), (64, 5)])
+def test_a_far_walk_takes_the_exact_report_at_few_loop_tops(n, reports,
+                                                            monkeypatch):
     # far from the origin a reflection's rounding is one add of x0, u ||x0||
-    # or about 6e-10 radii here, against half the tolerance: the budget
-    # certifies all but about 1% of the loop tops of a walk
-    reports = _count_calls(monkeypatch, "_frame_regularity")
-    trace = run(builtin("damped-sine", 32),
-                SolverConfig(n=32, stopping="none", center=1e6,
-                             max_iterations=300))
-    assert (trace.reason, len(trace.records)) == ("budget", 300)
-    assert reports["count"] <= 0.01 * 301
+    # or 3e-10 to 9e-10 radii here, against half the tolerance: the budget
+    # certifies all but a handful of the 3,001 loop tops of a walk.  The
+    # counts are pinned, so the start's anchor runs it out no sooner
+    counted = _count_calls(monkeypatch, "_frame_regularity")
+    trace = run(builtin("damped-sine", n, seed=0),
+                SolverConfig(n=n, stopping="none", center=1e6,
+                             max_iterations=3_000))
+    assert (trace.reason, len(trace.records)) == ("budget", 3_000)
+    assert counted["count"] == reports
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
@@ -677,8 +681,8 @@ def test_a_nan_radius_leaves_the_loop_top_uncertified():
 
 
 def test_the_start_is_anchored_and_a_shrink_adds_its_rounding():
-    # a state built without a budget certifies nothing; run's anchor, from
-    # the construction's rounding, certifies the start
+    # a new state certifies nothing; run's anchor, the exact report of the
+    # constructed simplex, certifies the start
     s = make_regular_simplex(np.zeros(3), 1.0, 3)
     assert SolverState(s, lambda x: float(x @ x))._drift_bound() == math.inf
     state = _start(3, 0.0, lambda x: float(x @ x))
@@ -690,6 +694,50 @@ def test_the_start_is_anchored_and_a_shrink_adds_its_rounding():
     grown = _grown(kappa, state._shrink * R / state.simplex.radius)
     assert state._kappa == grown + 1.5 * U * (1.0 + grown) > kappa
     assert state._drift_bound() <= HALF_TOL
+
+
+@pytest.mark.parametrize("n, centre", [(1, 0.0), (5, 1e3), (32, 1e6)])
+def test_run_anchors_the_budget_once_from_the_report_of_its_start(
+        n, centre, monkeypatch):
+    # run takes the one report that certified its starting simplex to
+    # anchor the budget, before its first loop top, which that certifies
+    events = []
+    anchor, bound = SolverState._anchor, SolverState._drift_bound
+
+    def anchored(self, report):
+        events.append(("anchor", report))
+        anchor(self, report)
+
+    def bounded(self):
+        events.append(("top", bound(self)))
+        return events[-1][1]
+
+    monkeypatch.setattr(SolverState, "_anchor", anchored)
+    monkeypatch.setattr(SolverState, "_drift_bound", bounded)
+    cfg = SolverConfig(n=n, delta0=0.5, center=centre, stopping="none",
+                       max_iterations=3)
+    run(builtin("quad-iso", n), cfg)
+    start = regularity_report(make_regular_simplex(cfg.start_center(),
+                                                   cfg.delta0, n))
+    first_top = [kind for kind, _ in events].index("top")
+    assert events[:first_top] == [("anchor", start)]
+    assert events[first_top][1] <= HALF_TOL
+
+
+# (n, centre) of the grid below where doubles cannot resolve radius 1
+UNRESOLVED_STARTS = {(3, 3e7), (5, 3e7), (8, 3e7), (16, 3e7), (64, 1e7),
+                     (64, 3e7), (256, 1e7), (256, 3e7)}
+
+
+@pytest.mark.parametrize("centre", [0.0, 1e3, 1e6, 1e7, 3e7])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64, 256])
+def test_the_start_is_certified_wherever_the_construction_resolves(n,
+                                                                   centre):
+    if (n, centre) in UNRESOLVED_STARTS:
+        with pytest.raises(CenterResolutionError):
+            make_regular_simplex(np.full(n, centre), 1.0, n)
+    else:
+        assert _start(n, centre, lambda x: 0.0)._drift_bound() <= HALF_TOL
 
 
 @pytest.mark.parametrize("radius_dev, edge_dev", [
