@@ -95,7 +95,7 @@ def _cmd_solve(args) -> int:
             "" if gap is None else repr(gap), trace.reason]))
     else:
         print(f"reason: {trace.reason}")
-        print(f"iterations: {len(trace.records)} "
+        print(f"iterations: {len(trace.columns['step'])} "
               f"(reflections {trace.N_r}, shrinks {trace.N_s})")
         print(f"evaluations: {trace.eval_count} "
               f"(objective calls {summ['objective_calls']})")

@@ -417,21 +417,19 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     n = consts.n
     gamma = consts.gamma
     L = consts.L
-    recs = trace.records
+    steps, deltas, sums = map(trace.columns.get, ("step", "delta", "S"))
     summ = trace.summary
-    N_s = trace.N_s  # the one walk of the records for the counts
+    N_s = trace.N_s
     report = AuditReport(case=case)
     convex_case = case in CONVEX_CASES
 
-    # One pass pairs each step with dS = S_{k+1} - S_k.  The last record reads
-    # final_S and is left out when the summary lacks it.
-    reflections, shrinks = [], []
-    steps = {"reflection": reflections, "shrink": shrinks}
+    # Each step's (k, dS = S_{k+1} - S_k, delta_k, S_k), in parts[step == "s"];
+    # the last record reads final_S and is left out when the summary lacks it.
+    reflections, shrinks = parts = [], []
     final_S = summ.get("final_S")
-    for k, r in enumerate(recs):
-        next_S = recs[k + 1].S if k + 1 < len(recs) else final_S
-        if next_S is not None and r.step in steps:
-            steps[r.step].append((k, next_S - r.S, r))
+    ends = sums[1:] if final_S is None else [*sums[1:], final_S]
+    for k, (step, delta, S, end) in enumerate(zip(steps, deltas, sums, ends)):
+        parts[step == "s"].append((k, end - S, delta, S))
 
     def gap(S: float) -> float:
         return mean_value_gap(S, n, f_star)
@@ -440,10 +438,10 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         """(k, |delta_k - delta0*gamma^shrinks| / that, 0): a deviation up to
         1 fails above AUDIT_RTOL, one above 1 (inf if that underflows) fails."""
         shrinks_seen = 0
-        for i, r in enumerate(recs):
+        for i, (step, delta) in enumerate(zip(steps, deltas)):
             expect = consts.delta0 * gamma ** shrinks_seen
-            yield i, abs(r.delta - expect) / expect if expect else math.inf, 0.0
-            if r.step == "shrink":
+            yield i, abs(delta - expect) / expect if expect else math.inf, 0.0
+            if step == "s":
                 shrinks_seen += 1
 
     def add(name: str, why: str | None, terms=(), detail: str = "",
@@ -462,7 +460,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         "relative deviation from delta0*gamma^shrinks")
     unrecorded = (trace.reason == "overflow" and
                   str(summ.get("overflow", "")).startswith(_FIELD_OVERFLOW))
-    expected = evaluation_count(cfg["n"], len(recs), N_s) + N_s + unrecorded
+    expected = evaluation_count(cfg["n"], len(steps), N_s) + N_s + unrecorded
     add("eval_identity",
         None if "objective_calls" in summ else "summary lacks objective_calls",
         check=lambda name: AuditCheck(
@@ -476,7 +474,7 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     theory = None if theoretical else "needs theoretical mode"
     margin = (2.0 * n + 2.0) / n * consts.beta * L
     add("reflection_decrease", theory,
-        ((k, dS, -margin * _sq(r.delta)) for k, dS, r in reflections))
+        ((k, dS, -margin * _sq(delta)) for k, dS, delta, _ in reflections))
 
     # --- the gradient-stopping radius-floor family -------------------------
     floor_ok = (theoretical and cfg["stopping"] == "true_gradient"
@@ -486,9 +484,9 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     floor = (n + 1.0) * 2.0 * consts.beta * _sq(gamma) * _sq(consts.epsilon) \
         / (L * n * _sq(consts.kappa1))
     add("reflection_decrease_floor", floor_why,
-        ((k, dS, -floor) for k, dS, r in reflections))
+        ((k, dS, -floor) for k, dS, _, _ in reflections))
     add("radius_floor", floor_why,
-        ((k, consts.delta_bar, r.delta) for k, r in enumerate(recs)))
+        ((k, consts.delta_bar, delta) for k, delta in enumerate(deltas)))
     add("shrink_count_bound", floor_why or _unbounded(consts, "delta_bar"),
         check=lambda name: _strict_count_check(
             name, N_s, _shrink_bound(consts, "delta_bar")))
@@ -496,27 +494,28 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
     # --- shrink ascent caps (any mode; only L-smoothness is used) ----------
     per_shrink = L * gamma * (1.0 - gamma) * (n + 1.0)
     add("shrink_ascent_per_step", None,
-        ((k, dS, per_shrink * _sq(r.delta)) for k, dS, r in shrinks))
+        ((k, dS, per_shrink * _sq(delta)) for k, dS, delta, _ in shrinks))
     add("total_shrink_ascent", None,
-        [(None, sum(max(dS, 0.0) for _, dS, _ in shrinks),
+        [(None, sum(max(dS, 0.0) for _, dS, _, _ in shrinks),
           (n + 1.0) * consts.psi0)])
 
     # --- convexity-only checks ---------------------------------------------
     add("convex_shrink_monotone", None if convex_case else "needs a convex case",
-        ((k, dS, 0.0) for k, dS, r in shrinks))
+        ((k, dS, 0.0) for k, dS, _, _ in shrinks))
     add("convex_reflection_gap_decrease",
         None if convex_case and theoretical and f_star is not None
         else "needs a convex case, theoretical mode and f*",
-        ((k, gap(r.S + dS) - gap(r.S),
-          -(2.0 * consts.beta / n) * L * _sq(r.delta)) for k, dS, r in reflections))
+        ((k, gap(S + dS) - gap(S),
+          -(2.0 * consts.beta / n) * L * _sq(delta))
+         for k, dS, delta, S in reflections))
     tail_ok = (theoretical and convex_case and f_star is not None
-               and consts.R is not None and len(recs) > 0
-               and consts.delta0 > tail_radius(max(gap(recs[0].S), 0.0), consts))
+               and consts.R is not None and len(steps) > 0
+               and consts.delta0 > tail_radius(max(gap(sums[0]), 0.0), consts))
     add("radius_tail_lower_bound", theory or (
         None if tail_ok
         else "needs a convex case, f*, R and delta0 > tail_radius(gap_0)"),
-        ((k, gamma * tail_radius(max(gap(r.S), 0.0), consts), r.delta)
-         for k, r in enumerate(recs)))
+        ((k, gamma * tail_radius(max(gap(S), 0.0), consts), delta)
+         for k, (S, delta) in enumerate(zip(sums, deltas))))
     add("convex_shrink_count_bound", theory or (
         None if convex_case and cfg["stopping"] == "gap"
         and consts.delta_cvx is not None and consts.delta0 > consts.delta_cvx
@@ -526,28 +525,24 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
             name, N_s, _shrink_bound(consts, "delta_cvx")))
 
     # --- counts and predicted-vs-observed ----------------------------------
-    report.counts = {"N_r": len(recs) - N_s, "N_s": N_s, "N_eps": trace.N_eps,
-                     "iterations": len(recs)}
-    report.observed = {"iterations": len(recs), "reason": trace.reason}
+    report.counts = {"N_r": len(steps) - N_s, "N_s": N_s, "N_eps": trace.N_eps,
+                     "iterations": len(steps)}
+    report.observed = {"iterations": len(steps), "reason": trace.reason}
 
     if case == "strongly_convex" and f_star is not None:
-        # a last record left out of the partition has no reflection after it
-        first_shrink = shrinks[0][0] if shrinks else None
-        ratios = []
-        if first_shrink is not None:
-            # a gap near the least subnormal can make a ratio overflow
-            ratios = [q for q in (gap(r.S + dS) / gap(r.S)
-                                  for k, dS, r in reflections
-                                  if k > first_shrink and gap(r.S) > 0)
-                      if math.isfinite(q)]
+        # a last record left out of the partition has no reflection after
+        # it; without a shrink no reflection follows one
+        first_shrink = shrinks[0][0] if shrinks else math.inf
+        # a gap near the least subnormal can make a ratio overflow
+        ratios = [q for q in (gap(S + dS) / gap(S)
+                              for k, dS, _, S in reflections
+                              if k > first_shrink and gap(S) > 0)
+                  if math.isfinite(q)]
         if ratios:
             report.observed["worst_reflection_gap_ratio"] = max(ratios)
 
-    d_bar0 = None
-    if f_star is not None:
-        S0 = recs[0].S if recs else summ.get("final_S")
-        if S0 is not None:
-            d_bar0 = gap(S0)
+    S0 = sums[0] if sums else final_S
+    d_bar0 = None if f_star is None or S0 is None else gap(S0)
     if d_bar0 is not None and d_bar0 >= 0:
         try:
             if not theoretical:
@@ -577,5 +572,5 @@ def audit_trace(trace: Trace, consts: ComplexityConstants,
         else "guaranteed only for nonconvex (gradient stopping) and convex "
         "(gap stopping) runs that hit epsilon with preconditions met",
         check=lambda name: _ineq_check(
-            name, [(None, float(len(recs)), report.predicted["iterations"])]))
+            name, [(None, float(len(steps)), report.predicted["iterations"])]))
     return report

@@ -13,9 +13,9 @@ Two acceptance modes are supported: "theoretical" uses the margin
 "reflection_only" algorithm variant accepts every reflection
 unconditionally and never shrinks.
 
-A run yields a Trace: the config snapshot, one record per iteration with
-the quantities the complexity audits consume (radius, value sum, worst-mean
-gap, reflected gap, simplex-gradient norm), and the terminal reason.
+A run yields a Trace: the config snapshot, the per-iteration quantities the
+complexity audits consume (radius, value sum, worst-mean gap, reflected gap,
+simplex-gradient norm), one column each, and the terminal reason.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, asdict
-from operator import attrgetter
 
 import numpy as np
 
@@ -168,60 +168,59 @@ class SolverConfig:
         return d
 
 
-@dataclass
-class IterationRecord:
-    """Quantities taken at the start of iteration k, the record's list index.
+# the keys of a trace's record columns, in order; delta is 2nd
+_STEP, *_FLOATS = _FIELDS = ("step", "delta", "S", "f_best", "f_worst", "v",
+                             "v_r", "simplex_gradient_norm")
 
-    S is the sum of the n+1 vertex values; v the worst-mean gap
-    f(worst) - mean of the n best values; v_r the same gap for the
-    reflection candidate (always evaluated, even before a shrink).
-    """
-
-    step: str  # "reflection" | "shrink"
-    delta: float
-    S: float
-    f_best: float
-    f_worst: float
-    v: float
-    v_r: float
-    simplex_gradient_norm: float
-
-
-# the record fields in order, the columns of a trace's records; delta is 2nd
-_STEP, *_FLOATS = _FIELDS = tuple(f.name for f in fields(IterationRecord))
+# an immutable row of Trace.records, its step "reflection" or "shrink"
+IterationRecord = namedtuple("IterationRecord", _FIELDS)
 
 
 @dataclass
 class Trace:
     """Outcome of a run: config snapshot, per-iteration records, terminal reason.
 
-    The records are the one home of every count (N_r, N_s, N_eps,
-    eval_count); the summary holds only what they cannot give: the final
-    state, the measured objective_calls and, on a regularity failure or an
-    overflow, the drift or the quantity that overflowed.
+    ``columns`` holds the records as the file does, each taken at the start
+    of iteration k, its index in every column: step "r" (a reflection) or
+    "s" (a shrink); S the sum of the n+1 vertex values; v the worst-mean gap
+    f(worst) - mean of the n best values; v_r the same gap for the
+    reflection candidate (always evaluated, even before a shrink).  They
+    hold every count; the summary holds only what they cannot give: the
+    final state, the measured objective_calls and, on a regularity failure
+    or an overflow, the drift or the quantity that overflowed.
     """
 
     config: dict
-    records: list[IterationRecord] = field(default_factory=list)
+    columns: dict = field(default_factory=lambda: {k: [] for k in _FIELDS})
     reason: str = ""
     summary: dict = field(default_factory=dict)
 
     @property
+    def records(self) -> list[IterationRecord]:
+        """The records as :data:`IterationRecord` rows, built afresh."""
+        steps = ["reflection" if c == "r" else "shrink"
+                 for c in self.columns[_STEP]]
+        return list(map(IterationRecord, steps,
+                        *map(self.columns.get, _FLOATS)))
+
+    @property
     def N_s(self) -> int:
-        return sum(1 for r in self.records if r.step == "shrink")
+        return self.columns[_STEP].count("s")
 
     @property
     def N_r(self) -> int:
-        return len(self.records) - self.N_s
+        return len(self.columns[_STEP]) - self.N_s
 
     @property
     def N_eps(self) -> int | None:
         """Iterations to epsilon, or None when the run stopped otherwise."""
-        return len(self.records) if self.reason == "epsilon-reached" else None
+        return (len(self.columns[_STEP]) if self.reason == "epsilon-reached"
+                else None)
 
     @property
     def eval_count(self) -> int:
-        return evaluation_count(self.config["n"], len(self.records), self.N_s)
+        return evaluation_count(self.config["n"], len(self.columns[_STEP]),
+                                self.N_s)
 
     def final_gap(self, f_star: float | None) -> float | None:
         """The mean value gap at the last loop top; None without f* or final_S."""
@@ -230,9 +229,8 @@ class Trace:
             S, self.config["n"], f_star)
 
     def to_dict(self) -> dict:
-        columns = {name: list(map(attrgetter(name), self.records))
-                   for name in _FIELDS}
-        columns[_STEP] = "".join(step[0] for step in columns[_STEP])
+        columns = {name: list(self.columns[name]) for name in _FIELDS}
+        columns[_STEP] = "".join(columns[_STEP])
         return {"config": self.config, "records": columns,
                 "reason": self.reason, "summary": self.summary}
 
@@ -309,9 +307,8 @@ class Trace:
         if "final_S" in summ and not -_MAX <= summ["final_S"] <= _MAX:
             raise ValueError(f"malformed trace: non-finite summary field "
                              f"final_S={summ['final_S']!r}")
-        steps = ["reflection" if c == "r" else "shrink" for c in steps]
-        records = list(map(IterationRecord, steps, *map(columns.get, _FLOATS)))
-        return cls(config=config, records=records, reason=reason, summary=summ)
+        columns = {name: list(columns[name]) for name in _FIELDS}
+        return cls(config=config, columns=columns, reason=reason, summary=summ)
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
@@ -607,12 +604,13 @@ def run(objective, cfg: SolverConfig) -> Trace:
     Each iteration, in order: take the value sum S once, the closed-form
     gradient's norm from the state's running moment (O(n), see
     :class:`SolverState`), and the regularity verdict; test the stopping
-    criterion, the budgets and the practical-mode radius floor; reflect
-    the worst vertex, x0 + (2/n)(T0 - u_w) - u_w, and evaluate the
-    candidate; accept it when f_r - f_worst <= margin * delta_k^2, the
-    margin -(2n+2)/n*beta*L or -eta computed once per run, or else shrink
-    the n non-best vertices toward the best one and re-evaluate them in
-    value order; record.  The vertices keep their slots (see
+    criterion, the budgets and the practical-mode radius floor; reflect the
+    worst vertex, x0 + (2/n)(T0 - u_w) - u_w, and evaluate the candidate;
+    append one entry to each column of the trace, the step "r" when
+    f_r - f_worst <= margin * delta_k^2 (the margin -(2n+2)/n*beta*L or
+    -eta, computed once per run) and "s" otherwise; then accept the
+    candidate or shrink the n non-best vertices toward the best one and
+    re-evaluate them in value order.  The vertices keep their slots (see
     :class:`SolverState`): an accepted reflection writes one row, updates
     the sums about the best vertex x0 and inserts its slot into the value
     order, O(n); a shrink sorts the slots again and re-sums.  The centroid
@@ -669,6 +667,8 @@ def run(objective, cfg: SolverConfig) -> Trace:
     n = cfg.n
     simplex, report = _regular_simplex(cfg.start_center(), cfg.delta0, n)
     trace = Trace(config=cfg.to_dict())
+    steps, deltas, sums, bests, worsts, gaps, gaps_r, norms = (
+        trace.columns.values())
     reflection_only = cfg.algorithm == "reflection_only"
     if cfg.mode == "theoretical":
         margin = -(2.0 * n + 2.0) / n * cfg.beta * cfg.L
@@ -726,7 +726,7 @@ def run(objective, cfg: SolverConfig) -> Trace:
             if cfg.stopping != "none" and crit <= cfg.epsilon:
                 trace.reason = "epsilon-reached"
                 break
-            if (len(trace.records) >= cfg.max_iterations
+            if (len(steps) >= cfg.max_iterations
                     or state.objective_calls >= cfg.max_evaluations):
                 trace.reason = "budget"
                 break
@@ -734,7 +734,6 @@ def run(objective, cfg: SolverConfig) -> Trace:
                 trace.reason = "delta-floor"
                 break
 
-            f_best_k = float(f[0])
             f_worst_k = float(f[n])
             mean_best = float(np.add.reduce(f[:n])) / n
             # the candidate is evaluated even when the step ends in a shrink
@@ -753,13 +752,18 @@ def run(objective, cfg: SolverConfig) -> Trace:
             # underflows; once delta^2 overflows the margin is -inf and the
             # step shrinks
             accepted = reflection_only or f_r - f_worst_k <= margin * _sq(delta)
+            steps.append("r" if accepted else "s")
+            deltas.append(delta)
+            sums.append(S)
+            bests.append(float(f[0]))
+            worsts.append(f_worst_k)
+            gaps.append(v)
+            gaps_r.append(v_r)
+            norms.append(grad_norm)
             if accepted:
                 state.accept(x_r, f_r)
             else:
                 state.shrink(cfg.gamma)
-            trace.records.append(IterationRecord(  # the fields in their order
-                "reflection" if accepted else "shrink", delta, S, f_best_k,
-                f_worst_k, v, v_r, grad_norm))
 
     trace.summary.update({
         "final_delta": state.simplex.radius,

@@ -20,7 +20,7 @@ from rssm.complexity import (
     tail_radius,
 )
 from rssm.objectives import builtin, sublevel_radius
-from rssm.solver import IterationRecord, SolverConfig, Trace, run
+from rssm.solver import SolverConfig, Trace, run
 
 
 def make_consts(**kw):
@@ -296,8 +296,18 @@ def synth_cfg(**kw):
 
 
 def rec(step, delta, S):
-    return IterationRecord(step=step, delta=delta, S=S, f_best=0.0,
-                           f_worst=1.0, v=1.0, v_r=0.0, simplex_gradient_norm=1.0)
+    """One record's entries by column, its step spelled as in the view."""
+    return {"step": step[0], "delta": delta, "S": S, "f_best": 0.0,
+            "f_worst": 1.0, "v": 1.0, "v_r": 0.0, "simplex_gradient_norm": 1.0}
+
+
+def columns(records):
+    """The trace columns of `records`, each a :func:`rec` dict."""
+    cols = Trace(config={}).columns
+    for r in records:
+        for name, column in cols.items():
+            column.append(r[name])
+    return cols
 
 
 def checks_by_name(report):
@@ -312,8 +322,8 @@ def synth_consts(**kw):
 
 def test_audit_flags_radius_law_violation():
     trace = Trace(config=synth_cfg(),
-                  records=[rec("shrink", 1.0, 4.0),
-                           rec("reflection", 0.9, 4.0)],  # should be 0.5
+                  columns=columns([rec("shrink", 1.0, 4.0),
+                                   rec("reflection", 0.9, 4.0)]),  # should be 0.5
                   reason="budget", summary={"final_S": 0.0})
     report = audit_trace(trace, synth_consts())
     ck = checks_by_name(report)["radius_law"]
@@ -327,13 +337,13 @@ def test_audit_flags_radius_law_violation():
 def test_audit_flags_weak_reflection_decrease():
     # margin at n=1 is 4*beta*L*delta^2 = 4; a drop of 2 is not enough
     trace = Trace(config=synth_cfg(),
-                  records=[rec("reflection", 1.0, 10.0)],
+                  columns=columns([rec("reflection", 1.0, 10.0)]),
                   reason="budget", summary={"final_S": 8.0})
     report = audit_trace(trace, synth_consts())
     assert checks_by_name(report)["reflection_decrease"].status == "fail"
 
     ok = Trace(config=synth_cfg(),
-               records=[rec("reflection", 1.0, 10.0)],
+               columns=columns([rec("reflection", 1.0, 10.0)]),
                reason="budget", summary={"final_S": 5.9})
     report = audit_trace(ok, synth_consts())
     assert checks_by_name(report)["reflection_decrease"].status == "pass"
@@ -342,20 +352,20 @@ def test_audit_flags_weak_reflection_decrease():
 def test_audit_reads_last_step_from_final_S():
     # shrink ascent cap at n=1, delta=1: L*gamma*(1-gamma)*(n+1) = 0.5
     bad = Trace(config=synth_cfg(),
-                records=[rec("shrink", 1.0, 4.0)],
+                columns=columns([rec("shrink", 1.0, 4.0)]),
                 reason="budget", summary={"final_S": 4.6})
     report = audit_trace(bad, synth_consts())
     assert checks_by_name(report)["shrink_ascent_per_step"].status == "fail"
 
     edge = Trace(config=synth_cfg(),
-                 records=[rec("shrink", 1.0, 4.0)],
+                 columns=columns([rec("shrink", 1.0, 4.0)]),
                  reason="budget", summary={"final_S": 4.5})
     report = audit_trace(edge, synth_consts())
     assert checks_by_name(report)["shrink_ascent_per_step"].status == "pass"
 
     # without final_S the last step has no known change and is left out
     unknown = Trace(config=synth_cfg(),
-                    records=[rec("shrink", 1.0, 4.0)],
+                    columns=columns([rec("shrink", 1.0, 4.0)]),
                     reason="budget", summary={})
     ck = checks_by_name(audit_trace(unknown, synth_consts()))[
         "shrink_ascent_per_step"]
@@ -364,7 +374,7 @@ def test_audit_reads_last_step_from_final_S():
 
 def test_audit_eval_identity():
     base = dict(config=synth_cfg(),
-                records=[rec("reflection", 1.0, 4.0)],
+                columns=columns([rec("reflection", 1.0, 4.0)]),
                 reason="budget")
     # n=1: two initial calls and one accepted reflection
     good = Trace(summary={"final_S": 0.0, "objective_calls": 3}, **base)
@@ -380,26 +390,26 @@ def test_audit_eval_identity():
         "eval_identity"].status == "skipped"
 
 
-def test_audit_takes_its_counts_from_one_walk(monkeypatch):
+def test_audit_takes_its_counts_from_one_read(monkeypatch):
     trace = run(builtin("quad-iso", 3),
                 SolverConfig(n=3, stopping="none", max_iterations=40))
     N_s, N_r = trace.N_s, trace.N_r
-    walks = []
+    reads = []
 
     def counted(self):
-        walks.append(1)
-        return sum(1 for r in self.records if r.step == "shrink")
+        reads.append(1)
+        return N_s
 
     monkeypatch.setattr(Trace, "N_s", property(counted))
     report = audit_trace(trace, constants_for_trace(trace, L=2.0))
-    assert len(walks) == 1
+    assert len(reads) == 1
     assert (report.counts["N_r"], report.counts["N_s"]) == (N_r, N_s) != (40, 0)
     assert checks_by_name(report)["eval_identity"].status == "pass"
 
 
 def test_audit_skips_need_preconditions():
     trace = Trace(config=synth_cfg(mode="practical", beta=None, eta=1e-3),
-                  records=[rec("reflection", 1.0, 4.0)],
+                  columns=columns([rec("reflection", 1.0, 4.0)]),
                   reason="budget", summary={"final_S": 0.0})
     names = checks_by_name(audit_trace(trace, synth_consts(), case="nonconvex"))
     assert names["reflection_decrease"].status == "skipped"
@@ -413,7 +423,7 @@ def test_audit_skips_need_preconditions():
 def test_audit_convex_checks_on_synthetic_trace():
     cfg = synth_cfg(stopping="gap")
     consts = synth_consts(R=2.0)  # kappa2 = 0.5 at n=1
-    up = Trace(config=cfg, records=[rec("shrink", 1.0, 4.0)],
+    up = Trace(config=cfg, columns=columns([rec("shrink", 1.0, 4.0)]),
                reason="epsilon-reached", summary={"final_S": 4.4})
     report = audit_trace(up, consts, case="convex", f_star=0.0)
     names = checks_by_name(report)
@@ -421,7 +431,7 @@ def test_audit_convex_checks_on_synthetic_trace():
     assert names["radius_tail_lower_bound"].status == "pass"
     assert names["convex_shrink_count_bound"].status == "pass"
 
-    down = Trace(config=cfg, records=[rec("shrink", 1.0, 4.0)],
+    down = Trace(config=cfg, columns=columns([rec("shrink", 1.0, 4.0)]),
                  reason="epsilon-reached", summary={"final_S": 3.9})
     report = audit_trace(down, consts, case="convex", f_star=0.0)
     names = checks_by_name(report)
@@ -432,7 +442,7 @@ def test_audit_convex_checks_on_synthetic_trace():
 
 
 def test_audit_rejects_mismatched_constants():
-    trace = Trace(config=synth_cfg(), records=[], reason="budget", summary={})
+    trace = Trace(config=synth_cfg(), reason="budget", summary={})
     with pytest.raises(ValueError, match="mismatch"):
         audit_trace(trace, synth_consts(n=2, delta0=1.0))
     with pytest.raises(ValueError, match="beta"):
@@ -489,7 +499,7 @@ def oracle_count_check(name, N_s, bound):
 ])
 def test_radius_law_matches_its_loop_oracle(steps, status):
     trace = Trace(config=synth_cfg(),
-                  records=[rec(step, d, 4.0) for step, d in steps],
+                  columns=columns([rec(step, d, 4.0) for step, d in steps]),
                   reason="budget", summary={"final_S": 4.0})
     consts = synth_consts()
     got = checks_by_name(audit_trace(trace, consts))["radius_law"]
@@ -510,7 +520,7 @@ def test_shrink_count_checks_match_their_oracle(N_s):
              _shrink_bound(synth_consts(R=2.0), "delta_cvx"),
              math.log(400.0) / math.log(2.0))):
         assert bound == pytest.approx(near)
-        trace = Trace(config=cfg, records=records, reason="budget",
+        trace = Trace(config=cfg, columns=columns(records), reason="budget",
                       summary={"final_S": 4.0})
         got = checks_by_name(audit_trace(trace, consts, case=case))[name]
         assert got.status == ("pass" if N_s < bound else "fail")
@@ -590,9 +600,9 @@ def test_audit_fails_on_a_nan_value_sum():
     consts = constants_for_trace(trace, L=obj.L)
     assert audit_trace(trace, consts, f_star=obj.f_star).passed
     # the first record after a reflection: that step's dS is the first NaN
-    j = next(k for k in range(1, len(trace.records))
-             if trace.records[k - 1].step == "reflection")
-    trace.records[j].S = math.nan
+    steps = trace.columns["step"]
+    j = next(k for k in range(1, len(steps)) if steps[k - 1] == "r")
+    trace.columns["S"][j] = math.nan
     report = audit_trace(trace, consts, f_star=obj.f_star)
     assert not report.passed
     ck = checks_by_name(report)["reflection_decrease"]

@@ -1,7 +1,6 @@
 """Solver state machine: acceptance rule, stepping, traces, stopping."""
 
 import ast
-import dataclasses
 import json
 import math
 import warnings
@@ -14,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import rssm.simplex
 import rssm.solver
+from rssm import cli
+from rssm.complexity import audit_trace, constants_for_trace
+from rssm.experiments import ExperimentPlan, run_cell
 from rssm.interpolation import simplex_gradient
-from rssm.objectives import Objective, builtin
+from rssm.objectives import Objective, builtin, sublevel_radius
 from rssm.simplex import (
     CenterResolutionError,
     RegularityReport,
@@ -1061,8 +1063,7 @@ def test_trace_json_round_trip():
     assert back.to_json() == text
     parsed = json.loads(text)
     assert set(parsed) == {"config", "records", "reason", "summary"}
-    assert set(parsed["records"]) == {
-        f.name for f in dataclasses.fields(rssm.solver.IterationRecord)}
+    assert set(parsed["records"]) == set(rssm.solver.IterationRecord._fields)
 
 
 def _three_runs():
@@ -1076,12 +1077,12 @@ def _three_runs():
     yield run(const, _theoretical_cfg(max_iterations=100_000))
 
 
-def test_traces_serialise_as_dataclasses_asdict_does():
+def test_traces_serialise_as_the_row_dicts_do():
     reasons = []
     for trace in _three_runs():
         reasons.append(trace.reason)
         assert trace.records
-        rows = [dataclasses.asdict(r) for r in trace.records]
+        rows = [r._asdict() for r in trace.records]
         columns = {key: [row[key] for row in rows] for key in rows[0]}
         columns["step"] = "".join({"reflection": "r", "shrink": "s"}[step]
                                   for step in columns["step"])
@@ -1095,7 +1096,7 @@ def test_traces_serialise_as_dataclasses_asdict_does():
 def test_record_dicts_do_not_alias_the_records():
     trace = run(builtin("quad-iso", 2), SolverConfig(n=2, stopping="none",
                                                      max_iterations=5))
-    before = [dataclasses.asdict(r) for r in trace.records]
+    before = [r._asdict() for r in trace.records]
     text = trace.to_json()
     columns = trace.to_dict()["records"]
     columns["delta"][0] = -1.0
@@ -1103,15 +1104,76 @@ def test_record_dicts_do_not_alias_the_records():
     for column in columns.values():
         if isinstance(column, list):
             column.clear()
-    assert [dataclasses.asdict(r) for r in trace.records] == before
+    assert [r._asdict() for r in trace.records] == before
     assert not hasattr(trace.records[0], "extra")
     assert trace.to_json() == text
 
 
+def test_loads_do_not_alias_the_dict():
+    d = run(builtin("quad-iso", 2), SolverConfig(n=2, stopping="none",
+                                                 max_iterations=5)).to_dict()
+    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    # an edit of the dict after the load leaves the trace as it was
+    trace = Trace.from_dict(d)
+    d["records"]["delta"][0] = -1.0
+    d["records"]["S"].clear()
+    d["records"]["step"] = "bogus"
+    assert trace.to_json() == text
+    # an edit of the trace's columns leaves the dict as it was
+    d = json.loads(text)
+    trace = Trace.from_dict(d)
+    trace.columns["delta"][0] = -1.0
+    trace.columns["S"].clear()
+    trace.columns["step"][0] = "x"
+    assert json.dumps(d, sort_keys=True, separators=(",", ":")) == text
+
+
+def test_the_record_view_is_the_columns_as_immutable_rows():
+    trace = run(builtin("damped-sine", 2), SolverConfig(
+        n=2, stopping="none", max_iterations=20, center=0.7))
+    assert trace.N_s > 0 and trace.N_r > 0
+    rows = trace.records
+    fields = rssm.solver.IterationRecord._fields
+    assert fields == tuple(trace.columns)
+    words = {"r": "reflection", "s": "shrink"}
+    assert {name: [getattr(r, name) for r in rows] for name in fields} == {
+        **trace.columns, "step": [words[c] for c in trace.columns["step"]]}
+    with pytest.raises(AttributeError):
+        rows[0].S = 0.0
+
+
+def test_the_package_reads_the_columns_and_never_the_record_view(
+        monkeypatch, tmp_path, capsys):
+    def unread(self):
+        raise AssertionError("Trace.records was read")
+
+    monkeypatch.setattr(Trace, "records", property(unread))
+    obj = builtin("quad-iso", 2)
+    trace = run(obj, _theoretical_cfg(L=obj.L, stopping="gap", epsilon=1e-3,
+                                      max_iterations=10_000))
+    text = trace.to_json()
+    back = Trace.from_json(text)
+    assert back.to_json() == text and back.reason == "epsilon-reached"
+    R = sublevel_radius(obj, back.columns["S"][0] / 3.0)
+    consts = constants_for_trace(back, L=obj.L, R=R, mu=obj.mu)
+    assert audit_trace(back, consts, case="strongly_convex",
+                       f_star=obj.f_star).passed
+    path = tmp_path / "trace.json"
+    assert cli.main(["solve", "--objective", "sin-quad", "--n", "2",
+                     "--mode", "theoretical", "--beta", "1", "--L", "8",
+                     "--stopping", "true_gradient", "--epsilon", "1e-3",
+                     "--start", "1.7", "--trace-out", str(path)]) == 0
+    assert cli.main(["audit", "--trace-in", str(path), "--case", "pl",
+                     "--L", "8", "--fstar", "0"]) == 0
+    assert "iterations: " in capsys.readouterr().out
+    row = run_cell(ExperimentPlan(objective="quad-iso", dims=(2,),
+                                  epsilons=(1e-3,)), n=2, epsilon=1e-3, seed=0)
+    assert row.reason == "epsilon-reached" and row.N_s > 0
+
+
 def _columns(**changed) -> dict:
     """The records column object of one shrink, with `changed` columns."""
-    columns = {f.name: [1.0] for f in
-               dataclasses.fields(rssm.solver.IterationRecord)}
+    columns = {name: [1.0] for name in rssm.solver.IterationRecord._fields}
     columns["step"] = "s"
     columns.update(changed)
     return columns
@@ -1217,7 +1279,7 @@ def test_config_takes_numpy_numbers():
 def test_trace_json_rejects_a_non_finite_record():
     trace = run(builtin("quad-iso", 2),
                 SolverConfig(n=2, stopping="none", max_iterations=2))
-    trace.records[1].S = math.inf
+    trace.columns["S"][1] = math.inf
     with pytest.raises(ValueError):
         trace.to_json()
 

@@ -79,7 +79,6 @@ test suite, and CI runs it twice and compares the two dumps.
 
 from __future__ import annotations
 
-import dataclasses
 import fnmatch
 import hashlib
 import json
@@ -211,12 +210,12 @@ def _digest(a) -> str:
 
 def _listing(trace) -> str:
     """The trace apart from its file layout: one line per record, the repr
-    of each field in declaration order, then the reason and the summary."""
-    from rssm import solver
-
-    names = [f.name for f in dataclasses.fields(solver.IterationRecord)]
-    lines = [" ".join(repr(getattr(r, name)) for name in names)
-             for r in trace.records]
+    of each column's entry in column order, the step spelled 'reflection'
+    or 'shrink', then the reason and the summary."""
+    columns = dict(trace.columns)
+    columns["step"] = ["reflection" if c == "r" else "shrink"
+                       for c in columns["step"]]
+    lines = [" ".join(map(repr, row)) for row in zip(*columns.values())]
     lines += [repr(trace.reason), json.dumps(trace.summary, sort_keys=True)]
     return "\n".join(lines) + "\n"
 
@@ -285,8 +284,8 @@ def dump_traces(out: Path) -> None:
         case = obj.convexity
         R = mu = None
         if case in complexity.CONVEX_CASES:
-            R = objectives.sublevel_radius(obj,
-                                           back.records[0].S / (cfg.n + 1.0))
+            R = objectives.sublevel_radius(
+                obj, back.columns["S"][0] / (cfg.n + 1.0))
         if case == "strongly_convex":
             mu = obj.mu
         # the constant objective has no L of its own; its config carries one
