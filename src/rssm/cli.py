@@ -26,8 +26,8 @@ import numpy as np
 from . import objectives
 from .simplex import Simplex, _point, make_regular_simplex
 from .interpolation import CLASSES, QUERY_KINDS, SIGNS, bound_report
-from .solver import (ALGORITHMS, MODES, STOPPING_RULES, SolverConfig, Trace,
-                     run, EvaluationError)
+from .solver import (MODES, STOPPING_RULES, SolverConfig, Trace, run,
+                     EvaluationError)
 from .complexity import ETA_SPLIT, constants_for_trace, audit_trace
 from .experiments import ExperimentPlan, run_scaling, write_csv
 
@@ -75,9 +75,8 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(
         n=args.n, delta0=args.delta0, gamma=args.gamma,
         epsilon=args.epsilon, mode=args.mode, beta=args.beta, eta=args.eta,
-        L=obj.L if args.L is None else args.L, algorithm=args.algorithm,
-        stopping=args.stopping, max_iterations=args.max_iter,
-        max_evaluations=args.max_evals,
+        L=obj.L if args.L is None else args.L, stopping=args.stopping,
+        max_iterations=args.max_iter, max_evaluations=args.max_evals,
         center=_point("--start", _parse_floats(args.start), args.n))
     trace = run(obj, cfg)
     if args.trace_out:
@@ -241,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smoothness constant; defaults to objective metadata")
     p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
     p.add_argument("--mode", choices=MODES, default=SolverConfig.mode)
-    p.add_argument("--algorithm", choices=ALGORITHMS,
-                   default=SolverConfig.algorithm)
     p.add_argument("--stopping", choices=STOPPING_RULES,
                    default=SolverConfig.stopping)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)

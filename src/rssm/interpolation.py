@@ -160,10 +160,10 @@ def lagrange_coefficients(s: Simplex, x) -> QueryCoefficients:
     closed-form inverse at most _FRAME_TOL/(n+1) in every entry) the weights
     are the closed form 1/(n+1) + (n/(n+1)) y_i.(x - c)/delta, refined by one
     O(n^2) residual correction with the same inverse: no SVD and no solve
-    (:func:`_frame_weights`).  The certificate itself bounds the
-    affine system's reciprocal condition far above ``simplex.RCOND_MIN``, so
-    the guard cannot fire there.  Any other simplex takes the guarded solve
-    of ``simplex._affine_system``.
+    (:func:`_frame_weights`).  The certificate itself bounds the affine
+    system's reciprocal condition below by about 1/sqrt(n), far above
+    ``simplex.RCOND_MIN``, so the guard cannot fire there.  Any other
+    simplex takes the guarded solve of ``simplex._affine_system``.
 
     Raises:
         ValueError: x is not a finite point of R^n (``simplex._point``), or
@@ -251,7 +251,8 @@ def _two_cluster_form(Gm: np.ndarray, q: QueryCoefficients,
 
     On a regular simplex the three canonical queries give this form: the
     centroid a scalar G, the reflection u along the one vertex of negative
-    weight, the shrink u along either vertex of nonzero weight.  u is read
+    weight, the shrink u along either vertex of nonzero weight; a shrink
+    query lies on an edge, so its G is rank one on any simplex.  u is read
     from the sign partition: the offset x_i - x of the one negative vertex,
     else (no negative vertex) of the first positive one; any other
     partition, and n = 1, returns None.  lam_u = u'Gu and lam_c is the mean

@@ -9,9 +9,7 @@ throughout, so delta_k = delta_0 * gamma^(number of shrinks).
 
 Two acceptance modes are supported: "theoretical" uses the margin
 (2n+2)/n * beta * L * delta_k^2 (requires the smoothness constant L), and
-"practical" uses eta * delta_k^2 for a user-chosen eta > 0.  The
-"reflection_only" algorithm variant accepts every reflection
-unconditionally and never shrinks.
+"practical" uses eta * delta_k^2 for a user-chosen eta > 0.
 
 A run yields a Trace: the config snapshot, the per-iteration quantities the
 complexity audits consume (radius, value sum, worst-mean gap, reflected gap,
@@ -49,7 +47,6 @@ __all__ = [
 ]
 
 MODES = ("theoretical", "practical")
-ALGORITHMS = ("rssm", "reflection_only")
 STOPPING_RULES = ("simplex_gradient", "true_gradient", "gap", "none")
 # the terminal reasons run writes
 STOP_REASONS = ("epsilon-reached", "budget", "delta-floor",
@@ -110,8 +107,6 @@ class SolverConfig:
         eta: acceptance scale for practical mode.
         L: smoothness constant, theoretical mode only.
             beta, eta and L are positive and finite when given.
-        algorithm: "rssm" or "reflection_only" (accept every reflection,
-            never shrink).
         stopping: "simplex_gradient" (||grad of interpolant at centroid||
             <= epsilon), "true_gradient" (test objectives only), "gap"
             (mean vertex value - f* <= epsilon; needs f* metadata), or
@@ -129,7 +124,6 @@ class SolverConfig:
     beta: float | None = None
     eta: float | None = 1e-3
     L: float | None = None
-    algorithm: str = "rssm"
     stopping: str = "simplex_gradient"
     max_iterations: int = 100_000
     max_evaluations: int = 10_000_000
@@ -140,8 +134,6 @@ class SolverConfig:
             _positive_int(name, getattr(self, name))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.stopping not in STOPPING_RULES:
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
         needs = ("beta", "L") if self.mode == "theoretical" else ("eta",)
@@ -245,11 +237,12 @@ class Trace:
         Raises:
             ValueError: `d` holds what :func:`run` never writes: no `config`,
                 `records` or `reason`; a `config` not an object, lacking a
-                :class:`SolverConfig` field, rejected by it or with a `center`
-                not a length-`n` list; `records` not in the column layout, or
-                with a step not r or s, a mistyped or non-finite value or a
-                `delta` <= 0; an unknown `reason`; a non-object `summary`, a
-                mistyped `objective_calls` or a `final_S` not a finite number.
+                :class:`SolverConfig` field or holding a key that is none,
+                rejected by it or with a `center` not a length-`n` list;
+                `records` not in the column layout, or with a step not r or
+                s, a mistyped or non-finite value or a `delta` <= 0; an
+                unknown `reason`; a non-object `summary`, a mistyped
+                `objective_calls` or a `final_S` not a finite number.
         """
         try:
             config, columns, reason = d["config"], d["records"], d["reason"]
@@ -283,10 +276,15 @@ class Trace:
                 if not (type(x) in _REAL and low <= x <= _MAX):  # type first
                     raise ValueError(f"malformed trace: record {i} is not one "
                                      f"run writes: {name} {x!r}")
-        missing = [f.name for f in fields(SolverConfig) if f.name not in config]
+        names = [f.name for f in fields(SolverConfig)]
+        missing = [name for name in names if name not in config]
         if missing:
             raise ValueError(
                 f"malformed trace: config lacks {', '.join(missing)}")
+        unknown = [str(key) for key in config if key not in names]
+        if unknown:
+            raise ValueError(f"malformed trace: config has unknown field "
+                             f"{', '.join(unknown)}")
         try:
             SolverConfig(**config)
         except (TypeError, ValueError) as exc:
@@ -395,7 +393,8 @@ class SolverState:
     T0 = sum_i (x_i - x0), ``_moment`` is P = sum_i (f_i - f0)(x_i - x0)/delta
     and ``_excess`` is s/delta = sum_i (f_i - f0)/delta.  The centroid is
     x0 + T0/(n+1) and the reflection of the worst vertex x_w is
-    x0 + (2/n)(T0 - u_w) - u_w, u_w = x_w - x0, each O(n).  An accepted
+    x0 + (2/n)(T0 - u_w) - u_w, u_w = x_w - x0, each O(n), and each differs
+    from what sums of the rows give in its last bits.  An accepted
     reflection writes one row and adds its change to each sum in O(n), from
     d = x_r - x_w (T0 gains d itself) and the u_w the reflection took, and
     :meth:`_gradient_norm` reads the closed-form gradient from them in O(n).
@@ -404,8 +403,10 @@ class SolverState:
     (n+1) |g|.  A sum of the vertices, or s taken as S - (n+1) f0, would
     carry the rounding of the coordinates or the values themselves, which
     far from the origin or near a stationary point exceeds the geometry or
-    the gradient; ``tests/test_exact_geometry.py`` holds the centroid, the
-    reflection and the gradient to a-priori bounds after up to n+1 updates.
+    the gradient (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 4).  ``tests/test_exact_geometry.py`` holds the
+    centroid, the reflection and the gradient to a-priori bounds after up
+    to n+1 updates.
     ``_reach`` is R = ||x0|| + a delta (:func:`_drift_constants`), taken
     at each re-sum: u R bounds the rounding of the centroid and of the
     reflection, and R every row's norm.
@@ -428,6 +429,9 @@ class SolverState:
     every later report it takes.  :meth:`_drift_bound` turns kappa into a
     bound on the exact report; a NaN in kappa, R or delta, or an inf in
     kappa or R, leaves that bound NaN or inf.
+    ``tests/test_exact_geometry.py`` holds kappa to every exact squared edge
+    and squared radius of the float vertices along random walks of
+    reflections and shrinks.
     """
 
     def __init__(self, simplex: Simplex, objective):
@@ -552,7 +556,10 @@ class SolverState:
         = n/((n+1) delta) h, h the :meth:`_centred_moment`: O(n).  h is
         divided by delta before it is squared, as the frame form divides
         its gradient, so the square underflows no sooner than the frame
-        form's and overflows no later."""
+        form's and overflows no later.  The closed form is exact only on a
+        regular simplex, so its relative error is of the order of the
+        certified drift; the moment and the frame form give it within a few
+        roundings of each other."""
         v = self._centred_moment()
         v /= self.simplex.radius
         n = len(self.order) - 1
@@ -564,7 +571,9 @@ class SolverState:
         Every exact radius about the exact centroid and every exact edge
         lies within a factor sqrt(1 +- kappa) of its ideal, the centroid
         x0 + T0/(n+1) within u R of the exact one, and the report's
-        rounding within B.  NaN or inf when the budget holds one."""
+        rounding within B.  No growth or Gower factor enters, as Phi maps
+        the exact centroid to the exact centroid.  NaN or inf when the
+        budget holds one."""
         kappa = self._kappa
         # 1 - sqrt(1 - kappa) without its cancellation; kappa from kappa >= 1
         loss = kappa / (1.0 + math.sqrt(max(1.0 - kappa, 0.0)))
@@ -601,61 +610,51 @@ def _check_stopping(objective, cfg: SolverConfig) -> None:
 def run(objective, cfg: SolverConfig) -> Trace:
     """Run the search loop until the stopping criterion, a budget or a failure.
 
-    Each iteration, in order: take the value sum S once, the closed-form
-    gradient's norm from the state's running moment (O(n), see
-    :class:`SolverState`), and the regularity verdict; test the stopping
-    criterion, the budgets and the practical-mode radius floor; reflect the
-    worst vertex, x0 + (2/n)(T0 - u_w) - u_w, and evaluate the candidate;
-    append one entry to each column of the trace, the step "r" when
-    f_r - f_worst <= margin * delta_k^2 (the margin -(2n+2)/n*beta*L or
-    -eta, computed once per run) and "s" otherwise; then accept the
-    candidate or shrink the n non-best vertices toward the best one and
-    re-evaluate them in value order.  The vertices keep their slots (see
-    :class:`SolverState`): an accepted reflection writes one row, updates
-    the sums about the best vertex x0 and inserts its slot into the value
-    order, O(n); a shrink sorts the slots again and re-sums.  The centroid
-    x0 + T0/(n+1) and the radius-normalised centred frame of the vertices
-    in value order, O(n^2), are built only where the distortion budget does
-    not certify the verdict, for the exact report, or where the norm from
-    the moment is not finite, which the frame form then decides; the
-    centroid also where the "true_gradient" rule reads it.  S, f_best,
-    f_worst and the mean of the n best are read from the values in value
-    order; x_r and the centroid, taken from offsets about x0, differ from
-    what sums of the rows give in their last bits.
+    Each loop top, in order:
 
-    The regularity verdict is certified a priori where it can be: the
-    state's distortion budget kappa (:class:`SolverState`), anchored from
-    the exact report that certified the starting simplex and grown by the
-    rounding bound of each reflection and shrink, bounds the exact report
-    of the frame, and while that bound is at most half of
-    REGULARITY_FAIL_TOL the loop top reads nothing else and builds no
-    frame.  Otherwise the loop top takes the exact report, which decides
-    the verdict and, where it passes, anchors kappa afresh; a NaN or inf
-    in the budget leaves the loop top uncertified, so it takes the
-    report.  A certified verdict passes only where the exact report is
-    within REGULARITY_FAIL_TOL, so the stop iteration and
-    ``summary["regularity"]`` are those of a report taken every iteration.
+    1. take the value sum S once;
+    2. take the simplex gradient's norm in closed form from the state's
+       moment, or from the frame of the vertices where that is not finite;
+    3. decide the regularity verdict: the state's distortion budget
+       certifies it while its bound on the exact report is at most half of
+       REGULARITY_FAIL_TOL; otherwise the exact report of the frame decides
+       it and, where it passes, anchors the budget afresh.  A certified
+       verdict passes only where the exact report is within
+       REGULARITY_FAIL_TOL, so each verdict is the one a report taken every
+       iteration gives;
+    4. test the stopping criterion, then the budgets, then in practical
+       mode the radius floor DELTA_FLOOR_FRACTION * delta0;
+    5. reflect the worst vertex and evaluate the candidate, even when the
+       step ends in a shrink;
+    6. append one entry to each column of the trace, the step "r" when
+       f_r - f_worst <= margin * delta_k^2 (the margin -(2n+2)/n*beta*L or
+       -eta) and "s" otherwise; then accept the candidate, or shrink the n
+       non-best vertices toward the best one and evaluate them.
 
-    The criterion is tested at the top of every iteration, so on
-    "epsilon-reached" the number of records is the first iteration index at
-    which it held.  The closed-form gradient is exact only on a regular
-    simplex, so its relative error is of the order of the certified drift;
-    the loop solves no linear system.  The moment and the frame form give
-    it within a few roundings of each other, so against a frame taken
-    every iteration only ``simplex_gradient_norm`` and
-    ``final_gradient_norm`` move, in their last bits.  On
-    "regularity-failure" the summary's ``final_gradient_norm`` is the
-    closed form on the rejected simplex, to be read with the drift in
-    ``summary["regularity"]`` beside it.  A value sum
-    S or a gradient norm that is not finite ends the run as "overflow", with
-    no numpy warning; ``summary["overflow"]`` names it and its value, and
-    ``final_S`` and ``final_gradient_norm`` are kept when finite.  So does a
-    record's gap v or v_r, after the candidate's evaluation (counted in
-    ``objective_calls``) and before the step: the earlier records are kept.
+    The frame and the centroid are built only where steps 2 and 3 or the
+    "true_gradient" rule read them, and the loop solves no linear system.
+    :class:`SolverState` derives the sums, the gradient and the budget.
+
+    Every stop writes final_delta, final_values, best_point, best_value and
+    the measured objective_calls to the summary, and final_S and
+    final_gradient_norm where they are finite.  The reasons:
+
+    - "epsilon-reached": the criterion held at step 4; the number of
+      records is the first iteration index at which it held.
+    - "budget": max_iterations records, or max_evaluations objective calls.
+    - "delta-floor": the practical-mode radius floor.
+    - "regularity-failure": the exact report failed at step 3;
+      ``summary["regularity"]`` is that report, and final_gradient_norm
+      the closed form on the rejected simplex.
+    - "overflow": S at step 1, the gradient norm at step 2, or a record's
+      gap v or v_r left the double range; the last stops after step 5's
+      evaluation, counted in objective_calls, and before the step.
+      ``summary["overflow"]`` names the quantity and its value.
+
     Every objective call of a run, the n+1 starting evaluations among them,
     runs under one numpy error state that ignores overflow and invalid
-    operations, so an objective's own numpy warnings of those kinds are
-    not shown.
+    operations, so neither the loop nor the objective shows numpy warnings
+    of those kinds.
 
     Raises:
         ValueError: the objective cannot serve cfg.stopping
@@ -669,7 +668,6 @@ def run(objective, cfg: SolverConfig) -> Trace:
     trace = Trace(config=cfg.to_dict())
     steps, deltas, sums, bests, worsts, gaps, gaps_r, norms = (
         trace.columns.values())
-    reflection_only = cfg.algorithm == "reflection_only"
     if cfg.mode == "theoretical":
         margin = -(2.0 * n + 2.0) / n * cfg.beta * cfg.L
     else:
@@ -748,10 +746,9 @@ def run(objective, cfg: SolverConfig) -> Trace:
                 trace.summary["overflow"] = (
                     f"{_FIELD_OVERFLOW}{name} is {value!r}")
                 break
-            # a boolean, not a margin of -inf: -inf * 0.0 is NaN once delta^2
-            # underflows; once delta^2 overflows the margin is -inf and the
+            # once delta^2 overflows the required decrease is -inf and the
             # step shrinks
-            accepted = reflection_only or f_r - f_worst_k <= margin * _sq(delta)
+            accepted = f_r - f_worst_k <= margin * _sq(delta)
             steps.append("r" if accepted else "s")
             deltas.append(delta)
             sums.append(S)

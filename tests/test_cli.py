@@ -25,7 +25,6 @@ from rssm.interpolation import (
 from rssm.objectives import Objective, builtin_names
 from rssm.simplex import make_regular_simplex
 from rssm.solver import (
-    ALGORITHMS,
     MODES,
     STOPPING_RULES,
     SolverConfig,
@@ -598,6 +597,19 @@ def test_audit_rejects_a_trace_in_the_row_layout(sin_quad_trace, tmp_path,
         "simplex_gradient_norm each a list; not list"]
 
 
+def test_audit_rejects_a_trace_with_the_algorithm_field(sin_quad_trace,
+                                                        tmp_path, capsys):
+    # every trace written while SolverConfig had an algorithm field holds it
+    sin_quad_trace["config"]["algorithm"] = "rssm"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(sin_quad_trace))
+    code, out, err = run_cli(capsys, "audit", "--trace-in", str(path),
+                             "--case", "pl", "--L", "8", "--fstar", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: malformed trace: config has unknown field algorithm"]
+
+
 @pytest.fixture()
 def quad_iso_gap_trace(tmp_path, capsys):
     path = tmp_path / "g.json"
@@ -783,12 +795,10 @@ def test_solve_options_are_the_solver_config_defaults_and_choices():
     for dest, name in (("delta0", "delta0"), ("gamma", "gamma"),
                        ("beta", "beta"), ("eta", "eta"),
                        ("epsilon", "epsilon"), ("mode", "mode"),
-                       ("algorithm", "algorithm"), ("stopping", "stopping"),
-                       ("max_iter", "max_iterations"),
+                       ("stopping", "stopping"), ("max_iter", "max_iterations"),
                        ("max_evals", "max_evaluations")):
         assert opts[dest].default == getattr(SolverConfig, name), dest
     assert opts["mode"].choices == MODES
-    assert opts["algorithm"].choices == ALGORITHMS
     assert opts["stopping"].choices == STOPPING_RULES
 
 

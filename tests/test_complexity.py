@@ -288,9 +288,8 @@ def test_practical_audit_reads_no_beta(name, n):
 
 def synth_cfg(**kw):
     base = dict(n=1, delta0=1.0, gamma=0.5, epsilon=1e-2, mode="theoretical",
-                beta=1.0, eta=None, L=1.0, algorithm="rssm",
-                stopping="true_gradient", max_iterations=100,
-                max_evaluations=1000, center=[0.0])
+                beta=1.0, eta=None, L=1.0, stopping="true_gradient",
+                max_iterations=100, max_evaluations=1000, center=[0.0])
     base.update(kw)
     return base
 

@@ -155,18 +155,6 @@ def test_practical_quad_iso_reaches_tolerance():
     assert trace.summary["objective_calls"] == trace.eval_count + trace.N_s
 
 
-def test_reflection_only_never_shrinks():
-    obj = builtin("quad-iso", 2)
-    cfg = SolverConfig(n=2, algorithm="reflection_only", stopping="none",
-                       max_iterations=50)
-    trace = run(obj, cfg)
-    assert trace.reason == "budget"
-    assert trace.N_r == 50 and trace.N_s == 0
-    assert all(r.step == "reflection" for r in trace.records)
-    assert all(r.delta == 1.0 for r in trace.records)
-    assert trace.summary["final_delta"] == 1.0
-
-
 def test_evaluation_budget_counts_objective_calls():
     obj = builtin("quad-iso", 2)
     cfg = SolverConfig(n=2, stopping="none", max_evaluations=4)
@@ -832,23 +820,28 @@ def test_gap_stopping_without_f_star_fails_before_evaluating():
     assert obj.calls == 0
 
 
-@pytest.mark.parametrize("obj, cfg, reason", [
+@pytest.mark.parametrize("obj, cfg, reason, shrinks", [
     (builtin("quad-iso", 3), SolverConfig(n=3, epsilon=1e-5, center=2.0),
-     "epsilon-reached"),
+     "epsilon-reached", None),
     # shrinks only, until the geometry drifts
     (Objective("const", 2, lambda x: 1.0),
-     _theoretical_cfg(center=1.7, max_iterations=100_000), "regularity-failure"),
-    (builtin("sin-quad", 2),
-     SolverConfig(n=2, algorithm="reflection_only", stopping="none",
-                  max_iterations=50), "budget"),
+     _theoretical_cfg(center=1.7, max_iterations=100_000), "regularity-failure",
+     None),
+    # far from the minimiser every reflection is accepted
     (builtin("quad-iso", 2),
-     SolverConfig(n=2, stopping="none", max_evaluations=20), "budget"),
+     SolverConfig(n=2, stopping="none", max_iterations=20, center=20.0),
+     "budget", 0),
+    (builtin("quad-iso", 2),
+     SolverConfig(n=2, stopping="none", max_evaluations=20), "budget", None),
 ])
-def test_objective_calls_are_the_calls_the_objective_saw(obj, cfg, reason):
+def test_objective_calls_are_the_calls_the_objective_saw(obj, cfg, reason,
+                                                         shrinks):
     counted = _Counted(obj)
     trace = run(counted, cfg)
     assert trace.reason == reason
     assert trace.summary["objective_calls"] == counted.calls
+    if shrinks is not None:
+        assert trace.N_s == shrinks
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1004,6 @@ def test_true_gradient_stopping_requires_gradient():
     dict(n=2, mode="theoretical", beta=-1.0, L=1.0),
     dict(n=2, mode="practical", eta=None),
     dict(n=2, mode="practical", eta=0.0),
-    dict(n=2, algorithm="nelder-mead"),
     dict(n=2, stopping="clairvoyant"),
     dict(n=2, max_iterations=0),
     dict(n=2, max_evaluations=0),
@@ -1245,6 +1237,20 @@ def test_trace_config_missing_a_field_is_a_value_error(key):
     del d["config"][key]
     with pytest.raises(ValueError, match=f"malformed trace: config lacks {key}"):
         Trace.from_json(json.dumps(d))
+
+
+def test_trace_config_names_its_unknown_fields():
+    d = run(builtin("quad-iso", 2),
+            SolverConfig(n=2, stopping="none", max_iterations=3)).to_dict()
+    d["config"].update(foo=1, algorithm="rssm")
+    with pytest.raises(ValueError, match="^malformed trace: config has "
+                                         "unknown field foo, algorithm$"):
+        Trace.from_json(json.dumps(d))
+    # a missing field is named first
+    del d["config"]["gamma"]
+    with pytest.raises(ValueError, match="^malformed trace: config lacks "
+                                         "gamma$"):
+        Trace.from_dict(d)
 
 
 CONFIG_NUMBERS = ["delta0", "gamma", "epsilon", "beta", "eta", "L"]
